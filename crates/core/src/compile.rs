@@ -18,14 +18,13 @@ use netdev::Counters;
 use openflow::instruction::Instruction;
 use openflow::pipeline::TableId;
 use openflow::table::TableMissBehavior;
-use openflow::{Action, Field, FieldValue, FlowEntry, FlowTable, Pipeline, PipelineError, Verdict};
-use pkt::Packet;
+use openflow::{Action, Field, FieldValue, FlowEntry, FlowTable, Pipeline, PipelineError};
 
 use crate::analysis::{
     compound_hash_shape, lpm_shape, select_template, CompilerConfig, TemplateKind,
 };
-use crate::templates::action::{ActionStore, CompiledAction, CompiledActionSet};
-use crate::templates::matcher::{CompiledMatcher, Regs};
+use crate::templates::action::ActionStore;
+use crate::templates::matcher::CompiledMatcher;
 use crate::templates::parser::ParserTemplate;
 use crate::templates::table::{
     CompiledEntry, CompiledInstrs, CompiledTable, CompoundHashTable, DirectCodeTable,
@@ -59,6 +58,14 @@ impl From<PipelineError> for CompileError {
     }
 }
 
+/// The link map: OpenFlow table id → slot index in a compiled datapath.
+/// `goto_table` targets are resolved through it when instructions are
+/// compiled, so the fast path follows a goto by array index. Slot indices
+/// are stable across per-table rebuilds and
+/// [`CompiledDatapath::with_rebuilt_tables`]; only a full recompilation
+/// renumbers them (and recompiles every goto with them).
+pub(crate) type SlotIndex = HashMap<TableId, usize>;
+
 /// One compiled table behind its trampoline slot.
 pub struct TableSlot {
     /// OpenFlow table id.
@@ -90,9 +97,13 @@ pub struct DatapathStats {
 /// is a pointer copy (§3.4's per-table update granularity, extended across
 /// epochs).
 pub struct CompiledDatapath {
-    parser: ParserTemplate,
-    slots: Vec<Arc<TableSlot>>,
-    index_of: HashMap<TableId, usize>,
+    pub(crate) parser: ParserTemplate,
+    pub(crate) slots: Vec<Arc<TableSlot>>,
+    /// Control-plane lookups only (`slot(id)`, linking); the fast path
+    /// follows pre-resolved slot indices.
+    index_of: SlotIndex,
+    /// Slot of table 0, where every packet starts (`None`: no table 0).
+    pub(crate) entry: Option<usize>,
     config: CompilerConfig,
     /// Runtime statistics.
     pub stats: DatapathStats,
@@ -109,11 +120,19 @@ impl CompiledDatapath {
         &self.slots
     }
 
+    /// The link map tables destined for this datapath are compiled against.
+    pub(crate) fn slot_index(&self) -> &SlotIndex {
+        &self.index_of
+    }
+
     /// Derives a new datapath in which the listed tables are replaced by
     /// freshly rebuilt templates while every other table slot is shared
     /// (`Arc` pointer copy) with `self`. Slots for unknown table ids are
     /// ignored — the caller guarantees rebuilt tables exist (the planner only
-    /// produces per-table plans for tables the datapath already has).
+    /// produces per-table plans for tables the datapath already has). The
+    /// successor keeps `self`'s slot layout, so tables compiled against
+    /// [`CompiledDatapath::slot_index`] — and every shared table — stay
+    /// correctly linked.
     pub fn with_rebuilt_tables(
         &self,
         rebuilt: impl IntoIterator<Item = (TableId, CompiledTable)>,
@@ -133,6 +152,7 @@ impl CompiledDatapath {
             parser: self.parser,
             slots,
             index_of: self.index_of.clone(),
+            entry: self.entry,
             config: self.config,
             stats: DatapathStats::default(),
         }
@@ -178,120 +198,15 @@ impl CompiledDatapath {
         }
         out
     }
-
-    /// Processes one packet through the compiled fast path. Ct verbs run
-    /// against the no-op tracker; stateful pipelines use
-    /// [`CompiledDatapath::process_ct`].
-    pub fn process(&self, packet: &mut Packet) -> Verdict {
-        self.process_ct(packet, &mut openflow::ct::NoCt)
-    }
-
-    /// Processes one packet with a live connection tracker. The datapath is
-    /// shared read-only across shards; each caller threads its own
-    /// shard-local engine, so the compiled program stays immutable while
-    /// connection state stays unshared.
-    pub fn process_ct(&self, packet: &mut Packet, ct: &mut dyn openflow::ct::ConnCtx) -> Verdict {
-        self.stats.processed.record(packet.len());
-        let mut verdict = Verdict::default();
-        let mut regs = Regs {
-            in_port: packet.in_port,
-            ..Default::default()
-        };
-        let mut headers = self.parser.parse(packet.data());
-        let mut write_sets: Vec<Arc<CompiledActionSet>> = Vec::new();
-
-        let Some(mut index) = self.index_of.get(&0).copied() else {
-            return verdict;
-        };
-        loop {
-            let slot = &self.slots[index];
-            slot.lookups.record(0);
-            verdict.tables_visited += 1;
-            let table = slot.table.read();
-            let hit = table.lookup(packet.data(), &headers, &regs).cloned();
-            drop(table);
-            match hit {
-                Some(instrs) => {
-                    if instrs.clear_set {
-                        write_sets.clear();
-                    }
-                    if let Some(apply) = &instrs.apply {
-                        let layout_sensitive = apply.actions().iter().any(|a| {
-                            matches!(a, CompiledAction::PushVlan(_) | CompiledAction::PopVlan)
-                        });
-                        if apply.execute_ct(packet, &headers, &mut verdict, ct) {
-                            // Stateful deny: drop, discarding any forwarding
-                            // decisions merged so far; keep the accounting.
-                            return Verdict {
-                                tables_visited: verdict.tables_visited,
-                                entries_examined: verdict.entries_examined,
-                                ..Verdict::default()
-                            };
-                        }
-                        if layout_sensitive {
-                            headers = self.parser.parse(packet.data());
-                        }
-                    }
-                    if let Some(set) = &instrs.write_set {
-                        write_sets.push(Arc::clone(set));
-                    }
-                    if let Some((value, mask)) = instrs.metadata {
-                        regs.metadata = (regs.metadata & !mask) | (value & mask);
-                    }
-                    if instrs.to_controller {
-                        verdict.to_controller = true;
-                        verdict.punt_reason = openflow::PacketInReason::Action;
-                    }
-                    match instrs.goto.and_then(|t| self.index_of.get(&t)).copied() {
-                        Some(next) => index = next,
-                        None => break,
-                    }
-                }
-                None => match slot.miss {
-                    TableMissBehavior::Drop => break,
-                    TableMissBehavior::ToController => {
-                        verdict.to_controller = true;
-                        break;
-                    }
-                    TableMissBehavior::Continue => {
-                        if index + 1 < self.slots.len() {
-                            index += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                },
-            }
-        }
-
-        // Execute the accumulated write-action sets: modifiers in order, then
-        // the last forwarding decision (OpenFlow action-set semantics).
-        if !write_sets.is_empty() {
-            for set in &write_sets {
-                set.execute_modifiers(packet, &headers);
-            }
-            if let Some(out) = write_sets.iter().rev().find_map(|s| s.output_action()) {
-                match out {
-                    CompiledAction::Output(p) => verdict.outputs.push(*p),
-                    CompiledAction::Flood => verdict.flood = true,
-                    CompiledAction::ToController => {
-                        verdict.to_controller = true;
-                        verdict.punt_reason = openflow::PacketInReason::Action;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if verdict.to_controller {
-            self.stats.punted.record(packet.len());
-        }
-        verdict
-    }
 }
 
 /// Compiles an entry's instructions into a [`CompiledInstrs`] block, interning
-/// action sets in `store`.
-fn compile_instructions(entry: &FlowEntry, store: &mut ActionStore) -> Arc<CompiledInstrs> {
+/// action sets in `store` and linking its goto through `links`.
+pub(crate) fn compile_instructions(
+    entry: &FlowEntry,
+    store: &mut ActionStore,
+    links: &SlotIndex,
+) -> Arc<CompiledInstrs> {
     let mut instrs = CompiledInstrs::default();
     let mut apply: Vec<Action> = Vec::new();
     let mut write: Vec<Action> = Vec::new();
@@ -301,7 +216,10 @@ fn compile_instructions(entry: &FlowEntry, store: &mut ActionStore) -> Arc<Compi
             Instruction::WriteActions(actions) => write.extend(actions.iter().cloned()),
             Instruction::ClearActions => instrs.clear_set = true,
             Instruction::WriteMetadata { value, mask } => instrs.metadata = Some((*value, *mask)),
-            Instruction::GotoTable(t) => instrs.goto = Some(*t),
+            Instruction::GotoTable(t) => {
+                instrs.goto = Some(*t);
+                instrs.goto_slot = links.get(t).copied();
+            }
             Instruction::Meter(_) => {}
         }
     }
@@ -319,63 +237,49 @@ fn compile_instructions(entry: &FlowEntry, store: &mut ActionStore) -> Arc<Compi
 
 /// Builds a [`CompiledEntry`] from a flow entry (direct-code / linked-list
 /// path): one specialised matcher per matched field.
-fn compile_entry(entry: &FlowEntry, store: &mut ActionStore) -> CompiledEntry {
+fn compile_entry(entry: &FlowEntry, store: &mut ActionStore, links: &SlotIndex) -> CompiledEntry {
     let matchers = entry
         .flow_match
         .fields()
         .iter()
         .map(|mf| CompiledMatcher::new(mf.field, mf.value, mf.mask))
         .collect();
-    CompiledEntry::new(matchers, compile_instructions(entry, store))
+    CompiledEntry::new(matchers, compile_instructions(entry, store, links))
 }
 
-/// Compiles a single flow table into the best applicable template.
-pub fn compile_table(
+/// Compiles a single flow table into the best applicable template, linking
+/// its gotos through `links` — the slot layout of the datapath the table is
+/// destined for.
+pub(crate) fn compile_table(
     table: &FlowTable,
     config: &CompilerConfig,
     store: &mut ActionStore,
+    links: &SlotIndex,
 ) -> CompiledTable {
+    let entries = |store: &mut ActionStore| {
+        table
+            .entries()
+            .iter()
+            .map(|e| compile_entry(e, store, links))
+            .collect()
+    };
     match select_template(table, config) {
-        TemplateKind::DirectCode => CompiledTable::DirectCode(DirectCodeTable::new(
-            table
-                .entries()
-                .iter()
-                .map(|e| compile_entry(e, store))
-                .collect(),
-        )),
+        TemplateKind::DirectCode => CompiledTable::DirectCode(DirectCodeTable::new(entries(store))),
         TemplateKind::CompoundHash => {
             let shape = compound_hash_shape(table).expect("selected template checked prerequisite");
-            match build_hash(table, &shape, store) {
+            match build_hash(table, &shape, store, links) {
                 Ok(t) => CompiledTable::CompoundHash(t),
-                Err(_) => CompiledTable::LinkedList(LinkedListTable::new(
-                    table
-                        .entries()
-                        .iter()
-                        .map(|e| compile_entry(e, store))
-                        .collect(),
-                )),
+                Err(_) => CompiledTable::LinkedList(LinkedListTable::new(entries(store))),
             }
         }
         TemplateKind::Lpm => {
             let field = lpm_shape(table).expect("selected template checked prerequisite");
-            match build_lpm(table, field, store) {
+            match build_lpm(table, field, store, links) {
                 Ok(t) => CompiledTable::Lpm(t),
-                Err(_) => CompiledTable::LinkedList(LinkedListTable::new(
-                    table
-                        .entries()
-                        .iter()
-                        .map(|e| compile_entry(e, store))
-                        .collect(),
-                )),
+                Err(_) => CompiledTable::LinkedList(LinkedListTable::new(entries(store))),
             }
         }
-        TemplateKind::LinkedList => CompiledTable::LinkedList(LinkedListTable::new(
-            table
-                .entries()
-                .iter()
-                .map(|e| compile_entry(e, store))
-                .collect(),
-        )),
+        TemplateKind::LinkedList => CompiledTable::LinkedList(LinkedListTable::new(entries(store))),
     }
 }
 
@@ -383,6 +287,7 @@ fn build_hash(
     table: &FlowTable,
     shape: &[(Field, FieldValue)],
     store: &mut ActionStore,
+    links: &SlotIndex,
 ) -> Result<CompoundHashTable, crate::templates::table::TemplateError> {
     let (body, catch_all) = crate::analysis::split_catch_all(table);
     // Entries arrive in pipeline match order (descending priority); the
@@ -404,13 +309,13 @@ fn build_hash(
                 })
                 .collect();
             seen.insert(values.clone())
-                .then(|| (values, compile_instructions(entry, store)))
+                .then(|| (values, compile_instructions(entry, store, links)))
         })
         .collect();
     CompoundHashTable::new(
         shape.to_vec(),
         keys,
-        catch_all.map(|e| compile_instructions(e, store)),
+        catch_all.map(|e| compile_instructions(e, store, links)),
     )
 }
 
@@ -418,6 +323,7 @@ fn build_lpm(
     table: &FlowTable,
     field: Field,
     store: &mut ActionStore,
+    links: &SlotIndex,
 ) -> Result<LpmTable, crate::templates::table::TemplateError> {
     let (body, catch_all) = crate::analysis::split_catch_all(table);
     // Same first-wins rule as `build_hash`: the highest-priority entry of a
@@ -428,14 +334,19 @@ fn build_lpm(
         .filter_map(|entry| {
             let mf = entry.flow_match.fields()[0];
             let len = mf.prefix_len().expect("lpm shape checked") as u8;
-            seen.insert((mf.value as u32, len))
-                .then(|| (mf.value as u32, len, compile_instructions(entry, store)))
+            seen.insert((mf.value as u32, len)).then(|| {
+                (
+                    mf.value as u32,
+                    len,
+                    compile_instructions(entry, store, links),
+                )
+            })
         })
         .collect();
     LpmTable::new(
         field,
         rules,
-        catch_all.map(|e| compile_instructions(e, store)),
+        catch_all.map(|e| compile_instructions(e, store, links)),
     )
 }
 
@@ -494,11 +405,15 @@ pub fn compile(
         }
     };
 
+    let index_of: SlotIndex = pipeline
+        .tables()
+        .iter()
+        .enumerate()
+        .map(|(index, table)| (table.id, index))
+        .collect();
     let mut slots = Vec::with_capacity(pipeline.table_count());
-    let mut index_of = HashMap::new();
     for table in pipeline.tables() {
-        let compiled = compile_table(table, config, &mut store);
-        index_of.insert(table.id, slots.len());
+        let compiled = compile_table(table, config, &mut store, &index_of);
         slots.push(Arc::new(TableSlot {
             id: table.id,
             miss: table.miss,
@@ -510,6 +425,7 @@ pub fn compile(
     Ok(CompiledDatapath {
         parser,
         slots,
+        entry: index_of.get(&0).copied(),
         index_of,
         config: *config,
         stats: DatapathStats::default(),
@@ -528,6 +444,7 @@ mod tests {
     use openflow::instruction::{actions_then_goto, terminal_actions};
     use pkt::builder::PacketBuilder;
     use pkt::parser::ParseDepth;
+    use pkt::Packet;
     use rand::prelude::*;
 
     /// Compares the compiled datapath against the reference interpreter on a
@@ -870,7 +787,12 @@ mod tests {
         let pipeline = l2_pipeline(64);
         let mut store = ActionStore::new();
         let table = pipeline.table(0).unwrap();
-        let _ = compile_table(table, &CompilerConfig::default(), &mut store);
+        let _ = compile_table(
+            table,
+            &CompilerConfig::default(),
+            &mut store,
+            &SlotIndex::default(),
+        );
         assert!(store.len() <= 4, "action sets not shared: {}", store.len());
     }
 

@@ -48,6 +48,7 @@
 pub mod analysis;
 pub mod compile;
 pub mod decompose;
+pub mod fastpath;
 pub mod perfmodel;
 pub mod reactive;
 pub mod runtime;

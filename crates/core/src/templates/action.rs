@@ -12,7 +12,7 @@ use openflow::ct::{ConnCtx, CtVerb, NoCt};
 use openflow::{Action, Field, FieldValue, Verdict};
 use pkt::checksum;
 use pkt::ethernet::ETHERNET_HEADER_LEN;
-use pkt::parser::{parse, ParseDepth, ParsedHeaders};
+use pkt::parser::{ParseDepth, ParsedHeaders};
 use pkt::vlan::VLAN_TAG_LEN;
 use pkt::Packet;
 
@@ -93,36 +93,34 @@ impl CompiledAction {
         }
     }
 
-    /// Executes the action. Returns `true` when the frame layout changed and
-    /// the header offsets must be re-derived.
+    /// Executes the action. A VLAN push/pop changes the frame layout and
+    /// brings `headers` (parsed to `depth`) up to date itself: shifted
+    /// arithmetically for a single tag, re-parsed once otherwise.
     #[inline]
-    fn execute(&self, packet: &mut Packet, headers: &ParsedHeaders, verdict: &mut Verdict) -> bool {
+    fn execute(
+        &self,
+        packet: &mut Packet,
+        headers: &mut ParsedHeaders,
+        depth: ParseDepth,
+        verdict: &mut Verdict,
+    ) {
         let l3 = usize::from(headers.l3_offset);
         let l4 = usize::from(headers.l4_offset);
         match self {
-            CompiledAction::Output(p) => {
-                verdict.outputs.push(*p);
-                false
-            }
-            CompiledAction::Flood => {
-                verdict.flood = true;
-                false
-            }
+            CompiledAction::Output(p) => verdict.outputs.push(*p),
+            CompiledAction::Flood => verdict.flood = true,
             CompiledAction::ToController => {
                 verdict.to_controller = true;
                 verdict.punt_reason = openflow::PacketInReason::Action;
-                false
             }
             // Ct is executed at the set level (it needs the engine and can
             // halt the pipeline); as a bare action it is a no-op.
-            CompiledAction::Drop | CompiledAction::Nop | CompiledAction::Ct(_) => false,
+            CompiledAction::Drop | CompiledAction::Nop | CompiledAction::Ct(_) => {}
             CompiledAction::SetEthDst(mac) => {
                 packet.data_mut()[0..6].copy_from_slice(mac);
-                false
             }
             CompiledAction::SetEthSrc(mac) => {
                 packet.data_mut()[6..12].copy_from_slice(mac);
-                false
             }
             CompiledAction::SetVlanVid(vid) => {
                 if headers.has_vlan() {
@@ -131,8 +129,10 @@ impl CompiledAction {
                     let pcp_dei = frame[off] & 0xf0;
                     frame[off] = pcp_dei | ((vid >> 8) as u8 & 0x0f);
                     frame[off + 1] = *vid as u8;
+                    // The parser caches the outermost VID; later tables
+                    // matching on it must see the rewrite.
+                    headers.vlan_vid = *vid;
                 }
-                false
             }
             CompiledAction::SetIpDscp(dscp) => {
                 if headers.has_ipv4() {
@@ -140,7 +140,6 @@ impl CompiledAction {
                     frame[l3 + 1] = (frame[l3 + 1] & 0x03) | (dscp << 2);
                     refresh_ipv4_checksum(frame, l3);
                 }
-                false
             }
             CompiledAction::SetIpv4Src(addr) => {
                 if headers.has_ipv4() {
@@ -148,7 +147,6 @@ impl CompiledAction {
                     frame[l3 + 12..l3 + 16].copy_from_slice(&addr.to_be_bytes());
                     refresh_ipv4_checksum(frame, l3);
                 }
-                false
             }
             CompiledAction::SetIpv4Dst(addr) => {
                 if headers.has_ipv4() {
@@ -156,19 +154,16 @@ impl CompiledAction {
                     frame[l3 + 16..l3 + 20].copy_from_slice(&addr.to_be_bytes());
                     refresh_ipv4_checksum(frame, l3);
                 }
-                false
             }
             CompiledAction::SetL4Src(port) => {
                 if headers.has_tcp() || headers.has_udp() {
                     packet.data_mut()[l4..l4 + 2].copy_from_slice(&port.to_be_bytes());
                 }
-                false
             }
             CompiledAction::SetL4Dst(port) => {
                 if headers.has_tcp() || headers.has_udp() {
                     packet.data_mut()[l4 + 2..l4 + 4].copy_from_slice(&port.to_be_bytes());
                 }
-                false
             }
             CompiledAction::DecNwTtl => {
                 if headers.has_ipv4() {
@@ -177,22 +172,19 @@ impl CompiledAction {
                     frame[l3 + 8] = ttl.saturating_sub(1);
                     refresh_ipv4_checksum(frame, l3);
                 }
-                false
             }
             CompiledAction::PushVlan(tpid) => {
                 let inner_type = [packet.data()[12], packet.data()[13]];
                 packet.data_mut()[12..14].copy_from_slice(&tpid.to_be_bytes());
                 packet.insert(ETHERNET_HEADER_LEN, &[0, 0, inner_type[0], inner_type[1]]);
-                true
+                headers.vlan_pushed(packet.data(), depth);
             }
             CompiledAction::PopVlan => {
                 if headers.has_vlan() {
                     let inner = [packet.data()[16], packet.data()[17]];
                     packet.data_mut()[12..14].copy_from_slice(&inner);
                     packet.remove(ETHERNET_HEADER_LEN, VLAN_TAG_LEN);
-                    true
-                } else {
-                    false
+                    headers.vlan_popped(packet.data(), depth);
                 }
             }
         }
@@ -263,11 +255,18 @@ impl CompiledActionSet {
     }
 
     /// Executes the whole set against a packet, merging forwarding decisions
-    /// into `verdict`. Re-parses the frame if an action changed its layout.
-    /// Ct verbs execute against the no-op tracker (Commit passes, stateful
-    /// verbs halt) — stateful pipelines use [`CompiledActionSet::execute_ct`].
-    pub fn execute(&self, packet: &mut Packet, headers: &ParsedHeaders, verdict: &mut Verdict) {
-        self.execute_ct(packet, headers, verdict, &mut NoCt);
+    /// into `verdict` and keeping `headers` (parsed to `depth`) in step with
+    /// any layout change. Ct verbs execute against the no-op tracker (Commit
+    /// passes, stateful verbs halt) — stateful pipelines use
+    /// [`CompiledActionSet::execute_ct`].
+    pub fn execute(
+        &self,
+        packet: &mut Packet,
+        headers: &mut ParsedHeaders,
+        depth: ParseDepth,
+        verdict: &mut Verdict,
+    ) {
+        self.execute_ct(packet, headers, depth, verdict, &mut NoCt);
     }
 
     /// Like [`CompiledActionSet::execute`] but with a live connection
@@ -277,26 +276,24 @@ impl CompiledActionSet {
     pub fn execute_ct(
         &self,
         packet: &mut Packet,
-        headers: &ParsedHeaders,
+        headers: &mut ParsedHeaders,
+        depth: ParseDepth,
         verdict: &mut Verdict,
         ct: &mut dyn ConnCtx,
     ) -> bool {
-        let mut current = *headers;
         for action in &self.actions {
             if let CompiledAction::Ct(verb) = action {
-                let outcome = openflow::ct::execute_ct(ct, verb, packet, &current);
+                let outcome = openflow::ct::execute_ct(ct, verb, packet, headers);
                 if outcome.halted() {
                     return true;
                 }
                 for &(field, value) in outcome.rewrites() {
                     CompiledAction::from_set_field(field, FieldValue::from(value))
-                        .execute(packet, &current, verdict);
+                        .execute(packet, headers, depth, verdict);
                 }
                 continue;
             }
-            if action.execute(packet, &current, verdict) {
-                current = parse(packet.data(), ParseDepth::L4);
-            }
+            action.execute(packet, headers, depth, verdict);
         }
         false
     }
@@ -306,8 +303,12 @@ impl CompiledActionSet {
     /// a multi-stage pipeline and only the last forwarding decision may take
     /// effect (OpenFlow action-set semantics: one output per set, last write
     /// wins).
-    pub fn execute_modifiers(&self, packet: &mut Packet, headers: &ParsedHeaders) {
-        let mut current = *headers;
+    pub fn execute_modifiers(
+        &self,
+        packet: &mut Packet,
+        headers: &mut ParsedHeaders,
+        depth: ParseDepth,
+    ) {
         let mut scratch = Verdict::default();
         for action in &self.actions {
             if matches!(
@@ -322,9 +323,7 @@ impl CompiledActionSet {
             ) {
                 continue;
             }
-            if action.execute(packet, &current, &mut scratch) {
-                current = parse(packet.data(), ParseDepth::L4);
-            }
+            action.execute(packet, headers, depth, &mut scratch);
         }
     }
 
@@ -409,12 +408,14 @@ mod tests {
     use super::*;
     use pkt::builder::PacketBuilder;
     use pkt::ipv4::Ipv4Header;
+    use pkt::parser::parse;
 
     fn run(actions: &[Action], packet: &mut Packet) -> Verdict {
-        let headers = parse(packet.data(), ParseDepth::L4);
+        let mut headers = parse(packet.data(), ParseDepth::L4);
         let set = CompiledActionSet::from_actions(actions);
         let mut verdict = Verdict::default();
-        set.execute(packet, &headers, &mut verdict);
+        set.execute(packet, &mut headers, ParseDepth::L4, &mut verdict);
+        assert_eq!(headers, parse(packet.data(), ParseDepth::L4));
         verdict
     }
 
@@ -507,8 +508,8 @@ mod tests {
         assert_eq!(set.output_action(), Some(&CompiledAction::Output(5)));
 
         let mut p = PacketBuilder::tcp().build();
-        let headers = parse(p.data(), ParseDepth::L4);
-        set.execute_modifiers(&mut p, &headers);
+        let mut headers = parse(p.data(), ParseDepth::L4);
+        set.execute_modifiers(&mut p, &mut headers, ParseDepth::L4);
         // The rewrite happened, but no forwarding decision was taken.
         assert_eq!(openflow::FlowKey::extract(&p).ipv4_dst, Some(0x0a00_0001));
     }

@@ -11,6 +11,8 @@
 use openflow::field::{Field, FieldValue};
 use pkt::parser::{ParsedHeaders, ProtoMask};
 
+use crate::fastpath::{FieldLoad, KeyLoader, KeyPart, Layer, LoadSource};
+
 /// Per-packet register state that is not part of the frame: the ingress port
 /// and the pipeline metadata register (the paper keeps these in CPU
 /// registers, hence the name).
@@ -53,111 +55,100 @@ pub fn required_protocols(field: Field) -> ProtoMask {
     }
 }
 
+impl FieldLoad {
+    /// Resolves where `field` lives — layer base, byte offset and width in
+    /// the frame, or a register / parser-recorded value — once, at
+    /// specialization time. This is the single table of field locations;
+    /// matchers, hash keys and LPM keys all load through it.
+    pub fn for_field(field: Field) -> FieldLoad {
+        let frame = |layer, offset, len, need| (LoadSource::Frame { layer, offset, len }, need);
+        let (source, need) = match field {
+            Field::InPort | Field::InPhyPort => (LoadSource::InPort, ProtoMask::NONE),
+            Field::Metadata => (LoadSource::Metadata, ProtoMask::NONE),
+            Field::TunnelId => (LoadSource::TunnelId, ProtoMask::NONE),
+            Field::EthDst => frame(Layer::L2, 0, 6, ProtoMask::NONE),
+            Field::EthSrc => frame(Layer::L2, 6, 6, ProtoMask::NONE),
+            Field::EthType => (LoadSource::EthType, ProtoMask::NONE),
+            Field::VlanVid => (LoadSource::VlanVid, ProtoMask::VLAN),
+            Field::VlanPcp => (LoadSource::VlanPcp, ProtoMask::VLAN),
+            Field::IpDscp | Field::IpEcn => frame(Layer::L3, 1, 1, ProtoMask::IPV4),
+            Field::IpProto => (LoadSource::IpProto, ProtoMask::IPV4 | ProtoMask::IPV6),
+            Field::Ipv4Src => frame(Layer::L3, 12, 4, ProtoMask::IPV4),
+            Field::Ipv4Dst => frame(Layer::L3, 16, 4, ProtoMask::IPV4),
+            Field::Ipv6Src => frame(Layer::L3, 8, 16, ProtoMask::IPV6),
+            Field::Ipv6Dst => frame(Layer::L3, 24, 16, ProtoMask::IPV6),
+            Field::TcpSrc => frame(Layer::L4, 0, 2, ProtoMask::TCP),
+            Field::TcpDst => frame(Layer::L4, 2, 2, ProtoMask::TCP),
+            Field::UdpSrc => frame(Layer::L4, 0, 2, ProtoMask::UDP),
+            Field::UdpDst => frame(Layer::L4, 2, 2, ProtoMask::UDP),
+            Field::Icmpv4Type => frame(Layer::L4, 0, 1, ProtoMask::ICMP),
+            Field::Icmpv4Code => frame(Layer::L4, 1, 1, ProtoMask::ICMP),
+            Field::ArpOp => frame(Layer::L3, 6, 2, ProtoMask::ARP),
+            Field::ArpSha => frame(Layer::L3, 8, 6, ProtoMask::ARP),
+            Field::ArpSpa => frame(Layer::L3, 14, 4, ProtoMask::ARP),
+            Field::ArpTha => frame(Layer::L3, 18, 6, ProtoMask::ARP),
+            Field::ArpTpa => frame(Layer::L3, 24, 4, ProtoMask::ARP),
+            // Fields the prototype does not model in the frame.
+            Field::MplsLabel
+            | Field::MplsTc
+            | Field::MplsBos
+            | Field::PbbIsid
+            | Field::Ipv6Flabel
+            | Field::Ipv6NdTarget
+            | Field::Ipv6NdSll
+            | Field::Ipv6NdTll
+            | Field::Ipv6Exthdr
+            | Field::SctpSrc
+            | Field::SctpDst
+            | Field::Icmpv6Type
+            | Field::Icmpv6Code => (LoadSource::Unmodelled, ProtoMask::NONE),
+        };
+        let (shift, keep) = match field {
+            Field::IpDscp => (2, 0x3f),
+            Field::IpEcn => (0, 0x03),
+            _ => (0, u64::MAX),
+        };
+        FieldLoad {
+            source,
+            need,
+            shift,
+            keep,
+        }
+    }
+}
+
 /// Loads the raw value of `field` from the frame (or the register file),
 /// using the offsets recorded by the parser template. Returns `None` when the
-/// field's protocol layer is absent — the caller's prologue check normally
-/// prevents that, but table templates also use this for key construction.
-#[inline]
+/// field's protocol layer is absent. Resolves the field's location on every
+/// call — compiled templates hold a pre-resolved [`FieldLoad`] instead.
 pub fn load_field(
     field: Field,
     frame: &[u8],
     headers: &ParsedHeaders,
     regs: &Regs,
 ) -> Option<FieldValue> {
-    let l2 = usize::from(headers.l2_offset);
-    let l3 = usize::from(headers.l3_offset);
-    let l4 = usize::from(headers.l4_offset);
-    match field {
-        Field::InPort | Field::InPhyPort => Some(FieldValue::from(regs.in_port)),
-        Field::Metadata => Some(FieldValue::from(regs.metadata)),
-        Field::TunnelId => Some(FieldValue::from(regs.tunnel_id)),
-        Field::EthDst => read_bytes(frame, l2, 6),
-        Field::EthSrc => read_bytes(frame, l2 + 6, 6),
-        Field::EthType => Some(FieldValue::from(headers.ethertype)),
-        Field::VlanVid => headers
-            .mask
-            .contains(ProtoMask::VLAN)
-            .then_some(FieldValue::from(headers.vlan_vid)),
-        Field::VlanPcp => headers
-            .mask
-            .contains(ProtoMask::VLAN)
-            .then_some(FieldValue::from(headers.vlan_pcp)),
-        Field::IpDscp => headers
-            .has_ipv4()
-            .then(|| frame.get(l3 + 1).map(|b| FieldValue::from(b >> 2)))?,
-        Field::IpEcn => headers
-            .has_ipv4()
-            .then(|| frame.get(l3 + 1).map(|b| FieldValue::from(b & 3)))?,
-        Field::IpProto => (headers.has_ipv4() || headers.mask.contains(ProtoMask::IPV6))
-            .then_some(FieldValue::from(headers.ip_proto)),
-        Field::Ipv4Src => headers.has_ipv4().then(|| read_bytes(frame, l3 + 12, 4))?,
-        Field::Ipv4Dst => headers.has_ipv4().then(|| read_bytes(frame, l3 + 16, 4))?,
-        Field::Ipv6Src => headers
-            .mask
-            .contains(ProtoMask::IPV6)
-            .then(|| read_bytes(frame, l3 + 8, 16))?,
-        Field::Ipv6Dst => headers
-            .mask
-            .contains(ProtoMask::IPV6)
-            .then(|| read_bytes(frame, l3 + 24, 16))?,
-        Field::TcpSrc => headers.has_tcp().then(|| read_bytes(frame, l4, 2))?,
-        Field::TcpDst => headers.has_tcp().then(|| read_bytes(frame, l4 + 2, 2))?,
-        Field::UdpSrc => headers.has_udp().then(|| read_bytes(frame, l4, 2))?,
-        Field::UdpDst => headers.has_udp().then(|| read_bytes(frame, l4 + 2, 2))?,
-        Field::Icmpv4Type => headers
-            .mask
-            .contains(ProtoMask::ICMP)
-            .then(|| read_bytes(frame, l4, 1))?,
-        Field::Icmpv4Code => headers
-            .mask
-            .contains(ProtoMask::ICMP)
-            .then(|| read_bytes(frame, l4 + 1, 1))?,
-        Field::ArpOp => headers
-            .mask
-            .contains(ProtoMask::ARP)
-            .then(|| read_bytes(frame, l3 + 6, 2))?,
-        Field::ArpSha => headers
-            .mask
-            .contains(ProtoMask::ARP)
-            .then(|| read_bytes(frame, l3 + 8, 6))?,
-        Field::ArpSpa => headers
-            .mask
-            .contains(ProtoMask::ARP)
-            .then(|| read_bytes(frame, l3 + 14, 4))?,
-        Field::ArpTha => headers
-            .mask
-            .contains(ProtoMask::ARP)
-            .then(|| read_bytes(frame, l3 + 18, 6))?,
-        Field::ArpTpa => headers
-            .mask
-            .contains(ProtoMask::ARP)
-            .then(|| read_bytes(frame, l3 + 24, 4))?,
-        // Fields the prototype does not model in the frame.
-        Field::MplsLabel
-        | Field::MplsTc
-        | Field::MplsBos
-        | Field::PbbIsid
-        | Field::Ipv6Flabel
-        | Field::Ipv6NdTarget
-        | Field::Ipv6NdSll
-        | Field::Ipv6NdTll
-        | Field::Ipv6Exthdr
-        | Field::SctpSrc
-        | Field::SctpDst
-        | Field::Icmpv6Type
-        | Field::Icmpv6Code => None,
-    }
+    FieldLoad::for_field(field).load(frame, headers, regs)
 }
 
-/// Reads `len` big-endian bytes at `offset` into the low bits of a value.
-#[inline]
-fn read_bytes(frame: &[u8], offset: usize, len: usize) -> Option<FieldValue> {
-    let bytes = frame.get(offset..offset + len)?;
-    let mut v: FieldValue = 0;
-    for b in bytes {
-        v = (v << 8) | FieldValue::from(*b);
+impl KeyLoader {
+    /// Specialises the key builder for a compound key over `fields` (with
+    /// their global masks), most significant field first.
+    pub(crate) fn for_fields(fields: &[(Field, FieldValue)]) -> KeyLoader {
+        KeyLoader {
+            parts: fields
+                .iter()
+                .map(|(field, mask)| KeyPart {
+                    load: FieldLoad::for_field(*field),
+                    width: field.width_bits(),
+                    mask: *mask,
+                })
+                .collect(),
+            required: fields.iter().fold(ProtoMask::NONE, |required, (field, _)| {
+                required.or(required_protocols(*field))
+            }),
+            narrow: fields.iter().map(|(f, _)| f.width_bits()).sum::<u32>() <= 64,
+        }
     }
-    Some(v)
 }
 
 /// A specialised matcher: the field to load plus the key and mask that were
@@ -170,6 +161,8 @@ pub struct CompiledMatcher {
     pub key: FieldValue,
     /// Patched mask.
     pub mask: FieldValue,
+    /// The pre-resolved load of `field`.
+    load: FieldLoad,
 }
 
 impl CompiledMatcher {
@@ -179,16 +172,16 @@ impl CompiledMatcher {
             field,
             key: key & mask,
             mask,
+            load: FieldLoad::for_field(field),
         }
     }
 
     /// Runs the matcher against a packet.
     #[inline]
     pub fn matches(&self, frame: &[u8], headers: &ParsedHeaders, regs: &Regs) -> bool {
-        match load_field(self.field, frame, headers, regs) {
-            Some(value) => value & self.mask == self.key,
-            None => false,
-        }
+        self.load
+            .load(frame, headers, regs)
+            .is_some_and(|value| value & self.mask == self.key)
     }
 
     /// Renders the matcher in the paper's macro notation, e.g.

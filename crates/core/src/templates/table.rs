@@ -16,7 +16,8 @@ use pkt::ipv4::Ipv4Addr4;
 use pkt::parser::{ParsedHeaders, ProtoMask};
 
 use super::action::CompiledActionSet;
-use super::matcher::{load_field, required_protocols, CompiledMatcher, Regs};
+use super::matcher::{required_protocols, CompiledMatcher, Regs};
+use crate::fastpath::{FieldLoad, KeyLoader};
 
 /// The compiled form of a matched entry's instructions.
 ///
@@ -35,6 +36,10 @@ pub struct CompiledInstrs {
     pub metadata: Option<(u64, u64)>,
     /// Continue processing at this table (linked through the trampoline).
     pub goto: Option<TableId>,
+    /// Slot index of `goto` in the datapath the block was compiled for,
+    /// resolved at link time so the fast path follows a goto with an array
+    /// index. `None` when there is no goto or its target has no slot.
+    pub goto_slot: Option<usize>,
     /// Punt to the controller on match (used for table-miss entries of
     /// reactive pipelines).
     pub to_controller: bool,
@@ -127,11 +132,11 @@ impl DirectCodeTable {
         frame: &[u8],
         headers: &ParsedHeaders,
         regs: &Regs,
-    ) -> Option<&Arc<CompiledInstrs>> {
+    ) -> Option<&CompiledInstrs> {
         self.entries
             .iter()
             .find(|e| e.matches(frame, headers, regs))
-            .map(|e| &e.instrs)
+            .map(|e| &*e.instrs)
     }
 
     /// Number of entries.
@@ -154,8 +159,8 @@ impl DirectCodeTable {
 pub struct CompoundHashTable {
     /// The fields participating in the key, with their shared (global) masks.
     fields: Vec<(Field, FieldValue)>,
-    /// Protocol bits required before key construction.
-    required: ProtoMask,
+    /// The same fields as pre-resolved loads: builds a packet's key.
+    loader: KeyLoader,
     hash: PerfectHash<Arc<CompiledInstrs>>,
     /// The optional lowest-priority catch-all entry.
     catch_all: Option<Arc<CompiledInstrs>>,
@@ -182,10 +187,7 @@ impl CompoundHashTable {
                 "compound hash needs at least one field",
             ));
         }
-        let mut required = ProtoMask::NONE;
-        for (f, _) in &fields {
-            required = required.or(required_protocols(*f));
-        }
+        let loader = KeyLoader::for_fields(&fields);
         let mut packed = Vec::with_capacity(keys.len());
         for (values, instrs) in keys {
             if values.len() != fields.len() {
@@ -193,40 +195,14 @@ impl CompoundHashTable {
                     "key arity differs from field list",
                 ));
             }
-            packed.push((Self::pack(&fields, &values), instrs));
+            packed.push((loader.pack(&values), instrs));
         }
         Ok(CompoundHashTable {
             fields,
-            required,
+            loader,
             hash: PerfectHash::build(packed),
             catch_all,
         })
-    }
-
-    /// Packs per-field values into the compound key by concatenating the
-    /// masked values ("the code runs together relevant header fields into a
-    /// single key, applies the global mask").
-    fn pack(fields: &[(Field, FieldValue)], values: &[FieldValue]) -> u128 {
-        let mut key: u128 = 0;
-        for ((field, mask), value) in fields.iter().zip(values) {
-            key = (key << field.width_bits()) | (value & mask);
-        }
-        key
-    }
-
-    /// Builds the compound key for a packet, or `None` when a required layer
-    /// is missing.
-    #[inline]
-    fn packet_key(&self, frame: &[u8], headers: &ParsedHeaders, regs: &Regs) -> Option<u128> {
-        if !headers.mask.contains(self.required) {
-            return None;
-        }
-        let mut key: u128 = 0;
-        for (field, mask) in &self.fields {
-            let value = load_field(*field, frame, headers, regs)?;
-            key = (key << field.width_bits()) | (value & mask);
-        }
-        Some(key)
     }
 
     /// Looks up a packet: one hash probe, then the catch-all.
@@ -236,33 +212,29 @@ impl CompoundHashTable {
         frame: &[u8],
         headers: &ParsedHeaders,
         regs: &Regs,
-    ) -> Option<&Arc<CompiledInstrs>> {
-        if let Some(key) = self.packet_key(frame, headers, regs) {
-            if let Some(instrs) = self.hash.get(key) {
-                return Some(instrs);
-            }
-        }
-        self.catch_all.as_ref()
+    ) -> Option<&CompiledInstrs> {
+        self.loader
+            .key(frame, headers, regs)
+            .and_then(|key| self.hash.get(key))
+            .or(self.catch_all.as_ref())
+            .map(|instrs| &**instrs)
     }
 
     /// Inserts (or replaces) one entry incrementally. `values` must follow
     /// the template's field order.
     pub fn insert(&mut self, values: &[FieldValue], instrs: Arc<CompiledInstrs>) {
-        let key = Self::pack(&self.fields, values);
-        self.hash.insert(key, instrs);
+        self.hash.insert(self.loader.pack(values), instrs);
     }
 
     /// Removes one entry incrementally. Returns true if it existed.
     pub fn remove(&mut self, values: &[FieldValue]) -> bool {
-        let key = Self::pack(&self.fields, values);
-        self.hash.remove(key).is_some()
+        self.hash.remove(self.loader.pack(values)).is_some()
     }
 
     /// True when an entry with these key values is installed. Used by the
     /// update planner to predict whether a delete is absorbable in place.
     pub fn contains(&self, values: &[FieldValue]) -> bool {
-        let key = Self::pack(&self.fields, values);
-        self.hash.get(key).is_some()
+        self.hash.get(self.loader.pack(values)).is_some()
     }
 
     /// Rebuilds the underlying collision-free hash (the paper rebuilds the
@@ -297,7 +269,8 @@ impl CompoundHashTable {
 #[derive(Debug)]
 pub struct LpmTable {
     field: Field,
-    required: ProtoMask,
+    /// The pre-resolved load of `field`.
+    load: FieldLoad,
     lpm: Lpm,
     /// Instruction blocks indexed by the LPM next-hop value.
     targets: Vec<Arc<CompiledInstrs>>,
@@ -322,7 +295,7 @@ impl LpmTable {
         }
         let mut table = LpmTable {
             field,
-            required: required_protocols(field),
+            load: FieldLoad::for_field(field),
             lpm: Lpm::new(),
             targets: Vec::new(),
             catch_all,
@@ -375,15 +348,13 @@ impl LpmTable {
         frame: &[u8],
         headers: &ParsedHeaders,
         regs: &Regs,
-    ) -> Option<&Arc<CompiledInstrs>> {
-        if headers.mask.contains(self.required) {
-            if let Some(addr) = load_field(self.field, frame, headers, regs) {
-                if let Some(hop) = self.lpm.lookup(Ipv4Addr4::from_u32(addr as u32)) {
-                    return self.targets.get(usize::from(hop));
-                }
-            }
-        }
-        self.catch_all.as_ref()
+    ) -> Option<&CompiledInstrs> {
+        self.load
+            .load(frame, headers, regs)
+            .and_then(|addr| self.lpm.lookup(Ipv4Addr4::from_u32(addr as u32)))
+            .and_then(|hop| self.targets.get(usize::from(hop)))
+            .or(self.catch_all.as_ref())
+            .map(|instrs| &**instrs)
     }
 
     /// The matched field.
@@ -451,11 +422,11 @@ impl LinkedListTable {
         frame: &[u8],
         headers: &ParsedHeaders,
         regs: &Regs,
-    ) -> Option<&Arc<CompiledInstrs>> {
+    ) -> Option<&CompiledInstrs> {
         self.entries
             .iter()
             .find(|e| e.matches(frame, headers, regs))
-            .map(|e| &e.instrs)
+            .map(|e| &*e.instrs)
     }
 
     /// Appends an entry (incremental update); the caller is responsible for
@@ -507,7 +478,7 @@ impl CompiledTable {
         frame: &[u8],
         headers: &ParsedHeaders,
         regs: &Regs,
-    ) -> Option<&Arc<CompiledInstrs>> {
+    ) -> Option<&CompiledInstrs> {
         match self {
             CompiledTable::DirectCode(t) => t.lookup(frame, headers, regs),
             CompiledTable::CompoundHash(t) => t.lookup(frame, headers, regs),

@@ -32,7 +32,9 @@ use openflow::pipeline::TableId;
 use openflow::{Field, FieldValue, FlowMod, Pipeline};
 
 use crate::analysis::CompilerConfig;
-use crate::compile::{compile_table, instruction_fields, CompiledDatapath};
+use crate::compile::{
+    compile_instructions, compile_table, instruction_fields, CompiledDatapath, SlotIndex,
+};
 use crate::templates::action::ActionStore;
 use crate::templates::parser::ParserTemplate;
 use crate::templates::table::{CompiledInstrs, CompiledTable};
@@ -322,7 +324,7 @@ impl<'a> UpdatePlanner<'a> {
                 let values = hash_key_values(hash.fields(), fm)?;
                 EditOp::HashInsert {
                     values,
-                    instrs: compile_entry_instrs_for(fm),
+                    instrs: compile_entry_instrs(fm, datapath.slot_index()),
                 }
             }
             (CompiledTable::CompoundHash(hash), FlowModCommand::DeleteStrict) => {
@@ -340,7 +342,7 @@ impl<'a> UpdatePlanner<'a> {
                 EditOp::LpmInsert {
                     prefix,
                     len,
-                    instrs: compile_entry_instrs_for(fm),
+                    instrs: compile_entry_instrs(fm, datapath.slot_index()),
                 }
             }
             (CompiledTable::Lpm(lpm), FlowModCommand::DeleteStrict) => {
@@ -402,7 +404,10 @@ impl<'a> UpdatePlanner<'a> {
             // The paper keeps a shared template library; re-interning per
             // rebuild only affects sharing across tables, not correctness.
             let mut store = ActionStore::new();
-            rebuilt.push((*id, compile_table(table, self.config, &mut store)));
+            rebuilt.push((
+                *id,
+                compile_table(table, self.config, &mut store, datapath.slot_index()),
+            ));
         }
         Some(rebuilt)
     }
@@ -503,32 +508,13 @@ fn lpm_rule(field: Field, fm: &FlowMod) -> Option<(u32, u8)> {
     Some((fields[0].value as u32, len))
 }
 
-/// Compiles the instruction block of a flow-mod's would-be entry (used by the
+/// Compiles the instruction block of a flow-mod's would-be entry, its goto
+/// linked against the slots of the datapath the edit lands in (used by the
 /// incremental update paths).
-fn compile_entry_instrs_for(fm: &FlowMod) -> Arc<CompiledInstrs> {
+fn compile_entry_instrs(fm: &FlowMod, links: &SlotIndex) -> Arc<CompiledInstrs> {
     let entry =
         openflow::FlowEntry::new(fm.flow_match.clone(), fm.priority, fm.instructions.clone());
-    compile_entry_instrs(&entry)
-}
-
-/// Compiles the instruction block of a standalone entry through a
-/// single-entry direct-code build, reusing the compiler's logic.
-pub(crate) fn compile_entry_instrs(entry: &openflow::FlowEntry) -> Arc<CompiledInstrs> {
-    let mut store = ActionStore::new();
-    let mut table = openflow::FlowTable::new(u32::MAX);
-    table.insert(entry.clone());
-    let compiled = compile_table(
-        &table,
-        &CompilerConfig {
-            direct_code_limit: usize::MAX,
-            ..CompilerConfig::default()
-        },
-        &mut store,
-    );
-    match compiled {
-        CompiledTable::DirectCode(t) => Arc::clone(&t.entries()[0].instrs),
-        _ => unreachable!("single-entry table always compiles to direct code"),
-    }
+    compile_instructions(&entry, &mut ActionStore::new(), links)
 }
 
 #[cfg(test)]
@@ -636,6 +622,43 @@ mod tests {
             .eth_dst(pkt::MacAddr::from_u64(0x0200_0000_0900).octets())
             .build();
         assert_eq!(datapath.process(&mut pkt).outputs, vec![3]);
+    }
+
+    #[test]
+    fn incrementally_inserted_goto_is_linked_to_its_slot() {
+        // Table ids 0, 5, 9 sit in slots 0, 1, 2: an entry added in place
+        // (no rebuild, no recompile) must carry its goto as a slot index,
+        // or the fast path — which never consults the id map — would stop
+        // (or jump to the wrong table).
+        let mut p = l2_pipeline(32);
+        for (id, port) in [(5, 50), (9, 90)] {
+            let mut t = openflow::FlowTable::new(id);
+            t.insert(FlowEntry::new(
+                FlowMatch::any(),
+                1,
+                terminal_actions(vec![Action::Output(port)]),
+            ));
+            p.add_table(t);
+        }
+        let runtime = crate::runtime::EswitchRuntime::compile(p).unwrap();
+        let fm = FlowMod::add(
+            0,
+            FlowMatch::any().with_exact(Field::EthDst, 0x0200_0000_0900u128),
+            10,
+            vec![openflow::Instruction::GotoTable(9)],
+        );
+        runtime.flow_mod(&fm).unwrap();
+        assert_eq!(runtime.updates.incremental.updates(), 1);
+
+        let mut pkt = pkt::builder::PacketBuilder::udp()
+            .eth_dst(pkt::MacAddr::from_u64(0x0200_0000_0900).octets())
+            .build();
+        let verdict = runtime.process(&mut pkt);
+        assert_eq!(verdict.outputs, vec![90]);
+        assert_eq!(verdict.tables_visited, 2);
+        let datapath = runtime.datapath();
+        assert_eq!(datapath.slot(5).unwrap().lookups.packets(), 0);
+        assert_eq!(datapath.slot(9).unwrap().lookups.packets(), 1);
     }
 
     #[test]
@@ -772,7 +795,12 @@ mod tests {
         let datapath = crate::compile::compile(&p, &config).unwrap();
 
         let mut store = ActionStore::new();
-        let rebuilt = compile_table(p.table(1).unwrap(), &config, &mut store);
+        let rebuilt = compile_table(
+            p.table(1).unwrap(),
+            &config,
+            &mut store,
+            datapath.slot_index(),
+        );
         let next = datapath.with_rebuilt_tables(vec![(1, rebuilt)]);
         // Table 0's slot is the same allocation; table 1's is fresh.
         assert!(Arc::ptr_eq(&datapath.slots()[0], &next.slots()[0]));

@@ -9,11 +9,10 @@
 //! * [`ring`] — bounded single-producer/single-consumer and multi-producer
 //!   rings used to back ports and inter-core queues (the `rte_ring` analogue),
 //! * [`port`] — polled ports with vectored burst receive/transmit
-//!   (`recvmmsg`/`sendmmsg`-shaped `_into` APIs) and per-port statistics
-//!   (the `rte_ethdev` analogue),
+//!   (`recvmmsg`/`sendmmsg`-shaped `_into` APIs), the conventional burst
+//!   size, and per-port statistics (the `rte_ethdev` analogue),
 //! * [`classify`] — a pre-RSS match program for steering special traffic to
 //!   designated shards (the software `SO_REUSEPORT` + eBPF analogue),
-//! * [`batch`] — fixed-burst packet batches (DPDK's `rx_burst` of 32),
 //! * [`lpm`] — a DIR-24-8 longest-prefix-match table, the same layout as
 //!   `rte_lpm`, backing the ESWITCH LPM table template,
 //! * [`perfect_hash`] — a collision-free hash with constant-time lookup,
@@ -29,7 +28,6 @@
 //! See DESIGN.md §1 for why this substitution preserves the behaviours the
 //! evaluation depends on.
 
-pub mod batch;
 pub mod classify;
 pub mod fxhash;
 pub mod lpm;
@@ -39,13 +37,13 @@ pub mod ring;
 pub mod stats;
 pub mod sync;
 
-pub use batch::{PacketBatch, BURST_SIZE};
 pub use classify::{Classifier, ClassifyAction, ClassifyRule, MatchSpec};
 pub use fxhash::{fx_mix, FxBuildHasher, FxHasher};
 pub use lpm::{Lpm, LpmError};
 pub use perfect_hash::PerfectHash;
 pub use port::{
-    Port, PortId, PortSet, PortStats, PORT_CONTROLLER, PORT_DROP, PORT_FLOOD, PORT_IN_PORT,
+    Port, PortId, PortSet, PortStats, BURST_SIZE, PORT_CONTROLLER, PORT_DROP, PORT_FLOOD,
+    PORT_IN_PORT,
 };
 pub use ring::{MpmcRing, SpscRing};
 pub use stats::{CounterSnapshot, Counters};

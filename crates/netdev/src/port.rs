@@ -20,6 +20,11 @@ use pkt::Packet;
 use crate::ring::MpmcRing;
 use crate::stats::Counters;
 
+/// Default burst size, matching DPDK's conventional `rx_burst` of 32: ports,
+/// rings and both datapaths move packets in bursts of this many to amortise
+/// per-call overheads and keep the working set in cache.
+pub const BURST_SIZE: usize = 32;
+
 /// Numeric port identifier (OpenFlow port numbers are 32 bit).
 pub type PortId = u32;
 

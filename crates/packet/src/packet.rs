@@ -97,28 +97,30 @@ impl Packet {
         (self.data.freeze(), self.in_port)
     }
 
-    /// Inserts `extra` bytes at `offset`, shifting the tail. Used by the
+    /// Inserts `extra` bytes at `offset`, shifting the tail up in place (no
+    /// allocation while the buffer has spare capacity). Used by the
     /// push-VLAN action. Panics if the result would exceed [`MAX_FRAME_LEN`].
     pub fn insert(&mut self, offset: usize, extra: &[u8]) {
+        let old_len = self.len();
         assert!(
-            self.len() + extra.len() <= MAX_FRAME_LEN,
+            old_len + extra.len() <= MAX_FRAME_LEN,
             "insert overflows frame"
         );
-        let tail = self.data.split_off(offset);
-        self.data.extend_from_slice(extra);
-        self.data.unsplit(tail);
+        self.data.resize(old_len + extra.len(), 0);
+        self.data.copy_within(offset..old_len, offset + extra.len());
+        self.data[offset..offset + extra.len()].copy_from_slice(extra);
     }
 
-    /// Removes `count` bytes at `offset`, shifting the tail down. Used by the
-    /// pop-VLAN action.
+    /// Removes `count` bytes at `offset`, shifting the tail down in place
+    /// (never allocates; the capacity is kept). Used by the pop-VLAN action.
     ///
     /// # Panics
     /// Panics if `offset + count` exceeds the frame length.
     pub fn remove(&mut self, offset: usize, count: usize) {
-        assert!(offset + count <= self.len(), "remove out of bounds");
-        let mut tail = self.data.split_off(offset);
-        let _ = tail.split_to(count);
-        self.data.unsplit(tail);
+        let old_len = self.len();
+        assert!(offset + count <= old_len, "remove out of bounds");
+        self.data.copy_within(offset + count.., offset);
+        self.data.truncate(old_len - count);
     }
 }
 
@@ -149,6 +151,29 @@ mod tests {
         assert_eq!(pkt.data(), &[1, 2, 0xaa, 0xbb, 3, 4, 5, 6]);
         pkt.remove(2, 2);
         assert_eq!(pkt.data(), &[1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn remove_then_insert_within_capacity_stays_in_place() {
+        // A pop/push pair must reuse the frame's buffer: `remove` keeps the
+        // capacity, so the following `insert` fits without reallocating.
+        let mut pkt = Packet::from_bytes((0u8..64).collect::<Vec<_>>(), 0);
+        let base = pkt.data().as_ptr();
+        pkt.remove(14, 4);
+        assert_eq!(pkt.len(), 60);
+        assert_eq!(pkt.data()[13], 13);
+        assert_eq!(pkt.data()[14], 18);
+        assert_eq!(pkt.data().as_ptr(), base, "remove moved the buffer");
+        pkt.insert(14, &[0xa, 0xb, 0xc, 0xd]);
+        assert_eq!(pkt.len(), 64);
+        assert_eq!(&pkt.data()[12..20], &[12, 13, 0xa, 0xb, 0xc, 0xd, 18, 19]);
+        assert_eq!(pkt.data()[63], 63);
+        assert_eq!(pkt.data().as_ptr(), base, "insert within capacity moved");
+        // Edge positions: head and tail.
+        pkt.remove(0, 2);
+        pkt.insert(pkt.len(), &[0xee]);
+        assert_eq!(pkt.data()[0], 2);
+        assert_eq!(*pkt.data().last().unwrap(), 0xee);
     }
 
     #[test]

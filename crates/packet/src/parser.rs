@@ -151,6 +151,60 @@ impl ParsedHeaders {
         self.mask.contains(ProtoMask::VLAN)
     }
 
+    /// Updates the record after the outermost VLAN tag was popped from the
+    /// frame it described (`frame` is the frame *after* the pop), so that it
+    /// equals `parse(frame, depth)`. When that was the only tag, every layer
+    /// above L2 simply sits one tag lower — all parser length checks are
+    /// relative to the layer offsets — so the offsets are shifted and nothing
+    /// is re-parsed; a frame that still carries a tag (QinQ) is re-parsed.
+    pub fn vlan_popped(&mut self, frame: &[u8], depth: ParseDepth) {
+        if !self.has_vlan() || outer_ethertype_is_vlan(frame) {
+            *self = parse(frame, depth);
+            return;
+        }
+        self.mask = ProtoMask(self.mask.0 & !ProtoMask::VLAN.0);
+        self.vlan_vid = 0;
+        self.vlan_pcp = 0;
+        self.shift_upper_layers(|offset| offset - VLAN_TAG_LEN as u16);
+    }
+
+    /// Updates the record after a VLAN tag was pushed as the outermost tag of
+    /// the frame it described (`frame` is the frame *after* the push), so
+    /// that it equals `parse(frame, depth)`. The counterpart of
+    /// [`ParsedHeaders::vlan_popped`]: a previously untagged frame only has
+    /// its upper layers moved up by one tag; stacking onto an existing tag
+    /// (or pushing a non-VLAN TPID) is re-parsed.
+    pub fn vlan_pushed(&mut self, frame: &[u8], depth: ParseDepth) {
+        let was_untagged = self.mask.contains(ProtoMask::ETH) && !self.has_vlan();
+        let tci = frame.get(ETHERNET_HEADER_LEN..ETHERNET_HEADER_LEN + 2);
+        let (true, true, Some(tci)) = (was_untagged, outer_ethertype_is_vlan(frame), tci) else {
+            *self = parse(frame, depth);
+            return;
+        };
+        let tci = u16::from_be_bytes([tci[0], tci[1]]);
+        self.mask |= ProtoMask::VLAN;
+        self.vlan_vid = tci & 0x0fff;
+        self.vlan_pcp = (tci >> 13) as u8;
+        self.shift_upper_layers(|offset| offset + VLAN_TAG_LEN as u16);
+    }
+
+    /// Moves the offsets of the layers that are present (absent layers keep
+    /// their default offset, exactly as `parse` leaves them).
+    fn shift_upper_layers(&mut self, shift: impl Fn(u16) -> u16) {
+        if self
+            .mask
+            .intersects(ProtoMask::IPV4 | ProtoMask::IPV6 | ProtoMask::ARP)
+        {
+            self.l3_offset = shift(self.l3_offset);
+        }
+        if self
+            .mask
+            .intersects(ProtoMask::TCP | ProtoMask::UDP | ProtoMask::ICMP)
+        {
+            self.l4_offset = shift(self.l4_offset);
+        }
+    }
+
     /// Destination MAC, loaded from the frame.
     pub fn eth_dst(&self, frame: &[u8]) -> Option<MacAddr> {
         let off = usize::from(self.l2_offset);
@@ -232,6 +286,13 @@ impl ParsedHeaders {
             None
         }
     }
+}
+
+/// True when the frame's outer EtherType (bytes 12–13) announces a VLAN tag.
+fn outer_ethertype_is_vlan(frame: &[u8]) -> bool {
+    frame
+        .get(12..ETHERNET_HEADER_LEN)
+        .is_some_and(|t| EtherType::from_u16(u16::from_be_bytes([t[0], t[1]])).is_vlan())
 }
 
 /// L2 parser template: records the Ethernet offset, walks any VLAN tags and
@@ -420,6 +481,60 @@ mod tests {
         assert!(h.mask.contains(ProtoMask::ETH));
         assert!(!h.has_ipv4());
         assert_eq!(h.ethertype, 0x88b5);
+    }
+
+    #[test]
+    fn vlan_pop_and_push_updates_equal_a_fresh_parse() {
+        // Frames no re-parse shortcut may get wrong: tagged / untagged TCP,
+        // UDP and ARP, QinQ and a triple tag (the parser walks two), frames
+        // cut inside the tag, the IP header and the L4 header.
+        let tag = |frame: &[u8], tpid: u16, vid: u16| {
+            let mut out = frame[..12].to_vec();
+            out.extend_from_slice(&tpid.to_be_bytes());
+            out.extend_from_slice(&vid.to_be_bytes());
+            out.extend_from_slice(&frame[12..]);
+            out
+        };
+        let tcp = PacketBuilder::tcp().tcp_dst(80).build().data().to_vec();
+        let udp = PacketBuilder::udp().udp_dst(53).build().data().to_vec();
+        let arp = PacketBuilder::arp_request(
+            MacAddr::new([2, 0, 0, 0, 0, 1]),
+            Ipv4Addr4::new(10, 0, 0, 1),
+            Ipv4Addr4::new(10, 0, 0, 2),
+        )
+        .data()
+        .to_vec();
+        let mut frames = Vec::new();
+        for base in [&tcp, &udp, &arp] {
+            let single = tag(base, 0x8100, 0x6007);
+            let qinq = tag(&single, 0x88a8, 9);
+            let triple = tag(&qinq, 0x8100, 11);
+            for f in [base.clone(), single, qinq, triple] {
+                for cut in [f.len(), 16, 20, 30, 40, 52] {
+                    frames.push(f[..cut.min(f.len())].to_vec());
+                }
+            }
+        }
+        for frame in &frames {
+            for depth in [ParseDepth::L2, ParseDepth::L3, ParseDepth::L4] {
+                let before = parse(frame, depth);
+                if before.has_vlan() {
+                    let mut popped = frame[..12].to_vec();
+                    popped.extend_from_slice(&frame[16..]);
+                    let mut h = before;
+                    h.vlan_popped(&popped, depth);
+                    assert_eq!(h, parse(&popped, depth), "pop {frame:02x?} {depth:?}");
+                }
+                if frame.len() >= ETHERNET_HEADER_LEN {
+                    for tpid in [0x8100u16, 0x88a8, 0x0800] {
+                        let pushed = tag(frame, tpid, 0);
+                        let mut h = before;
+                        h.vlan_pushed(&pushed, depth);
+                        assert_eq!(h, parse(&pushed, depth), "push {frame:02x?} {depth:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -156,11 +156,7 @@ impl ShardBackend for EswitchShard {
         verdicts: &mut Vec<Verdict>,
         ct: &mut dyn ConnCtx,
     ) {
-        verdicts.clear();
-        verdicts.reserve(packets.len());
-        for packet in packets.iter_mut() {
-            verdicts.push(self.datapath.process_ct(packet, ct));
-        }
+        self.datapath.process_burst_ct(packets, verdicts, ct);
     }
 
     fn apply(&mut self, state: &CompiledState, _deltas: Option<&[Arc<Vec<FlowMatch>>]>) {

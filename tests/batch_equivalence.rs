@@ -4,11 +4,20 @@
 //! and the compiled ESWITCH datapath — same verdicts, same rewritten packet
 //! bytes. Batching (key pre-extraction, per-flow grouping, hoisted locks) is
 //! an optimisation, never a semantic change.
+//!
+//! A second property holds the compiled burst path to three-way agreement —
+//! burst == per-packet == the reference interpreter — on pipelines built to
+//! stress what a burst resolves once: VLAN push/pop (single tags, QinQ,
+//! untagged frames hitting a pop) ahead of L3/L4 matches, write-action sets
+//! accumulated over four chained tables, every table revisited by many
+//! packets of one burst, and the batched stats flush.
 
 use eswitch::runtime::EswitchRuntime;
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::{actions_then_goto, terminal_actions};
-use openflow::{Action, Field, FlowEntry, NullController, Pipeline};
+use openflow::{
+    Action, Field, FlowEntry, Instruction, NullController, Pipeline, TableMissBehavior,
+};
 use ovsdp::{OvsConfig, OvsDatapath};
 use pkt::builder::PacketBuilder;
 use pkt::Packet;
@@ -136,8 +145,226 @@ fn check_ovs(pipeline: &Pipeline, packets: &[Packet], config: OvsConfig) {
     prop_assert_eq!(batch_dp.stats.total(), packets.len() as u64);
 }
 
+/// In-port reserved for QinQ frames, so table-0 rules can tell them apart.
+const QINQ_PORT: u32 = 3;
+
+/// Table-0 apply-actions touching the VLAN layout. Two known divergences of
+/// the *reference* are kept out of reach (both recorded in CHANGES.md): its
+/// flow key is not re-derived after a layout change, so it loses the inner
+/// tag after a QinQ pop and still sees L3 behind a third tag (the parser
+/// walks two) — hence no bare push onto QinQ frames and no VLAN matches
+/// after table 0 — and its push copies the current VID where the compiled
+/// one writes 0, so every push is followed by a VID write.
+fn layout_actions(choice: u8, vid: u16, qinq: bool) -> Vec<Action> {
+    let set_vid = Action::SetField(Field::VlanVid, u128::from(vid));
+    match (choice % 6, qinq) {
+        (0, _) => vec![Action::PopVlan],
+        (1, false) => vec![Action::PushVlan(0x8100), set_vid],
+        (2, false) => vec![Action::PushVlan(0x88a8), set_vid],
+        (1 | 2, true) | (3, _) => vec![Action::PopVlan, Action::PushVlan(0x8100), set_vid],
+        (4, _) => vec![set_vid],
+        _ => vec![],
+    }
+}
+
+/// A write-actions list the compiled accumulator and the reference action
+/// set agree on: distinct set-fields plus at most one output.
+fn written_actions(choice: u8, port: u32) -> Option<Vec<Action>> {
+    let dscp = Action::SetField(Field::IpDscp, u128::from(choice % 8));
+    let src = Action::SetField(Field::EthSrc, 0x0200_0000_00a0 + u128::from(choice % 3));
+    match choice % 5 {
+        0 => None,
+        1 => Some(vec![dscp]),
+        2 => Some(vec![src, Action::Output(port)]),
+        3 => Some(vec![Action::Output(port)]),
+        _ => Some(vec![dscp, src]),
+    }
+}
+
+/// A four-table chain 0 → 1 → 2 → 3. Table 0 demuxes on tag state and
+/// changes the layout; tables 1–3 match the (shifted) L2–L4 fields, rewrite
+/// them, and each may add to the action set; table 3 terminates.
+fn arb_layout_pipeline() -> impl Strategy<Value = Pipeline> {
+    // One gene per later-table rule: what it matches (field, value), applies
+    // and writes.
+    let gene = || (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>());
+    (
+        prop::collection::vec((0u8..8, any::<u8>(), any::<u8>()), 2..8),
+        prop::collection::vec(gene(), 1..6),
+        prop::collection::vec(gene(), 1..6),
+        prop::collection::vec(gene(), 1..6),
+        any::<u8>(),
+    )
+        .prop_map(|(demux, t1, t2, t3, misses)| {
+            let mut pipeline = Pipeline::with_tables(4);
+            let instructions =
+                |apply: Vec<Action>, write: Option<Vec<Action>>, goto: Option<u32>| {
+                    let mut out = Vec::new();
+                    if !apply.is_empty() {
+                        out.push(Instruction::ApplyActions(apply));
+                    }
+                    out.extend(write.map(Instruction::WriteActions));
+                    out.extend(goto.map(Instruction::GotoTable));
+                    out
+                };
+            for (i, (selector, choice, write)) in demux.into_iter().enumerate() {
+                // Single tags carry VIDs 5–6, QinQ outer tags 7–8 on their
+                // own in-port; everything else is keyed by in-port.
+                let (flow_match, qinq) = match selector {
+                    0 | 1 => (
+                        FlowMatch::any().with_exact(Field::VlanVid, 5 + u128::from(selector)),
+                        false,
+                    ),
+                    2 | 3 => (
+                        FlowMatch::any().with_exact(Field::VlanVid, 5 + u128::from(selector)),
+                        true,
+                    ),
+                    4 => (
+                        FlowMatch::any().with_exact(Field::InPort, u128::from(QINQ_PORT)),
+                        true,
+                    ),
+                    _ => (
+                        FlowMatch::any().with_exact(Field::InPort, u128::from(selector % 3)),
+                        false,
+                    ),
+                };
+                pipeline.table_mut(0).unwrap().insert(FlowEntry::new(
+                    flow_match,
+                    100 - i as u16,
+                    instructions(
+                        layout_actions(choice, 20 + u16::from(choice % 4), qinq),
+                        written_actions(write, u32::from(write % 4)),
+                        Some(1),
+                    ),
+                ));
+            }
+            pipeline.table_mut(0).unwrap().insert(FlowEntry::new(
+                FlowMatch::any(),
+                1,
+                instructions(vec![Action::PopVlan], None, Some(1)),
+            ));
+            for (table, genes) in [(1u32, t1), (2, t2), (3, t3)] {
+                for (i, (matched, value, apply, write)) in genes.into_iter().enumerate() {
+                    let v = u128::from(value % 4);
+                    let flow_match = match matched % 5 {
+                        0 => FlowMatch::any().with_exact(Field::EthDst, 0x0200_0000_0000 + v),
+                        1 => FlowMatch::any()
+                            .with_exact(Field::Ipv4Dst, u128::from(0x0a00_0000u32) + v),
+                        2 => FlowMatch::any().with_prefix(Field::Ipv4Dst, 0x0a00_0000, 30),
+                        3 => FlowMatch::any()
+                            .with_exact(Field::IpProto, 6)
+                            .with_exact(Field::TcpDst, 80 + v),
+                        _ => FlowMatch::any().with_exact(Field::InPort, v),
+                    };
+                    let applied = match apply % 5 {
+                        0 => vec![Action::DecNwTtl],
+                        1 => vec![Action::SetField(Field::Ipv4Src, 0xc0a8_0000 + v)],
+                        2 => vec![Action::SetField(Field::TcpDst, 8080)],
+                        3 => vec![Action::Output(u32::from(apply % 4))],
+                        _ => vec![],
+                    };
+                    let written = written_actions(write, u32::from(write % 4));
+                    let mut instrs =
+                        instructions(applied, written, (table < 3).then_some(table + 1));
+                    if table == 3 && write % 7 == 0 {
+                        instrs.insert(0, Instruction::ClearActions);
+                    }
+                    pipeline.table_mut(table).unwrap().insert(FlowEntry::new(
+                        flow_match,
+                        50 - i as u16,
+                        instrs,
+                    ));
+                }
+            }
+            pipeline.table_mut(1).unwrap().miss = TableMissBehavior::Continue;
+            pipeline.table_mut(2).unwrap().miss = match misses % 3 {
+                0 => TableMissBehavior::ToController,
+                1 => TableMissBehavior::Continue,
+                _ => TableMissBehavior::Drop,
+            };
+            pipeline
+        })
+}
+
+/// Packets over the universe the layout pipelines match on: untagged,
+/// single-tagged and QinQ TCP/UDP frames.
+fn arb_tagged_packet() -> impl Strategy<Value = Packet> {
+    (0u8..4, 0u32..3, 0u64..5, 0u8..5, 78u16..85, any::<bool>()).prop_map(
+        |(tagging, in_port, mac, ip_last, dport, udp)| {
+            let builder = if udp {
+                PacketBuilder::udp().udp_dst(dport)
+            } else {
+                PacketBuilder::tcp().tcp_dst(dport)
+            };
+            let builder = builder
+                .eth_dst(pkt::MacAddr::from_u64(0x0200_0000_0000 + mac).octets())
+                .ipv4_dst([10, 0, 0, ip_last]);
+            match tagging {
+                0 => builder.in_port(in_port).build(),
+                1 | 2 => builder
+                    .vlan(4 + u16::from(tagging))
+                    .in_port(in_port)
+                    .build(),
+                _ => {
+                    // QinQ: an 802.1ad outer tag stacked on an 802.1Q inner.
+                    let mut packet = builder.vlan(9).in_port(QINQ_PORT).build();
+                    packet.insert(12, &[0x88, 0xa8, 0, 7 + (ip_last % 2)]);
+                    packet
+                }
+            }
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The compiled burst path, the compiled per-packet path and the
+    /// reference interpreter agree — verdicts and output bytes — and the
+    /// burst's batched stats flush leaves the same totals as per-packet
+    /// processing.
+    #[test]
+    fn compiled_burst_matches_per_packet_and_interpreter(
+        pipeline in arb_layout_pipeline(),
+        packets in prop::collection::vec(arb_tagged_packet(), 1..80),
+    ) {
+        let burst_switch = EswitchRuntime::compile(pipeline.clone()).expect("compiles");
+        let seq_switch = EswitchRuntime::compile(pipeline.clone()).expect("compiles");
+        let mut burst_pkts = packets.clone();
+        let mut verdicts = Vec::new();
+        burst_switch.process_batch_into(&mut burst_pkts, &mut verdicts);
+        prop_assert_eq!(verdicts.len(), packets.len());
+
+        for (i, ingress) in packets.iter().enumerate() {
+            let mut seq_pkt = ingress.clone();
+            let seq = seq_switch.process(&mut seq_pkt);
+            let mut ref_pkt = ingress.clone();
+            let reference = pipeline.process(&mut ref_pkt);
+            prop_assert_eq!(verdicts[i].decision(), reference.decision(), "burst verdict {}", i);
+            prop_assert_eq!(seq.decision(), reference.decision(), "per-packet verdict {}", i);
+            prop_assert_eq!(verdicts[i].tables_visited, reference.tables_visited, "walk {}", i);
+            prop_assert_eq!(burst_pkts[i].data(), ref_pkt.data(), "burst bytes {}", i);
+            prop_assert_eq!(seq_pkt.data(), ref_pkt.data(), "per-packet bytes {}", i);
+        }
+
+        let (burst_dp, seq_dp) = (burst_switch.datapath(), seq_switch.datapath());
+        prop_assert_eq!(burst_dp.stats.processed.snapshot(), seq_dp.stats.processed.snapshot());
+        prop_assert_eq!(burst_dp.stats.punted.snapshot(), seq_dp.stats.punted.snapshot());
+        prop_assert_eq!(burst_dp.stats.processed.packets(), packets.len() as u64);
+        prop_assert_eq!(
+            burst_dp.stats.punted.packets(),
+            verdicts.iter().filter(|v| v.to_controller).count() as u64
+        );
+        for (burst_slot, seq_slot) in burst_dp.slots().iter().zip(seq_dp.slots()) {
+            prop_assert_eq!(
+                burst_slot.lookups.snapshot(),
+                seq_slot.lookups.snapshot(),
+                "table {} lookups",
+                burst_slot.id
+            );
+        }
+        prop_assert_eq!(burst_dp.slots()[0].lookups.packets(), packets.len() as u64);
+    }
 
     /// Burst processing and per-packet processing agree on the OVS datapath,
     /// with both roomy caches and deliberately tiny ones (so bursts straddle

@@ -39,6 +39,7 @@ const FAST_PATH_MODULES: &[&str] = &[
     "crates/conntrack/src/table.rs",
     "crates/conntrack/src/wheel.rs",
     "crates/shard/src/telemetry.rs",
+    "crates/core/src/fastpath.rs",
 ];
 
 /// Crates whose source must route all atomics/`UnsafeCell` use through the
@@ -581,6 +582,19 @@ mod tests {
             let src = "pub fn hot() -> Vec<u8> { Vec::new() }\n";
             assert_eq!(rules(&check_fastpath_alloc(file, src)), ["fastpath-alloc"]);
         }
+    }
+
+    #[test]
+    fn compiled_burst_walk_module_is_covered() {
+        // The compiled datapath's per-packet code (burst table walk + key
+        // loaders) lives in its own file so the file-granular ban can cover
+        // it; the templates' compile-time constructors stay outside.
+        let src = "pub fn walk() -> Vec<u8> { vec![0u8; 4] }\n";
+        assert_eq!(
+            rules(&check_fastpath_alloc("crates/core/src/fastpath.rs", src)),
+            ["fastpath-alloc"]
+        );
+        assert!(check_fastpath_alloc("crates/core/src/templates/table.rs", src).is_empty());
     }
 
     #[test]
