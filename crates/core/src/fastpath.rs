@@ -16,8 +16,9 @@
 //!   burst ends, so hits are plain borrows; processed / punted / per-table
 //!   lookup counts are tallied in locals and flushed with one
 //!   `record_batch` per touched counter;
-//! * *per packet* — one parse, then per hop one key build, one lookup and
-//!   the matched actions.
+//! * *per packet* — the parse (read from the packet's RX stamp when it
+//!   carries one), then per hop one key build, one lookup and the matched
+//!   actions.
 //!
 //! A trampoline already held is never re-acquired (a `parking_lot::RwLock`
 //! read — like `std`'s, which backs the vendored shim — is not re-entrant
@@ -360,7 +361,13 @@ impl CompiledDatapath {
             in_port: packet.in_port,
             ..Default::default()
         };
-        let mut headers = self.parser.parse(packet.data());
+        // The packet's one parse is the RX stage's; cut to this pipeline's
+        // depth it is what the parser template would produce. A packet that
+        // came through no RX stage is parsed here.
+        let mut headers = match packet.parsed() {
+            Some(stamp) => stamp.at_depth(depth),
+            None => self.parser.parse(packet.data()),
+        };
         let mut written = 0;
 
         let mut next = self.entry;

@@ -174,9 +174,13 @@ impl CompiledAction {
                 }
             }
             CompiledAction::PushVlan(tpid) => {
-                let inner_type = [packet.data()[12], packet.data()[13]];
+                // The new tag copies VID and PCP of the outer tag it lands on
+                // (both 0 in `headers` for an untagged frame).
+                let tci = (u16::from(headers.vlan_pcp) << 13) | headers.vlan_vid;
+                let [inner0, inner1] = [packet.data()[12], packet.data()[13]];
+                let [tci0, tci1] = tci.to_be_bytes();
                 packet.data_mut()[12..14].copy_from_slice(&tpid.to_be_bytes());
-                packet.insert(ETHERNET_HEADER_LEN, &[0, 0, inner_type[0], inner_type[1]]);
+                packet.insert(ETHERNET_HEADER_LEN, &[tci0, tci1, inner0, inner1]);
                 headers.vlan_pushed(packet.data(), depth);
             }
             CompiledAction::PopVlan => {
@@ -477,6 +481,21 @@ mod tests {
         assert_eq!(key.vlan_vid, None);
         assert_eq!(key.tcp_dst, Some(80));
         assert_eq!(p.len(), original_len);
+    }
+
+    #[test]
+    fn push_vlan_copies_the_outer_tag_like_the_reference_action() {
+        for packet in [
+            PacketBuilder::tcp().vlan(7).vlan_pcp(5).build(),
+            PacketBuilder::udp().build(),
+        ] {
+            let (mut compiled_pkt, mut reference_pkt) = (packet.clone(), packet);
+            run(&[Action::PushVlan(0x88a8)], &mut compiled_pkt);
+            let headers = parse(reference_pkt.data(), ParseDepth::L4);
+            let mut key = openflow::FlowKey::extract(&reference_pkt);
+            Action::PushVlan(0x88a8).apply(&mut reference_pkt, &headers, &mut key);
+            assert_eq!(compiled_pkt.data(), reference_pkt.data());
+        }
     }
 
     #[test]

@@ -125,8 +125,17 @@ impl Port {
     /// (datapath side). The caller owns — and reuses — the buffer; nothing is
     /// allocated per burst once the buffer has warmed to capacity. Returns
     /// the number of frames received.
+    ///
+    /// This is the poll-mode RX function, where a NIC's PMD fills the
+    /// descriptor's `packet_type`: each received frame gets its one parse
+    /// here, stamped on the packet for every later stage to read.
     pub fn rx_burst_into(&self, out: &mut Vec<Packet>, max: usize) -> usize {
-        self.rx.pop_burst(out, max)
+        let n = self.rx.pop_burst(out, max);
+        let received = out.len() - n;
+        for packet in &mut out[received..] {
+            packet.ensure_parsed();
+        }
+        n
     }
 
     /// Transmits one frame out of this port (datapath side). Returns `false`
@@ -183,22 +192,6 @@ impl Port {
     /// Number of frames waiting in the TX queue.
     pub fn tx_pending(&self) -> usize {
         self.tx.len()
-    }
-
-    /// Allocating convenience wrapper over [`Port::rx_burst_into`], kept for
-    /// tests and harnesses only — the datapath uses the `_into` form.
-    pub fn rx_burst(&self, max: usize) -> Vec<Packet> {
-        let mut out = Vec::with_capacity(max);
-        self.rx_burst_into(&mut out, max);
-        out
-    }
-
-    /// Allocating convenience wrapper over [`Port::tx_drain_into`], kept for
-    /// tests and harnesses only — the datapath uses the `_into` form.
-    pub fn tx_drain(&self, max: usize) -> Vec<Packet> {
-        let mut out = Vec::with_capacity(max);
-        self.tx_drain_into(&mut out, max);
-        out
     }
 }
 
@@ -296,13 +289,18 @@ mod tests {
         let port = Port::new(3);
         assert!(port.inject(PacketBuilder::udp().in_port(99).build()));
         assert_eq!(port.rx_pending(), 1);
-        let got = port.rx_burst(32);
-        assert_eq!(got.len(), 1);
+        let mut got = Vec::new();
+        assert_eq!(port.rx_burst_into(&mut got, 32), 1);
         // in_port rewritten to the receiving port id
         assert_eq!(got[0].in_port, 3);
-        assert!(port.tx(got.into_iter().next().unwrap()));
+        assert_eq!(
+            got[0].parsed(),
+            Some(pkt::parse(got[0].data(), pkt::ParseDepth::L4)),
+            "RX stamps the packet's one parse"
+        );
+        assert!(port.tx(got.pop().unwrap()));
         assert_eq!(port.tx_pending(), 1);
-        assert_eq!(port.tx_drain(32).len(), 1);
+        assert_eq!(port.tx_drain_into(&mut got, 32), 1);
         assert_eq!(port.stats().rx.packets(), 1);
         assert_eq!(port.stats().tx.packets(), 1);
     }
@@ -323,8 +321,9 @@ mod tests {
         for _ in 0..10 {
             port.inject(PacketBuilder::udp().build());
         }
-        assert_eq!(port.rx_burst(4).len(), 4);
-        assert_eq!(port.rx_burst(100).len(), 6);
+        let mut out = Vec::new();
+        assert_eq!(port.rx_burst_into(&mut out, 4), 4);
+        assert_eq!(port.rx_burst_into(&mut out, 100), 6);
     }
 
     #[test]

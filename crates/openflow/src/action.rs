@@ -84,18 +84,18 @@ impl Action {
                 false
             }
             Action::PushVlan(tpid) => {
-                let vid = key.vlan_vid.unwrap_or(0);
+                // OpenFlow 1.3 push semantics: the new tag copies the VID and
+                // PCP of the outer tag it lands on (0 on an untagged frame).
+                let (vid, pcp) = (key.vlan_vid.unwrap_or(0), key.vlan_pcp.unwrap_or(0));
                 key.vlan_vid = Some(vid);
-                key.vlan_pcp = Some(key.vlan_pcp.unwrap_or(0));
-                // Insert a zeroed tag after the MAC addresses; the original
+                key.vlan_pcp = Some(pcp);
+                let tci = (u16::from(pcp) << 13) | (vid & 0x0fff);
+                // Insert the tag after the MAC addresses; the original
                 // EtherType becomes the inner EtherType.
-                let frame_ethertype = [packet.data()[12], packet.data()[13]];
-                let tag = [(tpid >> 8) as u8, *tpid as u8, (vid >> 8) as u8, vid as u8];
-                packet.data_mut()[12..14].copy_from_slice(&tag[..2]);
-                packet.insert(
-                    ETHERNET_HEADER_LEN,
-                    &[tag[2], tag[3], frame_ethertype[0], frame_ethertype[1]],
-                );
+                let [inner0, inner1] = [packet.data()[12], packet.data()[13]];
+                let [tci0, tci1] = tci.to_be_bytes();
+                packet.data_mut()[12..14].copy_from_slice(&tpid.to_be_bytes());
+                packet.insert(ETHERNET_HEADER_LEN, &[tci0, tci1, inner0, inner1]);
                 true
             }
             Action::PopVlan => {
@@ -494,6 +494,18 @@ mod tests {
         assert_eq!(p.len(), original.len());
         assert_eq!(FlowKey::extract(&p).vlan_vid, None);
         assert_eq!(FlowKey::extract(&p).tcp_dst, Some(80));
+    }
+
+    #[test]
+    fn push_vlan_copies_vid_and_pcp_of_the_outer_tag() {
+        let mut p = PacketBuilder::tcp().vlan(7).vlan_pcp(5).build();
+        let mut k = FlowKey::extract(&p);
+        let headers = parse(p.data(), ParseDepth::L4);
+        assert!(Action::PushVlan(0x88a8).apply(&mut p, &headers, &mut k));
+        assert_eq!(&p.data()[12..20], &[0x88, 0xa8, 0xa0, 7, 0x81, 0, 0xa0, 7]);
+        let pushed = FlowKey::extract(&p);
+        assert_eq!((pushed.vlan_vid, pushed.vlan_pcp), (Some(7), Some(5)));
+        assert_eq!((k.vlan_vid, k.vlan_pcp), (Some(7), Some(5)), "key in step");
     }
 
     #[test]

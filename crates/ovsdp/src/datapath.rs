@@ -24,7 +24,7 @@ use openflow::{
     Action, Controller, ControllerDecision, FlowKey, FlowMod, NullController, PacketIn,
     PacketInReason, Pipeline, Verdict,
 };
-use pkt::parser::{parse, ParseDepth, ParsedHeaders};
+use pkt::parser::ParsedHeaders;
 use pkt::Packet;
 
 use crate::megaflow::MegaflowCache;
@@ -327,9 +327,9 @@ impl OvsDatapath {
         // caches are keyed on this *original* key: the slow path may rewrite
         // the packet (and its working key) while classifying, but later
         // packets of the same flow arrive un-rewritten and must still hit.
-        // The parse result is kept so cached-program replay does not parse
-        // the frame a second time.
-        let headers = parse(packet.data(), ParseDepth::L4);
+        // The parse — the RX stage's stamp when the packet carries one — is
+        // kept so cached-program replay does not parse the frame again.
+        let headers = packet.headers();
         let mut key = FlowKey::from_parsed(packet, &headers);
         let original_key = key;
 
@@ -454,9 +454,10 @@ impl OvsDatapath {
         };
         s.reset(n);
 
-        // Phase 1: parse and extract every key (and flow hash) for the
-        // burst, grouping by exact flow as we go: `group[i]` is the index of
-        // the first packet of packet i's flow in this burst (its leader).
+        // Phase 1: read (or make) the parse and extract every key (and flow
+        // hash) for the burst, grouping by exact flow as we go: `group[i]` is
+        // the index of the first packet of packet i's flow in this burst (its
+        // leader).
         // The parse results are reused by the replay phase; the full
         // miniflow key is only materialised when the EMC will consume it.
         // The dense hash array makes the pairwise grouping scan a one-word
@@ -464,7 +465,7 @@ impl OvsDatapath {
         let use_microflow = self.config.use_microflow;
         let mut leaders = 0usize;
         for (i, p) in packets.iter().enumerate() {
-            let headers = parse(p.data(), ParseDepth::L4);
+            let headers = p.headers();
             s.keys.push(FlowKey::from_parsed(p, &headers));
             let key = s.keys.last().expect("just pushed");
             // The grouping hash is a pure prefilter — every pairwise match

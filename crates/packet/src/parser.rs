@@ -130,6 +130,11 @@ pub enum ParseDepthTag {
     L4,
 }
 
+/// The network-layer bits of a [`ProtoMask`].
+const L3_PROTOS: ProtoMask = ProtoMask::IPV4.or(ProtoMask::IPV6).or(ProtoMask::ARP);
+/// The transport-layer bits of a [`ProtoMask`].
+const L4_PROTOS: ProtoMask = ProtoMask::TCP.or(ProtoMask::UDP).or(ProtoMask::ICMP);
+
 impl ParsedHeaders {
     /// True if an IPv4 header was found.
     pub fn has_ipv4(&self) -> bool {
@@ -149,6 +154,26 @@ impl ParsedHeaders {
     /// True if at least one VLAN tag was found.
     pub fn has_vlan(&self) -> bool {
         self.mask.contains(ProtoMask::VLAN)
+    }
+
+    /// This record cut down to `depth`: equal to `parse(frame, depth)` for
+    /// the frame `self` was parsed from at `depth` or deeper. It is how a
+    /// consumer compiled for a shallow parser template uses the RX stage's L4
+    /// stamp and still sees exactly the headers its own parser would produce.
+    #[must_use]
+    pub fn at_depth(mut self, depth: ParseDepth) -> ParsedHeaders {
+        if depth < ParseDepth::L4 && self.depth_parsed == ParseDepthTag::L4 {
+            self.mask.0 &= !L4_PROTOS.0;
+            self.l4_offset = 0;
+            self.depth_parsed = ParseDepthTag::L3;
+        }
+        if depth < ParseDepth::L3 && self.depth_parsed == ParseDepthTag::L3 {
+            self.mask.0 &= !L3_PROTOS.0;
+            self.l3_offset = 0;
+            self.ip_proto = 0;
+            self.depth_parsed = ParseDepthTag::L2;
+        }
+        self
     }
 
     /// Updates the record after the outermost VLAN tag was popped from the
@@ -191,16 +216,10 @@ impl ParsedHeaders {
     /// Moves the offsets of the layers that are present (absent layers keep
     /// their default offset, exactly as `parse` leaves them).
     fn shift_upper_layers(&mut self, shift: impl Fn(u16) -> u16) {
-        if self
-            .mask
-            .intersects(ProtoMask::IPV4 | ProtoMask::IPV6 | ProtoMask::ARP)
-        {
+        if self.mask.intersects(L3_PROTOS) {
             self.l3_offset = shift(self.l3_offset);
         }
-        if self
-            .mask
-            .intersects(ProtoMask::TCP | ProtoMask::UDP | ProtoMask::ICMP)
-        {
+        if self.mask.intersects(L4_PROTOS) {
             self.l4_offset = shift(self.l4_offset);
         }
     }
@@ -419,7 +438,7 @@ pub fn parse(frame: &[u8], depth: ParseDepth) -> ParsedHeaders {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::PacketBuilder;
 
@@ -483,18 +502,19 @@ mod tests {
         assert_eq!(h.ethertype, 0x88b5);
     }
 
-    #[test]
-    fn vlan_pop_and_push_updates_equal_a_fresh_parse() {
-        // Frames no re-parse shortcut may get wrong: tagged / untagged TCP,
-        // UDP and ARP, QinQ and a triple tag (the parser walks two), frames
-        // cut inside the tag, the IP header and the L4 header.
-        let tag = |frame: &[u8], tpid: u16, vid: u16| {
-            let mut out = frame[..12].to_vec();
-            out.extend_from_slice(&tpid.to_be_bytes());
-            out.extend_from_slice(&vid.to_be_bytes());
-            out.extend_from_slice(&frame[12..]);
-            out
-        };
+    /// Prepends an outermost tag with the given TPID and TCI.
+    fn tag(frame: &[u8], tpid: u16, tci: u16) -> Vec<u8> {
+        let mut out = frame[..12].to_vec();
+        out.extend_from_slice(&tpid.to_be_bytes());
+        out.extend_from_slice(&tci.to_be_bytes());
+        out.extend_from_slice(&frame[12..]);
+        out
+    }
+
+    /// Frames no parse shortcut may get wrong: tagged / untagged TCP, UDP
+    /// and ARP, QinQ and a triple tag (the parser walks two), frames cut
+    /// inside the tag, the IP header and the L4 header.
+    pub(crate) fn awkward_frames() -> Vec<Vec<u8>> {
         let tcp = PacketBuilder::tcp().tcp_dst(80).build().data().to_vec();
         let udp = PacketBuilder::udp().udp_dst(53).build().data().to_vec();
         let arp = PacketBuilder::arp_request(
@@ -515,6 +535,27 @@ mod tests {
                 }
             }
         }
+        frames
+    }
+
+    #[test]
+    fn a_deeper_parse_cut_down_equals_the_shallower_parse() {
+        use ParseDepth::{L2, L3, L4};
+        for frame in &awkward_frames() {
+            for (deep, shallow) in [(L4, L4), (L4, L3), (L4, L2), (L3, L3), (L3, L2), (L2, L2)] {
+                let cut = parse(frame, deep).at_depth(shallow);
+                assert_eq!(
+                    cut,
+                    parse(frame, shallow),
+                    "{frame:02x?} {deep:?} to {shallow:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn vlan_pop_and_push_updates_equal_a_fresh_parse() {
+        let frames = awkward_frames();
         for frame in &frames {
             for depth in [ParseDepth::L2, ParseDepth::L3, ParseDepth::L4] {
                 let before = parse(frame, depth);

@@ -6,7 +6,9 @@
 //! dispatcher looks nothing like the multi-queue NIC a real switch sits on.
 //! [`MultiPortSwitch`] adds the I/O side: one RSS dispatcher thread per
 //! ingress [`netdev::Port`], polling the port with the allocation-free
-//! `rx_burst_into` API and steering each frame into a matrix of
+//! `rx_burst_into` API (which stamps each frame's one parse on its
+//! descriptor for the hash and the worker's datapath to read) and steering
+//! each frame into a matrix of
 //! per-(port, shard) [`SpscRing`]s. Every ring has exactly one producer (its
 //! port's dispatcher) and one consumer (its shard's worker), so the ingress
 //! path carries no MPSC contention anywhere — the same discipline as the

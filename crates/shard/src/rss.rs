@@ -1,22 +1,16 @@
 //! RSS-style dispatch: hash a packet's flow tuple through the indirection
 //! table onto a worker shard.
 //!
-//! A NIC with receive-side scaling hashes each packet's 5-tuple in hardware
-//! and steers it through a small indirection table (Intel's RETA) to a
-//! per-core RX queue; the host CPU never pays for the hash, and the host
-//! can re-spread load by rewriting table entries. This module is that stage
-//! in software: [`rss_hash`] reuses the extraction-time miniflow grouping
-//! hash (the same multiply-rotate mix the cache hot paths key on), the
-//! hash indexes a [`crate::remap::RemapTable`] bucket whose entry names the
-//! shard, and [`RssDispatcher`] stages packets per shard and publishes them
-//! to the worker rings burst-at-a-time via [`netdev::SpscRing::push_burst`]
-//! — one tail release per burst, not one per packet.
-//!
-//! The computed hash is not discarded: the dispatcher stamps it onto the
-//! packet ([`pkt::Packet::set_rss_hash`]) so downstream stages that need a
-//! flow-grouping hash (the OVS burst path's phase-1 grouping) reuse it
-//! instead of re-deriving one from a second parse — the software analogue
-//! of a NIC delivering its RSS hash in the RX descriptor.
+//! A NIC with receive-side scaling hashes each packet's 5-tuple in hardware,
+//! steers it through a small indirection table (Intel's RETA) to a per-core
+//! RX queue and delivers hash and packet type in the RX descriptor. This
+//! module is that stage in software: [`rss_hash`] mixes the flow
+//! discriminators straight from the frame at the offsets of the packet's
+//! parse (no flow key is built), the hash indexes a
+//! [`crate::remap::RemapTable`] bucket whose entry names the shard, and
+//! [`RssDispatcher`] stamps hash and parse on the packet (so the OVS burst
+//! path's grouping and both datapaths reuse them), stages packets per shard
+//! and publishes each burst with one tail release.
 //!
 //! Hashing the flow tuple (not round-robin) is what keeps one flow on one
 //! shard: per-shard EMC/megaflow caches stay warm and no flow ever needs
@@ -33,39 +27,69 @@
 use std::sync::Arc;
 
 use conntrack::{bucket_of, FLOW_BUCKETS};
-use netdev::{SpscRing, BURST_SIZE};
+use netdev::{fx_mix, SpscRing, BURST_SIZE};
 use openflow::ct::CtTuple;
-use openflow::FlowKey;
-use ovsdp::MiniKey;
-use pkt::parser::{parse, ParseDepth};
-use pkt::Packet;
+use pkt::{Packet, ProtoMask};
 
 use crate::remap::{BucketAck, RebalanceConfig, Rebalancer, RemapShared, RemapTable, ShardCmd};
 use crate::runtime::ShardStats;
 use crate::telemetry::ShardLoad;
 
-/// The RSS hash of a packet: the extraction-time miniflow grouping hash over
-/// the packet's flow tuple.
+/// The RSS hash of a packet: in-port, MACs, EtherType, VLAN VID, IPv4/IPv6
+/// addresses, protocol, L4 ports (ICMP type/code) and the ARP body, mixed as
+/// raw frame words at the offsets of the packet's parse (the RX stamp when it
+/// carries one). Every packet of a flow hashes alike; the protocol mask is
+/// mixed in so an absent field and a zero one do not.
 pub fn rss_hash(packet: &Packet) -> u64 {
-    let headers = parse(packet.data(), ParseDepth::L4);
-    let key = FlowKey::from_parsed(packet, &headers);
-    MiniKey::group_hash(&key)
+    let (frame, h) = (packet.data(), packet.headers());
+    let (l3, l4) = (usize::from(h.l3_offset), usize::from(h.l4_offset));
+    let tags = u64::from(h.ethertype) | u64::from(h.vlan_vid) << 16;
+    let mut lane0 = fx_mix(0, u64::from(packet.in_port) | tags << 32);
+    let mut lane1 = fx_mix(0x9e37_79b9_7f4a_7c15, word::<8>(frame, 0));
+    lane0 = fx_mix(lane0, word::<4>(frame, 8));
+    if h.has_ipv4() {
+        lane1 = fx_mix(lane1, word::<8>(frame, l3 + 12));
+    } else if h.mask.contains(ProtoMask::IPV6) {
+        lane1 = fx_mix(lane1, word::<8>(frame, l3 + 8) ^ word::<8>(frame, l3 + 16));
+        lane0 = fx_mix(lane0, word::<8>(frame, l3 + 24) ^ word::<8>(frame, l3 + 32));
+    } else if h.mask.contains(ProtoMask::ARP) {
+        // Operation and sender MAC, sender IP, target MAC and IP.
+        lane1 = fx_mix(lane1, word::<8>(frame, l3 + 6));
+        lane0 = fx_mix(lane0, word::<4>(frame, l3 + 14));
+        lane1 = fx_mix(lane1, word::<8>(frame, l3 + 20));
+    }
+    let l4_word = if h.has_tcp() || h.has_udp() {
+        word::<4>(frame, l4)
+    } else if h.mask.contains(ProtoMask::ICMP) {
+        word::<2>(frame, l4)
+    } else {
+        0
+    };
+    let protos = u64::from(h.ip_proto) | u64::from(h.mask.0) << 8;
+    lane0 = fx_mix(lane0, l4_word | protos << 32);
+    fx_mix(lane0, lane1)
 }
 
-/// Direction-insensitive RSS: both directions of one connection hash to the
-/// same value, so a stateful (conntrack) pipeline sees a flow's requests
-/// *and* replies on the same shard — the property that lets connection
-/// state stay strictly shard-local with no cross-shard locks. Mirrors NIC
-/// symmetric-RSS configurations (e.g. the symmetric Toeplitz key). The mix
-/// itself is [`conntrack::symmetric_tuple_hash`] — the *same* function that
-/// defines the flow-bucket migration unit, so a connection's dispatch
-/// bucket and its conntrack bucket agree by construction and a bucket
-/// export moves exactly the connections the table steers. Non-IP or
-/// non-TCP/UDP frames (which conntrack ignores) fall back to the ordinary
-/// [`rss_hash`].
+/// `N <= 8` frame bytes at `at` as one little-endian word; 0 past the end.
+#[inline]
+fn word<const N: usize>(frame: &[u8], at: usize) -> u64 {
+    frame.get(at..at + N).map_or(0, |bytes| {
+        let mut le = [0u8; 8];
+        le[..N].copy_from_slice(bytes);
+        u64::from_le_bytes(le)
+    })
+}
+
+/// Direction-insensitive RSS: both directions of one connection hash alike,
+/// so a stateful (conntrack) pipeline sees a flow's requests *and* replies on
+/// one shard and connection state stays strictly shard-local (NIC
+/// symmetric-Toeplitz configurations do the same). The mix *is*
+/// [`conntrack::symmetric_tuple_hash`], the function that defines the
+/// flow-bucket migration unit, so a connection's dispatch bucket and its
+/// conntrack bucket agree by construction. Frames conntrack ignores (not
+/// TCP/UDP over IPv4) fall back to [`rss_hash`].
 pub fn rss_hash_symmetric(packet: &Packet) -> u64 {
-    let headers = parse(packet.data(), ParseDepth::L4);
-    match CtTuple::from_frame(packet.data(), &headers) {
+    match CtTuple::from_frame(packet.data(), &packet.headers()) {
         Some(t) => conntrack::symmetric_tuple_hash(&t),
         None => rss_hash(packet),
     }
@@ -224,25 +248,25 @@ impl RssDispatcher {
         &self.table
     }
 
-    /// The shard `packet` steers to under the current indirection table.
-    pub fn shard_for(&self, packet: &Packet) -> usize {
-        let hash = if self.symmetric {
+    /// The steering hash of `packet` in this dispatcher's mode.
+    fn hash_of(&self, packet: &Packet) -> u64 {
+        if self.symmetric {
             rss_hash_symmetric(packet)
         } else {
             rss_hash(packet)
-        };
-        self.table.shard_of_hash(hash)
+        }
+    }
+
+    /// The shard `packet` steers to under the current indirection table.
+    pub fn shard_for(&self, packet: &Packet) -> usize {
+        self.table.shard_of_hash(self.hash_of(packet))
     }
 
     /// Hashes `packet`'s flow tuple and stages it for its shard, publishing
     /// the shard's staging buffer when it reaches a full burst.
-    pub fn dispatch(&mut self, packet: Packet) {
-        let hash = if self.symmetric {
-            rss_hash_symmetric(&packet)
-        } else {
-            rss_hash(&packet)
-        };
-        self.dispatch_hashed(hash, packet);
+    pub fn dispatch(&mut self, mut packet: Packet) {
+        packet.ensure_parsed();
+        self.dispatch_hashed(self.hash_of(&packet), packet);
     }
 
     /// Dispatches with a precomputed RSS hash — the replay path for
@@ -260,27 +284,24 @@ impl RssDispatcher {
         self.maybe_rebalance();
     }
 
-    /// Dispatches to an explicitly chosen shard while still stamping the
-    /// packet's RSS hash — the classifier-steered path. A
+    /// The classifier-steered path: a
     /// [`netdev::classify::ClassifyAction::Steer`] decision overrides the
     /// indirection table for shard *placement*, but downstream consumers
     /// (per-flow telemetry, differential harnesses keyed by hash) still need
     /// the flow hash on the packet, so it is computed and stamped exactly as
     /// [`RssDispatcher::dispatch`] would.
     pub fn dispatch_steered(&mut self, shard: usize, mut packet: Packet) {
-        let hash = if self.symmetric {
-            rss_hash_symmetric(&packet)
-        } else {
-            rss_hash(&packet)
-        };
-        packet.set_rss_hash(hash);
+        packet.ensure_parsed();
+        packet.set_rss_hash(self.hash_of(&packet));
         self.refresh_table();
         self.dispatch_to(shard, packet);
     }
 
     /// Stages `packet` for an explicitly chosen shard, bypassing the hash
-    /// and the indirection table entirely (fixed-placement harnesses).
-    pub fn dispatch_to(&mut self, shard: usize, packet: Packet) {
+    /// and the indirection table entirely (fixed-placement harnesses). Every
+    /// dispatch ends here, so every packet reaches its worker parsed.
+    pub fn dispatch_to(&mut self, shard: usize, mut packet: Packet) {
+        packet.ensure_parsed();
         self.dispatched += 1;
         self.dispatched_to[shard] += 1;
         self.staged[shard].push(packet);
@@ -407,17 +428,7 @@ impl RssDispatcher {
         let target = self.dispatched_to[shard];
         let mut idle = 0u32;
         while elastic.stats[shard].processed.packets() < target {
-            // Mirror `publish`'s escape hatch: if the worker is gone, the
-            // counter will never advance — fail loudly instead of hanging.
-            if idle > 64 && Arc::strong_count(&self.rings[shard]) == 1 {
-                panic!("shard worker is gone; quiescing would hang");
-            }
-            idle += 1;
-            if idle < 16 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+            wait_on_worker(&self.rings[shard], &mut idle, "quiescing would hang");
         }
     }
 
@@ -429,11 +440,7 @@ impl RssDispatcher {
         let mut idle = 0u32;
         while let Err(returned) = ring.push(slot.take().expect("command present")) {
             slot = Some(returned);
-            if idle > 64 && Arc::strong_count(ring) == 1 {
-                panic!("shard worker is gone; command ring will never drain");
-            }
-            idle += 1;
-            std::thread::yield_now();
+            wait_on_worker(ring, &mut idle, "command ring will never drain");
         }
     }
 
@@ -444,15 +451,7 @@ impl RssDispatcher {
             if let Some(ack) = ring.pop() {
                 return ack;
             }
-            if idle > 64 && Arc::strong_count(ring) == 1 {
-                panic!("shard worker is gone; ack will never arrive");
-            }
-            idle += 1;
-            if idle < 16 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+            wait_on_worker(ring, &mut idle, "ack will never arrive");
         }
     }
 
@@ -460,25 +459,29 @@ impl RssDispatcher {
         let mut idle = 0u32;
         while !staged.is_empty() {
             if ring.push_burst(staged) == 0 {
-                // Ring full: the worker on the other side needs CPU time —
-                // on an undersubscribed host, yielding beats spinning. If
-                // the worker is *gone* (panicked, or the switch was dropped
-                // without `shutdown`), nothing will ever drain the ring:
-                // only this dispatcher still holds the ring, so fail loudly
-                // instead of hanging the producer thread forever.
-                if idle > 64 && Arc::strong_count(ring) == 1 {
-                    panic!("shard worker is gone; dispatching would hang");
-                }
-                idle += 1;
-                if idle < 16 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+                wait_on_worker(ring, &mut idle, "dispatching would hang");
             } else {
                 idle = 0;
             }
         }
+    }
+}
+
+/// One step of waiting for the worker on the other side of `ring`: spin
+/// briefly, then yield — the worker needs CPU time, and on an
+/// undersubscribed host yielding beats spinning. If the worker is *gone*
+/// (panicked, or the switch was dropped without `shutdown`) nothing will
+/// ever move the ring: only this dispatcher still holds it, so fail loudly
+/// instead of hanging the producer thread forever.
+fn wait_on_worker<T>(ring: &Arc<SpscRing<T>>, idle: &mut u32, otherwise: &str) {
+    if *idle > 64 && Arc::strong_count(ring) == 1 {
+        panic!("shard worker is gone; {otherwise}");
+    }
+    *idle += 1;
+    if *idle < 16 {
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
     }
 }
 
@@ -551,18 +554,30 @@ mod tests {
     }
 
     #[test]
-    fn flows_spread_over_shards() {
-        let shards = 4usize;
-        let mut counts = vec![0usize; shards];
-        for src in 0..1024u16 {
-            counts[shard_of(rss_hash(&tcp(src)), shards)] += 1;
+    fn hash_is_per_flow_and_fills_every_bucket_evenly() {
+        // Stamped or not, rebuilt or cloned: one flow, one hash. Close-by
+        // flows differ (the cases of `group_hash_separates_nearby_flows`).
+        let mut stamped = tcp(9);
+        stamped.ensure_parsed();
+        assert_eq!(rss_hash(&stamped.clone()), rss_hash(&tcp(9)));
+        let udp = PacketBuilder::udp().udp_dst(80).udp_src(9).build();
+        let tagged = PacketBuilder::tcp().tcp_dst(80).tcp_src(9).vlan(0).build();
+        for other in [tcp(10), udp, tagged] {
+            assert_ne!(rss_hash(&stamped), rss_hash(&other));
         }
-        for (shard, count) in counts.iter().enumerate() {
-            // A uniform spread is 256 per shard; require each within 2x.
-            assert!(
-                (128..=512).contains(count),
-                "shard {shard} got {count} of 1024 flows"
-            );
+        // 65 536 flows over the 256 buckets: a uniform draw puts 256 ± 16 in
+        // each; every bucket must sit within 4 sigma (±25 %) of the mean.
+        let mut counts = [0u32; FLOW_BUCKETS];
+        for flow in 0..65_536u32 {
+            let [_, b, c, d] = flow.to_be_bytes();
+            let builder = PacketBuilder::tcp()
+                .ipv4_src([10, b, c, d])
+                .in_port(flow % 4);
+            let p = builder.tcp_src(1024 + (flow % 50_000) as u16).build();
+            counts[bucket_of(rss_hash(&p))] += 1;
+        }
+        for (bucket, count) in counts.iter().enumerate() {
+            assert!((192..=320).contains(count), "bucket {bucket}: {count}");
         }
     }
 
@@ -593,40 +608,24 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_stamps_the_rss_hash() {
-        let rings: Vec<_> = (0..2).map(|_| Arc::new(SpscRing::new(256))).collect();
-        let mut d = RssDispatcher::new(rings.clone());
-        let p = tcp(42);
-        let expected = rss_hash(&p);
-        assert_eq!(p.rss_hash(), None, "fresh packets carry no stamp");
-        let shard = d.shard_for(&p);
-        d.dispatch(p);
-        d.flush();
-        let got = rings[shard].pop().expect("dispatched packet");
-        assert_eq!(
-            got.rss_hash(),
-            Some(expected),
-            "the dispatch hash rides the packet"
-        );
-    }
-
-    #[test]
-    fn dispatch_steered_overrides_placement_but_stamps_the_hash() {
+    fn dispatch_and_steering_stamp_hash_and_parse() {
         let rings: Vec<_> = (0..4).map(|_| Arc::new(SpscRing::new(256))).collect();
         let mut d = RssDispatcher::new(rings.clone());
         let p = tcp(42);
-        let expected = rss_hash(&p);
+        let expected = Some(rss_hash(&p));
+        assert_eq!((p.rss_hash(), p.parsed()), (None, None), "fresh: unstamped");
         let natural = d.shard_for(&p);
         let steered = (natural + 1) % 4;
+        d.dispatch(p.clone());
+        // Steering overrides placement, never the descriptor.
         d.dispatch_steered(steered, p);
         d.flush();
-        assert!(rings[natural].is_empty() || natural == steered);
-        let got = rings[steered].pop().expect("steered packet");
-        assert_eq!(
-            got.rss_hash(),
-            Some(expected),
-            "steering must not lose the flow hash"
-        );
+        for shard in [natural, steered] {
+            let got = rings[shard].pop().expect("dispatched packet");
+            assert_eq!(got.rss_hash(), expected, "the hash rides the packet");
+            assert_eq!(got.parsed(), Some(got.headers()), "and so does the parse");
+        }
+        assert!(rings.iter().all(|r| r.is_empty()));
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //! The compiled-gateway test holds the ESWITCH burst path to the same
 //! standard: demux → per-CE NAT with an in-place VLAN pop → LPM, through
 //! `EswitchRuntime::process_batch_into_ct`, allocates nothing per packet.
+//!
+//! The descriptor tests pin what the mbuf promises: a `Packet::clone` is
+//! exactly one allocation, and the receive half of a lap — `rx_burst_into`
+//! (which stamps the parse) → `rss_hash` → `process_batch_into_ct` — is
+//! heap-free on the L2, gateway and ct-established cases.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -31,8 +36,9 @@ use openflow::{Action, FlowEntry, FlowMatch, NullController, Pipeline, Verdict};
 use ovsdp::{OvsConfig, OvsDatapath};
 use pkt::builder::PacketBuilder;
 use pkt::Packet;
+use shard::{rss_hash, rss_hash_symmetric};
 use workloads::usecases::{PORT_NET, PORT_USER};
-use workloads::{gateway, snat_edge, stateful_acl_gateway as acl};
+use workloads::{gateway, l2, snat_edge, stateful_acl_gateway as acl};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) the calling thread
 /// forwards to the system allocator. Deallocations are free and not counted.
@@ -385,4 +391,124 @@ fn conntrack_nat_established_path_is_allocation_free() {
     let ring = data_ring(64, PORT_USER);
     warm_established(&dp, &mut engine, &ring, PORT_NET);
     assert_established_path_allocation_free("snat_edge", &dp, &mut engine, &ring);
+}
+
+#[test]
+fn packet_clone_is_exactly_one_allocation() {
+    let mut template = PacketBuilder::tcp().payload(&[7u8; 300]).build();
+    for stamped in [false, true] {
+        if stamped {
+            template.ensure_parsed();
+            template.set_rss_hash(9);
+        }
+        let before = allocations();
+        let copy = std::hint::black_box(template.clone());
+        assert_eq!(allocations() - before, 1, "stamped: {stamped}");
+        assert_eq!(copy.parsed(), template.parsed());
+    }
+}
+
+/// Eight laps of the receive half over `ring`: each packet is injected into
+/// the port numbered as its `in_port` (cloning and injecting are outside the
+/// counted window, as a lap's generator is), then received, hashed, stamped
+/// and processed in bursts with nothing allocated.
+fn assert_rx_hash_process_allocation_free(
+    name: &str,
+    ring: &[Packet],
+    hash: fn(&Packet) -> u64,
+    mut process: impl FnMut(&mut [Packet], &mut Vec<Verdict>),
+) {
+    let mut ids: Vec<u32> = ring.iter().map(|p| p.in_port).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let ports: Vec<Port> = ids
+        .iter()
+        .map(|&id| Port::with_depth(id, ring.len()))
+        .collect();
+    let mut batch: Vec<Packet> = Vec::with_capacity(BURST);
+    let mut verdicts: Vec<Verdict> = Vec::with_capacity(BURST);
+    let mut allocated = 0;
+    // Lap 0 warms the verdict buffer and the datapath's burst scratch.
+    for lap in 0..9 {
+        for packet in ring {
+            let port = ids.binary_search(&packet.in_port).expect("listed");
+            assert!(ports[port].inject(packet.clone()));
+        }
+        let before = allocations();
+        for port in &ports {
+            while port.rx_burst_into(&mut batch, BURST) > 0 {
+                for packet in batch.iter_mut() {
+                    assert!(packet.parsed().is_some(), "{name}: RX stamps the parse");
+                    let hash = hash(packet);
+                    packet.set_rss_hash(hash);
+                }
+                process(&mut batch, &mut verdicts);
+                std::hint::black_box(verdicts.len());
+                batch.clear();
+            }
+        }
+        if lap > 0 {
+            allocated += allocations() - before;
+        }
+    }
+    assert_eq!(
+        allocated,
+        0,
+        "{name}: rx → rss → process allocated {allocated} times over {} packets",
+        8 * ring.len()
+    );
+}
+
+#[test]
+fn rx_hash_process_is_allocation_free_on_l2_gateway_and_ct() {
+    let config = l2::L2Config {
+        table_size: 1_000,
+        ports: 4,
+        seed: 7,
+    };
+    let switch = EswitchRuntime::compile(l2::build_pipeline(&config)).expect("compiles");
+    let ring: Vec<Packet> = l2::build_traffic(&config, 256).one_cycle().collect();
+    assert_rx_hash_process_allocation_free("l2", &ring, rss_hash, |batch, verdicts| {
+        switch.process_batch_into_ct(batch, verdicts, &mut NoCt)
+    });
+
+    let config = gateway::GatewayConfig {
+        ces: 4,
+        users_per_ce: 8,
+        routing_prefixes: 300,
+        seed: 7,
+        preinstall_users: true,
+    };
+    let switch = EswitchRuntime::compile(gateway::build_pipeline(&config)).expect("compiles");
+    let ring: Vec<Packet> = gateway::build_traffic(&config, 64).one_cycle().collect();
+    assert_rx_hash_process_allocation_free("gateway", &ring, rss_hash, |batch, verdicts| {
+        switch.process_batch_into_ct(batch, verdicts, &mut NoCt);
+        assert!(verdicts.iter().all(|v| v.outputs.as_slice() == [PORT_NET]));
+    });
+
+    let dp = OvsDatapath::new(snat_edge::build_pipeline(
+        &snat_edge::SnatEdgeConfig::default(),
+    ));
+    let mut engine = CtEngine::new(&snat_edge::ct_config());
+    let ring = data_ring(64, PORT_USER);
+    warm_established(&dp, &mut engine, &ring, PORT_NET);
+    let hits_before = {
+        engine.advance_to(engine.now());
+        engine.stats().snapshot().hits
+    };
+    assert_rx_hash_process_allocation_free(
+        "ct-established",
+        &ring,
+        rss_hash_symmetric,
+        |batch, verdicts| {
+            engine.tick();
+            dp.process_batch_into_ct(batch, verdicts, &mut engine);
+        },
+    );
+    engine.advance_to(engine.now());
+    assert_eq!(
+        engine.stats().snapshot().hits - hits_before,
+        9 * ring.len() as u64,
+        "every packet must be an established-path ct hit"
+    );
 }

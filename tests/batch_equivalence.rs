@@ -11,7 +11,14 @@
 //! untagged frames hitting a pop) ahead of L3/L4 matches, write-action sets
 //! accumulated over four chained tables, every table revisited by many
 //! packets of one burst, and the batched stats flush.
+//!
+//! In both properties the burst side receives its packets through a `Port`
+//! (so they carry the RX parse stamp) and the per-packet side takes them as
+//! built: the stamp must change neither verdicts nor bytes.
 
+mod common;
+
+use common::received;
 use eswitch::runtime::EswitchRuntime;
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::{actions_then_goto, terminal_actions};
@@ -129,7 +136,7 @@ fn check_ovs(pipeline: &Pipeline, packets: &[Packet], config: OvsConfig) {
     let seq_dp =
         OvsDatapath::with_config(pipeline.clone(), config, Box::new(NullController::new()));
 
-    let mut batch_pkts = packets.to_vec();
+    let mut batch_pkts = received(packets);
     let mut verdicts = Vec::new();
     batch_dp.process_batch_into(&mut batch_pkts, &mut verdicts);
     prop_assert_eq!(verdicts.len(), packets.len());
@@ -148,18 +155,18 @@ fn check_ovs(pipeline: &Pipeline, packets: &[Packet], config: OvsConfig) {
 /// In-port reserved for QinQ frames, so table-0 rules can tell them apart.
 const QINQ_PORT: u32 = 3;
 
-/// Table-0 apply-actions touching the VLAN layout. Two known divergences of
-/// the *reference* are kept out of reach (both recorded in CHANGES.md): its
-/// flow key is not re-derived after a layout change, so it loses the inner
-/// tag after a QinQ pop and still sees L3 behind a third tag (the parser
-/// walks two) — hence no bare push onto QinQ frames and no VLAN matches
-/// after table 0 — and its push copies the current VID where the compiled
-/// one writes 0, so every push is followed by a VID write.
+/// Table-0 apply-actions touching the VLAN layout. One known divergence of
+/// the *reference* is kept out of reach (recorded in CHANGES.md): its flow
+/// key is not re-derived after a layout change, so it loses the inner tag
+/// after a QinQ pop and still sees L3 behind a third tag (the parser walks
+/// two) — hence no bare push onto QinQ frames and no VLAN matches after
+/// table 0. A bare push onto an untagged or single-tagged frame is in: both
+/// copy the outer tag's VID and PCP into the new one.
 fn layout_actions(choice: u8, vid: u16, qinq: bool) -> Vec<Action> {
     let set_vid = Action::SetField(Field::VlanVid, u128::from(vid));
     match (choice % 6, qinq) {
         (0, _) => vec![Action::PopVlan],
-        (1, false) => vec![Action::PushVlan(0x8100), set_vid],
+        (1, false) => vec![Action::PushVlan(0x8100)],
         (2, false) => vec![Action::PushVlan(0x88a8), set_vid],
         (1 | 2, true) | (3, _) => vec![Action::PopVlan, Action::PushVlan(0x8100), set_vid],
         (4, _) => vec![set_vid],
@@ -303,6 +310,7 @@ fn arb_tagged_packet() -> impl Strategy<Value = Packet> {
                 0 => builder.in_port(in_port).build(),
                 1 | 2 => builder
                     .vlan(4 + u16::from(tagging))
+                    .vlan_pcp(ip_last)
                     .in_port(in_port)
                     .build(),
                 _ => {
@@ -330,7 +338,7 @@ proptest! {
     ) {
         let burst_switch = EswitchRuntime::compile(pipeline.clone()).expect("compiles");
         let seq_switch = EswitchRuntime::compile(pipeline.clone()).expect("compiles");
-        let mut burst_pkts = packets.clone();
+        let mut burst_pkts = received(&packets);
         let mut verdicts = Vec::new();
         burst_switch.process_batch_into(&mut burst_pkts, &mut verdicts);
         prop_assert_eq!(verdicts.len(), packets.len());
@@ -388,7 +396,7 @@ proptest! {
         // Compiled ESWITCH runtime: batch vs sequential.
         let batch_switch = EswitchRuntime::compile(pipeline.clone()).expect("compiles");
         let seq_switch = EswitchRuntime::compile(pipeline.clone()).expect("compiles");
-        let mut batch_pkts = packets.clone();
+        let mut batch_pkts = received(&packets);
         let mut verdicts = Vec::new();
         batch_switch.process_batch_into(&mut batch_pkts, &mut verdicts);
         let mut seq_pkts = packets.clone();

@@ -8,7 +8,9 @@
 //! (`process_batch_into_ct`) each run the same trace against their own
 //! private engine. After every event the verdict **and the frame bytes**
 //! (NAT rewrites happen in place) must agree; after the trace the engines'
-//! counter snapshots and live-connection counts must agree.
+//! counter snapshots and live-connection counts must agree. Each trace runs
+//! twice: with the packets as built, and with every architecture's copy
+//! received through a `Port` first (carrying the RX parse stamp).
 //!
 //! Sharded: the same trace is dispatched through the 1-, 2- and 4-shard
 //! runtime on both backends. With one shard the verdict *sequence* must
@@ -17,9 +19,12 @@
 //! must still match and the merged per-shard counters must reproduce the
 //! single-engine totals and satisfy the conservation identity.
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use common::received;
 use conntrack::CtEngine;
 use eswitch::runtime::EswitchRuntime;
 use openflow::ct::CtTuple;
@@ -136,12 +141,15 @@ fn event_input(ev: &Event, last_forward: &HashMap<usize, Packet>) -> Packet {
 }
 
 /// Runs `events` through all four single-switch architectures over the
-/// given stateful use case, asserting equivalence event by event.
+/// given stateful use case, asserting equivalence event by event. With
+/// `stamped` the three architectures under test get each packet through a
+/// `Port`; the reference always takes it as built.
 fn assert_single_switch_equivalence(
     label: &str,
     build: impl Fn() -> Pipeline,
     ct_config: &conntrack::CtConfig,
     events: &[Event],
+    stamped: bool,
 ) {
     let reference = build();
     let mut ct_ref = CtEngine::new(ct_config);
@@ -157,9 +165,10 @@ fn assert_single_switch_equivalence(
     for (i, ev) in events.iter().enumerate() {
         let input = event_input(ev, &last_forward);
         let mut p_ref = input.clone();
-        let mut p_es = input.clone();
-        let mut p_ovs = input.clone();
-        let mut p_burst = input;
+        let copies = vec![input; 3];
+        let copies = if stamped { received(&copies) } else { copies };
+        let [mut p_es, mut p_ovs, mut p_burst]: [Packet; 3] =
+            copies.try_into().expect("three copies");
 
         let want = reference.process_ct(&mut p_ref, &mut ct_ref);
         let got_es = eswitch.process_ct(&mut p_es, &mut ct_es);
@@ -219,22 +228,28 @@ proptest! {
 
     #[test]
     fn stateful_acl_architectures_agree(events in event_strategy(24)) {
-        assert_single_switch_equivalence(
-            "acl",
-            || acl::build_pipeline(&acl::StatefulAclConfig::default()),
-            &acl::ct_config(),
-            &events,
-        );
+        for stamped in [false, true] {
+            assert_single_switch_equivalence(
+                "acl",
+                || acl::build_pipeline(&acl::StatefulAclConfig::default()),
+                &acl::ct_config(),
+                &events,
+                stamped,
+            );
+        }
     }
 
     #[test]
     fn snat_architectures_agree(events in event_strategy(24)) {
-        assert_single_switch_equivalence(
-            "snat",
-            || snat_edge::build_pipeline(&snat_edge::SnatEdgeConfig::default()),
-            &snat_edge::ct_config(),
-            &events,
-        );
+        for stamped in [false, true] {
+            assert_single_switch_equivalence(
+                "snat",
+                || snat_edge::build_pipeline(&snat_edge::SnatEdgeConfig::default()),
+                &snat_edge::ct_config(),
+                &events,
+                stamped,
+            );
+        }
     }
 }
 
@@ -289,7 +304,8 @@ fn multiset(outputs: impl Iterator<Item = Vec<u32>>) -> HashMap<Vec<u32>, usize>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// 1-/2-/4-shard runtime equivalence on both backends. Connection
+    /// 1-/2-/4-shard runtime equivalence on both backends (the dispatcher
+    /// stamps every packet, the reference takes them as built). Connection
     /// state is strictly shard-local; symmetric RSS pins both directions
     /// of a connection to one shard, so verdicts and aggregated counters
     /// must reproduce the single-engine reference exactly.

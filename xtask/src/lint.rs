@@ -40,6 +40,7 @@ const FAST_PATH_MODULES: &[&str] = &[
     "crates/conntrack/src/wheel.rs",
     "crates/shard/src/telemetry.rs",
     "crates/core/src/fastpath.rs",
+    "crates/packet/src/parser.rs",
 ];
 
 /// Crates whose source must route all atomics/`UnsafeCell` use through the
@@ -595,6 +596,26 @@ mod tests {
             ["fastpath-alloc"]
         );
         assert!(check_fastpath_alloc("crates/core/src/templates/table.rs", src).is_empty());
+    }
+
+    #[test]
+    fn rx_parser_module_is_covered() {
+        // `Port::rx_burst_into` parses every received frame: the parser is
+        // per-packet code. The packet handle beside it allocates by design
+        // (one block per packet, outside the lap) and is not listed.
+        let src = "pub fn parse(frame: &[u8]) -> Vec<u8> { frame.to_vec() }\n";
+        assert_eq!(
+            rules(&check_fastpath_alloc("crates/packet/src/parser.rs", src)),
+            ["fastpath-alloc"]
+        );
+        assert!(check_fastpath_alloc("crates/packet/src/packet.rs", src).is_empty());
+        // The handle is safe Rust today; an `unsafe` block added to it falls
+        // under the SAFETY-comment rule like any other file.
+        let src = "fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
+        assert_eq!(
+            rules(&check_file("crates/packet/src/packet.rs", src)),
+            ["safety-comment"]
+        );
     }
 
     #[test]
