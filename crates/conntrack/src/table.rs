@@ -10,7 +10,11 @@
 //! backward-shift deletion, ≤ 50% load by construction) holding **two**
 //! entries per connection — one for the original-direction tuple, one for
 //! the reply-direction tuple — so a single probe classifies a packet's
-//! direction along with its connection.
+//! direction along with its connection. An index entry is eight bytes (the
+//! top half of the key hash, the slab slot and the direction), eight to a
+//! cache line, and its home slot is the **top** bits of the hash: the hash
+//! ends in a multiply, whose low bits see only the low bits of the last
+//! key word.
 //!
 //! Recency is tracked second-chance (CLOCK) style: a hit sets one bit in
 //! the connection record ([`ConnTable::touch`] — no list surgery on the
@@ -80,20 +84,47 @@ const EMPTY_CONN: Conn = Conn {
     used: false,
 };
 
-/// One open-addressed index entry: the key hash, the slab slot it points
-/// at, and which direction of that connection the entry represents.
+/// One open-addressed index entry. `tag` is the top half of the key hash:
+/// its leading bits are the entry's home slot ([`ConnTable::home_of_tag`]),
+/// the rest filter probes before a connection record is touched. `link` is
+/// the slab slot shifted left once, with the direction the entry represents
+/// in bit 0; [`NONE`] marks an empty entry.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    hash: u64,
-    conn: u32,
-    dir: Dir,
+    tag: u32,
+    link: u32,
 }
 
-const EMPTY_SLOT: Slot = Slot {
-    hash: 0,
-    conn: NONE,
-    dir: Dir::Orig,
-};
+const EMPTY_SLOT: Slot = Slot { tag: 0, link: NONE };
+
+impl Slot {
+    #[inline]
+    fn new(hash: u64, conn: u32, dir: Dir) -> Slot {
+        Slot {
+            tag: (hash >> 32) as u32,
+            link: conn << 1 | dir as u32,
+        }
+    }
+
+    #[inline]
+    fn is_empty(self) -> bool {
+        self.link == NONE
+    }
+
+    #[inline]
+    fn conn(self) -> u32 {
+        self.link >> 1
+    }
+
+    #[inline]
+    fn dir(self) -> Dir {
+        if self.link & 1 == 0 {
+            Dir::Orig
+        } else {
+            Dir::Reply
+        }
+    }
+}
 
 /// Fixed-capacity connection table. See the module docs for the layout.
 #[derive(Debug)]
@@ -103,6 +134,8 @@ pub struct ConnTable {
     live: u32,
     index: Vec<Slot>,
     mask: usize,
+    /// `32 - log2(index.len())`: what [`ConnTable::home_of_tag`] shifts by.
+    home_shift: u32,
     lru_head: u32,
     lru_tail: u32,
 }
@@ -114,7 +147,9 @@ impl ConnTable {
     /// ever performs.
     pub fn new(capacity: usize) -> ConnTable {
         assert!(capacity > 0, "conntrack capacity must be non-zero");
-        assert!(capacity < NONE as usize, "conntrack capacity too large");
+        // A slab slot and a direction share an entry's 32-bit link, and a
+        // home slot comes out of a 32-bit tag.
+        assert!(capacity <= 1 << 30, "conntrack capacity too large");
         let index_len = (capacity * 4).next_power_of_two();
         let mut slab = Vec::with_capacity(capacity);
         for i in 0..capacity {
@@ -134,6 +169,7 @@ impl ConnTable {
             live: 0,
             index,
             mask: index_len - 1,
+            home_shift: u32::BITS - index_len.trailing_zeros(),
             lru_head: NONE,
             lru_tail: NONE,
         }
@@ -161,6 +197,17 @@ impl ConnTable {
             + self.index.capacity() * std::mem::size_of::<Slot>()
     }
 
+    /// The index slot a probe starts at, from the half of the key hash an
+    /// entry keeps: the hash's top bits (multiplicative hashing). The low
+    /// bits of an `fx_mix` chain depend only on the low bits of the key's
+    /// last word, which for the reply tuples of one SNAT address are a
+    /// constant and a well-known server port — those entries would share a
+    /// few thousand home slots and probe through each other.
+    #[inline]
+    fn home_of_tag(&self, tag: u32) -> usize {
+        (tag >> self.home_shift) as usize
+    }
+
     /// Shared view of a connection record.
     #[inline]
     pub fn conn(&self, idx: u32) -> &Conn {
@@ -177,21 +224,21 @@ impl ConnTable {
     /// direction. One linear probe over the index; no allocation.
     #[inline]
     pub fn lookup(&self, tuple: &CtTuple) -> Option<(u32, Dir)> {
-        let hash = tuple_hash(tuple);
-        let mut i = (hash as usize) & self.mask;
+        let probe = Slot::new(tuple_hash(tuple), 0, Dir::Orig);
+        let mut i = self.home_of_tag(probe.tag);
         loop {
             let s = self.index[i];
-            if s.conn == NONE {
+            if s.is_empty() {
                 return None;
             }
-            if s.hash == hash {
-                let c = &self.slab[s.conn as usize];
-                let stored = match s.dir {
+            if s.tag == probe.tag {
+                let c = &self.slab[s.conn() as usize];
+                let stored = match s.dir() {
                     Dir::Orig => &c.orig,
                     Dir::Reply => &c.reply,
                 };
                 if stored == tuple {
-                    return Some((s.conn, s.dir));
+                    return Some((s.conn(), s.dir()));
                 }
             }
             i = (i + 1) & self.mask;
@@ -277,10 +324,11 @@ impl ConnTable {
     }
 
     fn index_insert(&mut self, hash: u64, conn: u32, dir: Dir) {
-        let mut i = (hash as usize) & self.mask;
+        let entry = Slot::new(hash, conn, dir);
+        let mut i = self.home_of_tag(entry.tag);
         loop {
-            if self.index[i].conn == NONE {
-                self.index[i] = Slot { hash, conn, dir };
+            if self.index[i].is_empty() {
+                self.index[i] = entry;
                 return;
             }
             i = (i + 1) & self.mask;
@@ -290,14 +338,15 @@ impl ConnTable {
     /// Removes the entry for (`conn`, `dir`) using backward-shift deletion,
     /// which keeps probe chains tombstone-free.
     fn index_remove(&mut self, hash: u64, conn: u32, dir: Dir) {
-        let mut i = (hash as usize) & self.mask;
+        let entry = Slot::new(hash, conn, dir);
+        let mut i = self.home_of_tag(entry.tag);
         loop {
             let s = self.index[i];
-            if s.conn == NONE {
+            if s.is_empty() {
                 debug_assert!(false, "index entry missing for conn {conn}");
                 return;
             }
-            if s.conn == conn && s.dir == dir {
+            if s.link == entry.link {
                 break;
             }
             i = (i + 1) & self.mask;
@@ -306,10 +355,10 @@ impl ConnTable {
         let mut k = (hole + 1) & self.mask;
         loop {
             let s = self.index[k];
-            if s.conn == NONE {
+            if s.is_empty() {
                 break;
             }
-            let ideal = (s.hash as usize) & self.mask;
+            let ideal = self.home_of_tag(s.tag);
             // The entry at k may fill the hole only if the hole lies on its
             // probe path (cyclically between its ideal slot and k).
             if (k.wrapping_sub(ideal) & self.mask) >= (k.wrapping_sub(hole) & self.mask) {
@@ -437,6 +486,34 @@ mod tests {
             .collect();
         // All bits set: one full rotation clears them and the oldest falls.
         assert_eq!(table.clock_victim(), Some(idxs[0]));
+    }
+
+    #[test]
+    fn reply_tuples_of_one_snat_address_do_not_share_home_slots() {
+        // An SNAT edge's reply tuples differ only in the server address and
+        // the allocated public port: the key words' low bits are the
+        // protocol, six address bits and a well-known server port.
+        let cap = 4096;
+        let mut table = ConnTable::new(cap);
+        for seq in 0..cap as u32 {
+            let (server, port) = (0xac10_0000 + seq, if seq & 1 == 0 { 80 } else { 443 });
+            let client = 0x0a00_0000 + seq.wrapping_mul(40_503);
+            let orig = t(6, client, server, 1024, port);
+            let reply = t(6, server, 0xc633_6401, port, 1024 + seq as u16);
+            table
+                .insert(orig, reply, ConnState::TcpEstablished)
+                .expect("capacity");
+        }
+        // How far each entry sits from its home slot. Uniform hashing at
+        // this load (one slot in two taken) gives a mean of 0.5.
+        let displaced: Vec<usize> = (0..table.index.len())
+            .filter(|&i| !table.index[i].is_empty())
+            .map(|i| i.wrapping_sub(table.home_of_tag(table.index[i].tag)) & table.mask)
+            .collect();
+        assert_eq!(displaced.len(), 2 * cap);
+        let mean = displaced.iter().sum::<usize>() as f64 / displaced.len() as f64;
+        assert!(mean < 1.0, "mean displacement {mean}");
+        assert!(displaced.iter().all(|&d| d < 64), "{displaced:?}");
     }
 
     #[test]
