@@ -1,15 +1,15 @@
 //! fig_io — multi-port ingress/egress harness for `BENCH_io.json`.
 //!
-//! Sweeps the [`shard::MultiPortSwitch`] front end over a 1/2/4-port ×
-//! 1/2/4-shard matrix with feeder/drainer threads on every port, then runs
-//! the two targeted comparisons the PR claims:
+//! Sweeps a port-attached [`shard::ShardedSwitch`] launch over a 1/2/4-port
+//! × 1/2/4-shard matrix with feeder/drainer threads on every port, then runs
+//! two targeted comparisons:
 //!
-//! * **Egress batching** — the full switch with vectored per-port flushes
-//!   versus the per-packet `Port::tx` baseline, plus a single-threaded
-//!   TX-ring microbench of the same two styles (one reservation, one tail
-//!   publication and one counter RMW per *burst* versus per *frame*). The
-//!   microbench is the batching-speedup evidence: it is deterministic on a
-//!   time-sliced host, where end-to-end wall pps is scheduler noise.
+//! * **TX styles** — a single-threaded TX-ring microbench of per-packet
+//!   `Port::tx` versus the vectored `Port::tx_burst` the workers' egress
+//!   stage uses (one reservation, one tail publication and one counter RMW
+//!   per *burst* versus per *frame*). It is the batching-speedup evidence:
+//!   deterministic on a time-sliced host, where end-to-end wall pps is
+//!   scheduler noise.
 //! * **Classifier steering** — hash-only dispatch versus a pre-shard
 //!   program pinning one destination port's flows to shard 0.
 //!
@@ -56,7 +56,6 @@ fn base_config(ports: usize, shards: usize) -> IoConfig {
     IoConfig {
         ports: ports as u32,
         shards,
-        egress_batching: true,
         classifier: Classifier::new(),
         flows: 256,
         warmup_ms: warmup_ms(),
@@ -104,20 +103,7 @@ fn main() {
         }
     }
 
-    // Egress batching vs per-packet TX: full switch (2 ports x 2 shards)…
-    let batched = measure_io_throughput(BackendSpec::eswitch(), &base_config(2, 2));
-    let per_packet = measure_io_throughput(
-        BackendSpec::eswitch(),
-        &IoConfig {
-            egress_batching: false,
-            ..base_config(2, 2)
-        },
-    );
-    println!(
-        "egress  batched {:>12.0} pps vs per-packet {:>12.0} pps (wall, time-sliced)",
-        batched.pps, per_packet.pps
-    );
-    // …and the deterministic TX-ring microbench of the same two styles.
+    // Per-packet vs vectored TX: the deterministic TX-ring microbench.
     let tx = measure_tx_styles(tx_frames());
     println!(
         "egress  tx ring: per-packet {:.1} ns/frame, vectored {:.1} ns/frame  ({:.2}x)",
@@ -142,7 +128,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"io\",\n");
-    json.push_str("  \"schema_version\": 1,\n");
+    json.push_str("  \"schema_version\": 2,\n");
     let _ = writeln!(json, "  \"burst_size\": {},", netdev::BURST_SIZE);
     let _ = writeln!(json, "  \"duration_ms\": {},", duration_ms());
     let _ = writeln!(json, "  \"warmup_ms\": {},", warmup_ms());
@@ -169,21 +155,14 @@ fn main() {
         json.push_str(if i + 1 < matrix.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
-    json.push_str("  \"egress_batching\": {\n");
     let _ = writeln!(
         json,
-        "    \"switch_wall\": {{\"ports\": 2, \"shards\": 2, \"batched_pps\": {:.0}, \"per_packet_pps\": {:.0}, \"batched_frames_per_flush\": {:.2}}},",
-        batched.pps, per_packet.pps, batched.egress_batch_factor
-    );
-    let _ = writeln!(
-        json,
-        "    \"tx_styles\": {{\"frames\": {}, \"per_packet_ns_per_frame\": {:.2}, \"vectored_ns_per_frame\": {:.2}, \"speedup\": {:.2}}}",
+        "  \"tx_styles\": {{\"frames\": {}, \"per_packet_ns_per_frame\": {:.2}, \"vectored_ns_per_frame\": {:.2}, \"speedup\": {:.2}}},",
         tx_frames(),
         tx.per_packet_ns,
         tx.vectored_ns,
         tx.speedup
     );
-    json.push_str("  },\n");
     json.push_str("  \"classifier\": {\n");
     let _ = writeln!(json, "    \"hash_only_pps\": {:.0},", hash_only.pps);
     let _ = writeln!(json, "    \"steered_pps\": {:.0},", steered.pps);

@@ -1,10 +1,10 @@
 //! Multi-port I/O measurement for `fig_io` / `BENCH_io.json`.
 //!
-//! Three experiments over the [`shard::MultiPortSwitch`] front end:
+//! Three experiments over a port-attached [`shard::ShardedSwitch`] launch:
 //!
 //! * **Port × shard matrix** — wall throughput of the full runtime (per-port
 //!   dispatchers → per-(port, shard) SPSC ring matrix → worker shards →
-//!   vectored egress) with feeder and drainer threads emulating the wire on
+//!   per-port vectored egress) with feeder and drainer threads emulating the wire on
 //!   every port. On a host with fewer cores than threads the absolute pps
 //!   time-slices; the committed JSON records the machine so readers can
 //!   judge the ratios.
@@ -12,8 +12,8 @@
 //!   TX ring per-packet (`Port::tx`, one reservation + one publication +
 //!   one counter RMW per frame) versus vectored (`Port::tx_burst`, one of
 //!   each per burst). Single-threaded move-cycle, no clones: this isolates
-//!   the ring-protocol cost that egress batching amortises and is the
-//!   artifact's batching-speedup evidence.
+//!   the ring-protocol cost the workers' per-port egress staging amortises
+//!   and is the artifact's batching-speedup evidence.
 //! * **Classifier steering** — hash-only dispatch versus a classifier
 //!   program pinning a traffic slice to one shard, measuring what the
 //!   pre-shard match program costs (or saves) end to end.
@@ -29,20 +29,18 @@ use openflow::instruction::terminal_actions;
 use openflow::{Action, Field, FlowEntry, FlowMatch, Pipeline};
 use pkt::builder::PacketBuilder;
 use pkt::Packet;
-use shard::{BackendSpec, MultiPortConfig, MultiPortSwitch};
+use shard::{BackendSpec, LaunchParts, ShardedConfig, ShardedSwitch};
 
 /// Distinct TCP destination ports (= pipeline entries) in the workload.
 pub const IO_DSTS: u16 = 16;
 
-/// One experiment cell: a port/shard/egress-mode/classifier combination.
+/// One experiment cell: a port/shard/classifier combination.
 #[derive(Clone)]
 pub struct IoConfig {
     /// Ingress (and egress) port count.
     pub ports: u32,
     /// Worker shard count.
     pub shards: usize,
-    /// Vectored egress flush (`true`) or per-packet TX baseline.
-    pub egress_batching: bool,
     /// Pre-shard classifier program (empty = hash-only).
     pub classifier: Classifier,
     /// Active flow count, spread over the ingress ports.
@@ -59,8 +57,7 @@ pub struct IoResult {
     pub pps: f64,
     /// Packets processed inside the window.
     pub processed: u64,
-    /// Egress frames per vectored flush over the whole run (0 when egress
-    /// batching is off — that mode never flushes).
+    /// Egress frames per vectored flush over the whole run.
     pub egress_batch_factor: f64,
 }
 
@@ -95,16 +92,17 @@ fn io_packet(f: u16) -> Packet {
 /// measures processed packets over the window.
 pub fn measure_io_throughput(spec: BackendSpec, cfg: &IoConfig) -> IoResult {
     let ports = Arc::new(PortSet::with_ports(cfg.ports));
-    let switch = MultiPortSwitch::launch(
+    let (switch, dispatcher) = ShardedSwitch::launch_with(
         spec,
         io_pipeline(cfg.ports),
-        MultiPortConfig {
-            shards: cfg.shards,
-            egress_batching: cfg.egress_batching,
-            classifier: cfg.classifier.clone(),
-            ..MultiPortConfig::default()
+        ShardedConfig {
+            workers: cfg.shards,
+            ..ShardedConfig::default()
         },
-        Arc::clone(&ports),
+        LaunchParts {
+            ports: Some((Arc::clone(&ports), cfg.classifier.clone())),
+            ..LaunchParts::default()
+        },
     )
     .expect("io pipeline compiles");
 
@@ -149,17 +147,17 @@ pub fn measure_io_throughput(spec: BackendSpec, cfg: &IoConfig) -> IoResult {
     }
 
     thread::sleep(Duration::from_millis(cfg.warmup_ms));
-    let processed_before = switch.processed();
+    let processed_before = switch.stats().packets;
     let window_start = Instant::now();
     thread::sleep(Duration::from_millis(cfg.duration_ms));
-    let processed = switch.processed() - processed_before;
+    let processed = switch.stats().packets - processed_before;
     let elapsed = window_start.elapsed().as_secs_f64();
 
     stop.store(true, Ordering::Relaxed);
     for handle in wire {
         handle.join().expect("wire thread");
     }
-    let report = switch.shutdown();
+    let report = switch.shutdown(dispatcher);
     let flushes: u64 = report.load_per_shard.iter().map(|l| l.egress_flushes).sum();
     let frames: u64 = report.load_per_shard.iter().map(|l| l.egress_frames).sum();
     IoResult {

@@ -42,8 +42,8 @@ use openflow::{
 use pkt::builder::PacketBuilder;
 use pkt::{MacAddr, Packet};
 use shard::{
-    BackendSpec, PuntPolicy, ReactiveSnapshot, RssDispatcher, ShardedConfig, ShardedSwitch,
-    UpdateClassCounts,
+    BackendSpec, LaunchParts, PuntPolicy, ReactiveSnapshot, RssDispatcher, ShardedConfig,
+    ShardedSwitch, UpdateClassCounts,
 };
 
 /// Per-shard ring capacity used by the reactive harness.
@@ -245,7 +245,7 @@ pub fn measure_reactive_load(spec: BackendSpec, config: ReactiveLoadConfig) -> R
         duration_ms,
     } = config;
     let seeded = 512.min(known_flows.max(64));
-    let (switch, mut dispatcher) = ShardedSwitch::launch_reactive(
+    let (switch, mut dispatcher) = ShardedSwitch::launch_with(
         spec,
         reactive_pipeline(seeded),
         ShardedConfig {
@@ -254,7 +254,10 @@ pub fn measure_reactive_load(spec: BackendSpec, config: ReactiveLoadConfig) -> R
             ring_capacity: RING_CAPACITY,
             ..ShardedConfig::default()
         },
-        install_controller(),
+        LaunchParts {
+            controller: Some(install_controller()),
+            ..LaunchParts::default()
+        },
     )
     .expect("reactive pipeline compiles");
 
@@ -418,7 +421,7 @@ impl StormPoint {
 /// to the feed mix ratio on small machines.
 pub fn measure_punt_storm(spec: BackendSpec, config: StormConfig) -> StormPoint {
     let seeded = 512.min(config.victim_flows.max(64));
-    let (switch, mut dispatcher) = ShardedSwitch::launch_reactive(
+    let (switch, mut dispatcher) = ShardedSwitch::launch_with(
         spec,
         reactive_pipeline(seeded),
         ShardedConfig {
@@ -428,7 +431,10 @@ pub fn measure_punt_storm(spec: BackendSpec, config: StormConfig) -> StormPoint 
             punt_policy: config.policy,
             ..ShardedConfig::default()
         },
-        storm_controller(),
+        LaunchParts {
+            controller: Some(storm_controller()),
+            ..LaunchParts::default()
+        },
     )
     .expect("reactive pipeline compiles");
 

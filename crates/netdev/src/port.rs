@@ -208,12 +208,13 @@ const DENSE_LIMIT: usize = 4096;
 /// not by the id space.
 #[derive(Default)]
 pub struct PortSet {
-    /// Insertion-ordered list backing `iter`/`len`.
+    /// Insertion-ordered list backing `iter`/`len`; a port's position here
+    /// is its *slot*.
     ports: Vec<Arc<Port>>,
-    /// Direct index for ids < `DENSE_LIMIT`, grown on demand.
-    dense: Vec<Option<Arc<Port>>>,
+    /// Direct id → slot index for ids < `DENSE_LIMIT`, grown on demand.
+    dense: Vec<Option<u32>>,
     /// Fallback for ids ≥ `DENSE_LIMIT` (reserved / sparse numbering).
-    sparse: Vec<(PortId, Arc<Port>)>,
+    sparse: Vec<(PortId, u32)>,
 }
 
 impl PortSet {
@@ -237,30 +238,37 @@ impl PortSet {
     /// Panics if a port with the same id is already present.
     pub fn add(&mut self, port: Port) -> Arc<Port> {
         let id = port.id();
-        assert!(self.get(id).is_none(), "duplicate port id {id}");
-        let port = Arc::new(port);
+        assert!(self.slot(id).is_none(), "duplicate port id {id}");
+        let slot = self.ports.len() as u32;
         if (id as usize) < DENSE_LIMIT {
             if self.dense.len() <= id as usize {
                 self.dense.resize(id as usize + 1, None);
             }
-            self.dense[id as usize] = Some(Arc::clone(&port));
+            self.dense[id as usize] = Some(slot);
         } else {
-            self.sparse.push((id, Arc::clone(&port)));
+            self.sparse.push((id, slot));
         }
+        let port = Arc::new(port);
         self.ports.push(Arc::clone(&port));
         port
     }
 
+    /// The slot of port `id` — its position in [`PortSet::iter`] order — in
+    /// O(1) for densely numbered ports. Per-port side tables (egress staging)
+    /// index by it.
+    #[inline]
+    pub fn slot(&self, id: PortId) -> Option<usize> {
+        let slot = if (id as usize) < DENSE_LIMIT {
+            (*self.dense.get(id as usize)?)?
+        } else {
+            self.sparse.iter().find(|(pid, _)| *pid == id)?.1
+        };
+        Some(slot as usize)
+    }
+
     /// Looks up a port by id in O(1) for densely numbered ports.
     pub fn get(&self, id: PortId) -> Option<&Arc<Port>> {
-        if (id as usize) < DENSE_LIMIT {
-            self.dense.get(id as usize)?.as_ref()
-        } else {
-            self.sparse
-                .iter()
-                .find(|(pid, _)| *pid == id)
-                .map(|(_, p)| p)
-        }
+        self.slot(id).map(|slot| &self.ports[slot])
     }
 
     /// All ports in the set, in insertion order.
@@ -376,6 +384,7 @@ mod tests {
         assert_eq!(set.len(), 4);
         assert!(set.get(3).is_some());
         assert!(set.get(4).is_none());
+        assert_eq!((set.slot(3), set.slot(4)), (Some(3), None));
     }
 
     #[test]
@@ -389,6 +398,11 @@ mod tests {
         assert!(set.get(1).is_none());
         let ids: Vec<_> = set.iter().map(|p| p.id()).collect();
         assert_eq!(ids, vec![0, 0x0001_0000]);
+        assert_eq!(
+            set.slot(0x0001_0000),
+            Some(1),
+            "slots follow insertion order"
+        );
     }
 
     #[test]

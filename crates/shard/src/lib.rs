@@ -4,7 +4,8 @@
 //! shows both architectures scaling linearly; its §3.4 update machinery only
 //! matters when flow-mods race live traffic. This crate is the runtime that
 //! makes both real, mirroring the deployment shape of OVS's per-PMD-thread
-//! datapath (and of a DPDK ESWITCH instance):
+//! datapath (and of a DPDK ESWITCH instance). There is one runtime,
+//! [`ShardedSwitch`]: `launch`, or `launch_with` the optional [`LaunchParts`]:
 //!
 //! * **RSS dispatch** ([`rss`], [`remap`]) — each packet's flow tuple is
 //!   hashed with the extraction-time miniflow hash and the hash steers
@@ -12,8 +13,12 @@
 //!   ([`remap::RemapTable`]) whose entries name worker shards, so one flow
 //!   always lands on one shard (per-shard caches stay warm, no cross-shard
 //!   flow state) and the hash rides the packet for downstream reuse.
-//!   Packets travel over per-shard [`netdev::SpscRing`]s, published
-//!   burst-at-a-time.
+//!   Packets travel over per-(dispatcher, shard) [`netdev::SpscRing`]s,
+//!   published burst-at-a-time.
+//! * **Port stages** ([`multiport`]) — a launch given its `PortSet` gets one
+//!   ingress dispatcher thread per port (rx → classify → RSS into its own
+//!   row of the ring matrix) and a per-port egress stage behind every worker
+//!   (vectored `tx_burst` per port per drain pass).
 //! * **Elastic scheduling** ([`telemetry`], [`remap`],
 //!   [`rss::RssDispatcher::remap_bucket`]) — workers flush batched load
 //!   telemetry (busy time, pps, ring high-water); on sustained imbalance the
@@ -27,8 +32,9 @@
 //!   datapath replica behind the [`ShardBackend`] trait: the compiled ESWITCH
 //!   datapath (shared read-only, as compiled code is) or an OVS replica with
 //!   *private* microflow/megaflow caches, exactly like OVS PMD threads. A
-//!   shard drains its ring in 32-packet bursts through the zero-allocation
-//!   `process_batch_into` fast path.
+//!   shard drains its column of ingress rings in 32-packet bursts through
+//!   the zero-allocation `process_batch_into` fast path — one worker loop,
+//!   whatever the launch attached.
 //! * **Control plane** ([`runtime::ShardedSwitch::flow_mod`]) — flow-mods are
 //!   applied to the canonical [`openflow::Pipeline`] once, classified by the
 //!   shared §3.4 update planner ([`eswitch::update`]) on the control thread,
@@ -58,11 +64,12 @@
 //!   duplicated up, like a real switch's bounded upcall queue, but its
 //!   verdict stands) — workers never block on the controller.
 //! * **Stats & shutdown** — per-shard [`netdev::Counters`] aggregate into
-//!   switch-wide totals; shutdown flushes the dispatcher, lets every shard
-//!   drain its ring, runs the punt flow to a provable fixpoint (every punt
-//!   answered, every re-injection processed), and only then joins the
-//!   controller thread and the workers, so no packet — and no punt — is
-//!   lost or double-counted.
+//!   switch-wide totals; the one shutdown joins the port dispatchers,
+//!   flushes the caller's dispatcher, waits for every dispatched packet,
+//!   runs the punt flow to a provable fixpoint (every punt answered, every
+//!   re-injection processed), and only then joins the controller threads
+//!   and the workers, so no packet — and no punt — is lost or
+//!   double-counted. A wait on a dead thread panics naming it; `Drop` joins.
 
 pub mod backend;
 pub mod controller;
@@ -77,7 +84,7 @@ pub use backend::{BackendSpec, CompiledState, ShardBackend};
 pub use controller::{
     partition_of, ControllerWorkerSnapshot, Punt, ReactiveSnapshot, ReactiveStats,
 };
-pub use multiport::{MultiPortConfig, MultiPortReport, MultiPortSwitch};
+pub use multiport::{MultiPortConfig, MultiPortSwitch};
 // The admission-policy types callers need to configure a hardened launch.
 pub use conntrack::{CtConfig, CtSnapshot, CtTimeouts, EvictionPolicy, LbGroup};
 pub use epoch::EpochSlot;
@@ -85,7 +92,7 @@ pub use eswitch::reactive::{PuntPolicy, RateLimit};
 pub use remap::{RebalanceConfig, RemapShared, RemapTable};
 pub use rss::{rss_hash, rss_hash_symmetric, shard_of, RssDispatcher};
 pub use runtime::{
-    ShardError, ShardStats, ShardedConfig, ShardedSwitch, ShutdownReport, UpdateClassCounts,
-    UpdateClassStats, UpdateStrategy, VerdictSink,
+    LaunchParts, ShardError, ShardStats, ShardedConfig, ShardedSwitch, ShutdownReport,
+    UpdateClassCounts, UpdateClassStats, UpdateStrategy, VerdictSink,
 };
 pub use telemetry::{LoadSnapshot, ShardLoad};

@@ -1,389 +1,130 @@
-//! Multi-port NIC front end: per-port dispatchers over a strictly-SPSC
-//! ring matrix, with batched vectored egress.
+//! The port stages of the sharded runtime: per-port ingress dispatchers in
+//! front of the worker shards, per-port egress staging behind them.
 //!
-//! [`crate::runtime::ShardedSwitch`] models the *compute* side of the paper's
-//! deployment — N worker shards behind one dispatcher — but its single
-//! dispatcher looks nothing like the multi-queue NIC a real switch sits on.
-//! [`MultiPortSwitch`] adds the I/O side: one RSS dispatcher thread per
-//! ingress [`netdev::Port`], polling the port with the allocation-free
-//! `rx_burst_into` API (which stamps each frame's one parse on its
-//! descriptor for the hash and the worker's datapath to read) and steering
-//! each frame into a matrix of
-//! per-(port, shard) [`SpscRing`]s. Every ring has exactly one producer (its
-//! port's dispatcher) and one consumer (its shard's worker), so the ingress
-//! path carries no MPSC contention anywhere — the same discipline as the
-//! reactive runtime's punt matrix. All dispatchers read the *shared*
-//! indirection-table epoch slot ([`RemapShared`]), so one bucket remap
-//! retargets every ingress port at once.
+//! A launch that is handed an `Arc<PortSet>` ([`LaunchParts::ports`]) puts a
+//! multi-queue NIC around [`ShardedSwitch`]'s workers; this module is the two
+//! stages that touch the ports. Nothing here runs a worker, drains a ring or
+//! owns a lifecycle — there is one worker loop, one remap protocol and one
+//! shutdown, all in [`crate::runtime`] and [`crate::rss`].
 //!
-//! Before RSS, each dispatcher runs the port's pre-shard
-//! [`Classifier`] (the software `SO_REUSEPORT` + eBPF analogue): a
-//! [`ClassifyAction::Steer`] decision pins the frame to a designated shard
-//! (controller-bound traffic, LB VIPs), everything else takes the normal
-//! hash → indirection-table path.
-//!
-//! On the way out, workers stage each verdict's output frames per
-//! destination port and flush each port's staging buffer with one vectored
-//! [`netdev::Port::tx_burst`] per drain pass — the `sendmmsg` shape — instead
-//! of paying a ring reservation and two stats RMWs per packet. The realised
-//! batch factor is observable per shard via
-//! [`LoadSnapshot::egress_batch_factor`].
-//!
-//! This runtime is deliberately *stateless*: shards replicate a fixed
-//! compiled pipeline (no flow-mod control plane, no conntrack — workers
-//! thread [`NoCt`]). The full control plane, reactive slow path and ct
-//! engine remain in [`crate::runtime::ShardedSwitch`]; the multi-port
-//! front end is about the I/O architecture, and the differential suite
-//! (`tests/multiport_equivalence.rs`) proves the two front ends produce
-//! identical per-flow verdicts.
+//! * **Ingress** — one `PortDispatcher` thread per port polls it with the
+//!   allocation-free `rx_burst_into` (which stamps each frame's one parse on
+//!   its descriptor), runs the pre-shard [`Classifier`] (the software
+//!   `SO_REUSEPORT` + eBPF analogue: a [`ClassifyAction::Steer`] decision
+//!   pins the frame to a designated shard, everything else hashes) and steers
+//!   each frame into its row of the per-(port, shard) ring matrix through a
+//!   reader-role [`RssDispatcher`] — symmetric RSS when the pipeline has ct,
+//!   like every other dispatcher. Every ring has exactly one producer (its
+//!   port's dispatcher) and one consumer (its shard's worker), and all rows
+//!   follow the one shared indirection table, so a bucket remap retargets
+//!   every port at once. The remap's quiesce step parks the dispatchers at a
+//!   burst boundary through `Ingress`.
+//! * **Egress** — each worker owns an `Egress`: verdict outputs are staged
+//!   per destination port and flushed with one vectored
+//!   [`netdev::Port::tx_burst`] per port per drain pass — the `sendmmsg`
+//!   shape — before the shard's processed counter advances. An output naming
+//!   a port the switch does not have is counted on the shard's drop counter.
+//!   The realised batch factor is
+//!   [`crate::telemetry::LoadSnapshot::egress_batch_factor`].
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 use netdev::classify::{Classifier, ClassifyAction};
 use netdev::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use netdev::{Counters, Port, PortSet, SpscRing, BURST_SIZE};
+use netdev::{Port, PortSet, BURST_SIZE};
 use netdev::{PORT_CONTROLLER, PORT_DROP, PORT_FLOOD, PORT_IN_PORT};
-use openflow::ct::NoCt;
 use openflow::{Pipeline, Verdict};
 use pkt::Packet;
 
 use eswitch::compile::CompileError;
 
 use crate::backend::BackendSpec;
-use crate::remap::{RemapShared, RemapTable};
 use crate::rss::RssDispatcher;
-use crate::runtime::VerdictSink;
-use crate::telemetry::{LoadRecorder, LoadSnapshot, ShardLoad};
+use crate::runtime::{LaunchParts, ShardStats, ShardedConfig, ShardedSwitch, ShutdownReport};
+use crate::telemetry::LoadRecorder;
 
-/// Configuration for a [`MultiPortSwitch`] launch.
-#[derive(Clone)]
-pub struct MultiPortConfig {
-    /// Number of worker shards (clamped to at least 1).
-    pub shards: usize,
-    /// Per-(port, shard) ring capacity in packets (rounded up to a power of
-    /// two by the ring).
-    pub ring_capacity: usize,
-    /// Stage verdict outputs per destination port and flush with one
-    /// vectored `tx_burst` per drain pass (`true`, the default), or pay a
-    /// per-packet `tx` — the baseline the `fig_io` benchmark compares
-    /// against.
-    pub egress_batching: bool,
-    /// The pre-shard match program every dispatcher runs before RSS. Empty
-    /// by default: every frame hashes normally.
-    pub classifier: Classifier,
+/// What the control side (the switch handle and its main dispatcher) shares
+/// with the port dispatcher threads.
+pub(crate) struct Ingress {
+    /// Dispatchers stop polling, steer what their ports already hold, exit.
+    pub(crate) stop: AtomicBool,
+    /// The remap quiesce: dispatchers park at a burst boundary while set.
+    pub(crate) pause: AtomicBool,
+    /// One per port, in [`PortSet`] slot order.
+    pub(crate) slots: Vec<PortSlot>,
 }
 
-impl Default for MultiPortConfig {
-    fn default() -> Self {
-        MultiPortConfig {
-            shards: 2,
-            ring_capacity: 1024,
-            egress_batching: true,
-            classifier: Classifier::new(),
-        }
-    }
+/// One port dispatcher's shared face.
+pub(crate) struct PortSlot {
+    /// The port's id, for the control side's diagnostics.
+    pub(crate) port: u32,
+    /// Set while the dispatcher sits at the remap barrier.
+    pub(crate) parked: AtomicBool,
+    /// Packets published to each shard's ring, stored (`Release`, after the
+    /// publishing flush) when the dispatcher parks and when it exits — the
+    /// two points the control side reads them.
+    dispatched_to: Vec<AtomicU64>,
 }
 
-/// Final accounting returned by [`MultiPortSwitch::shutdown`].
-#[derive(Debug, Clone)]
-pub struct MultiPortReport {
-    /// Frames handed to the ring matrix across all port dispatchers.
-    pub dispatched: u64,
-    /// Per-shard processed totals, indexed by shard.
-    pub per_shard: Vec<netdev::CounterSnapshot>,
-    /// Per-shard load telemetry (busy time, bursts, egress batching).
-    pub load_per_shard: Vec<LoadSnapshot>,
-    /// Controller-bound verdicts observed (counted, not forwarded — this
-    /// runtime has no reactive channel).
-    pub controller_punts: u64,
-    /// The indirection-table epoch at shutdown.
-    pub epoch: u64,
-}
-
-/// Shared flags coordinating the dispatcher/worker threads.
-struct Shared {
-    /// Dispatchers stop polling RX and drain out.
-    stop_dispatch: AtomicBool,
-    /// Workers exit once their rings run dry.
-    stop_workers: AtomicBool,
-    /// Remap barrier: dispatchers park between bursts while set.
-    pause: AtomicBool,
-}
-
-/// One ingress dispatcher thread's shared face.
-struct DispatcherSlot {
-    /// Frames published to the ring matrix so far (monotonic; `Release`
-    /// after the publishing flush, so the quiesce wait's `Acquire` read
-    /// observes the published packets).
-    dispatched: AtomicU64,
-    /// Set while the dispatcher is parked at the remap barrier.
-    parked: AtomicBool,
-}
-
-/// The multi-port switch: one dispatcher thread per ingress port, one
-/// worker thread per shard, wired by a strictly-SPSC ring matrix.
-pub struct MultiPortSwitch {
-    shared: Arc<Shared>,
-    remap: Arc<RemapShared>,
-    slots: Vec<Arc<DispatcherSlot>>,
-    stats: Vec<Arc<Counters>>,
-    loads: Vec<Arc<ShardLoad>>,
-    punts: Vec<Arc<AtomicU64>>,
-    dispatchers: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    epoch: u64,
-}
-
-impl MultiPortSwitch {
-    /// Compiles `pipeline`, spawns one dispatcher per port in `ports` and
-    /// one worker per shard, and starts forwarding.
-    pub fn launch(
-        spec: BackendSpec,
-        pipeline: Pipeline,
-        config: MultiPortConfig,
-        ports: Arc<PortSet>,
-    ) -> Result<MultiPortSwitch, CompileError> {
-        Self::launch_with_sink(spec, pipeline, config, ports, None)
-    }
-
-    /// [`MultiPortSwitch::launch`] with a per-verdict observer (testing
-    /// hook). The sink runs *before* the shard's processed counter advances
-    /// past the burst, so the remap barrier's quiesce wait observes every
-    /// sink effect of every pre-remap packet.
-    pub fn launch_with_sink(
-        spec: BackendSpec,
-        pipeline: Pipeline,
-        config: MultiPortConfig,
-        ports: Arc<PortSet>,
-        sink: Option<VerdictSink>,
-    ) -> Result<MultiPortSwitch, CompileError> {
-        assert!(!ports.is_empty(), "a multi-port switch needs ports");
-        let shards = config.shards.max(1);
-        let state = spec.compile_state(&pipeline)?;
-        let shared = Arc::new(Shared {
-            stop_dispatch: AtomicBool::new(false),
-            stop_workers: AtomicBool::new(false),
+impl Ingress {
+    pub(crate) fn new(ports: &PortSet, shards: usize) -> Ingress {
+        let slot = |port: &Arc<Port>| PortSlot {
+            port: port.id(),
+            parked: AtomicBool::new(false),
+            dispatched_to: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+        };
+        Ingress {
+            stop: AtomicBool::new(false),
             pause: AtomicBool::new(false),
-        });
-        let remap = Arc::new(RemapShared::new(shards));
-
-        // The ring matrix: matrix[port][shard], each strictly SPSC (one
-        // dispatcher produces, one worker consumes).
-        let matrix: Vec<Vec<Arc<SpscRing<Packet>>>> = (0..ports.len())
-            .map(|_| {
-                (0..shards)
-                    .map(|_| Arc::new(SpscRing::new(config.ring_capacity)))
-                    .collect()
-            })
-            .collect();
-
-        let stats: Vec<_> = (0..shards).map(|_| Arc::new(Counters::default())).collect();
-        let loads: Vec<_> = (0..shards)
-            .map(|_| Arc::new(ShardLoad::default()))
-            .collect();
-        let punts: Vec<_> = (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
-
-        // Worker threads: shard s exclusively consumes matrix column s.
-        let port_list: Vec<Arc<Port>> = ports.iter().map(Arc::clone).collect();
-        let workers = (0..shards)
-            .map(|s| {
-                let column: Vec<_> = matrix.iter().map(|row| Arc::clone(&row[s])).collect();
-                let mut worker = Worker {
-                    shard: s,
-                    backend: spec.replica(&state),
-                    column,
-                    ports: port_list.clone(),
-                    egress_batching: config.egress_batching,
-                    stats: Arc::clone(&stats[s]),
-                    recorder: LoadRecorder::new(Arc::clone(&loads[s])),
-                    punts: Arc::clone(&punts[s]),
-                    sink: sink.clone(),
-                    shared: Arc::clone(&shared),
-                };
-                std::thread::Builder::new()
-                    .name(format!("mp-shard-{s}"))
-                    .spawn(move || worker.run())
-                    .expect("spawn worker")
-            })
-            .collect();
-
-        // Dispatcher threads: one per ingress port, each the sole producer
-        // of its matrix row.
-        let slots: Vec<_> = (0..ports.len())
-            .map(|_| {
-                Arc::new(DispatcherSlot {
-                    dispatched: AtomicU64::new(0),
-                    parked: AtomicBool::new(false),
-                })
-            })
-            .collect();
-        let dispatchers = matrix
-            .into_iter()
-            .zip(port_list.iter())
-            .zip(slots.iter())
-            .map(|((row, port), slot)| {
-                let mut dispatcher = PortDispatcher {
-                    port: Arc::clone(port),
-                    rss: RssDispatcher::new(row).with_reader(Arc::clone(&remap)),
-                    classifier: config.classifier.clone(),
-                    shards,
-                    slot: Arc::clone(slot),
-                    shared: Arc::clone(&shared),
-                };
-                std::thread::Builder::new()
-                    .name(format!("mp-port-{}", port.id()))
-                    .spawn(move || dispatcher.run())
-                    .expect("spawn dispatcher")
-            })
-            .collect();
-
-        Ok(MultiPortSwitch {
-            shared,
-            remap,
-            slots,
-            stats,
-            loads,
-            punts,
-            dispatchers,
-            workers,
-            epoch: 0,
-        })
-    }
-
-    /// Frames published to the ring matrix so far, across all ports.
-    pub fn dispatched(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| s.dispatched.load(Ordering::Acquire))
-            .sum()
-    }
-
-    /// Packets fully processed (verdict delivered, egress flushed), across
-    /// all shards.
-    pub fn processed(&self) -> u64 {
-        self.stats.iter().map(|c| c.packets()).sum()
-    }
-
-    /// Per-shard processed counters, indexed by shard.
-    pub fn shard_stats(&self) -> Vec<netdev::CounterSnapshot> {
-        self.stats.iter().map(|c| c.snapshot()).collect()
-    }
-
-    /// Per-shard load telemetry snapshots, indexed by shard.
-    pub fn shard_loads(&self) -> Vec<LoadSnapshot> {
-        self.loads.iter().map(|l| l.snapshot()).collect()
-    }
-
-    /// The current indirection table (diagnostics / tests).
-    pub fn table(&self) -> Arc<RemapTable> {
-        self.remap.load()
-    }
-
-    /// Re-homes flow bucket `bucket` to shard `to` across *every* ingress
-    /// port at once, via a barrier quiesce:
-    ///
-    /// 1. every dispatcher parks between bursts (staged packets flushed),
-    /// 2. the workers drain the whole matrix (`processed == dispatched` —
-    ///    and because sink calls and egress flushes happen before the
-    ///    processed counter advances, every pre-remap packet is fully
-    ///    observed),
-    /// 3. the new table publishes through the shared epoch slot,
-    /// 4. the dispatchers resume; their next dispatch picks up the epoch.
-    ///
-    /// No conntrack state migrates — this runtime is stateless by design
-    /// (see the module docs); in-flow ordering still holds because the old
-    /// owner finished everything before the new owner sees a packet.
-    pub fn remap_bucket(&mut self, bucket: usize, to: usize) {
-        assert!(to < self.stats.len(), "target shard out of range");
-        self.shared.pause.store(true, Ordering::Release);
-        for slot in &self.slots {
-            while !slot.parked.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
+            slots: ports.iter().map(slot).collect(),
         }
-        while self.processed() < self.dispatched() {
-            std::thread::yield_now();
-        }
-        let table = self.remap.load().with_owner(bucket, to);
-        self.epoch += 1;
-        self.remap.publish(self.epoch, Arc::new(table));
-        self.shared.pause.store(false, Ordering::Release);
     }
 
-    /// Stops dispatch, drains the matrix to a fixpoint, joins every thread
-    /// and returns the final accounting.
-    pub fn shutdown(mut self) -> MultiPortReport {
-        // Phase 1: dispatchers drain their ports' RX queues and exit.
-        self.shared.stop_dispatch.store(true, Ordering::Release);
-        for handle in self.dispatchers.drain(..) {
-            handle.join().expect("dispatcher panicked");
-        }
-        // Phase 2: workers drain the matrix until everything dispatched is
-        // processed, then exit.
-        while self.processed() < self.dispatched() {
-            std::thread::yield_now();
-        }
-        self.shared.stop_workers.store(true, Ordering::Release);
-        for handle in self.workers.drain(..) {
-            handle.join().expect("worker panicked");
-        }
-        MultiPortReport {
-            dispatched: self.dispatched(),
-            per_shard: self.shard_stats(),
-            load_per_shard: self.shard_loads(),
-            controller_punts: self.punts.iter().map(|p| p.load(Ordering::Acquire)).sum(),
-            epoch: self.epoch,
-        }
+    /// Packets the port dispatchers published to `shard`, as of their last
+    /// park or exit.
+    pub(crate) fn dispatched_to(&self, shard: usize) -> u64 {
+        let to_shard = |slot: &PortSlot| slot.dispatched_to[shard].load(Ordering::Acquire);
+        self.slots.iter().map(to_shard).sum()
     }
 }
 
 /// One ingress port's dispatcher: polls RX, classifies, steers into its
 /// matrix row.
-struct PortDispatcher {
-    port: Arc<Port>,
-    rss: RssDispatcher,
-    classifier: Classifier,
-    shards: usize,
-    slot: Arc<DispatcherSlot>,
-    shared: Arc<Shared>,
+pub(crate) struct PortDispatcher {
+    pub(crate) port: Arc<Port>,
+    /// This port's index in [`Ingress::slots`].
+    pub(crate) slot: usize,
+    pub(crate) rss: RssDispatcher,
+    pub(crate) classifier: Classifier,
+    pub(crate) ingress: Arc<Ingress>,
 }
 
 impl PortDispatcher {
-    fn run(&mut self) {
+    pub(crate) fn run(mut self) {
+        let ingress = Arc::clone(&self.ingress);
+        let slot = &ingress.slots[self.slot];
         let mut burst: Vec<Packet> = Vec::with_capacity(BURST_SIZE);
-        loop {
-            if self.shared.stop_dispatch.load(Ordering::Acquire) {
-                break;
-            }
-            if self.shared.pause.load(Ordering::Acquire) {
-                self.publish();
-                self.slot.parked.store(true, Ordering::Release);
-                while self.shared.pause.load(Ordering::Acquire)
-                    && !self.shared.stop_dispatch.load(Ordering::Acquire)
+        while !ingress.stop.load(Ordering::Acquire) {
+            if ingress.pause.load(Ordering::Acquire) {
+                self.publish(slot);
+                slot.parked.store(true, Ordering::Release);
+                while ingress.pause.load(Ordering::Acquire) && !ingress.stop.load(Ordering::Acquire)
                 {
                     std::thread::yield_now();
                 }
-                self.slot.parked.store(false, Ordering::Release);
-                continue;
-            }
-            if self.port.rx_burst_into(&mut burst, BURST_SIZE) == 0 {
-                self.publish();
+                slot.parked.store(false, Ordering::Release);
+            } else if self.port.rx_burst_into(&mut burst, BURST_SIZE) == 0 {
                 std::thread::yield_now();
-                continue;
+            } else {
+                self.steer(&mut burst);
+                self.rss.flush();
             }
-            self.steer(&mut burst);
-            self.publish();
         }
         // Shutdown drain: everything already injected must reach the matrix.
-        loop {
-            if self.port.rx_burst_into(&mut burst, BURST_SIZE) == 0 {
-                break;
-            }
+        while self.port.rx_burst_into(&mut burst, BURST_SIZE) > 0 {
             self.steer(&mut burst);
         }
-        self.publish();
+        self.publish(slot);
     }
 
     /// Classifies and dispatches one received burst.
@@ -392,170 +133,166 @@ impl PortDispatcher {
         for packet in burst.drain(..) {
             match self.classifier.classify(in_port, packet.data()) {
                 ClassifyAction::Steer(shard) => {
-                    self.rss.dispatch_steered(shard % self.shards, packet);
+                    self.rss.dispatch_steered(shard % self.rss.shards(), packet);
                 }
                 ClassifyAction::Hash => self.rss.dispatch(packet),
             }
         }
     }
 
-    /// Flushes staged packets to the rings and publishes the dispatched
-    /// count for the quiesce waits.
-    fn publish(&mut self) {
+    /// Flushes staged packets to the rings, then publishes the per-shard
+    /// dispatch counts the control side's quiesce and drain waits cover.
+    fn publish(&mut self, slot: &PortSlot) {
         self.rss.flush();
-        self.slot
-            .dispatched
-            .store(self.rss.dispatched(), Ordering::Release);
+        for (shared, count) in slot.dispatched_to.iter().zip(self.rss.dispatched_to()) {
+            shared.store(*count, Ordering::Release);
+        }
     }
 }
 
-/// One shard's worker: drains its matrix column, processes bursts through
-/// the replica, and egresses verdict outputs with vectored TX.
-struct Worker {
-    shard: usize,
-    backend: Box<dyn crate::backend::ShardBackend>,
-    /// This shard's matrix column: one ring per ingress port.
-    column: Vec<Arc<SpscRing<Packet>>>,
-    /// All ports, in [`PortSet`] insertion order; egress staging is indexed
-    /// by position in this list.
-    ports: Vec<Arc<Port>>,
-    egress_batching: bool,
-    stats: Arc<Counters>,
-    recorder: LoadRecorder,
-    punts: Arc<AtomicU64>,
-    sink: Option<VerdictSink>,
-    shared: Arc<Shared>,
+/// One worker's egress stage: verdict outputs staged per destination port,
+/// flushed with one vectored TX per port per drain pass.
+pub(crate) struct Egress {
+    ports: Arc<PortSet>,
+    /// The owning shard's counters: undeliverable outputs are dropped here.
+    stats: Arc<ShardStats>,
+    /// Frames awaiting the flush, indexed by [`PortSet`] slot.
+    staged: Vec<Vec<Packet>>,
+    /// Reused per-verdict scratch: the slots one verdict fans out to.
+    emit: Vec<usize>,
 }
 
-impl Worker {
-    fn run(&mut self) {
-        let mut batch: Vec<Packet> = Vec::with_capacity(BURST_SIZE);
-        let mut verdicts: Vec<Verdict> = Vec::with_capacity(BURST_SIZE);
-        let mut staged: Vec<Vec<Packet>> = self
-            .ports
-            .iter()
-            .map(|_| Vec::with_capacity(BURST_SIZE))
-            .collect();
-        // Reused per-packet scratch: indices (into `ports`) of the
-        // destinations one verdict fans out to.
-        let mut emit: Vec<usize> = Vec::with_capacity(self.ports.len());
-        let mut no_ct = NoCt;
-        loop {
-            let mut pass_packets = 0u64;
-            let mut pass_bytes = 0u64;
-            for ring in &self.column {
-                batch.clear();
-                let popped = ring.pop_burst(&mut batch, BURST_SIZE);
-                if popped == 0 {
-                    continue;
-                }
-                let queued_behind = ring.len() as u64;
-                let start = Instant::now();
-                self.backend
-                    .process_batch_into(&mut batch, &mut verdicts, &mut no_ct);
-                for (packet, verdict) in batch.drain(..).zip(verdicts.iter()) {
-                    if let Some(sink) = &self.sink {
-                        sink(self.shard, &packet, verdict);
-                    }
-                    pass_packets += 1;
-                    pass_bytes += packet.len() as u64;
-                    self.route(packet, verdict, &mut staged, &mut emit);
-                }
-                self.recorder.record_burst(
-                    start.elapsed().as_nanos() as u64,
-                    popped as u64,
-                    popped as u64 + queued_behind,
-                );
-            }
-            if pass_packets > 0 {
-                if self.egress_batching {
-                    for (idx, buffer) in staged.iter_mut().enumerate() {
-                        if !buffer.is_empty() {
-                            let frames = buffer.len() as u64;
-                            self.ports[idx].tx_burst(buffer);
-                            self.recorder.record_egress(frames);
-                        }
-                    }
-                }
-                // Advance the processed counter only after the sink calls
-                // and the egress flush: the quiesce waits key off this.
-                self.stats.record_batch(pass_packets, pass_bytes);
-            } else {
-                if self.shared.stop_workers.load(Ordering::Acquire) {
-                    break;
-                }
-                std::thread::yield_now();
-            }
+impl Egress {
+    pub(crate) fn new(ports: Arc<PortSet>, stats: Arc<ShardStats>) -> Egress {
+        Egress {
+            staged: ports
+                .iter()
+                .map(|_| Vec::with_capacity(BURST_SIZE))
+                .collect(),
+            emit: Vec::with_capacity(ports.len()),
+            ports,
+            stats,
         }
-        self.recorder.flush();
     }
 
-    /// Resolves one verdict into destination ports and either stages the
-    /// frame (batched egress) or transmits it immediately (per-packet
-    /// baseline). Single-destination verdicts move the packet; fan-out
-    /// clones per extra destination.
-    fn route(
-        &self,
-        packet: Packet,
-        verdict: &Verdict,
-        staged: &mut [Vec<Packet>],
-        emit: &mut Vec<usize>,
-    ) {
-        if verdict.to_controller {
-            self.punts.fetch_add(1, Ordering::Release);
-        }
-        emit.clear();
-        if verdict.flood {
-            self.fan_flood(packet.in_port, emit);
-        }
-        for &out in verdict.outputs.as_slice() {
-            match out {
-                PORT_DROP | PORT_CONTROLLER => {}
-                PORT_FLOOD => self.fan_flood(packet.in_port, emit),
-                PORT_IN_PORT => self.push_port(packet.in_port, emit),
-                id => self.push_port(id, emit),
+    /// Resolves each verdict of a processed burst into destination ports and
+    /// stages the frames, draining `burst`. Single-destination verdicts move
+    /// the packet; fan-out clones per extra destination.
+    pub(crate) fn route(&mut self, burst: &mut Vec<Packet>, verdicts: &[Verdict]) {
+        for (packet, verdict) in burst.drain(..).zip(verdicts) {
+            self.emit.clear();
+            if verdict.flood {
+                self.fan_flood(packet.in_port);
+            }
+            for &out in verdict.outputs.as_slice() {
+                match out {
+                    PORT_DROP | PORT_CONTROLLER => {}
+                    PORT_FLOOD => self.fan_flood(packet.in_port),
+                    PORT_IN_PORT => self.push_port(packet.in_port),
+                    id => self.push_port(id),
+                }
+            }
+            if let Some((&last, rest)) = self.emit.split_last() {
+                for &slot in rest {
+                    self.staged[slot].push(packet.clone());
+                }
+                self.staged[last].push(packet);
             }
         }
-        let Some((&last, rest)) = emit.split_last() else {
-            return;
-        };
-        for &idx in rest {
-            self.emit_frame(packet.clone(), idx, staged);
+    }
+
+    /// Transmits every staged frame, one `tx_burst` per port that has any.
+    /// Called once per drain pass, before the processed counter advances.
+    pub(crate) fn flush(&mut self, recorder: &mut LoadRecorder) {
+        for (port, frames) in self.ports.iter().zip(&mut self.staged) {
+            if !frames.is_empty() {
+                recorder.record_egress(frames.len() as u64);
+                port.tx_burst(frames);
+            }
         }
-        self.emit_frame(packet, last, staged);
     }
 
     /// Appends every port except the ingress one to `emit`.
-    fn fan_flood(&self, in_port: u32, emit: &mut Vec<usize>) {
-        for (idx, port) in self.ports.iter().enumerate() {
-            if port.id() != in_port {
-                emit.push(idx);
-            }
-        }
+    fn fan_flood(&mut self, in_port: u32) {
+        let ingress = self.ports.slot(in_port);
+        let others = (0..self.staged.len()).filter(|slot| Some(*slot) != ingress);
+        self.emit.extend(others);
     }
 
-    /// Appends the position of port `id` to `emit`; unknown ids are dropped
-    /// silently (the pipeline referenced a port this switch doesn't have).
-    fn push_port(&self, id: u32, emit: &mut Vec<usize>) {
-        if let Some(idx) = self.ports.iter().position(|p| p.id() == id) {
-            emit.push(idx);
+    /// Appends port `id`'s slot to `emit`. An id the switch has no port for
+    /// (the pipeline names a port that was never attached) cannot be
+    /// delivered: the output is counted on the shard's drop counter.
+    fn push_port(&mut self, id: u32) {
+        match self.ports.slot(id) {
+            Some(slot) => self.emit.push(slot),
+            None => self.stats.processed.record_drop(),
         }
     }
+}
 
-    /// Hands one frame to destination `idx`: staged for the vectored flush,
-    /// or transmitted immediately in per-packet mode.
-    fn emit_frame(&self, frame: Packet, idx: usize, staged: &mut [Vec<Packet>]) {
-        if self.egress_batching {
-            staged[idx].push(frame);
-        } else {
-            self.ports[idx].tx(frame);
+/// Launch knobs of the [`MultiPortSwitch`] shim.
+#[derive(Clone)]
+pub struct MultiPortConfig {
+    /// Number of worker shards ([`ShardedConfig::workers`]).
+    pub shards: usize,
+    /// Per-ring capacity in packets ([`ShardedConfig::ring_capacity`]).
+    pub ring_capacity: usize,
+    /// The pre-shard match program ([`LaunchParts::ports`]).
+    pub classifier: Classifier,
+}
+
+impl Default for MultiPortConfig {
+    fn default() -> Self {
+        MultiPortConfig {
+            shards: 2,
+            ring_capacity: 1024,
+            classifier: Classifier::new(),
         }
+    }
+}
+
+/// The pre-unification names of a port-attached launch, forwarding to
+/// [`ShardedSwitch::launch_with`]. Its only caller is `benchmark/src/sut.rs`,
+/// which is frozen outside benchmark PRs; the benchmark PR that re-binds that
+/// file deletes this shim.
+pub struct MultiPortSwitch(ShardedSwitch, RssDispatcher);
+
+impl MultiPortSwitch {
+    /// [`ShardedSwitch::launch_with`] over `ports`.
+    pub fn launch(
+        spec: BackendSpec,
+        pipeline: Pipeline,
+        config: MultiPortConfig,
+        ports: Arc<PortSet>,
+    ) -> Result<MultiPortSwitch, CompileError> {
+        let sharded = ShardedConfig {
+            workers: config.shards,
+            ring_capacity: config.ring_capacity,
+            ..ShardedConfig::default()
+        };
+        let parts = LaunchParts {
+            ports: Some((ports, config.classifier)),
+            ..LaunchParts::default()
+        };
+        let (switch, dispatcher) = ShardedSwitch::launch_with(spec, pipeline, sharded, parts)?;
+        Ok(MultiPortSwitch(switch, dispatcher))
+    }
+
+    /// Packets fully processed (egress flushed), across all shards.
+    pub fn processed(&self) -> u64 {
+        self.0.stats().packets
+    }
+
+    /// [`ShardedSwitch::shutdown`].
+    pub fn shutdown(self) -> ShutdownReport {
+        self.0.shutdown(self.1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::VerdictSink;
     use openflow::flow_match::FlowMatch;
     use openflow::instruction::terminal_actions;
     use openflow::{Action, Field, FlowEntry};
@@ -584,19 +321,30 @@ mod tests {
             .build()
     }
 
+    /// A port-attached ESWITCH launch of `pipeline` over `ports`.
+    fn launch(
+        pipeline: Pipeline,
+        ports: &Arc<PortSet>,
+        workers: usize,
+        classifier: Classifier,
+        sink: Option<VerdictSink>,
+    ) -> (ShardedSwitch, RssDispatcher) {
+        let config = ShardedConfig {
+            workers,
+            ..ShardedConfig::default()
+        };
+        let parts = LaunchParts {
+            ports: Some((Arc::clone(ports), classifier)),
+            sink,
+            ..LaunchParts::default()
+        };
+        ShardedSwitch::launch_with(BackendSpec::eswitch(), pipeline, config, parts).unwrap()
+    }
+
     #[test]
     fn forwards_across_ports_and_shards() {
         let ports = Arc::new(PortSet::with_ports(4));
-        let switch = MultiPortSwitch::launch(
-            BackendSpec::eswitch(),
-            port_pipeline(4),
-            MultiPortConfig {
-                shards: 2,
-                ..MultiPortConfig::default()
-            },
-            Arc::clone(&ports),
-        )
-        .unwrap();
+        let (switch, dispatcher) = launch(port_pipeline(4), &ports, 2, Classifier::new(), None);
         let mut injected = 0u64;
         for src in 0..256u16 {
             let port = ports.get(u32::from(src % 4)).unwrap();
@@ -604,14 +352,14 @@ mod tests {
                 injected += 1;
             }
         }
-        let report = switch.shutdown();
+        let report = switch.shutdown(dispatcher);
         assert_eq!(report.dispatched, injected);
-        let processed: u64 = report.per_shard.iter().map(|s| s.packets).sum();
-        assert_eq!(processed, injected);
+        assert_eq!(report.processed.packets, injected);
         // Every flow maps to some output port; drops only come from the
         // catch-all, which none of these flows hit.
         let egressed: u64 = ports.iter().map(|p| p.stats().tx.packets()).sum();
         assert_eq!(egressed, injected);
+        assert_eq!(report.processed.drops, 0);
         // Both shards saw work (256 flows over 2 shards).
         assert!(report.per_shard.iter().all(|s| s.packets > 0));
         // Batched egress actually batched.
@@ -619,34 +367,6 @@ mod tests {
         let frames: u64 = report.load_per_shard.iter().map(|l| l.egress_frames).sum();
         assert_eq!(frames, injected);
         assert!(flushes > 0 && flushes < frames, "no batching realised");
-    }
-
-    #[test]
-    fn per_packet_mode_still_forwards() {
-        let ports = Arc::new(PortSet::with_ports(2));
-        let switch = MultiPortSwitch::launch(
-            BackendSpec::eswitch(),
-            port_pipeline(2),
-            MultiPortConfig {
-                shards: 2,
-                egress_batching: false,
-                ..MultiPortConfig::default()
-            },
-            Arc::clone(&ports),
-        )
-        .unwrap();
-        for src in 0..64u16 {
-            assert!(ports
-                .get(u32::from(src % 2))
-                .unwrap()
-                .inject(flow_packet(src, src)));
-        }
-        let report = switch.shutdown();
-        assert_eq!(report.dispatched, 64);
-        let egressed: u64 = ports.iter().map(|p| p.stats().tx.packets()).sum();
-        assert_eq!(egressed, 64);
-        let flushes: u64 = report.load_per_shard.iter().map(|l| l.egress_flushes).sum();
-        assert_eq!(flushes, 0, "per-packet mode must not report egress flushes");
     }
 
     #[test]
@@ -664,24 +384,13 @@ mod tests {
             netdev::MatchSpec::any().ip_proto(6).l4_dst(6653),
             ClassifyAction::Steer(3),
         );
-        let switch = MultiPortSwitch::launch_with_sink(
-            BackendSpec::eswitch(),
-            port_pipeline(2),
-            MultiPortConfig {
-                shards: 4,
-                classifier,
-                ..MultiPortConfig::default()
-            },
-            Arc::clone(&ports),
-            Some(sink),
-        )
-        .unwrap();
+        let (switch, dispatcher) = launch(port_pipeline(2), &ports, 4, classifier, Some(sink));
         for src in 0..128u16 {
             let port = ports.get(u32::from(src % 2)).unwrap();
             assert!(port.inject(PacketBuilder::tcp().tcp_dst(6653).tcp_src(src).build()));
             assert!(port.inject(flow_packet(src, src)));
         }
-        switch.shutdown();
+        switch.shutdown(dispatcher);
         let seen = seen.lock().unwrap();
         let steered: Vec<_> = seen.iter().filter(|(_, dst)| *dst == 6653).collect();
         assert_eq!(steered.len(), 128);
@@ -700,16 +409,7 @@ mod tests {
         use conntrack::bucket_of;
 
         let ports = Arc::new(PortSet::with_ports(2));
-        let mut switch = MultiPortSwitch::launch(
-            BackendSpec::eswitch(),
-            port_pipeline(2),
-            MultiPortConfig {
-                shards: 2,
-                ..MultiPortConfig::default()
-            },
-            Arc::clone(&ports),
-        )
-        .unwrap();
+        let (switch, mut dispatcher) = launch(port_pipeline(2), &ports, 2, Classifier::new(), None);
         // The RSS hash covers `in_port`, so the same frame arriving on
         // different ports occupies different buckets — pin them all to one
         // shard (as the rebalancer would when re-homing a hot flow group).
@@ -721,23 +421,83 @@ mod tests {
             })
             .collect();
         buckets.dedup();
-        let target = 1 - switch.table().owner(buckets[0]);
-        let mut epochs = 0;
+        let target = 1 - dispatcher.table().owner(buckets[0]);
+        let mut remaps = 0;
         for &bucket in &buckets {
-            if switch.table().owner(bucket) != target {
-                switch.remap_bucket(bucket, target);
-                epochs += 1;
+            if dispatcher.table().owner(bucket) != target {
+                dispatcher.remap_bucket(bucket, target);
+                remaps += 1;
             }
-            assert_eq!(switch.table().owner(bucket), target);
+            assert_eq!(dispatcher.table().owner(bucket), target);
         }
         // Traffic injected after the remap lands on the new owner via every
         // ingress port.
         for port in ports.iter() {
             assert!(port.inject(flow_packet(0, 7)));
         }
-        let report = switch.shutdown();
-        assert_eq!(report.epoch, epochs);
+        let report = switch.shutdown(dispatcher);
+        assert_eq!(report.remaps, remaps);
         assert_eq!(report.per_shard[target].packets, 2);
         assert_eq!(report.per_shard[1 - target].packets, 0);
+    }
+
+    #[test]
+    fn output_to_a_port_the_switch_lacks_is_a_counted_drop() {
+        let mut pipeline = Pipeline::with_tables(1);
+        pipeline.table_mut(0).unwrap().insert(FlowEntry::new(
+            FlowMatch::any(),
+            1,
+            terminal_actions(vec![Action::Output(99)]),
+        ));
+        let ports = Arc::new(PortSet::with_ports(2));
+        let (switch, dispatcher) = launch(pipeline, &ports, 2, Classifier::new(), None);
+        assert!(ports.get(0).unwrap().inject(flow_packet(0, 7)));
+        let report = switch.shutdown(dispatcher);
+        assert_eq!(report.processed.packets, 1);
+        let drops: Vec<u64> = report.per_shard.iter().map(|s| s.drops).collect();
+        assert_eq!(drops.iter().sum::<u64>(), 1, "{drops:?}");
+        assert!(ports.iter().all(|port| port.tx_pending() == 0));
+    }
+
+    #[test]
+    fn dropping_the_switch_stops_every_thread() {
+        let ports = Arc::new(PortSet::with_ports(2));
+        let (switch, dispatcher) = launch(port_pipeline(2), &ports, 2, Classifier::new(), None);
+        for src in 0..64u16 {
+            assert!(ports
+                .get(u32::from(src % 2))
+                .unwrap()
+                .inject(flow_packet(src, src)));
+        }
+        // No shutdown: the drop alone must stop and join the two port
+        // dispatchers and the two workers, with the dispatcher (and its
+        // clones of the thread handles) still alive.
+        drop(switch);
+        drop(dispatcher);
+        // Each port dispatcher held its port, each worker's egress stage the
+        // set: once the threads are gone only this test's handles remain.
+        assert!(ports.iter().all(|port| Arc::strong_count(port) == 1));
+        assert_eq!(Arc::strong_count(&ports), 1);
+    }
+
+    #[test]
+    fn a_dead_worker_fails_shutdown_instead_of_hanging() {
+        let ports = Arc::new(PortSet::with_ports(2));
+        let sink: VerdictSink = Arc::new(|_, _, _| panic!("sink fault injected by the test"));
+        let (switch, dispatcher) =
+            launch(port_pipeline(2), &ports, 1, Classifier::new(), Some(sink));
+        for src in 0..8u16 {
+            assert!(ports
+                .get(u32::from(src % 2))
+                .unwrap()
+                .inject(flow_packet(src, src)));
+        }
+        let started = std::time::Instant::now();
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| switch.shutdown(dispatcher)));
+        let panic = outcome.expect_err("shutdown returned with a dead worker");
+        let message = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(message.contains("shard 0 worker died"), "{message}");
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
     }
 }

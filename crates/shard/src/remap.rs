@@ -15,10 +15,10 @@
 //!   every other bucket keep their shard, their cache residency and their
 //!   connection state.
 //! * [`RemapShared`] — an [`EpochSlot`] publishing the current table. The
-//!   main dispatcher is the sole writer; the controller workers' re-inject
-//!   dispatchers are readers that poll the epoch (one `Acquire` load) and
-//!   refresh at dispatch boundaries — no locks anywhere on the dispatch
-//!   path.
+//!   main dispatcher is the sole writer; the port dispatchers and the
+//!   controller workers' re-inject dispatchers are readers that poll the
+//!   epoch (one `Acquire` load) and refresh at dispatch boundaries — no
+//!   locks anywhere on the dispatch path.
 //! * [`RebalanceConfig`] / [`Rebalancer`] — detection and planning.
 //!   Detection runs on the per-shard busy-time telemetry
 //!   ([`crate::telemetry::ShardLoad`]): every `check_packets` dispatched
@@ -118,7 +118,7 @@ impl RemapTable {
 
 /// The shared publication point for the indirection table: an epoch-stamped
 /// slot with a one-`Acquire`-load staleness probe. The main dispatcher
-/// publishes; re-inject dispatchers and diagnostics read.
+/// publishes; port and re-inject dispatchers and diagnostics read.
 #[derive(Debug)]
 pub struct RemapShared {
     slot: EpochSlot<RemapTable>,

@@ -24,14 +24,18 @@
 //! [`RssDispatcher::dispatch_hashed`], mirroring the hardware split where
 //! the hash costs the host nothing.
 
+use std::fmt::Display;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use conntrack::{bucket_of, FLOW_BUCKETS};
+use netdev::sync::atomic::Ordering;
 use netdev::{fx_mix, SpscRing, BURST_SIZE};
 use openflow::ct::CtTuple;
 use pkt::{Packet, ProtoMask};
 
-use crate::remap::{BucketAck, RebalanceConfig, Rebalancer, RemapShared, RemapTable, ShardCmd};
+use crate::multiport::Ingress;
+use crate::remap::{BucketAck, Rebalancer, RemapShared, RemapTable, ShardCmd};
 use crate::runtime::ShardStats;
 use crate::telemetry::ShardLoad;
 
@@ -106,11 +110,16 @@ pub fn shard_of(hash: u64, shards: usize) -> usize {
     ((u128::from(hash) * shards as u128) >> 64) as usize
 }
 
+/// A runtime thread's handle, shared by the switch (which joins it) and its
+/// main dispatcher (whose waits check it is still alive).
+pub(crate) type Thread = Arc<JoinHandle<()>>;
+
 /// The elastic-scheduling side of a launched main dispatcher: the shared
 /// table slot it publishes remaps through, the per-shard command/ack rings
 /// the quiesce handshake rides on, the per-shard stats (the quiesce
-/// progress signal) and load telemetry (the rebalance trigger), and the
-/// optional rebalancer.
+/// progress signal) and load telemetry (the rebalance trigger), the optional
+/// rebalancer, and the threads its waits depend on — the workers and, on a
+/// port-attached launch, the port dispatchers it parks.
 pub(crate) struct Elastic {
     pub(crate) shared: Arc<RemapShared>,
     pub(crate) cmd: Vec<Arc<SpscRing<ShardCmd>>>,
@@ -119,6 +128,10 @@ pub(crate) struct Elastic {
     pub(crate) loads: Vec<Arc<ShardLoad>>,
     pub(crate) rebalancer: Option<Rebalancer>,
     pub(crate) remaps: u64,
+    /// Worker threads, indexed by shard.
+    pub(crate) workers: Vec<Thread>,
+    /// The port dispatchers' shared face and threads, in slot order.
+    pub(crate) ingress: Option<(Arc<Ingress>, Vec<Thread>)>,
 }
 
 /// The single producer feeding every worker ring.
@@ -191,29 +204,12 @@ impl RssDispatcher {
     }
 
     /// Writer role: arm the elastic machinery (the launched main
-    /// dispatcher). `rebalance` enables the automatic rebalancer;
+    /// dispatcher). A rebalancer in it enables automatic rebalancing;
     /// [`RssDispatcher::remap_bucket`] works either way.
-    pub(crate) fn with_elastic(
-        mut self,
-        shared: Arc<RemapShared>,
-        cmd: Vec<Arc<SpscRing<ShardCmd>>>,
-        ack: Vec<Arc<SpscRing<BucketAck>>>,
-        stats: Vec<Arc<ShardStats>>,
-        loads: Vec<Arc<ShardLoad>>,
-        rebalance: Option<RebalanceConfig>,
-    ) -> Self {
-        self.table = shared.load();
-        self.table_epoch = shared.epoch();
-        let shards = self.rings.len();
-        self.elastic = Some(Elastic {
-            shared,
-            cmd,
-            ack,
-            stats,
-            loads,
-            rebalancer: rebalance.map(|config| Rebalancer::new(config, shards)),
-            remaps: 0,
-        });
+    pub(crate) fn with_elastic(mut self, elastic: Elastic) -> Self {
+        self.table = elastic.shared.load();
+        self.table_epoch = elastic.shared.epoch();
+        self.elastic = Some(elastic);
         self
     }
 
@@ -231,6 +227,11 @@ impl RssDispatcher {
     /// published).
     pub fn dispatched(&self) -> u64 {
         self.dispatched
+    }
+
+    /// Packets handed to each shard so far (staged or published).
+    pub(crate) fn dispatched_to(&self) -> &[u64] {
+        &self.dispatched_to
     }
 
     /// Bucket remaps executed so far (manual and rebalancer-driven).
@@ -322,13 +323,16 @@ impl RssDispatcher {
     /// Moves flow bucket `bucket` to shard `to`, running the full quiesce
     /// handshake so the move is invisible to every flow it carries:
     ///
-    /// 1. **Flush + quiesce the old owner** — its staged packets are
-    ///    published and the dispatcher waits until the shard's processed
-    ///    counter reaches everything dispatched to it. The counter is
-    ///    advanced `Release` *after* the worker's sink calls and punt
-    ///    enqueues, so reaching the target proves every pre-move packet is
-    ///    fully observed — no packet of the bucket is left in the ring or
-    ///    mid-burst (in-flow ordering across the move).
+    /// 1. **Flush + quiesce the old owner** — every switch-owned port
+    ///    dispatcher parks at a burst boundary (staged packets flushed, its
+    ///    per-shard dispatch counts published; they stay parked until step 4
+    ///    completes), this dispatcher's staged packets are published, and it
+    ///    waits until the shard's processed counter reaches everything *any*
+    ///    of them dispatched to it. The counter is advanced `Release`
+    ///    *after* the worker's sink calls, punt enqueues and egress flush,
+    ///    so reaching the target proves every pre-move packet is fully
+    ///    observed — no packet of the bucket is left in a ring or mid-burst
+    ///    (in-flow ordering across the move).
     /// 2. **Export** — the old owner, strictly between bursts, drains the
     ///    bucket's connections and NAT allocators out of its engine,
     ///    invalidates its backend's cached entries for the moved flows
@@ -355,16 +359,25 @@ impl RssDispatcher {
             return;
         }
         // 1. Quiesce the old owner.
+        let elastic = self.elastic.as_ref().expect("asserted above");
+        if let Some((ingress, threads)) = &elastic.ingress {
+            ingress.pause.store(true, Ordering::Release);
+            for (slot, thread) in ingress.slots.iter().zip(threads) {
+                let mut idle = 0u32;
+                while !slot.parked.load(Ordering::Acquire) {
+                    let gone =
+                        format_args!("port {} dispatcher died; it will never park", slot.port);
+                    wait_on_thread(thread, &mut idle, gone);
+                }
+            }
+        }
         Self::publish(&self.rings[from], &mut self.staged[from]);
         self.wait_processed(from);
         // 2. Export the bucket's state.
-        let state = {
-            let elastic = self.elastic.as_ref().expect("asserted above");
-            Self::command(&elastic.cmd[from], ShardCmd::Export { bucket });
-            let ack = Self::await_ack(&elastic.ack[from]);
-            debug_assert_eq!(ack.bucket, bucket);
-            ack.state.expect("export ack carries the bucket state")
-        };
+        Self::command(&elastic.cmd[from], ShardCmd::Export { bucket });
+        let ack = Self::await_ack(&elastic.ack[from]);
+        debug_assert_eq!(ack.bucket, bucket);
+        let state = ack.state.expect("export ack carries the bucket state");
         // 3. Publish the remap.
         let next = Arc::new(self.table.with_owner(bucket, to));
         self.table_epoch += 1;
@@ -372,11 +385,15 @@ impl RssDispatcher {
         let elastic = self.elastic.as_mut().expect("asserted above");
         elastic.shared.publish(self.table_epoch, next);
         // 4. Import on the new owner; only after its ack may the bucket's
-        //    packets flow again (this method returns, dispatch resumes).
+        //    packets flow again (this method returns and the port
+        //    dispatchers are released: dispatch resumes).
         Self::command(&elastic.cmd[to], ShardCmd::Import { state });
         let ack = Self::await_ack(&elastic.ack[to]);
         debug_assert_eq!(ack.bucket, bucket);
         elastic.remaps += 1;
+        if let Some((ingress, _)) = &elastic.ingress {
+            ingress.pause.store(false, Ordering::Release);
+        }
     }
 
     /// Reader-role staleness check: one `Acquire` load; reload the table
@@ -420,15 +437,21 @@ impl RssDispatcher {
     }
 
     /// Blocks until `shard`'s processed counter covers everything this
-    /// dispatcher handed it. `Counters::record_batch` is `Release` and the
-    /// read here `Acquire`, so covering the count implies observing every
-    /// side effect (sink calls, punt enqueues) of every covered packet.
+    /// dispatcher — and every (parked) port dispatcher — handed it.
+    /// `Counters::record_batch` is `Release` and the read here `Acquire`, so
+    /// covering the count implies observing every side effect (sink calls,
+    /// punt enqueues, egress) of every covered packet.
     fn wait_processed(&self, shard: usize) {
         let elastic = self.elastic.as_ref().expect("elastic dispatcher");
-        let target = self.dispatched_to[shard];
+        let from_ports = elastic
+            .ingress
+            .as_ref()
+            .map_or(0, |(ingress, _)| ingress.dispatched_to(shard));
+        let target = self.dispatched_to[shard] + from_ports;
         let mut idle = 0u32;
         while elastic.stats[shard].processed.packets() < target {
-            wait_on_worker(&self.rings[shard], &mut idle, "quiescing would hang");
+            let gone = format_args!("shard {shard} worker died; quiescing would hang");
+            wait_on_thread(&elastic.workers[shard], &mut idle, gone);
         }
     }
 
@@ -477,6 +500,22 @@ fn wait_on_worker<T>(ring: &Arc<SpscRing<T>>, idle: &mut u32, otherwise: &str) {
     if *idle > 64 && Arc::strong_count(ring) == 1 {
         panic!("shard worker is gone; {otherwise}");
     }
+    backoff(idle);
+}
+
+/// One step of a control-side wait for progress only `thread` can make (a
+/// processed counter reaching a target, a dispatcher parking). A thread that
+/// has exited will never make it: panic with `gone`, which names it.
+pub(crate) fn wait_on_thread(thread: &JoinHandle<()>, idle: &mut u32, gone: impl Display) {
+    if thread.is_finished() {
+        panic!("{gone}");
+    }
+    backoff(idle);
+}
+
+/// Spin briefly, then yield: the thread waited on needs CPU time, and on an
+/// undersubscribed host yielding beats spinning.
+pub(crate) fn backoff(idle: &mut u32) {
     *idle += 1;
     if *idle < 16 {
         std::hint::spin_loop();

@@ -1,8 +1,15 @@
 //! The sharded switch runtime: worker shards, control plane, lifecycle.
 //!
-//! A [`ShardedSwitch`] owns N worker threads, each draining a private SPSC
-//! ring in 32-packet bursts through its datapath replica. The control plane
-//! lives on whichever thread calls [`ShardedSwitch::flow_mod`]: the flow-mod
+//! A [`ShardedSwitch`] owns N worker threads, each draining its *column* of
+//! SPSC ingress rings — one fed by the caller-owned [`RssDispatcher`], plus,
+//! on a port-attached launch ([`LaunchParts::ports`]), one per ingress port
+//! fed by that port's dispatcher thread — in 32-packet bursts through its
+//! datapath replica, and handing each verdict to its per-port egress stage
+//! ([`crate::multiport`]). The stages, in packet order: port ingress →
+//! classify/RSS → SPSC ring matrix → worker (backend + ct) → per-port
+//! egress. There is one worker loop whatever the launch attached.
+//!
+//! The control plane lives on whichever thread calls `flow_mod`: the flow-mod
 //! is applied to the canonical pipeline once, run through the shared §3.4
 //! update planner, and published as an epoch-stamped [`CompiledState`]
 //! behind an atomic `Arc` swap — an *incremental* epoch re-publishes the
@@ -20,9 +27,12 @@
 //!   post-update behaviour of one table,
 //! * a shard that is idle still converges to the newest epoch.
 //!
-//! Shutdown is drain-then-join: the dispatcher's staged packets are flushed,
-//! the shutdown flag is raised, and each worker exits only once its ring is
-//! observably empty — every dispatched packet is processed exactly once.
+//! Shutdown is drain-then-join: the port dispatchers steer what their ports
+//! still hold and exit, the caller's dispatcher is flushed, every dispatched
+//! packet is waited for, the shutdown flag is raised, and each worker exits
+//! once its column is observably empty — every dispatched packet is
+//! processed exactly once. Every control-side wait names the thread it
+//! depends on and fails loudly if that thread has died.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -38,7 +48,8 @@ use eswitch::reactive::{
     punt_signature, source_signature, IngressSnapshot, PuntAdmit, PuntGate, PuntPolicy,
 };
 use eswitch::update::{Absorbed, UpdateClass, UpdatePlanner};
-use netdev::{CounterSnapshot, Counters, SpscRing, BURST_SIZE};
+use netdev::classify::Classifier;
+use netdev::{CounterSnapshot, Counters, PortSet, SpscRing, BURST_SIZE};
 use openflow::ct::{ConnCtx, NoCt};
 use openflow::flow_match::FlowMatch;
 use openflow::flow_mod::{apply_flow_mod_undoable, FlowModEffect, FlowModError};
@@ -53,8 +64,11 @@ use pkt::Packet;
 use crate::backend::{BackendSpec, CompiledState};
 use crate::controller::{partition_of, ControllerWorker, Punt, ReactiveShared, ReactiveSnapshot};
 use crate::epoch::EpochSlot;
-use crate::remap::{exact_tuple_match, BucketAck, RebalanceConfig, RemapShared, ShardCmd};
-use crate::rss::RssDispatcher;
+use crate::multiport::{Egress, Ingress, PortDispatcher};
+use crate::remap::{
+    exact_tuple_match, BucketAck, RebalanceConfig, Rebalancer, RemapShared, ShardCmd,
+};
+use crate::rss::{backoff, wait_on_thread, Elastic, RssDispatcher, Thread};
 use crate::telemetry::{LoadRecorder, LoadSnapshot, ShardLoad};
 
 /// How the control plane turns an applied flow-mod into the next epoch.
@@ -414,10 +428,30 @@ pub struct ShardStats {
 /// sink effect of every pre-quiesce packet.
 pub type VerdictSink = Arc<dyn Fn(usize, &Packet, &Verdict) + Send + Sync>;
 
+/// The optional parts of a launch ([`ShardedSwitch::launch_with`]); the
+/// default attaches nothing and is [`ShardedSwitch::launch`].
+#[derive(Default)]
+pub struct LaunchParts {
+    /// The switch's ports and the pre-shard match program: every port gets
+    /// an ingress dispatcher thread and every worker an egress stage
+    /// ([`crate::multiport`]). The caller-owned dispatcher still feeds the
+    /// same workers, and drives remaps for all of them.
+    pub ports: Option<(Arc<PortSet>, Classifier)>,
+    /// The asynchronous controller channel: workers enqueue punted packets
+    /// onto punt rings, controller workers drain them into this application,
+    /// and the answers flow back as epoch-published flow-mods and
+    /// RSS-re-injected packet-outs ([`crate::controller`]).
+    pub controller: Option<Box<dyn Controller>>,
+    /// Per-verdict observer (testing hook). Observes ingress-ring packets
+    /// only; re-injected packet-outs are accounted in the reactive counters.
+    pub sink: Option<VerdictSink>,
+}
+
 /// Aggregate report returned by [`ShardedSwitch::shutdown`].
 #[derive(Debug, Clone)]
 pub struct ShutdownReport {
-    /// Packets handed to the dispatcher over the runtime's lifetime.
+    /// Packets handed to the dispatchers — the caller's and every port's —
+    /// over the runtime's lifetime.
     pub dispatched: u64,
     /// Switch-wide totals (sum over shards); re-injected packet-outs are
     /// accounted separately in `reactive`, so `processed == dispatched` at
@@ -477,7 +511,11 @@ pub struct ShardedSwitch {
     /// Per-shard load telemetry: each worker's recorder flushes into its
     /// own slot; this side (and the dispatcher's rebalancer) only reads.
     loads: Vec<Arc<ShardLoad>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Worker threads by shard; the dispatcher's waits hold clones.
+    workers: Vec<Thread>,
+    /// The port dispatchers' shared face and threads (port-attached
+    /// launches only), in [`PortSet`] slot order.
+    ingress: Option<(Arc<Ingress>, Vec<Thread>)>,
     reactive: Option<ReactiveHandle>,
 }
 
@@ -489,53 +527,16 @@ impl ShardedSwitch {
         pipeline: Pipeline,
         config: ShardedConfig,
     ) -> Result<(Self, RssDispatcher), CompileError> {
-        Self::launch_with_sink(spec, pipeline, config, None)
+        Self::launch_with(spec, pipeline, config, LaunchParts::default())
     }
 
-    /// [`ShardedSwitch::launch`] with a per-verdict observer (testing hook).
-    pub fn launch_with_sink(
+    /// [`ShardedSwitch::launch`] with any of the optional parts attached:
+    /// ports (ingress dispatchers + egress), a controller, a verdict sink.
+    pub fn launch_with(
         spec: BackendSpec,
         pipeline: Pipeline,
         config: ShardedConfig,
-        sink: Option<VerdictSink>,
-    ) -> Result<(Self, RssDispatcher), CompileError> {
-        Self::launch_inner(spec, pipeline, config, sink, None)
-    }
-
-    /// Launches the switch with the asynchronous controller channel: worker
-    /// shards enqueue punted packets onto per-shard punt rings, a dedicated
-    /// controller thread drains them into `controller`, and the answers flow
-    /// back as epoch-published flow-mods and RSS-re-injected packet-outs.
-    /// The reactive workloads (access gateway, learning switch) run the
-    /// sharded runtime through this entry point.
-    pub fn launch_reactive(
-        spec: BackendSpec,
-        pipeline: Pipeline,
-        config: ShardedConfig,
-        controller: Box<dyn Controller>,
-    ) -> Result<(Self, RssDispatcher), CompileError> {
-        Self::launch_inner(spec, pipeline, config, None, Some(controller))
-    }
-
-    /// [`ShardedSwitch::launch_reactive`] with a per-verdict observer. The
-    /// sink observes main-ring packets only; re-injected packet-outs are
-    /// accounted in the reactive counters instead.
-    pub fn launch_reactive_with_sink(
-        spec: BackendSpec,
-        pipeline: Pipeline,
-        config: ShardedConfig,
-        controller: Box<dyn Controller>,
-        sink: Option<VerdictSink>,
-    ) -> Result<(Self, RssDispatcher), CompileError> {
-        Self::launch_inner(spec, pipeline, config, sink, Some(controller))
-    }
-
-    fn launch_inner(
-        spec: BackendSpec,
-        pipeline: Pipeline,
-        config: ShardedConfig,
-        sink: Option<VerdictSink>,
-        controller: Option<Box<dyn Controller>>,
+        parts: LaunchParts,
     ) -> Result<(Self, RssDispatcher), CompileError> {
         let workers_wanted = config.workers.max(1);
         let state = spec.compile_state(&pipeline)?;
@@ -574,7 +575,7 @@ impl ShardedSwitch {
         //   producer (through its private RSS dispatcher), worker shard `s`
         //   the only consumer.
         let controller_workers = config.controller_workers.max(1);
-        let shared = controller.as_ref().map(|_| {
+        let shared = parts.controller.as_ref().map(|_| {
             Arc::new(ReactiveShared::new(
                 workers_wanted,
                 controller_workers,
@@ -582,20 +583,13 @@ impl ShardedSwitch {
                 &config.punt_policy,
             ))
         });
-        let punt_rings: Vec<Vec<Arc<SpscRing<Punt>>>> = (0..workers_wanted)
-            .map(|_| {
-                (0..controller_workers)
-                    .map(|_| Arc::new(SpscRing::new(config.punt_ring_capacity)))
-                    .collect()
-            })
-            .collect();
-        let inject_rings: Vec<Vec<Arc<SpscRing<Packet>>>> = (0..controller_workers)
-            .map(|_| {
-                (0..workers_wanted)
-                    .map(|_| Arc::new(SpscRing::new(config.ring_capacity)))
-                    .collect()
-            })
-            .collect();
+        let punt_rings: Vec<Vec<Arc<SpscRing<Punt>>>> = ring_matrix(
+            workers_wanted,
+            controller_workers,
+            config.punt_ring_capacity,
+        );
+        let inject_rings: Vec<Vec<Arc<SpscRing<Packet>>>> =
+            ring_matrix(controller_workers, workers_wanted, config.ring_capacity);
 
         // One private ct engine per worker shard, each over its own shared
         // counter block: the engine moves into the worker thread (no lock
@@ -612,26 +606,25 @@ impl ShardedSwitch {
         // strictly SPSC: main dispatcher <-> one worker) and the load
         // telemetry slots the rebalancer reads.
         let remap = Arc::new(RemapShared::new(workers_wanted));
+        // The ingress ring matrix, `matrix[dispatcher][shard]`: row 0 is the
+        // caller-owned dispatcher's, then one row per port. Each ring is
+        // strictly SPSC (its row's dispatcher produces, its shard's worker
+        // consumes); a worker's ingress *column* is its ring of every row.
+        let port_count = parts.ports.as_ref().map_or(0, |(set, _)| set.len());
+        let matrix: Vec<Vec<Arc<SpscRing<Packet>>>> =
+            ring_matrix(1 + port_count, workers_wanted, config.ring_capacity);
         let mut cmd_rings = Vec::with_capacity(workers_wanted);
         let mut ack_rings = Vec::with_capacity(workers_wanted);
         let mut loads = Vec::with_capacity(workers_wanted);
-
-        let mut rings = Vec::with_capacity(workers_wanted);
         let mut stats = Vec::with_capacity(workers_wanted);
         let mut workers = Vec::with_capacity(workers_wanted);
         for shard in 0..workers_wanted {
-            let ring = Arc::new(SpscRing::new(config.ring_capacity));
             let shard_stats = Arc::new(ShardStats::default());
             let cmd: Arc<SpscRing<ShardCmd>> = Arc::new(SpscRing::new(16));
             let ack: Arc<SpscRing<BucketAck>> = Arc::new(SpscRing::new(16));
             let load = Arc::new(ShardLoad::default());
-            let backend = control.spec.replica(&published.state);
-            let ct = config.ct.as_ref().map(|cfg| {
-                CtEngine::with_stats(
-                    cfg,
-                    CtArc::clone(&ct_stats.as_ref().expect("ct stats exist with ct config")[shard]),
-                )
-            });
+            let ct = (config.ct.as_ref().zip(ct_stats.as_ref()))
+                .map(|(cfg, stats)| CtEngine::with_stats(cfg, CtArc::clone(&stats[shard])));
             let reactive = shared.as_ref().map(|shared| WorkerReactive {
                 punt_rings: punt_rings[shard].clone(),
                 inject_rings: inject_rings
@@ -644,29 +637,32 @@ impl ShardedSwitch {
             let worker = WorkerHandle {
                 shard,
                 control: Arc::clone(&control),
-                ring: Arc::clone(&ring),
+                column: matrix.iter().map(|row| Arc::clone(&row[shard])).collect(),
+                egress: parts
+                    .ports
+                    .as_ref()
+                    .map(|(set, _)| Egress::new(Arc::clone(set), Arc::clone(&shard_stats))),
                 stats: Arc::clone(&shard_stats),
                 cmd: Arc::clone(&cmd),
                 ack: Arc::clone(&ack),
-                load: Arc::clone(&load),
-                sink: sink.clone(),
+                recorder: LoadRecorder::new(Arc::clone(&load)),
+                sink: parts.sink.clone(),
                 reactive,
+                backend: control.spec.replica(&published.state),
+                epoch: 0,
                 ct,
+                verdicts: Vec::with_capacity(BURST_SIZE),
+                ingress: IngressSnapshot::default(),
             };
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("shard-{shard}"))
-                    .spawn(move || worker.run(backend))
-                    .expect("spawn worker thread"),
-            );
-            rings.push(ring);
+            let name = format!("shard-{shard}");
+            workers.push(Arc::new(spawn(name, move || worker.run())));
             stats.push(shard_stats);
             cmd_rings.push(cmd);
             ack_rings.push(ack);
             loads.push(load);
         }
 
-        let reactive = match (controller, shared) {
+        let reactive = match (parts.controller, shared) {
             (Some(controller), Some(shared)) => {
                 let stop = Arc::new(AtomicBool::new(false));
                 let app: Arc<Mutex<Box<dyn Controller>>> = Arc::new(Mutex::new(controller));
@@ -686,12 +682,8 @@ impl ShardedSwitch {
                         shared: Arc::clone(&shared),
                         stop: Arc::clone(&stop),
                     };
-                    threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("shard-controller-{index}"))
-                            .spawn(move || worker.run())
-                            .expect("spawn controller worker"),
-                    );
+                    let name = format!("shard-controller-{index}");
+                    threads.push(spawn(name, move || worker.run()));
                 }
                 Some(ReactiveHandle {
                     threads,
@@ -704,16 +696,48 @@ impl ShardedSwitch {
             _ => None,
         };
 
+        // Port dispatcher threads: one per port, each the sole producer of
+        // its matrix row, all steering by the shared indirection table.
+        let mut rows = matrix.into_iter();
+        let rings = rows.next().expect("row 0 always exists");
+        let ingress = parts.ports.map(|(set, classifier)| {
+            let ingress = Arc::new(Ingress::new(&set, workers_wanted));
+            let threads = set
+                .iter()
+                .zip(rows)
+                .enumerate()
+                .map(|(slot, (port, row))| {
+                    let dispatcher = PortDispatcher {
+                        port: Arc::clone(port),
+                        slot,
+                        rss: RssDispatcher::new(row)
+                            .with_symmetric(symmetric)
+                            .with_reader(Arc::clone(&remap)),
+                        classifier: classifier.clone(),
+                        ingress: Arc::clone(&ingress),
+                    };
+                    let name = format!("shard-port-{}", port.id());
+                    Arc::new(spawn(name, move || dispatcher.run()))
+                })
+                .collect();
+            (ingress, threads)
+        });
+
         let dispatcher = RssDispatcher::new(rings)
             .with_symmetric(symmetric)
-            .with_elastic(
-                remap,
-                cmd_rings,
-                ack_rings,
-                stats.clone(),
-                loads.clone(),
-                config.rebalance,
-            );
+            .with_elastic(Elastic {
+                shared: remap,
+                cmd: cmd_rings,
+                ack: ack_rings,
+                stats: stats.clone(),
+                loads: loads.clone(),
+                rebalancer: config
+                    .rebalance
+                    .map(|config| Rebalancer::new(config, workers_wanted)),
+                remaps: 0,
+                workers: workers.clone(),
+                ingress: ingress.clone(),
+            });
         Ok((
             ShardedSwitch {
                 control,
@@ -721,6 +745,7 @@ impl ShardedSwitch {
                 ct_stats,
                 loads,
                 workers,
+                ingress,
                 reactive,
             },
             dispatcher,
@@ -762,7 +787,7 @@ impl ShardedSwitch {
     }
 
     /// Reactive slow-path accounting, when this switch was launched with a
-    /// controller ([`ShardedSwitch::launch_reactive`]). Live: counters keep
+    /// controller ([`LaunchParts::controller`]). Live: counters keep
     /// advancing while punts resolve.
     pub fn reactive_stats(&self) -> Option<ReactiveSnapshot> {
         self.reactive.as_ref().map(|r| r.shared.snapshot())
@@ -828,24 +853,36 @@ impl ShardedSwitch {
         total
     }
 
-    /// Drains and stops the runtime: flushes the dispatcher's staged
-    /// packets, waits for every dispatched packet to be processed, then —
+    /// Drains and stops the runtime: flushes the caller's dispatcher, stops
+    /// and joins the port dispatchers (each steers what its port still holds
+    /// first), waits for every dispatched packet to be processed, then —
     /// for reactive launches — runs the punt flow to a provable fixpoint
     /// (every punt answered, every re-injected packet-out processed, every
-    /// ring empty) before joining the controller thread and the workers.
+    /// ring empty) before joining the controller threads and the workers.
     /// Every dispatched packet is processed, and every punt is accounted,
-    /// before this returns.
+    /// before this returns. Panics, naming the thread, if a worker or port
+    /// dispatcher died: a wait on a dead thread fails rather than hangs.
     pub fn shutdown(mut self, mut dispatcher: RssDispatcher) -> ShutdownReport {
         dispatcher.flush();
+        let (from_caller, remaps) = (dispatcher.dispatched(), dispatcher.remaps());
+        // The dispatcher's clones of the thread handles go with it, so every
+        // join below can tell a panic from an exit.
+        drop(dispatcher);
+        let from_ports = self.stop_ingress().expect("port dispatcher panicked");
 
-        if let Some(reactive) = &self.reactive {
-            // Phase 1: every dispatched packet processed. Workers enqueue a
-            // packet's punts *before* advancing the processed counter, so
-            // reaching the dispatch count proves no punt is still unborn.
-            let dispatched = dispatcher.dispatched();
-            while self.stats().packets < dispatched {
-                std::thread::yield_now();
+        // Phase 1: every dispatched packet processed. Workers enqueue a
+        // packet's punts and flush its egress *before* advancing the
+        // processed counter, so reaching the dispatch count proves no punt
+        // is still unborn and no frame still staged.
+        let dispatched = from_caller + from_ports;
+        let mut idle = 0u32;
+        while self.stats().packets < dispatched {
+            for (shard, worker) in self.workers.iter().enumerate() {
+                let gone = format_args!("shard {shard} worker died; the drain would hang");
+                wait_on_thread(worker, &mut idle, gone);
             }
+        }
+        if let Some(reactive) = &mut self.reactive {
             // Phase 2: punt-flow fixpoint. Each condition's violation names
             // pending work that monotonically completes (a queued punt gets
             // answered, a queued packet-out gets processed — possibly
@@ -866,8 +903,6 @@ impl ShardedSwitch {
                 std::thread::yield_now();
             }
             reactive.stop.store(true, Ordering::Release);
-        }
-        if let Some(reactive) = &mut self.reactive {
             for thread in reactive.threads.drain(..) {
                 thread.join().expect("controller worker panicked");
             }
@@ -875,19 +910,13 @@ impl ShardedSwitch {
 
         self.control.shutdown.store(true, Ordering::Release);
         for worker in self.workers.drain(..) {
-            worker.join().expect("worker panicked");
+            join(worker).expect("worker panicked");
         }
         let per_shard: Vec<CounterSnapshot> =
             self.stats.iter().map(|s| s.processed.snapshot()).collect();
-        let mut processed = CounterSnapshot::default();
-        for snap in &per_shard {
-            processed.packets += snap.packets;
-            processed.bytes += snap.bytes;
-            processed.drops += snap.drops;
-        }
         ShutdownReport {
-            dispatched: dispatcher.dispatched(),
-            processed,
+            dispatched,
+            processed: self.stats(),
             per_shard,
             epoch: self.control.published.epoch(),
             update_classes: self.control.update_stats.snapshot(),
@@ -897,16 +926,56 @@ impl ShardedSwitch {
                 .as_ref()
                 .map(|stats| stats.iter().map(|s| s.snapshot()).collect()),
             load_per_shard: self.loads.iter().map(|l| l.snapshot()).collect(),
-            remaps: dispatcher.remaps(),
+            remaps,
         }
     }
+
+    /// Stops and joins the port dispatchers, if any, and returns how many
+    /// packets they dispatched in total; `Err` if one of them panicked.
+    fn stop_ingress(&mut self) -> std::thread::Result<u64> {
+        let Some((ingress, threads)) = self.ingress.take() else {
+            return Ok(0);
+        };
+        ingress.stop.store(true, Ordering::Release);
+        let mut outcome = Ok(());
+        for thread in threads {
+            outcome = outcome.and(join(thread));
+        }
+        outcome?;
+        Ok((0..self.stats.len())
+            .map(|shard| ingress.dispatched_to(shard))
+            .sum())
+    }
+}
+
+/// A `rows` × `cols` matrix of SPSC rings: row `r`'s owner is the only
+/// producer of `matrix[r][..]`, column `c`'s owner the only consumer of
+/// `matrix[..][c]`.
+fn ring_matrix<T>(rows: usize, cols: usize, capacity: usize) -> Vec<Vec<Arc<SpscRing<T>>>> {
+    let ring = |_| Arc::new(SpscRing::new(capacity));
+    (0..rows).map(|_| (0..cols).map(ring).collect()).collect()
+}
+
+fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    let thread = std::thread::Builder::new().name(name);
+    thread.spawn(body).expect("spawn runtime thread")
+}
+
+/// Waits for `thread` to exit; `Err` if it panicked. Where the dispatcher
+/// (which holds a clone of every handle) outlives the switch — a dirty drop
+/// — the exit is still awaited, only the panic is not retrievable.
+fn join(thread: Thread) -> std::thread::Result<()> {
+    while !thread.is_finished() {
+        std::thread::yield_now();
+    }
+    Arc::into_inner(thread).map_or(Ok(()), JoinHandle::join)
 }
 
 impl Drop for ShardedSwitch {
     /// Dropping the switch without [`ShardedSwitch::shutdown`] (a panicking
-    /// test, an early return) must not leak spinning worker threads: raise
-    /// the shutdown flag and join. Packets still staged in the (separately
-    /// owned) dispatcher are lost in this path — orderly code goes through
+    /// test, an early return) must not leak spinning threads: stop and join
+    /// all of them. Packets still staged in the (separately owned)
+    /// dispatcher are lost in this path — orderly code goes through
     /// `shutdown`, which flushes first.
     fn drop(&mut self) {
         // Stop the controller workers first, while the worker shards still
@@ -920,9 +989,12 @@ impl Drop for ShardedSwitch {
                 let _ = thread.join();
             }
         }
+        // Port dispatchers next, for the same reason: their final drain
+        // publishes into rings only live workers empty.
+        let _ = self.stop_ingress();
         self.control.shutdown.store(true, Ordering::Release);
         for worker in self.workers.drain(..) {
-            let _ = worker.join();
+            let _ = join(worker);
         }
     }
 }
@@ -938,11 +1010,15 @@ struct WorkerReactive {
     shared: Arc<ReactiveShared>,
 }
 
-/// Everything one worker thread needs, bundled for the spawn.
+/// One worker shard: everything its thread owns.
 struct WorkerHandle {
     shard: usize,
     control: Arc<Control>,
-    ring: Arc<SpscRing<Packet>>,
+    /// This shard's ingress rings: the caller's dispatcher's, then one per
+    /// attached port. Each strictly SPSC, this shard the sole consumer.
+    column: Vec<Arc<SpscRing<Packet>>>,
+    /// Where verdicts go on a port-attached launch.
+    egress: Option<Egress>,
     stats: Arc<ShardStats>,
     /// Bucket-migration commands from the main dispatcher (SPSC, this shard
     /// the sole consumer); handled strictly between bursts.
@@ -950,127 +1026,129 @@ struct WorkerHandle {
     /// Command acks back to the main dispatcher (SPSC, this shard the sole
     /// producer).
     ack: Arc<SpscRing<BucketAck>>,
-    /// Shared load-telemetry slot this worker's recorder flushes into.
-    load: Arc<ShardLoad>,
+    /// Load telemetry, flushed into the shard's shared slot.
+    recorder: LoadRecorder,
     sink: Option<VerdictSink>,
     reactive: Option<WorkerReactive>,
+    /// The datapath replica and the epoch it serves.
+    backend: Box<dyn crate::backend::ShardBackend>,
+    epoch: u64,
     /// This shard's private connection-tracking engine (ct launches only).
     /// Owned by the worker thread alone and threaded into the replica per
     /// burst, so it survives every epoch swap and never needs a lock.
     ct: Option<CtEngine>,
+    /// The verdicts of the burst in flight and, where the pipeline can punt,
+    /// its frames as received.
+    verdicts: Vec<Verdict>,
+    ingress: IngressSnapshot,
 }
 
 impl WorkerHandle {
-    fn run(mut self, mut backend: Box<dyn crate::backend::ShardBackend>) {
-        let mut engine = self.ct.take();
-        let mut recorder = LoadRecorder::new(Arc::clone(&self.load));
+    fn run(mut self) {
         let mut burst: Vec<Packet> = Vec::with_capacity(BURST_SIZE);
-        let mut injected: Vec<Packet> = Vec::with_capacity(BURST_SIZE);
-        let mut verdicts: Vec<Verdict> = Vec::with_capacity(BURST_SIZE);
-        let mut ingress = IngressSnapshot::default();
-        let mut local_epoch = 0u64;
         let mut idle = 0u32;
         loop {
-            self.sync_epoch(&mut backend, &mut local_epoch);
+            self.sync_epoch();
 
             // Bucket-migration commands, strictly between bursts: an export
             // can never split a burst, so every packet of a moved bucket the
             // dispatcher quiesced is fully processed before its connections
             // leave this engine.
-            self.handle_commands(&mut backend, engine.as_mut());
+            self.handle_commands();
 
             // Re-injected packet-outs first: the controller publishes the
             // install *before* queueing the packet-out, so after re-syncing
             // the epoch the packet takes the fresh rule on the fast path.
             // One ring per controller worker; each is SPSC with this shard
             // as sole consumer.
-            if let Some(reactive) = &self.reactive {
-                injected.clear();
-                let mut n = 0;
-                for ring in &reactive.inject_rings {
-                    n += ring.pop_burst(&mut injected, BURST_SIZE);
+            burst.clear();
+            let mut injected = 0;
+            for ring in self.reactive.iter().flat_map(|r| &r.inject_rings) {
+                injected += ring.pop_burst(&mut burst, BURST_SIZE);
+            }
+            if injected > 0 {
+                // Injected work is work: keep the backoff at spin so the
+                // next re-injection is not penalised a scheduler quantum.
+                idle = 0;
+                self.sync_epoch();
+                let started = Instant::now();
+                self.process_group(&mut burst);
+                if let Some(egress) = &mut self.egress {
+                    egress.route(&mut burst, &self.verdicts);
+                    egress.flush(&mut self.recorder);
                 }
-                if n > 0 {
-                    // Injected work is work: keep the backoff at spin so the
-                    // next re-injection is not penalised a scheduler quantum.
-                    idle = 0;
-                    self.sync_epoch(&mut backend, &mut local_epoch);
-                    let started = Instant::now();
-                    self.process_group(
-                        &mut backend,
-                        &mut injected,
-                        &mut verdicts,
-                        &mut ingress,
-                        local_epoch,
-                        engine.as_mut(),
-                    );
-                    // Injected bursts drain no main-ring backlog: occupancy 0.
-                    recorder.record_burst(started.elapsed().as_nanos() as u64, n as u64, 0);
-                    // Counted after the group's punts are enqueued, so
-                    // `injected == reinjected` proves the inject flow
-                    // quiescent at shutdown.
-                    reactive
-                        .shared
-                        .stats
-                        .injected
-                        .fetch_add(n as u64, Ordering::Release);
+                // Injected bursts drain no ingress backlog: occupancy 0.
+                let busy = started.elapsed().as_nanos() as u64;
+                self.recorder.record_burst(busy, injected as u64, 0);
+                // Counted after the group's punts are enqueued and its
+                // frames transmitted, so `injected == reinjected` proves the
+                // inject flow quiescent at shutdown.
+                if let Some(reactive) = &self.reactive {
+                    let stats = &reactive.shared.stats;
+                    stats.injected.fetch_add(injected as u64, Ordering::Release);
                 }
             }
 
-            burst.clear();
-            let n = self.ring.pop_burst(&mut burst, BURST_SIZE);
-            if n == 0 {
-                // `shutdown` is raised only after the dispatcher's final
-                // flush (and, for reactive launches, after the controller
-                // thread drained and exited), so once it reads true an
-                // empty ring is final.
-                if self.control.shutdown.load(Ordering::Acquire)
-                    && self.ring.is_empty()
-                    && self
-                        .reactive
-                        .as_ref()
-                        .is_none_or(|r| r.inject_rings.iter().all(|ring| ring.is_empty()))
-                {
+            // One drain pass over the ingress column, a burst per ring.
+            let (mut packets, mut bytes) = (0u64, 0u64);
+            for index in 0..self.column.len() {
+                burst.clear();
+                let ring = &self.column[index];
+                let n = ring.pop_burst(&mut burst, BURST_SIZE);
+                if n == 0 {
+                    continue;
+                }
+                // Ring occupancy at this drain: the popped burst plus
+                // whatever queued behind it — the telemetry high-water
+                // signal.
+                let depth = (n + ring.len()) as u64;
+                // Ingress byte accounting: before processing, which may grow
+                // or shrink frames (push-VLAN and friends).
+                bytes += burst.iter().map(|p| p.len() as u64).sum::<u64>();
+                packets += n as u64;
+                let started = Instant::now();
+                self.process_group(&mut burst);
+                let mut busy = started.elapsed();
+                if let Some(sink) = &self.sink {
+                    for (packet, verdict) in burst.iter().zip(&self.verdicts) {
+                        sink(self.shard, packet, verdict);
+                    }
+                }
+                if let Some(egress) = &mut self.egress {
+                    let started = Instant::now();
+                    egress.route(&mut burst, &self.verdicts);
+                    busy += started.elapsed();
+                }
+                self.recorder
+                    .record_burst(busy.as_nanos() as u64, n as u64, depth);
+            }
+            if packets == 0 {
+                // `shutdown` is raised only after the port dispatchers
+                // exited and the caller's dispatcher was flushed (and, for
+                // reactive launches, after the controller threads drained
+                // and exited), so once it reads true an empty column is
+                // final.
+                let mut rings = self
+                    .column
+                    .iter()
+                    .chain(self.reactive.iter().flat_map(|r| &r.inject_rings));
+                if self.control.shutdown.load(Ordering::Acquire) && rings.all(|r| r.is_empty()) {
                     break;
                 }
-                idle += 1;
-                if idle < 16 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+                backoff(&mut idle);
                 continue;
             }
             idle = 0;
-
-            // Ring occupancy at this drain: the popped burst plus whatever
-            // queued behind it — the telemetry high-water signal.
-            let depth = (n + self.ring.len()) as u64;
-            // Ingress byte accounting: before processing, which may grow or
-            // shrink frames (push-VLAN and friends).
-            let bytes: u64 = burst.iter().map(|p| p.len() as u64).sum();
-            let started = Instant::now();
-            self.process_group(
-                &mut backend,
-                &mut burst,
-                &mut verdicts,
-                &mut ingress,
-                local_epoch,
-                engine.as_mut(),
-            );
-            let busy = started.elapsed().as_nanos() as u64;
-            if let Some(sink) = &self.sink {
-                for (packet, verdict) in burst.iter().zip(verdicts.iter()) {
-                    sink(self.shard, packet, verdict);
-                }
+            if let Some(egress) = &mut self.egress {
+                egress.flush(&mut self.recorder);
             }
-            // Processed is advanced (`Release`) only after the burst's punt
-            // copies are enqueued *and* the sink observed every verdict:
-            // `processed == dispatched` then proves no punt is still unborn
-            // (the shutdown fixpoint's phase 1), and the dispatcher's
-            // quiesce wait proves every pre-remap packet fully observed.
-            self.stats.processed.record_batch(n as u64, bytes);
-            recorder.record_burst(busy, n as u64, depth);
+            // Processed is advanced (`Release`) only after the pass's punt
+            // copies are enqueued, the sink observed every verdict *and* the
+            // egress stage transmitted every frame: `processed ==
+            // dispatched` then proves no punt is still unborn (the shutdown
+            // fixpoint's phase 1), and the dispatcher's quiesce wait proves
+            // every pre-remap packet fully observed.
+            self.stats.processed.record_batch(packets, bytes);
         }
     }
 
@@ -1083,15 +1161,11 @@ impl WorkerHandle {
     /// this shard; the state travels back on the ack ring. An import
     /// installs a previously exported bucket. Launches without ct still ack
     /// (with empty state): stateless verdicts are placement-independent.
-    fn handle_commands(
-        &self,
-        backend: &mut Box<dyn crate::backend::ShardBackend>,
-        mut engine: Option<&mut CtEngine>,
-    ) {
+    fn handle_commands(&mut self) {
         while let Some(cmd) = self.cmd.pop() {
             let ack = match cmd {
                 ShardCmd::Export { bucket } => {
-                    let state = match engine.as_deref_mut() {
+                    let state = match &mut self.ct {
                         Some(engine) => engine.export_bucket(bucket),
                         None => conntrack::BucketExport {
                             bucket,
@@ -1104,7 +1178,7 @@ impl WorkerHandle {
                         matches.push(exact_tuple_match(&conn.reply));
                     }
                     if !matches.is_empty() {
-                        backend.invalidate_flows(&matches);
+                        self.backend.invalidate_flows(&matches);
                     }
                     BucketAck {
                         bucket,
@@ -1113,7 +1187,7 @@ impl WorkerHandle {
                 }
                 ShardCmd::Import { state } => {
                     let bucket = state.bucket;
-                    if let Some(engine) = engine.as_deref_mut() {
+                    if let Some(engine) = &mut self.ct {
                         engine.import_bucket(*state);
                     }
                     BucketAck {
@@ -1135,58 +1209,47 @@ impl WorkerHandle {
 
     /// One epoch check: a relaxed-cost load per call; the swap itself only
     /// happens when the control plane actually published.
-    fn sync_epoch(
-        &self,
-        backend: &mut Box<dyn crate::backend::ShardBackend>,
-        local_epoch: &mut u64,
-    ) {
-        let epoch = self.control.published.epoch();
-        if epoch != *local_epoch {
+    fn sync_epoch(&mut self) {
+        if self.control.published.epoch() != self.epoch {
             let published = self.control.published.load();
             // Selective invalidation is only sound when the delta window
             // covers every epoch this shard skipped; otherwise the
             // replica pays the brute-force flush.
-            let deltas = published.deltas_since(*local_epoch);
-            backend.apply(&published.state, deltas.as_deref());
-            *local_epoch = published.epoch;
-            self.stats.epoch.store(*local_epoch, Ordering::Release);
+            let deltas = published.deltas_since(self.epoch);
+            self.backend.apply(&published.state, deltas.as_deref());
+            self.epoch = published.epoch;
+            self.stats.epoch.store(self.epoch, Ordering::Release);
         }
     }
 
-    /// Processes one burst through the replica and raises punt copies for
-    /// every punting verdict. When the pipeline can punt at all, the ingress
-    /// frames are snapshotted first so the punt copy carries the frame as
-    /// received — processing rewrites the burst in place.
+    /// Processes one burst through the replica into `self.verdicts` and
+    /// raises punt copies for every punting verdict. When the pipeline can
+    /// punt at all, the ingress frames are snapshotted first so the punt
+    /// copy carries the frame as received — processing rewrites the burst in
+    /// place.
     ///
     /// When this shard tracks connections, the engine's clock ticks once per
     /// group here — the burst boundary — expiring idle connections before
     /// the burst's packets consult the table.
-    fn process_group(
-        &self,
-        backend: &mut Box<dyn crate::backend::ShardBackend>,
-        burst: &mut [Packet],
-        verdicts: &mut Vec<Verdict>,
-        ingress: &mut IngressSnapshot,
-        epoch: u64,
-        engine: Option<&mut CtEngine>,
-    ) {
+    fn process_group(&mut self, burst: &mut [Packet]) {
         let snapshot = self.reactive.is_some() && self.control.may_punt.load(Ordering::Relaxed);
         if snapshot {
-            ingress.capture(burst);
+            self.ingress.capture(burst);
         }
         let mut no_ct = NoCt;
-        let ct: &mut dyn ConnCtx = match engine {
+        let ct: &mut dyn ConnCtx = match &mut self.ct {
             Some(engine) => {
                 engine.tick();
                 engine
             }
             None => &mut no_ct,
         };
-        backend.process_batch_into(burst, verdicts, ct);
+        self.backend
+            .process_batch_into(burst, &mut self.verdicts, ct);
         let Some(reactive) = &self.reactive else {
             return;
         };
-        for (i, verdict) in verdicts.iter().enumerate() {
+        for (i, verdict) in self.verdicts.iter().enumerate() {
             if !verdict.to_controller {
                 continue;
             }
@@ -1194,11 +1257,11 @@ impl WorkerHandle {
             // state, so a punting verdict implies the snapshot exists; fall
             // back to the processed frame defensively rather than panic.
             let packet = if snapshot {
-                ingress.packet(i)
+                self.ingress.packet(i)
             } else {
                 burst[i].clone()
             };
-            self.punt(reactive, packet, verdict.punt_reason, epoch);
+            self.punt(reactive, packet, verdict.punt_reason);
         }
     }
 
@@ -1208,7 +1271,7 @@ impl WorkerHandle {
     /// owns this flow's partition — or shed it, counted by layer, if any
     /// layer refuses or the punt ring is full. Never blocks, never
     /// allocates beyond the punted packet copy itself.
-    fn punt(&self, reactive: &WorkerReactive, packet: Packet, reason: PacketInReason, epoch: u64) {
+    fn punt(&self, reactive: &WorkerReactive, packet: Packet, reason: PacketInReason) {
         let key = FlowKey::extract(&packet);
         let flow = punt_signature(&key);
         if !reactive.gate.admit(flow) {
@@ -1254,7 +1317,7 @@ impl WorkerHandle {
             key,
             flow,
             shard: self.shard,
-            epoch,
+            epoch: self.epoch,
             reason,
             table_id: 0,
             enqueued: Instant::now(),
@@ -1367,7 +1430,7 @@ mod tests {
             let sink: VerdictSink = Arc::new(move |_shard, _packet: &Packet, verdict: &Verdict| {
                 sink_seen.lock().push(verdict.decision());
             });
-            let (switch, mut dispatcher) = ShardedSwitch::launch_with_sink(
+            let (switch, mut dispatcher) = ShardedSwitch::launch_with(
                 spec,
                 port_pipeline(),
                 ShardedConfig {
@@ -1375,7 +1438,10 @@ mod tests {
                     ring_capacity: 64,
                     ..ShardedConfig::default()
                 },
-                Some(sink),
+                LaunchParts {
+                    sink: Some(sink),
+                    ..LaunchParts::default()
+                },
             )
             .unwrap();
 

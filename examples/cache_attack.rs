@@ -18,7 +18,7 @@ use ovsdp::OvsDatapath;
 use pkt::builder::PacketBuilder;
 use pkt::Packet;
 use rand::prelude::*;
-use shard::{BackendSpec, PuntPolicy, ShardedConfig, ShardedSwitch};
+use shard::{BackendSpec, LaunchParts, PuntPolicy, ShardedConfig, ShardedSwitch};
 use workloads::gateway::{self, GatewayConfig};
 
 /// Builds the attacker's traffic: one provisioned user cycling destination
@@ -104,7 +104,7 @@ fn reactive_storm() {
     // — layer 3 — as the storm soak test shows.)
     let storm = fake_user_packets(64, 32, 0xbad);
 
-    let (switch, mut dispatcher) = ShardedSwitch::launch_reactive(
+    let (switch, mut dispatcher) = ShardedSwitch::launch_with(
         BackendSpec::eswitch(),
         gateway::build_pipeline(&config),
         ShardedConfig {
@@ -113,7 +113,10 @@ fn reactive_storm() {
             punt_policy: PuntPolicy::hardened(50, 10_000),
             ..ShardedConfig::default()
         },
-        Box::new(gateway::admission_controller(&config)),
+        LaunchParts {
+            controller: Some(Box::new(gateway::admission_controller(&config))),
+            ..LaunchParts::default()
+        },
     )
     .expect("gateway pipeline compiles");
 

@@ -21,7 +21,7 @@ use eswitch_repro::openflow::{
 };
 use eswitch_repro::pkt::builder::PacketBuilder;
 use eswitch_repro::pkt::{MacAddr, Packet};
-use eswitch_repro::shard::{BackendSpec, ShardedConfig, ShardedSwitch};
+use eswitch_repro::shard::{BackendSpec, LaunchParts, ShardedConfig, ShardedSwitch};
 
 const HOSTS: u64 = 8;
 const MAC_BASE: u64 = 0x0200_0000_aa00;
@@ -70,7 +70,7 @@ fn main() {
         }
     });
 
-    let (switch, mut dispatcher) = ShardedSwitch::launch_reactive(
+    let (switch, mut dispatcher) = ShardedSwitch::launch_with(
         BackendSpec::eswitch(),
         pipeline,
         ShardedConfig {
@@ -78,7 +78,10 @@ fn main() {
             ring_capacity: 512,
             ..ShardedConfig::default()
         },
-        Box::new(controller),
+        LaunchParts {
+            controller: Some(Box::new(controller)),
+            ..LaunchParts::default()
+        },
     )
     .expect("pipeline compiles");
     println!(

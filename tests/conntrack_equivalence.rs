@@ -33,7 +33,7 @@ use ovsdp::OvsDatapath;
 use pkt::builder::PacketBuilder;
 use pkt::{parse, Ipv4Addr4, Packet, ParseDepth, TcpFlags};
 use proptest::prelude::*;
-use shard::{BackendSpec, ShardedConfig, ShardedSwitch, VerdictSink};
+use shard::{BackendSpec, LaunchParts, ShardedConfig, ShardedSwitch, VerdictSink};
 use workloads::usecases::{PORT_NET, PORT_USER};
 use workloads::{snat_edge, stateful_acl_gateway as acl};
 
@@ -321,16 +321,11 @@ proptest! {
                 let sink: VerdictSink = Arc::new(move |_, _packet, verdict: &Verdict| {
                     sink_seen.lock().unwrap().push(verdict.outputs.to_vec());
                 });
-                let (switch, mut dispatcher) = ShardedSwitch::launch_with_sink(
-                    spec,
-                    acl::build_pipeline(&acl::StatefulAclConfig::default()),
-                    ShardedConfig {
+                let (switch, mut dispatcher) = ShardedSwitch::launch_with(spec, acl::build_pipeline(&acl::StatefulAclConfig::default()), ShardedConfig {
                         workers,
                         ct: Some(patient_ct_config()),
                         ..ShardedConfig::default()
-                    },
-                    Some(sink),
-                )
+                    }, LaunchParts { sink: Some(sink), ..LaunchParts::default() })
                 .expect("pipeline compiles");
                 for input in &inputs {
                     dispatcher.dispatch(input.clone());

@@ -25,7 +25,8 @@ use eswitch_repro::openflow::{
 use eswitch_repro::pkt::builder::PacketBuilder;
 use eswitch_repro::pkt::{MacAddr, Packet};
 use eswitch_repro::shard::{
-    BackendSpec, PuntPolicy, ReactiveSnapshot, RssDispatcher, ShardedConfig, ShardedSwitch,
+    BackendSpec, LaunchParts, PuntPolicy, ReactiveSnapshot, RssDispatcher, ShardedConfig,
+    ShardedSwitch,
 };
 
 /// Seeded MACs (hash template) so reactive installs absorb incrementally.
@@ -167,7 +168,7 @@ fn assert_identities(s: &ReactiveSnapshot) {
 }
 
 fn launch_hardened(policy: PuntPolicy) -> (ShardedSwitch, RssDispatcher) {
-    ShardedSwitch::launch_reactive(
+    ShardedSwitch::launch_with(
         BackendSpec::eswitch(),
         storm_pipeline(),
         ShardedConfig {
@@ -177,7 +178,10 @@ fn launch_hardened(policy: PuntPolicy) -> (ShardedSwitch, RssDispatcher) {
             punt_policy: policy,
             ..ShardedConfig::default()
         },
-        gatekeeper_controller(),
+        LaunchParts {
+            controller: Some(gatekeeper_controller()),
+            ..LaunchParts::default()
+        },
     )
     .unwrap()
 }

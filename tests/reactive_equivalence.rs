@@ -27,7 +27,7 @@ use ovsdp::{OvsConfig, OvsDatapath};
 use pkt::builder::PacketBuilder;
 use pkt::{MacAddr, Packet};
 use proptest::prelude::*;
-use shard::{BackendSpec, RssDispatcher, ShardedConfig, ShardedSwitch};
+use shard::{BackendSpec, LaunchParts, RssDispatcher, ShardedConfig, ShardedSwitch};
 
 const SEED_MAC_BASE: u64 = 0x0200_0000_5000;
 const FLOW_MAC_BASE: u64 = 0x0200_0000_6000;
@@ -107,7 +107,7 @@ fn sharded_final_pipeline(
     base: &Pipeline,
     traffic: &[Packet],
 ) -> Pipeline {
-    let (switch, mut dispatcher) = ShardedSwitch::launch_reactive(
+    let (switch, mut dispatcher) = ShardedSwitch::launch_with(
         spec,
         base.clone(),
         ShardedConfig {
@@ -115,7 +115,10 @@ fn sharded_final_pipeline(
             ring_capacity: 256,
             ..ShardedConfig::default()
         },
-        deterministic_controller(),
+        LaunchParts {
+            controller: Some(deterministic_controller()),
+            ..LaunchParts::default()
+        },
     )
     .expect("base pipeline compiles");
     for packet in traffic {

@@ -23,7 +23,7 @@ use eswitch_repro::openflow::{
 };
 use eswitch_repro::pkt::builder::PacketBuilder;
 use eswitch_repro::pkt::{MacAddr, Packet};
-use eswitch_repro::shard::{BackendSpec, RssDispatcher, ShardedConfig, ShardedSwitch};
+use eswitch_repro::shard::{BackendSpec, LaunchParts, RssDispatcher, ShardedConfig, ShardedSwitch};
 
 const HOSTS: u64 = 16;
 const HOST_MAC_BASE: u64 = 0x0200_0000_2000;
@@ -124,7 +124,7 @@ fn quiesce_and_converge(switch: &ShardedSwitch, dispatcher: &mut RssDispatcher) 
 
 #[test]
 fn sharded_learning_switch_converges_under_load() {
-    let (switch, mut dispatcher) = ShardedSwitch::launch_reactive(
+    let (switch, mut dispatcher) = ShardedSwitch::launch_with(
         BackendSpec::eswitch(),
         learning_pipeline(),
         ShardedConfig {
@@ -132,7 +132,10 @@ fn sharded_learning_switch_converges_under_load() {
             ring_capacity: 1024,
             ..ShardedConfig::default()
         },
-        learning_controller(),
+        LaunchParts {
+            controller: Some(learning_controller()),
+            ..LaunchParts::default()
+        },
     )
     .unwrap();
 
@@ -224,7 +227,7 @@ fn punt_ring_overflow_is_counted_never_blocking() {
         vec![ControllerDecision::Drop]
     }));
 
-    let (switch, mut dispatcher) = ShardedSwitch::launch_reactive(
+    let (switch, mut dispatcher) = ShardedSwitch::launch_with(
         BackendSpec::eswitch(),
         pipeline,
         ShardedConfig {
@@ -233,7 +236,10 @@ fn punt_ring_overflow_is_counted_never_blocking() {
             punt_ring_capacity: 4,
             ..ShardedConfig::default()
         },
-        slow_controller,
+        LaunchParts {
+            controller: Some(slow_controller),
+            ..LaunchParts::default()
+        },
     )
     .unwrap();
 

@@ -32,7 +32,9 @@ use openflow::Pipeline;
 use pkt::builder::PacketBuilder;
 use pkt::{parse, Ipv4Addr4, Packet, ParseDepth, TcpFlags};
 use proptest::prelude::*;
-use shard::{rss_hash_symmetric, BackendSpec, ShardedConfig, ShardedSwitch, VerdictSink};
+use shard::{
+    rss_hash_symmetric, BackendSpec, LaunchParts, ShardedConfig, ShardedSwitch, VerdictSink,
+};
 use workloads::usecases::{PORT_NET, PORT_USER};
 use workloads::{l4_lb, snat_edge, stateful_acl_gateway as acl, L4LbConfig};
 
@@ -79,7 +81,7 @@ fn run_sharded(
             verdict.outputs.to_vec(),
         ));
     });
-    let (switch, mut dispatcher) = ShardedSwitch::launch_with_sink(
+    let (switch, mut dispatcher) = ShardedSwitch::launch_with(
         spec,
         pipeline,
         ShardedConfig {
@@ -87,7 +89,10 @@ fn run_sharded(
             ct: Some(ct),
             ..ShardedConfig::default()
         },
-        Some(sink),
+        LaunchParts {
+            sink: Some(sink),
+            ..LaunchParts::default()
+        },
     )
     .expect("pipeline compiles");
     assert!(dispatcher.is_symmetric(), "ct launch uses symmetric RSS");

@@ -17,7 +17,7 @@ use eswitch_repro::openflow::instruction::terminal_actions;
 use eswitch_repro::openflow::{Action, Field, FlowEntry, FlowMod, Pipeline, Verdict};
 use eswitch_repro::pkt::builder::PacketBuilder;
 use eswitch_repro::pkt::Packet;
-use eswitch_repro::shard::{BackendSpec, ShardedConfig, ShardedSwitch, VerdictSink};
+use eswitch_repro::shard::{BackendSpec, LaunchParts, ShardedConfig, ShardedSwitch, VerdictSink};
 
 /// The two-output entry the updater keeps flipping. A torn update would show
 /// up as a verdict mixing the pairs (e.g. ports `[1, 4]`).
@@ -71,7 +71,7 @@ fn flow_mods_under_load_are_per_packet_atomic_and_lossless() {
                 .unwrap()
                 .push((shard, verdict.outputs.to_vec()));
         });
-        let (switch, mut dispatcher) = ShardedSwitch::launch_with_sink(
+        let (switch, mut dispatcher) = ShardedSwitch::launch_with(
             spec,
             base_pipeline(),
             ShardedConfig {
@@ -79,7 +79,10 @@ fn flow_mods_under_load_are_per_packet_atomic_and_lossless() {
                 ring_capacity: 256,
                 ..ShardedConfig::default()
             },
-            Some(sink),
+            LaunchParts {
+                sink: Some(sink),
+                ..LaunchParts::default()
+            },
         )
         .expect("pipeline compiles");
         let switch = Arc::new(switch);

@@ -20,7 +20,7 @@ use openflow::{Action, Field, FlowEntry, FlowMod, Pipeline};
 use pkt::builder::PacketBuilder;
 use pkt::Packet;
 use proptest::prelude::*;
-use shard::{BackendSpec, ShardedConfig, ShardedSwitch, VerdictSink};
+use shard::{BackendSpec, LaunchParts, ShardedConfig, ShardedSwitch, VerdictSink};
 
 const MAC_BASE: u64 = 0x0200_0000_0000;
 
@@ -171,7 +171,7 @@ fn sharded_decisions(
     let sink: VerdictSink = Arc::new(move |_shard, _packet, verdict| {
         sink_seen.lock().unwrap().push(verdict.decision());
     });
-    let (switch, mut dispatcher) = ShardedSwitch::launch_with_sink(
+    let (switch, mut dispatcher) = ShardedSwitch::launch_with(
         spec,
         base.clone(),
         ShardedConfig {
@@ -179,7 +179,10 @@ fn sharded_decisions(
             ring_capacity: 128,
             ..ShardedConfig::default()
         },
-        Some(sink),
+        LaunchParts {
+            sink: Some(sink),
+            ..LaunchParts::default()
+        },
     )
     .expect("base pipeline compiles");
 

@@ -39,6 +39,7 @@ const FAST_PATH_MODULES: &[&str] = &[
     "crates/conntrack/src/table.rs",
     "crates/conntrack/src/wheel.rs",
     "crates/shard/src/telemetry.rs",
+    "crates/shard/src/multiport.rs",
     "crates/core/src/fastpath.rs",
     "crates/packet/src/parser.rs",
 ];
@@ -616,6 +617,20 @@ mod tests {
             rules(&check_file("crates/packet/src/packet.rs", src)),
             ["safety-comment"]
         );
+    }
+
+    #[test]
+    fn port_stage_module_is_covered() {
+        // The port dispatcher's classify/steer loop and the workers' egress
+        // `route` are per-packet code: staging vectors are pre-sized in the
+        // constructors. The runtime that spawns them (thread names are
+        // `format!`ed there) stays outside.
+        let src = "fn route(&mut self) { self.emit = Vec::new(); }\n";
+        assert_eq!(
+            rules(&check_fastpath_alloc("crates/shard/src/multiport.rs", src)),
+            ["fastpath-alloc"]
+        );
+        assert!(check_fastpath_alloc("crates/shard/src/runtime.rs", src).is_empty());
     }
 
     #[test]
