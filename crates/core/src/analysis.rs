@@ -6,8 +6,9 @@
 //! Fig. 4). The fallback chain is
 //! direct code → compound hash → LPM → linked list.
 
+use std::collections::HashMap;
+
 use openflow::field::{Field, FieldValue};
-use openflow::flow_match::MatchField;
 use openflow::{FlowEntry, FlowTable};
 use pkt::parser::ParseDepth;
 
@@ -17,7 +18,7 @@ pub enum TemplateKind {
     /// Straight-line specialised code; universal but only efficient for a
     /// handful of entries.
     DirectCode,
-    /// Exact match over a global mask via a collision-free hash.
+    /// Exact match over a global mask via one probe of a flat hash table.
     CompoundHash,
     /// Longest prefix match on a single address field.
     Lpm,
@@ -114,6 +115,11 @@ pub fn compound_hash_shape(table: &FlowTable) -> Option<Vec<(Field, FieldValue)>
 /// field, with priorities consistent with prefix lengths ("whenever rules
 /// overlap the more specific one has higher priority"). Returns the matched
 /// field on success.
+///
+/// Linear in the rules: the highest priority of each distinct prefix is kept
+/// in one map per prefix length, and a rule then only has to outrank the
+/// prefixes that contain it — its own address cut to each shorter length, at
+/// most 32 probes.
 pub fn lpm_shape(table: &FlowTable) -> Option<Field> {
     let (body, _) = split_catch_all(table);
     let first = body.first()?;
@@ -124,23 +130,28 @@ pub fn lpm_shape(table: &FlowTable) -> Option<Field> {
     if !field.supports_prefix() || field.width_bits() != 32 {
         return None;
     }
-    let mut rules: Vec<(&MatchField, u16)> = Vec::new();
+    let mut rules: Vec<(u32, u32, u16)> = Vec::with_capacity(body.len());
+    let mut by_len: [HashMap<u32, u16>; 33] = std::array::from_fn(|_| HashMap::new());
     for entry in &body {
         let fields = entry.flow_match.fields();
         if fields.len() != 1 || fields[0].field != field {
             return None;
         }
-        fields[0].prefix_len()?; // must be a prefix mask
-        rules.push((&fields[0], entry.priority));
+        let len = fields[0].prefix_len()?; // must be a prefix mask
+        let prefix = fields[0].value as u32;
+        rules.push((prefix, len, entry.priority));
+        let highest = by_len[len as usize].entry(prefix).or_insert(entry.priority);
+        *highest = (*highest).max(entry.priority);
     }
-    // Overlapping rules must order by specificity: a more specific (longer)
-    // prefix must have strictly higher priority than any shorter prefix that
-    // contains it.
-    for (a, prio_a) in &rules {
-        for (b, prio_b) in &rules {
-            let len_a = a.prefix_len().expect("checked");
-            let len_b = b.prefix_len().expect("checked");
-            if len_a > len_b && a.value & b.mask == b.value && prio_a <= prio_b {
+    // A more specific (longer) prefix must have strictly higher priority
+    // than any shorter prefix that contains it.
+    for (prefix, len, priority) in rules {
+        for shorter in (0..len).filter(|l| !by_len[*l as usize].is_empty()) {
+            let containing = prefix & u32::MAX.checked_shl(32 - shorter).unwrap_or(0);
+            if by_len[shorter as usize]
+                .get(&containing)
+                .is_some_and(|outranked| priority <= *outranked)
+            {
                 return None;
             }
         }
@@ -148,19 +159,50 @@ pub fn lpm_shape(table: &FlowTable) -> Option<Field> {
     Some(field)
 }
 
+/// The template [`select_shape`] picked for a table, carrying what the
+/// prerequisite check already worked out so the compiler does not run it
+/// again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TemplateShape {
+    /// Direct code: any table within the size limit.
+    DirectCode,
+    /// Compound hash over these fields and global masks.
+    CompoundHash(Vec<(Field, FieldValue)>),
+    /// LPM on this address field.
+    Lpm(Field),
+    /// Tuple space search.
+    LinkedList,
+}
+
+impl TemplateShape {
+    /// The template kind.
+    pub fn kind(&self) -> TemplateKind {
+        match self {
+            TemplateShape::DirectCode => TemplateKind::DirectCode,
+            TemplateShape::CompoundHash(_) => TemplateKind::CompoundHash,
+            TemplateShape::Lpm(_) => TemplateKind::Lpm,
+            TemplateShape::LinkedList => TemplateKind::LinkedList,
+        }
+    }
+}
+
 /// Selects the most efficient template whose prerequisite the table
 /// satisfies, walking the fallback chain of Fig. 4.
-pub fn select_template(table: &FlowTable, config: &CompilerConfig) -> TemplateKind {
+pub fn select_shape(table: &FlowTable, config: &CompilerConfig) -> TemplateShape {
     if table.len() <= config.direct_code_limit {
-        return TemplateKind::DirectCode;
+        TemplateShape::DirectCode
+    } else if let Some(shape) = compound_hash_shape(table) {
+        TemplateShape::CompoundHash(shape)
+    } else if let Some(field) = lpm_shape(table) {
+        TemplateShape::Lpm(field)
+    } else {
+        TemplateShape::LinkedList
     }
-    if compound_hash_shape(table).is_some() {
-        return TemplateKind::CompoundHash;
-    }
-    if lpm_shape(table).is_some() {
-        return TemplateKind::Lpm;
-    }
-    TemplateKind::LinkedList
+}
+
+/// The kind of the template [`select_shape`] picks.
+pub fn select_template(table: &FlowTable, config: &CompilerConfig) -> TemplateKind {
+    select_shape(table, config).kind()
 }
 
 #[cfg(test)]

@@ -20,9 +20,7 @@ use openflow::pipeline::TableId;
 use openflow::table::TableMissBehavior;
 use openflow::{Action, Field, FieldValue, FlowEntry, FlowTable, Pipeline, PipelineError};
 
-use crate::analysis::{
-    compound_hash_shape, lpm_shape, select_template, CompilerConfig, TemplateKind,
-};
+use crate::analysis::{select_shape, CompilerConfig, TemplateKind, TemplateShape};
 use crate::templates::action::ActionStore;
 use crate::templates::matcher::CompiledMatcher;
 use crate::templates::parser::ParserTemplate;
@@ -263,23 +261,21 @@ pub(crate) fn compile_table(
             .map(|e| compile_entry(e, store, links))
             .collect()
     };
-    match select_template(table, config) {
-        TemplateKind::DirectCode => CompiledTable::DirectCode(DirectCodeTable::new(entries(store))),
-        TemplateKind::CompoundHash => {
-            let shape = compound_hash_shape(table).expect("selected template checked prerequisite");
-            match build_hash(table, &shape, store, links) {
-                Ok(t) => CompiledTable::CompoundHash(t),
-                Err(_) => CompiledTable::LinkedList(LinkedListTable::new(entries(store))),
-            }
+    match select_shape(table, config) {
+        TemplateShape::DirectCode => {
+            CompiledTable::DirectCode(DirectCodeTable::new(entries(store)))
         }
-        TemplateKind::Lpm => {
-            let field = lpm_shape(table).expect("selected template checked prerequisite");
-            match build_lpm(table, field, store, links) {
-                Ok(t) => CompiledTable::Lpm(t),
-                Err(_) => CompiledTable::LinkedList(LinkedListTable::new(entries(store))),
-            }
+        TemplateShape::CompoundHash(shape) => match build_hash(table, &shape, store, links) {
+            Ok(t) => CompiledTable::CompoundHash(t),
+            Err(_) => CompiledTable::LinkedList(LinkedListTable::new(entries(store))),
+        },
+        TemplateShape::Lpm(field) => match build_lpm(table, field, store, links) {
+            Ok(t) => CompiledTable::Lpm(t),
+            Err(_) => CompiledTable::LinkedList(LinkedListTable::new(entries(store))),
+        },
+        TemplateShape::LinkedList => {
+            CompiledTable::LinkedList(LinkedListTable::new(entries(store)))
         }
-        TemplateKind::LinkedList => CompiledTable::LinkedList(LinkedListTable::new(entries(store))),
     }
 }
 
@@ -356,6 +352,9 @@ fn build_lpm(
 /// located, or the compiled action would silently no-op.
 fn action_touched_field(action: &Action) -> Option<Field> {
     match action {
+        // An address rewrite also steps the TCP/UDP checksum (the
+        // pseudo-header covers both addresses), so it needs L4 located.
+        Action::SetField(Field::Ipv4Src | Field::Ipv4Dst, _) => Some(Field::TcpSrc),
         Action::SetField(field, _) => Some(*field),
         Action::DecNwTtl => Some(Field::Ipv4Src),
         // Ct extracts the 5-tuple (and TCP flags), so the parser must reach

@@ -195,37 +195,49 @@ pub struct KeyLoader {
     pub(crate) parts: Box<[KeyPart]>,
     /// Protocol bits every part needs, checked once per key.
     pub(crate) required: ProtoMask,
-    /// True when the whole key fits 64 bits.
+    /// True when the whole key fits 64 bits: the template's table is then
+    /// built with 64-bit keys.
     pub(crate) narrow: bool,
 }
 
 impl KeyLoader {
-    /// Builds the compound key of a packet, or `None` when a required layer
-    /// is missing.
+    /// Builds the compound key of a packet for a [`KeyLoader::narrow`]
+    /// template, in 64-bit arithmetic; `None` when a required layer is
+    /// missing.
     #[inline]
-    pub(crate) fn key(&self, frame: &[u8], headers: &ParsedHeaders, regs: &Regs) -> Option<u128> {
+    pub(crate) fn key64(&self, frame: &[u8], headers: &ParsedHeaders, regs: &Regs) -> Option<u64> {
         if !headers.mask.contains(self.required) {
             return None;
         }
-        if self.narrow {
-            let mut key = 0u64;
-            for part in &*self.parts {
-                let value = part.load.load_narrow(frame, headers, regs)? & part.mask as u64;
-                key = key.checked_shl(part.width).unwrap_or(0) | value;
-            }
-            Some(u128::from(key))
-        } else {
-            let mut key = 0u128;
-            for part in &*self.parts {
-                let value = part.load.load_wide(frame, headers, regs)? & part.mask;
-                key = key.checked_shl(part.width).unwrap_or(0) | value;
-            }
-            Some(key)
+        let mut key = 0u64;
+        for part in &*self.parts {
+            let value = part.load.load_narrow(frame, headers, regs)? & part.mask as u64;
+            key = key.checked_shl(part.width).unwrap_or(0) | value;
         }
+        Some(key)
+    }
+
+    /// [`KeyLoader::key64`] for a key of up to 128 bits.
+    #[inline]
+    pub(crate) fn key128(
+        &self,
+        frame: &[u8],
+        headers: &ParsedHeaders,
+        regs: &Regs,
+    ) -> Option<u128> {
+        if !headers.mask.contains(self.required) {
+            return None;
+        }
+        let mut key = 0u128;
+        for part in &*self.parts {
+            let value = part.load.load_wide(frame, headers, regs)? & part.mask;
+            key = key.checked_shl(part.width).unwrap_or(0) | value;
+        }
+        Some(key)
     }
 
     /// Packs an entry's per-field values (in part order) the way
-    /// [`KeyLoader::key`] packs a packet's.
+    /// [`KeyLoader::key64`] and [`KeyLoader::key128`] pack a packet's.
     pub(crate) fn pack(&self, values: &[FieldValue]) -> u128 {
         self.parts
             .iter()
@@ -526,7 +538,7 @@ mod tests {
                 })
                 .collect();
             assert_eq!(
-                loader.key(packet.data(), &headers, &regs),
+                loader.key128(packet.data(), &headers, &regs),
                 Some(loader.pack(&values)),
                 "{fields:?}"
             );
@@ -534,14 +546,21 @@ mod tests {
                 loader.narrow,
                 fields.iter().map(|(f, _)| f.width_bits()).sum::<u32>() <= 64
             );
+            if loader.narrow {
+                assert_eq!(
+                    loader.key64(packet.data(), &headers, &regs).map(u128::from),
+                    Some(loader.pack(&values)),
+                    "{fields:?}"
+                );
+            }
         }
         // A missing layer or an unmodelled field yields no key.
         assert_eq!(
-            KeyLoader::for_fields(&full(&[Field::UdpDst])).key(packet.data(), &headers, &regs),
+            KeyLoader::for_fields(&full(&[Field::UdpDst])).key64(packet.data(), &headers, &regs),
             None
         );
         assert_eq!(
-            KeyLoader::for_fields(&full(&[Field::SctpDst])).key(packet.data(), &headers, &regs),
+            KeyLoader::for_fields(&full(&[Field::SctpDst])).key64(packet.data(), &headers, &regs),
             None
         );
     }

@@ -67,7 +67,12 @@ pub struct CostAtoms {
     /// parser).
     pub parser: f64,
     /// Fixed arithmetic of one hash-template lookup (key construction + hash),
-    /// excluding the memory access.
+    /// excluding the memory access. The template is built to this charge:
+    /// `netdev::FlatHash` computes one multiply hash and probes one array
+    /// whose slot holds the key beside the instruction-block pointer, so the
+    /// model's single access is the home slot's cache line (a displaced
+    /// entry sits in the same or the next line, never past the bounded probe
+    /// window).
     pub hash_fixed: f64,
     /// Fixed arithmetic of one LPM lookup, excluding its two memory accesses.
     pub lpm_fixed: f64,

@@ -36,17 +36,18 @@ pub enum CompiledAction {
     SetEthSrc([u8; 6]),
     /// Rewrite the VLAN VID of an already-tagged packet.
     SetVlanVid(u16),
-    /// Rewrite the IPv4 DSCP code point (refreshes the header checksum).
+    /// Rewrite the IPv4 DSCP code point (updates the header checksum).
     SetIpDscp(u8),
-    /// Rewrite the IPv4 source address (refreshes the header checksum).
+    /// Rewrite the IPv4 source address (updates the header checksum and the
+    /// TCP/UDP one, whose pseudo-header covers it).
     SetIpv4Src(u32),
-    /// Rewrite the IPv4 destination address (refreshes the header checksum).
+    /// Rewrite the IPv4 destination address (as [`CompiledAction::SetIpv4Src`]).
     SetIpv4Dst(u32),
-    /// Rewrite the TCP/UDP source port.
+    /// Rewrite the TCP/UDP source port (updates the TCP/UDP checksum).
     SetL4Src(u16),
-    /// Rewrite the TCP/UDP destination port.
+    /// Rewrite the TCP/UDP destination port (updates the TCP/UDP checksum).
     SetL4Dst(u16),
-    /// Decrement the IPv4 TTL.
+    /// Decrement the IPv4 TTL (updates the header checksum).
     DecNwTtl,
     /// Push an 802.1Q tag with the given TPID.
     PushVlan(u16),
@@ -105,7 +106,6 @@ impl CompiledAction {
         verdict: &mut Verdict,
     ) {
         let l3 = usize::from(headers.l3_offset);
-        let l4 = usize::from(headers.l4_offset);
         match self {
             CompiledAction::Output(p) => verdict.outputs.push(*p),
             CompiledAction::Flood => verdict.flood = true,
@@ -137,40 +137,33 @@ impl CompiledAction {
             CompiledAction::SetIpDscp(dscp) => {
                 if headers.has_ipv4() {
                     let frame = packet.data_mut();
-                    frame[l3 + 1] = (frame[l3 + 1] & 0x03) | (dscp << 2);
-                    refresh_ipv4_checksum(frame, l3);
+                    checksum::rewrite_ipv4_byte(frame, l3, 1, (frame[l3 + 1] & 0x03) | (dscp << 2));
                 }
             }
             CompiledAction::SetIpv4Src(addr) => {
                 if headers.has_ipv4() {
-                    let frame = packet.data_mut();
-                    frame[l3 + 12..l3 + 16].copy_from_slice(&addr.to_be_bytes());
-                    refresh_ipv4_checksum(frame, l3);
+                    checksum::rewrite_ipv4_addr(packet.data_mut(), headers, 12, *addr);
                 }
             }
             CompiledAction::SetIpv4Dst(addr) => {
                 if headers.has_ipv4() {
-                    let frame = packet.data_mut();
-                    frame[l3 + 16..l3 + 20].copy_from_slice(&addr.to_be_bytes());
-                    refresh_ipv4_checksum(frame, l3);
+                    checksum::rewrite_ipv4_addr(packet.data_mut(), headers, 16, *addr);
                 }
             }
             CompiledAction::SetL4Src(port) => {
                 if headers.has_tcp() || headers.has_udp() {
-                    packet.data_mut()[l4..l4 + 2].copy_from_slice(&port.to_be_bytes());
+                    checksum::rewrite_l4_port(packet.data_mut(), headers, 0, *port);
                 }
             }
             CompiledAction::SetL4Dst(port) => {
                 if headers.has_tcp() || headers.has_udp() {
-                    packet.data_mut()[l4 + 2..l4 + 4].copy_from_slice(&port.to_be_bytes());
+                    checksum::rewrite_l4_port(packet.data_mut(), headers, 2, *port);
                 }
             }
             CompiledAction::DecNwTtl => {
                 if headers.has_ipv4() {
                     let frame = packet.data_mut();
-                    let ttl = frame[l3 + 8];
-                    frame[l3 + 8] = ttl.saturating_sub(1);
-                    refresh_ipv4_checksum(frame, l3);
+                    checksum::rewrite_ipv4_byte(frame, l3, 8, frame[l3 + 8].saturating_sub(1));
                 }
             }
             CompiledAction::PushVlan(tpid) => {
@@ -223,14 +216,6 @@ fn mac_bytes(value: FieldValue) -> [u8; 6] {
     let mut out = [0u8; 6];
     out.copy_from_slice(&v.to_be_bytes()[2..8]);
     out
-}
-
-fn refresh_ipv4_checksum(frame: &mut [u8], l3: usize) {
-    let ihl = usize::from(frame[l3] & 0x0f) * 4;
-    frame[l3 + 10] = 0;
-    frame[l3 + 11] = 0;
-    let csum = checksum::ones_complement(&frame[l3..l3 + ihl]);
-    frame[l3 + 10..l3 + 12].copy_from_slice(&csum.to_be_bytes());
 }
 
 /// A composite, shared action set: the ordered list of compiled actions a

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use netdev::{Lpm, PerfectHash};
+use netdev::{FlatHash, Lpm};
 use openflow::field::{Field, FieldValue};
 use openflow::pipeline::TableId;
 use pkt::ipv4::Ipv4Addr4;
@@ -150,8 +150,8 @@ impl DirectCodeTable {
     }
 }
 
-/// Compound hash template: exact match over a fixed field set via a
-/// collision-free hash.
+/// Compound hash template: exact match over a fixed field set via one probe
+/// of one flat hash table.
 ///
 /// Prerequisite: every (non-catch-all) entry matches the same fields with the
 /// same masks, and the concatenated key fits in 128 bits.
@@ -161,9 +161,57 @@ pub struct CompoundHashTable {
     fields: Vec<(Field, FieldValue)>,
     /// The same fields as pre-resolved loads: builds a packet's key.
     loader: KeyLoader,
-    hash: PerfectHash<Arc<CompiledInstrs>>,
+    hash: HashStore,
     /// The optional lowest-priority catch-all entry.
     catch_all: Option<Arc<CompiledInstrs>>,
+}
+
+/// The template's table, with slots as wide as the key needs: packed key and
+/// instruction-block pointer are 16 bytes when the key fits 64 bits
+/// ([`KeyLoader::narrow`]), 32 otherwise.
+#[derive(Debug, Clone)]
+enum HashStore {
+    Narrow(FlatHash<u64, Arc<CompiledInstrs>>),
+    Wide(FlatHash<u128, Arc<CompiledInstrs>>),
+}
+
+/// The control-plane view: keys as [`KeyLoader::pack`] builds them (a narrow
+/// template's packed keys fit 64 bits by construction).
+impl HashStore {
+    fn get(&self, key: u128) -> Option<&Arc<CompiledInstrs>> {
+        match self {
+            HashStore::Narrow(table) => table.get(key as u64),
+            HashStore::Wide(table) => table.get(key),
+        }
+    }
+
+    fn insert(&mut self, key: u128, instrs: Arc<CompiledInstrs>) {
+        match self {
+            HashStore::Narrow(table) => table.insert(key as u64, instrs),
+            HashStore::Wide(table) => table.insert(key, instrs),
+        };
+    }
+
+    fn remove(&mut self, key: u128) -> bool {
+        match self {
+            HashStore::Narrow(table) => table.remove(key as u64).is_some(),
+            HashStore::Wide(table) => table.remove(key).is_some(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            HashStore::Narrow(table) => table.len(),
+            HashStore::Wide(table) => table.len(),
+        }
+    }
+
+    fn memory_footprint(&self) -> usize {
+        match self {
+            HashStore::Narrow(table) => table.memory_footprint(),
+            HashStore::Wide(table) => table.memory_footprint(),
+        }
+    }
 }
 
 impl CompoundHashTable {
@@ -188,24 +236,28 @@ impl CompoundHashTable {
             ));
         }
         let loader = KeyLoader::for_fields(&fields);
-        let mut packed = Vec::with_capacity(keys.len());
+        let mut hash = if loader.narrow {
+            HashStore::Narrow(FlatHash::with_capacity(keys.len()))
+        } else {
+            HashStore::Wide(FlatHash::with_capacity(keys.len()))
+        };
         for (values, instrs) in keys {
             if values.len() != fields.len() {
                 return Err(TemplateError::PrerequisiteViolated(
                     "key arity differs from field list",
                 ));
             }
-            packed.push((loader.pack(&values), instrs));
+            hash.insert(loader.pack(&values), instrs);
         }
         Ok(CompoundHashTable {
             fields,
             loader,
-            hash: PerfectHash::build(packed),
+            hash,
             catch_all,
         })
     }
 
-    /// Looks up a packet: one hash probe, then the catch-all.
+    /// Looks up a packet: one key build, one hash probe, then the catch-all.
     #[inline]
     pub fn lookup(
         &self,
@@ -213,11 +265,17 @@ impl CompoundHashTable {
         headers: &ParsedHeaders,
         regs: &Regs,
     ) -> Option<&CompiledInstrs> {
-        self.loader
-            .key(frame, headers, regs)
-            .and_then(|key| self.hash.get(key))
-            .or(self.catch_all.as_ref())
-            .map(|instrs| &**instrs)
+        let hit = match &self.hash {
+            HashStore::Narrow(table) => self
+                .loader
+                .key64(frame, headers, regs)
+                .and_then(|key| table.get(key)),
+            HashStore::Wide(table) => self
+                .loader
+                .key128(frame, headers, regs)
+                .and_then(|key| table.get(key)),
+        };
+        hit.or(self.catch_all.as_ref()).map(|instrs| &**instrs)
     }
 
     /// Inserts (or replaces) one entry incrementally. `values` must follow
@@ -228,19 +286,13 @@ impl CompoundHashTable {
 
     /// Removes one entry incrementally. Returns true if it existed.
     pub fn remove(&mut self, values: &[FieldValue]) -> bool {
-        self.hash.remove(self.loader.pack(values)).is_some()
+        self.hash.remove(self.loader.pack(values))
     }
 
     /// True when an entry with these key values is installed. Used by the
     /// update planner to predict whether a delete is absorbable in place.
     pub fn contains(&self, values: &[FieldValue]) -> bool {
         self.hash.get(self.loader.pack(values)).is_some()
-    }
-
-    /// Rebuilds the underlying collision-free hash (the paper rebuilds the
-    /// hash template periodically to minimise collisions).
-    pub fn rebuild(&mut self) {
-        self.hash.rebuild();
     }
 
     /// The fields and global masks of the compound key.
@@ -255,7 +307,7 @@ impl CompoundHashTable {
 
     /// True when the template holds no hashed entries.
     pub fn is_empty(&self) -> bool {
-        self.hash.is_empty()
+        self.len() == 0
     }
 
     /// Approximate resident bytes, for the working-set/cache model.
@@ -462,7 +514,7 @@ impl LinkedListTable {
 pub enum CompiledTable {
     /// Direct machine-code style table.
     DirectCode(DirectCodeTable),
-    /// Collision-free compound hash.
+    /// Compound hash: one probe of one flat table.
     CompoundHash(CompoundHashTable),
     /// DIR-24-8 longest prefix match.
     Lpm(LpmTable),
@@ -554,7 +606,7 @@ impl CompiledTable {
                     .map(|(f, m)| format!("{f:?}/{m:#x}"))
                     .collect();
                 format!(
-                    "COMPOUND_HASH: key = [{}]\n    perfect_hash_lookup(key)   ; {} entries\n",
+                    "COMPOUND_HASH: key = [{}]\n    flat_hash_lookup(key)      ; {} entries\n",
                     fields.join(" ++ "),
                     t.len()
                 )
@@ -671,7 +723,6 @@ mod tests {
         assert!(table.remove(&[0x0200_0000_0002]));
         assert!(!table.remove(&[0x0200_0000_0002]));
         assert!(table.lookup(p.data(), &h, &r).is_none());
-        table.rebuild();
         assert_eq!(table.len(), 1);
     }
 

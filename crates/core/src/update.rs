@@ -430,8 +430,8 @@ fn outranks_catch_all(entries: &[openflow::FlowEntry], priority: u16) -> bool {
 /// one has higher priority") for the newly added `prefix/len` rule against
 /// every existing prefix rule. Existing rules already satisfy it pairwise
 /// (the table compiled as LPM and every incremental add re-checked), so only
-/// pairs involving the new rule need examination — O(n), not the O(n²) full
-/// prerequisite.
+/// pairs involving the new rule need examination: one pass over the
+/// entries, with none of `analysis::lpm_shape`'s per-length maps to build.
 fn lpm_priority_consistent(
     entries: &[openflow::FlowEntry],
     fm: &FlowMod,

@@ -15,8 +15,8 @@
 //!   designated shards (the software `SO_REUSEPORT` + eBPF analogue),
 //! * [`lpm`] — a DIR-24-8 longest-prefix-match table, the same layout as
 //!   `rte_lpm`, backing the ESWITCH LPM table template,
-//! * [`perfect_hash`] — a collision-free hash with constant-time lookup,
-//!   backing the compound-hash table template,
+//! * [`flat_hash`] — one flat open-addressed table with bounded displacement
+//!   (one hash, one probe), backing the compound-hash table template,
 //! * [`fxhash`] — the multiply-rotate hash the cache hot paths key on
 //!   (SipHash setup/finalisation dominates at flow-key sizes),
 //! * [`stats`] — shared atomic packet/byte/drop counters,
@@ -29,18 +29,18 @@
 //! evaluation depends on.
 
 pub mod classify;
+pub mod flat_hash;
 pub mod fxhash;
 pub mod lpm;
-pub mod perfect_hash;
 pub mod port;
 pub mod ring;
 pub mod stats;
 pub mod sync;
 
 pub use classify::{Classifier, ClassifyAction, ClassifyRule, MatchSpec};
+pub use flat_hash::FlatHash;
 pub use fxhash::{fx_mix, FxBuildHasher, FxHasher};
 pub use lpm::{Lpm, LpmError};
-pub use perfect_hash::PerfectHash;
 pub use port::{
     Port, PortId, PortSet, PortStats, BURST_SIZE, PORT_CONTROLLER, PORT_DROP, PORT_FLOOD,
     PORT_IN_PORT,

@@ -77,8 +77,7 @@ impl Action {
                     let l3 = usize::from(headers.l3_offset);
                     let frame = packet.data_mut();
                     if let Some(ttl) = frame.get(l3 + 8).copied() {
-                        frame[l3 + 8] = ttl.saturating_sub(1);
-                        refresh_ipv4_checksum(frame, l3);
+                        checksum::rewrite_ipv4_byte(frame, l3, 8, ttl.saturating_sub(1));
                     }
                 }
                 false
@@ -125,13 +124,14 @@ impl Action {
     }
 }
 
-/// Writes `value` into the frame bytes backing `field`, updating the IPv4
-/// checksum when an IP header field changes. Fields without a frame
-/// representation (metadata, tunnel id) are key-only and ignored here.
+/// Writes `value` into the frame bytes backing `field`, stepping every
+/// checksum that covers them (RFC 1624): the IPv4 header's for an IP header
+/// field, TCP's or UDP's for a port or — through the pseudo-header — an
+/// address. Fields without a frame representation (metadata, tunnel id) are
+/// key-only and ignored here.
 fn write_field(packet: &mut Packet, headers: &ParsedHeaders, field: Field, value: FieldValue) {
     let l2 = usize::from(headers.l2_offset);
     let l3 = usize::from(headers.l3_offset);
-    let l4 = usize::from(headers.l4_offset);
     let frame = packet.data_mut();
     match field {
         Field::EthDst => frame[l2..l2 + 6].copy_from_slice(&(value as u64).to_be_bytes()[2..8]),
@@ -149,35 +149,24 @@ fn write_field(packet: &mut Packet, headers: &ParsedHeaders, field: Field, value
             frame[off] = (frame[off] & 0x1f) | ((value as u8 & 0x07) << 5);
         }
         Field::Ipv4Src if headers.has_ipv4() => {
-            frame[l3 + 12..l3 + 16].copy_from_slice(&(value as u32).to_be_bytes());
-            refresh_ipv4_checksum(frame, l3);
+            checksum::rewrite_ipv4_addr(frame, headers, 12, value as u32);
         }
         Field::Ipv4Dst if headers.has_ipv4() => {
-            frame[l3 + 16..l3 + 20].copy_from_slice(&(value as u32).to_be_bytes());
-            refresh_ipv4_checksum(frame, l3);
+            checksum::rewrite_ipv4_addr(frame, headers, 16, value as u32);
         }
         Field::IpDscp if headers.has_ipv4() => {
-            frame[l3 + 1] = (frame[l3 + 1] & 0x03) | ((value as u8 & 0x3f) << 2);
-            refresh_ipv4_checksum(frame, l3);
+            let tos = (frame[l3 + 1] & 0x03) | ((value as u8 & 0x3f) << 2);
+            checksum::rewrite_ipv4_byte(frame, l3, 1, tos);
         }
         Field::TcpSrc | Field::UdpSrc if (headers.has_tcp() || headers.has_udp()) => {
-            frame[l4..l4 + 2].copy_from_slice(&(value as u16).to_be_bytes());
+            checksum::rewrite_l4_port(frame, headers, 0, value as u16);
         }
         Field::TcpDst | Field::UdpDst if (headers.has_tcp() || headers.has_udp()) => {
-            frame[l4 + 2..l4 + 4].copy_from_slice(&(value as u16).to_be_bytes());
+            checksum::rewrite_l4_port(frame, headers, 2, value as u16);
         }
         // Metadata-like and unmodelled fields have no frame bytes.
         _ => {}
     }
-}
-
-/// Recomputes the IPv4 header checksum in place after a header rewrite.
-fn refresh_ipv4_checksum(frame: &mut [u8], l3: usize) {
-    let ihl = usize::from(frame[l3] & 0x0f) * 4;
-    frame[l3 + 10] = 0;
-    frame[l3 + 11] = 0;
-    let csum = checksum::ones_complement(&frame[l3..l3 + ihl]);
-    frame[l3 + 10..l3 + 12].copy_from_slice(&csum.to_be_bytes());
 }
 
 /// An OpenFlow action set: at most one action per kind, executed in the

@@ -73,21 +73,22 @@ impl FlowTable {
     /// semantics); the displaced entry is returned so transactional callers
     /// can build an undo log without cloning the table up front.
     pub fn insert(&mut self, entry: FlowEntry) -> Option<FlowEntry> {
-        if let Some(existing) = self
+        // The entries are sorted by descending priority, so the run of the
+        // new entry's priority is found by bisection and is the only place a
+        // duplicate can be.
+        let start = self
             .entries
+            .partition_point(|e| e.priority > entry.priority);
+        let end = start + self.entries[start..].partition_point(|e| e.priority == entry.priority);
+        if let Some(existing) = self.entries[start..end]
             .iter_mut()
-            .find(|e| e.priority == entry.priority && e.flow_match == entry.flow_match)
+            .find(|e| e.flow_match == entry.flow_match)
         {
             return Some(std::mem::replace(existing, entry));
         }
-        // Insert after all entries with priority >= the new one, preserving
-        // insertion order among equal priorities.
-        let pos = self
-            .entries
-            .iter()
-            .position(|e| e.priority < entry.priority)
-            .unwrap_or(self.entries.len());
-        self.entries.insert(pos, entry);
+        // Insert after the run, preserving insertion order among equal
+        // priorities.
+        self.entries.insert(end, entry);
         None
     }
 

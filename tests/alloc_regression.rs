@@ -19,6 +19,10 @@
 //! standard: demux → per-CE NAT with an in-place VLAN pop → LPM, through
 //! `EswitchRuntime::process_batch_into_ct`, allocates nothing per packet.
 //!
+//! The update-plane test pins §3.4 on the hash template: an add or a strict
+//! delete is an in-place edit of one flat table — no rebuild, and a number
+//! of allocations that does not depend on how many entries the table holds.
+//!
 //! The descriptor tests pin what the mbuf promises: a `Packet::clone` is
 //! exactly one allocation, and the receive half of a lap — `rx_burst_into`
 //! (which stamps the parse) → `rss_hash` → `process_batch_into_ct` — is
@@ -32,7 +36,7 @@ use conntrack::CtEngine;
 use eswitch::EswitchRuntime;
 use netdev::Port;
 use openflow::ct::NoCt;
-use openflow::{Action, FlowEntry, FlowMatch, NullController, Pipeline, Verdict};
+use openflow::{Action, Field, FlowEntry, FlowMatch, FlowMod, NullController, Pipeline, Verdict};
 use ovsdp::{OvsConfig, OvsDatapath};
 use pkt::builder::PacketBuilder;
 use pkt::Packet;
@@ -510,5 +514,74 @@ fn rx_hash_process_is_allocation_free_on_l2_gateway_and_ct() {
         engine.stats().snapshot().hits - hits_before,
         9 * ring.len() as u64,
         "every packet must be an established-path ct hit"
+    );
+}
+
+/// 10 000 alternating add / strict-delete flow-mods against a compiled MAC
+/// table of `table_size` entries. Returns the allocations they made, after
+/// checking that every one was absorbed incrementally, that the flat table
+/// was never re-homed (same footprint) and that lookups see each change.
+fn hash_template_update_allocations(table_size: usize) -> u64 {
+    let config = l2::L2Config {
+        table_size,
+        ports: 4,
+        seed: 11,
+    };
+    let switch = EswitchRuntime::compile(l2::build_pipeline(&config)).expect("compiles");
+    let footprint = switch.datapath().memory_footprint();
+    let probe = |mac: u64| {
+        let mut packet = PacketBuilder::udp()
+            .eth_dst(pkt::MacAddr::from_u64(mac).octets())
+            .build();
+        switch.process(&mut packet).outputs.to_vec()
+    };
+    let flow_match = |mac: u64| FlowMatch::any().with_exact(Field::EthDst, u128::from(mac));
+
+    let before = allocations();
+    for round in 0..5_000u64 {
+        // Locally administered, multicast bit set: none of the installed
+        // (unicast) MACs.
+        let mac = 0x0300_0000_0000 + round % 61;
+        let add = FlowMod::add(
+            0,
+            flow_match(mac),
+            100,
+            openflow::instruction::terminal_actions(vec![Action::Output(9)]),
+        );
+        switch.flow_mod(&add).expect("add applies");
+        if round % 500 == 0 {
+            assert_eq!(probe(mac), vec![9], "round {round}: added entry must hit");
+        }
+        let delete = FlowMod::delete_strict(0, flow_match(mac), 100);
+        switch.flow_mod(&delete).expect("delete applies");
+        if round % 500 == 0 {
+            assert_eq!(
+                probe(mac),
+                Vec::<u32>::new(),
+                "round {round}: deleted entry must miss"
+            );
+        }
+    }
+    let allocated = allocations() - before;
+
+    assert_eq!(switch.updates.incremental.updates(), 10_000);
+    assert_eq!(switch.updates.table_rebuilds.updates(), 0);
+    assert_eq!(switch.updates.full_recompiles.updates(), 0);
+    assert_eq!(switch.datapath().memory_footprint(), footprint);
+    allocated
+}
+
+#[test]
+fn hash_template_flow_mods_stay_incremental_and_allocate_o1() {
+    let small = hash_template_update_allocations(500);
+    let large = hash_template_update_allocations(8_000);
+    // The probes allocate (a packet each); the 20 per table size cancel out.
+    assert_eq!(
+        small, large,
+        "allocations per flow-mod must not depend on the table size"
+    );
+    assert!(
+        small <= 10_000 * 32,
+        "{small} allocations over 10 000 flow-mods"
     );
 }

@@ -1,7 +1,9 @@
-//! Helpers shared by the differential suites.
+//! Helpers shared by the differential suites (each uses some of them).
+#![allow(dead_code)]
 
 use netdev::Port;
-use pkt::Packet;
+use pkt::ipv4::Ipv4Header;
+use pkt::{checksum, parse, Packet, ParseDepth};
 
 /// The packets as a switch receives them: each goes through a [`Port`]
 /// numbered as its `in_port`, so it comes back carrying the RX stage's parse
@@ -15,5 +17,60 @@ pub fn received(packets: &[Packet]) -> Vec<Packet> {
         assert_eq!(port.rx_burst_into(&mut out, 1), 1);
     }
     assert!(out.iter().all(|p| p.parsed().is_some()));
+    out
+}
+
+/// True when the checksums a receiver would verify hold: the IPv4 header's
+/// and, over the segment the IP total length delimits, TCP's or UDP's (a UDP
+/// checksum of 0 means none was sent). Frames without IPv4 have none.
+pub fn checksums_verify(frame: &[u8]) -> bool {
+    let headers = parse(frame, ParseDepth::L4);
+    if !headers.has_ipv4() {
+        return true;
+    }
+    let (l3, l4) = (
+        usize::from(headers.l3_offset),
+        usize::from(headers.l4_offset),
+    );
+    if !Ipv4Header::verify_checksum(&frame[l3..]) {
+        return false;
+    }
+    if !(headers.has_tcp() || headers.has_udp())
+        || (headers.has_udp() && frame[l4 + 6..l4 + 8] == [0, 0])
+    {
+        return true;
+    }
+    let ip = &frame[l3..];
+    let segment = &frame[l4..l3 + usize::from(u16::from_be_bytes([ip[2], ip[3]]))];
+    let (src, dst) = (
+        ip[12..16].try_into().unwrap(),
+        ip[16..20].try_into().unwrap(),
+    );
+    checksum::pseudo_header_checksum(src, dst, headers.ip_proto, segment) == 0
+}
+
+/// `packet` (an untagged IPv4 frame with a 20-byte header, as the builder
+/// makes them) with its header grown to `ihl` 32-bit words: `options`'s
+/// bytes, repeated, fill the option space; IHL, total length and the header
+/// checksum are brought in step, so the frame verifies again. (The TCP/UDP
+/// checksum covers neither the options nor the IP length.)
+pub fn with_ipv4_options(packet: &Packet, ihl: u8, options: u64) -> Packet {
+    const L3: usize = 14;
+    let extra = usize::from(ihl - 5) * 4;
+    let fill: Vec<u8> = options
+        .to_be_bytes()
+        .into_iter()
+        .cycle()
+        .take(extra)
+        .collect();
+    let mut out = packet.clone();
+    out.insert(L3 + 20, &fill);
+    let frame = out.data_mut();
+    frame[L3] = 0x40 | ihl;
+    let total = u16::from_be_bytes([frame[L3 + 2], frame[L3 + 3]]) + extra as u16;
+    frame[L3 + 2..L3 + 4].copy_from_slice(&total.to_be_bytes());
+    frame[L3 + 10..L3 + 12].fill(0);
+    let check = checksum::ones_complement(&frame[L3..L3 + 20 + extra]);
+    frame[L3 + 10..L3 + 12].copy_from_slice(&check.to_be_bytes());
     out
 }

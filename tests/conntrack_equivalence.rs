@@ -24,7 +24,7 @@ mod common;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use common::received;
+use common::{checksums_verify, received};
 use conntrack::CtEngine;
 use eswitch::runtime::EswitchRuntime;
 use openflow::ct::CtTuple;
@@ -195,6 +195,13 @@ fn assert_single_switch_equivalence(
                 "{label}/{arch}: frame bytes (NAT rewrites) diverged at event {i} ({ev:?})"
             );
         }
+
+        // Every architecture forwarded these same bytes; a NAT rewrite must
+        // leave them acceptable to the receiver.
+        assert!(
+            want.outputs.is_empty() || checksums_verify(p_ref.data()),
+            "{label}: forwarded frame fails checksum verification at event {i} ({ev:?})"
+        );
 
         if !ev.reply && !want.outputs.is_empty() {
             last_forward.insert(ev.conn, p_ref.clone());

@@ -6,12 +6,16 @@
 //! specialization (and flow caching) are *optimisations*, never semantic
 //! changes.
 
+mod common;
+
+use common::{checksums_verify, with_ipv4_options};
 use eswitch::runtime::EswitchRuntime;
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::{actions_then_goto, terminal_actions};
 use openflow::{Action, DirectDatapath, Field, FlowEntry, Pipeline};
 use ovsdp::OvsDatapath;
 use pkt::builder::PacketBuilder;
+use pkt::ipv4::Ipv4Header;
 use pkt::Packet;
 use proptest::prelude::*;
 
@@ -156,5 +160,64 @@ proptest! {
             .map(|p| ovs.process(&mut p.clone()).decision())
             .collect();
         prop_assert_eq!(first, second);
+    }
+
+    /// Hostile input, first step (ROADMAP item 6a): a frame whose IPv4
+    /// header checksum is already wrong goes through NAT-style rewrites on
+    /// all three architectures. RFC 1624's incremental update carries the
+    /// error along, so each forwards the same bytes as for the intact twin
+    /// except for a header checksum that is still wrong — none launders the
+    /// header into a valid one (a full re-sum would), for any header length.
+    #[test]
+    fn corrupted_ipv4_checksums_stay_corrupted_on_every_datapath(
+        ihl in 5u8..=15,
+        options in any::<u64>(),
+        udp in any::<bool>(),
+        corruption in 1u16..=u16::MAX,
+        (new_src, new_dst, dscp) in (any::<u32>(), any::<u32>(), 0u8..64),
+    ) {
+        let mut pipeline = Pipeline::with_tables(1);
+        pipeline.table_mut(0).unwrap().insert(FlowEntry::new(
+            FlowMatch::any(),
+            1,
+            terminal_actions(vec![
+                Action::SetField(Field::Ipv4Src, u128::from(new_src)),
+                Action::SetField(Field::Ipv4Dst, u128::from(new_dst)),
+                Action::SetField(Field::IpDscp, u128::from(dscp)),
+                Action::DecNwTtl,
+                Action::Output(1),
+            ]),
+        ));
+        let direct = DirectDatapath::new(pipeline.clone());
+        let ovs = OvsDatapath::new(pipeline.clone());
+        let eswitch = EswitchRuntime::compile(pipeline).expect("pipeline compiles");
+
+        let builder = if udp { PacketBuilder::udp() } else { PacketBuilder::tcp() };
+        let intact = with_ipv4_options(&builder.build(), ihl, options);
+        let mut corrupt = intact.clone();
+        corrupt.data_mut()[24] ^= (corruption >> 8) as u8;
+        corrupt.data_mut()[25] ^= corruption as u8;
+        // 0x0000 and 0xffff are the same checksum: flipping one into the
+        // other is not a corruption.
+        if Ipv4Header::verify_checksum(&corrupt.data()[14..]) {
+            continue;
+        }
+
+        let mut expected = intact.clone();
+        prop_assert_eq!(direct.process(&mut expected).outputs.to_vec(), vec![1]);
+        prop_assert!(checksums_verify(expected.data()));
+
+        let [mut a, mut b, mut warm, mut c] = [(); 4].map(|()| corrupt.clone());
+        let reference = direct.process(&mut a);
+        prop_assert_eq!(ovs.process(&mut b).decision(), reference.decision());
+        prop_assert_eq!(ovs.process(&mut warm).decision(), reference.decision());
+        prop_assert_eq!(eswitch.process(&mut c).decision(), reference.decision());
+        prop_assert_eq!(a.data(), b.data());
+        prop_assert_eq!(a.data(), warm.data());
+        prop_assert_eq!(a.data(), c.data());
+
+        prop_assert!(!Ipv4Header::verify_checksum(&a.data()[14..]));
+        prop_assert_eq!(&a.data()[..24], &expected.data()[..24]);
+        prop_assert_eq!(&a.data()[26..], &expected.data()[26..]);
     }
 }

@@ -3,6 +3,9 @@
 //! reference interpreter, the expected templates must be selected, and the
 //! cache-hierarchy behaviour the figures rely on must be observable.
 
+mod common;
+
+use common::checksums_verify;
 use eswitch::analysis::{CompilerConfig, TemplateKind};
 use eswitch::runtime::EswitchRuntime;
 use openflow::{DirectDatapath, NullController};
@@ -13,8 +16,10 @@ use workloads::l3::{self, L3Config};
 use workloads::load_balancer::{self, LoadBalancerConfig};
 use workloads::FlowSet;
 
-/// Checks that every architecture agrees with the direct interpreter over one
-/// full cycle of the traffic mix.
+/// Checks that every architecture agrees with the direct interpreter — on the
+/// decision and on the frame bytes — over one full cycle of the traffic mix,
+/// and that what is forwarded still verifies (the gateway NATs and routes:
+/// header and TCP/UDP checksums both have to follow the rewrites).
 fn assert_all_agree(pipeline_builder: impl Fn() -> openflow::Pipeline, traffic: &FlowSet) {
     let direct = DirectDatapath::new(pipeline_builder());
     let ovs = OvsDatapath::new(pipeline_builder());
@@ -34,6 +39,9 @@ fn assert_all_agree(pipeline_builder: impl Fn() -> openflow::Pipeline, traffic: 
             reference,
             "ESWITCH diverged at {i}"
         );
+        assert_eq!(a.data(), b.data(), "OVS rewrote differently at {i}");
+        assert_eq!(a.data(), c.data(), "ESWITCH rewrote differently at {i}");
+        assert!(checksums_verify(a.data()), "bad checksum out at {i}");
     }
 }
 

@@ -1,7 +1,7 @@
 //! Source-analysis lint gate: repo-specific rules that `rustc`/`clippy`
 //! cannot express, run in CI as `cargo xtask lint`.
 //!
-//! Three rules, all pure text analysis over the workspace's `.rs` files:
+//! Four rules, all pure text analysis over the workspace's `.rs` files:
 //!
 //! 1. **SAFETY comments** — every `unsafe {` block and `unsafe impl` must
 //!    carry a `SAFETY:` comment, either on the same line or in the
@@ -23,6 +23,13 @@
 //!    measures the *composed* hit path at runtime with one workload; this
 //!    rule keeps the leaf modules honest at the source level, whatever the
 //!    workload.
+//! 4. **Full re-sum ban** — the per-packet header-rewrite modules (compiled
+//!    and interpreted actions, the ct/NAT rewrite path) must not call
+//!    `checksum::ones_complement`. A rewrite steps the checksums that cover
+//!    it (`checksum::rewrite_*`, built on the RFC 1624 `update16`/`update32`):
+//!    re-summing costs a pass over the header per rewrite and turns a
+//!    corrupted checksum into a valid one. `#[cfg(test)]` regions are exempt
+//!    (re-summing is the oracle there).
 
 use std::fmt;
 use std::path::Path;
@@ -35,6 +42,7 @@ const FAST_PATH_MODULES: &[&str] = &[
     "crates/netdev/src/port.rs",
     "crates/netdev/src/classify.rs",
     "crates/netdev/src/stats.rs",
+    "crates/netdev/src/flat_hash.rs",
     "crates/ovsdp/src/minikey.rs",
     "crates/conntrack/src/table.rs",
     "crates/conntrack/src/wheel.rs",
@@ -67,6 +75,18 @@ const BANNED_ALLOCATIONS: &[&str] = &[
     "String::new",
     ".to_string()",
 ];
+
+/// Files whose code rewrites header fields per packet, or asks for such
+/// rewrites: checksums there are stepped, never re-summed.
+const REWRITE_MODULES: &[&str] = &[
+    "crates/core/src/templates/action.rs",
+    "crates/openflow/src/action.rs",
+    "crates/openflow/src/ct.rs",
+    "crates/conntrack/src/engine.rs",
+    "crates/conntrack/src/nat.rs",
+];
+
+const BANNED_RESUMS: &[&str] = &["ones_complement"];
 
 #[derive(Debug, PartialEq)]
 struct Violation {
@@ -339,10 +359,17 @@ fn check_facade_bypass(file: &str, src: &str) -> Vec<Violation> {
     out
 }
 
-/// Rule 3: declared fast-path modules must not call allocation
-/// constructors outside `#[cfg(test)]` regions.
-fn check_fastpath_alloc(file: &str, src: &str) -> Vec<Violation> {
-    if !FAST_PATH_MODULES.contains(&file) {
+/// Rules 3 and 4 share a shape: in each of `modules`, outside
+/// `#[cfg(test)]` regions, none of `tokens` may appear.
+fn check_banned_tokens(
+    file: &str,
+    src: &str,
+    modules: &[&str],
+    tokens: &[&str],
+    rule: &'static str,
+    why: &str,
+) -> Vec<Violation> {
+    if !modules.contains(&file) {
         return Vec::new();
     }
     let censored = censor(src);
@@ -352,16 +379,13 @@ fn check_fastpath_alloc(file: &str, src: &str) -> Vec<Violation> {
         if mask.get(idx).copied().unwrap_or(false) {
             continue;
         }
-        for token in BANNED_ALLOCATIONS {
+        for token in tokens {
             if line.contains(token) {
                 out.push(Violation {
                     file: file.to_string(),
                     line: idx + 1,
-                    rule: "fastpath-alloc",
-                    message: format!(
-                        "`{token}` in a declared fast-path module — allocation is \
-                         banned on the per-packet path"
-                    ),
+                    rule,
+                    message: format!("`{token}` {why}"),
                 });
             }
         }
@@ -369,10 +393,38 @@ fn check_fastpath_alloc(file: &str, src: &str) -> Vec<Violation> {
     out
 }
 
+/// Rule 3: declared fast-path modules must not call allocation
+/// constructors outside `#[cfg(test)]` regions.
+fn check_fastpath_alloc(file: &str, src: &str) -> Vec<Violation> {
+    check_banned_tokens(
+        file,
+        src,
+        FAST_PATH_MODULES,
+        BANNED_ALLOCATIONS,
+        "fastpath-alloc",
+        "in a declared fast-path module — allocation is banned on the per-packet path",
+    )
+}
+
+/// Rule 4: the header-rewrite modules must not re-sum a checksum outside
+/// `#[cfg(test)]` regions.
+fn check_full_resum(file: &str, src: &str) -> Vec<Violation> {
+    check_banned_tokens(
+        file,
+        src,
+        REWRITE_MODULES,
+        BANNED_RESUMS,
+        "full-resum",
+        "in a per-packet rewrite module — step the checksum with \
+         `checksum::rewrite_*` or `update16`/`update32` (RFC 1624) instead of re-summing it",
+    )
+}
+
 fn check_file(rel_path: &str, src: &str) -> Vec<Violation> {
     let mut v = check_safety_comments(rel_path, src);
     v.extend(check_facade_bypass(rel_path, src));
     v.extend(check_fastpath_alloc(rel_path, src));
+    v.extend(check_full_resum(rel_path, src));
     v
 }
 
@@ -434,7 +486,7 @@ pub fn run() -> ExitCode {
 
     if violations.is_empty() {
         println!(
-            "xtask lint: {} files clean (safety-comment, facade-bypass, fastpath-alloc)",
+            "xtask lint: {} files clean (safety-comment, facade-bypass, fastpath-alloc, full-resum)",
             sources.len()
         );
         ExitCode::SUCCESS
@@ -649,6 +701,41 @@ mod tests {
     fn alloc_token_in_comment_or_string_is_ignored() {
         let src = "// avoid Vec::new here\npub fn hot() -> &'static str { \"Box::new\" }\n";
         assert!(check_fastpath_alloc("crates/netdev/src/ring.rs", src).is_empty());
+    }
+
+    #[test]
+    fn flat_hash_probe_module_is_covered_and_its_grow_half_is_not() {
+        // Probe, in-place insert and backward-shift remove run per packet or
+        // per flow-mod; building and re-homing the slot array allocate and
+        // live in the child module.
+        let src = "fn grow(&mut self) { self.slots = vec![None; 8].into(); }\n";
+        assert_eq!(
+            rules(&check_fastpath_alloc("crates/netdev/src/flat_hash.rs", src)),
+            ["fastpath-alloc"]
+        );
+        assert!(check_fastpath_alloc("crates/netdev/src/flat_hash/grow.rs", src).is_empty());
+    }
+
+    // ---- rule 4: full re-sum -----------------------------------------
+
+    #[test]
+    fn resumming_in_a_rewrite_module_is_flagged() {
+        let src = "fn refresh(h: &mut [u8]) {\n    let c = checksum::ones_complement(h);\n}\n";
+        for file in REWRITE_MODULES {
+            let v = check_full_resum(file, src);
+            assert_eq!(rules(&v), ["full-resum"], "{file}");
+            assert_eq!(v[0].line, 2);
+        }
+    }
+
+    #[test]
+    fn resumming_elsewhere_or_in_tests_is_allowed() {
+        // Builders and verifiers re-sum by design; so do the rewrite
+        // modules' own tests, where it is the oracle.
+        let src = "fn build(h: &[u8]) -> u16 { checksum::ones_complement(h) }\n";
+        assert!(check_full_resum("crates/packet/src/ipv4.rs", src).is_empty());
+        let src = "fn step() {}\n\n#[cfg(test)]\nmod tests {\n    fn t(h: &[u8]) -> u16 { pkt::checksum::ones_complement(h) }\n}\n";
+        assert!(check_full_resum("crates/openflow/src/action.rs", src).is_empty());
     }
 
     // ---- plumbing ----------------------------------------------------
