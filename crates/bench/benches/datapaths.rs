@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use bench_harness::{AnySwitch, SwitchKind};
+use bench_harness::SwitchKind;
 use workloads::gateway::GatewayConfig;
 use workloads::l2::L2Config;
 use workloads::l3::L3Config;
@@ -30,7 +30,7 @@ fn bench_use_case(
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
     for kind in kinds {
-        let switch = AnySwitch::build(*kind, make_pipeline());
+        let switch = kind.build(make_pipeline());
         for i in 0..WARMUP_PACKETS {
             switch.process(&mut traffic.packet(i));
         }
@@ -117,7 +117,7 @@ fn bench_templates(c: &mut Criterion) {
     use eswitch::analysis::CompilerConfig;
     use openflow::flow_match::FlowMatch;
     use openflow::instruction::terminal_actions;
-    use openflow::{Action, Field, FlowEntry, Pipeline};
+    use openflow::{Action, Field, FlowEntry, NoCt, Pipeline};
     use pkt::builder::PacketBuilder;
 
     let mut group = c.benchmark_group("fig09_template_lookup");
@@ -154,8 +154,13 @@ fn bench_templates(c: &mut Criterion) {
                 },
             )
             .expect("compiles");
+            let mut verdicts = Vec::with_capacity(1);
             group.bench_with_input(BenchmarkId::new(label, entries), &entries, |b, _| {
-                b.iter(|| std::hint::black_box(dp.process(&mut packet)))
+                b.iter(|| {
+                    let burst = std::slice::from_mut(&mut packet);
+                    dp.process_burst_ct(burst, &mut verdicts, &mut NoCt);
+                    std::hint::black_box(&verdicts);
+                })
             });
         }
     }
@@ -178,7 +183,7 @@ fn bench_updates(c: &mut Criterion) {
         seed: 4,
     };
     for kind in [SwitchKind::Eswitch, SwitchKind::Ovs] {
-        let switch = AnySwitch::build(kind, workloads::l2::build_pipeline(&config));
+        let switch = kind.build(workloads::l2::build_pipeline(&config));
         let mut next_mac: u64 = 0x0600_0000_0000;
         group.bench_with_input(BenchmarkId::from_parameter(kind.label()), &kind, |b, _| {
             b.iter(|| {
@@ -189,7 +194,7 @@ fn bench_updates(c: &mut Criterion) {
                     100,
                     terminal_actions(vec![Action::Output(1)]),
                 );
-                switch.flow_mod(&fm);
+                let _ = switch.flow_mod(&fm);
             })
         });
     }

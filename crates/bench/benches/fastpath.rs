@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bench_harness::fastpath::{build_ring, port_pipeline, port_traffic, BURST};
-use openflow::NullController;
+use openflow::{Datapath, NoCt, NullController};
 use ovsdp::{OvsConfig, OvsDatapath};
 
 fn ovs(use_microflow: bool) -> OvsDatapath {
@@ -35,7 +35,7 @@ fn bench_fastpath_burst(c: &mut Criterion) {
         let mut ring = build_ring(&port_traffic(flows));
         let mut verdicts = Vec::with_capacity(BURST);
         for chunk in ring.chunks_mut(BURST) {
-            dp.process_batch_into(chunk, &mut verdicts);
+            dp.process_burst(chunk, &mut verdicts, &mut NoCt);
         }
         let bursts = ring.len() / BURST;
         let mut next = 0usize;
@@ -43,7 +43,7 @@ fn bench_fastpath_burst(c: &mut Criterion) {
             b.iter(|| {
                 let start = (next % bursts) * BURST;
                 next += 1;
-                dp.process_batch_into(&mut ring[start..start + BURST], &mut verdicts);
+                dp.process_burst(&mut ring[start..start + BURST], &mut verdicts, &mut NoCt);
                 std::hint::black_box(verdicts.len());
             })
         });
@@ -51,8 +51,9 @@ fn bench_fastpath_burst(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-packet `process` vs burst `process_batch_into` on the same warmed
-/// datapath — the cost of per-packet lock traffic and key churn.
+/// Per-packet `process` (a burst of one) vs a 32-packet `process_burst` on
+/// the same warmed datapath — what grouping a burst's lock traffic and key
+/// work buys.
 fn bench_batch_vs_per_packet(c: &mut Criterion) {
     let mut group = c.benchmark_group("fastpath_batch_vs_per_packet");
     group.sample_size(10);
@@ -63,7 +64,7 @@ fn bench_batch_vs_per_packet(c: &mut Criterion) {
     let mut ring = build_ring(&port_traffic(2_048));
     let mut verdicts = Vec::with_capacity(BURST);
     for chunk in ring.chunks_mut(BURST) {
-        dp.process_batch_into(chunk, &mut verdicts);
+        dp.process_burst(chunk, &mut verdicts, &mut NoCt);
     }
     let bursts = ring.len() / BURST;
 
@@ -82,7 +83,7 @@ fn bench_batch_vs_per_packet(c: &mut Criterion) {
         b.iter(|| {
             let start = (next % bursts) * BURST;
             next += 1;
-            dp.process_batch_into(&mut ring[start..start + BURST], &mut verdicts);
+            dp.process_burst(&mut ring[start..start + BURST], &mut verdicts, &mut NoCt);
             std::hint::black_box(verdicts.len());
         })
     });

@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use bench_harness::fastpath::{build_ring, port_pipeline, port_traffic, BURST};
 use bench_harness::print_header;
+use openflow::{Datapath, NoCt};
 use ovsdp::{OvsConfig, OvsDatapath};
 use pkt::Packet;
 use workloads::l2::{self, L2Config};
@@ -52,7 +53,7 @@ struct WorkloadResult {
 /// Runs one burst through the OVS datapath into a reused verdict buffer.
 /// This is the measured call.
 fn ovs_burst(dp: &OvsDatapath, chunk: &mut [Packet], verdicts: &mut Vec<openflow::Verdict>) {
-    dp.process_batch_into(chunk, verdicts);
+    dp.process_burst(chunk, verdicts, &mut NoCt);
     std::hint::black_box(verdicts.len());
 }
 
@@ -129,7 +130,7 @@ fn measure_eswitch(name: &'static str, flows: usize) -> WorkloadResult {
     let mut ring = build_ring(&traffic);
     let mut verdicts = Vec::with_capacity(BURST);
     for chunk in ring.chunks_mut(BURST) {
-        switch.process_batch_into(chunk, &mut verdicts);
+        switch.process_burst(chunk, &mut verdicts, &mut NoCt);
         std::hint::black_box(verdicts.len());
     }
     let target = measured_packets();
@@ -137,7 +138,7 @@ fn measure_eswitch(name: &'static str, flows: usize) -> WorkloadResult {
     let start = Instant::now();
     while done < target {
         for chunk in ring.chunks_mut(BURST) {
-            switch.process_batch_into(chunk, &mut verdicts);
+            switch.process_burst(chunk, &mut verdicts, &mut NoCt);
             std::hint::black_box(verdicts.len());
         }
         done += ring.len();

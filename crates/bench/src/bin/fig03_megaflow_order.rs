@@ -14,7 +14,7 @@
 use bench_harness::print_header;
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::terminal_actions;
-use openflow::{Action, Field, FlowEntry, Pipeline};
+use openflow::{Action, Datapath, Field, FlowEntry, Pipeline};
 use ovsdp::OvsDatapath;
 use pkt::builder::PacketBuilder;
 use pkt::Packet;

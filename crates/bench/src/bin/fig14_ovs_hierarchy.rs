@@ -9,6 +9,7 @@
 use bench_harness::{
     flow_sweep, packets_per_point, print_header, render_series_table, warmup_packets, Series,
 };
+use openflow::Datapath;
 use ovsdp::OvsDatapath;
 use workloads::gateway::{self, GatewayConfig};
 

@@ -14,6 +14,7 @@ use bench_harness::{
 };
 use cpumodel::CacheHierarchy;
 use eswitch::runtime::EswitchRuntime;
+use openflow::Datapath;
 use ovsdp::OvsDatapath;
 use workloads::gateway::{self, GatewayConfig};
 

@@ -9,7 +9,7 @@
 
 use bench_harness::{
     flow_sweep, measure_latency_cycles, packets_per_point, print_header, render_series_table,
-    warmup_packets, AnySwitch, Series, SwitchKind,
+    warmup_packets, Series, SwitchKind,
 };
 use eswitch::perfmodel::{CacheAssumption, CacheLevelCosts, PerformanceModel};
 use eswitch::runtime::EswitchRuntime;
@@ -27,15 +27,20 @@ fn main() {
     let mut ovs = Series::new("OVS");
     for &flows in &sweep {
         let traffic = gateway::build_traffic(&config, flows);
-        let es_switch = AnySwitch::build(SwitchKind::Eswitch, gateway::build_pipeline(&config));
+        let es_switch = SwitchKind::Eswitch.build(gateway::build_pipeline(&config));
         es.push(
             flows as f64,
-            measure_latency_cycles(&es_switch, &traffic, warmup_packets(), packets_per_point()),
+            measure_latency_cycles(&*es_switch, &traffic, warmup_packets(), packets_per_point()),
         );
-        let ovs_switch = AnySwitch::build(SwitchKind::Ovs, gateway::build_pipeline(&config));
+        let ovs_switch = SwitchKind::Ovs.build(gateway::build_pipeline(&config));
         ovs.push(
             flows as f64,
-            measure_latency_cycles(&ovs_switch, &traffic, warmup_packets(), packets_per_point()),
+            measure_latency_cycles(
+                &*ovs_switch,
+                &traffic,
+                warmup_packets(),
+                packets_per_point(),
+            ),
         );
     }
 

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use bench_harness::{print_header, quick_mode, render_series_table, AnySwitch, Series, SwitchKind};
+use bench_harness::{print_header, quick_mode, render_series_table, Series, SwitchKind};
 use openflow::{FlowMod, Pipeline};
 use workloads::load_balancer::{self, LoadBalancerConfig};
 
@@ -32,10 +32,10 @@ fn setup_mods(config: &LoadBalancerConfig) -> Vec<FlowMod> {
 
 fn time_setup(kind: SwitchKind, mods: &[FlowMod]) -> f64 {
     // Start from an empty single-table pipeline, as ovs-ofctl would.
-    let switch = AnySwitch::build(kind, Pipeline::with_tables(1));
+    let switch = kind.build(Pipeline::with_tables(1));
     let start = Instant::now();
     for fm in mods {
-        switch.flow_mod(fm);
+        let _ = switch.flow_mod(fm);
     }
     start.elapsed().as_secs_f64()
 }

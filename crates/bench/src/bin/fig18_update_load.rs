@@ -12,10 +12,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bench_harness::{print_header, quick_mode, render_series_table, AnySwitch, Series, SwitchKind};
+use bench_harness::{print_header, quick_mode, render_series_table, Series, SwitchKind};
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::terminal_actions;
-use openflow::{Action, Field, FlowMod};
+use openflow::{Action, Datapath, Field, FlowMod};
 use workloads::gateway::{self, GatewayConfig};
 
 const ACTIVE_FLOWS: usize = 1_000;
@@ -24,7 +24,7 @@ const ACTIVE_FLOWS: usize = 1_000;
 /// route add/delete operations against the routing table.
 fn rate_under_updates(kind: SwitchKind, updates_per_sec: u64, duration_ms: u64) -> f64 {
     let config = GatewayConfig::default();
-    let switch = Arc::new(AnySwitch::build(kind, gateway::build_pipeline(&config)));
+    let switch: Arc<dyn Datapath> = Arc::from(kind.build(gateway::build_pipeline(&config)));
     let traffic = gateway::build_traffic(&config, ACTIVE_FLOWS);
 
     // Warm up.
@@ -53,7 +53,7 @@ fn rate_under_updates(kind: SwitchKind, updates_per_sec: u64, duration_ms: u64) 
                     134,
                     terminal_actions(vec![Action::Output(1)]),
                 );
-                switch.flow_mod(&add);
+                let _ = switch.flow_mod(&add);
                 applied.fetch_add(1, Ordering::Relaxed);
                 i += 1;
                 next += interval;

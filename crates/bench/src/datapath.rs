@@ -1,10 +1,9 @@
-//! A uniform front over the three switch architectures under test.
+//! The switch architectures under test, built behind [`openflow::Datapath`].
 
 use eswitch::analysis::CompilerConfig;
 use eswitch::runtime::EswitchRuntime;
-use openflow::{DirectDatapath, FlowMod, NullController, Pipeline, Verdict};
-use ovsdp::{OvsConfig, OvsDatapath};
-use pkt::Packet;
+use openflow::{Datapath, DirectDatapath, NullController, Pipeline};
+use ovsdp::OvsDatapath;
 
 /// Which switch architecture a measurement runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,27 +28,14 @@ impl SwitchKind {
             SwitchKind::Direct => "direct",
         }
     }
-}
 
-/// A switch instance of any architecture, processing packets one at a time.
-pub enum AnySwitch {
-    /// Compiled ESWITCH runtime.
-    Eswitch(EswitchRuntime),
-    /// OVS-style caching datapath (boxed: it embeds the burst scratch and
-    /// projection buffers, making it much larger than the other variants).
-    Ovs(Box<OvsDatapath>),
-    /// Direct reference datapath.
-    Direct(DirectDatapath),
-}
-
-impl AnySwitch {
-    /// Instantiates the requested architecture over a pipeline.
-    pub fn build(kind: SwitchKind, pipeline: Pipeline) -> Self {
-        match kind {
+    /// Instantiates this architecture over a pipeline.
+    pub fn build(self, pipeline: Pipeline) -> Box<dyn Datapath> {
+        match self {
             SwitchKind::Eswitch => {
-                AnySwitch::Eswitch(EswitchRuntime::compile(pipeline).expect("pipeline compiles"))
+                Box::new(EswitchRuntime::compile(pipeline).expect("pipeline compiles"))
             }
-            SwitchKind::EswitchDecomposed => AnySwitch::Eswitch(
+            SwitchKind::EswitchDecomposed => Box::new(
                 EswitchRuntime::with_config(
                     pipeline,
                     CompilerConfig {
@@ -60,77 +46,8 @@ impl AnySwitch {
                 )
                 .expect("pipeline compiles"),
             ),
-            SwitchKind::Ovs => AnySwitch::Ovs(Box::new(OvsDatapath::new(pipeline))),
-            SwitchKind::Direct => AnySwitch::Direct(DirectDatapath::new(pipeline)),
-        }
-    }
-
-    /// Instantiates an OVS datapath with an explicit cache configuration.
-    pub fn ovs_with_config(pipeline: Pipeline, config: OvsConfig) -> Self {
-        AnySwitch::Ovs(Box::new(OvsDatapath::with_config(
-            pipeline,
-            config,
-            Box::new(NullController::new()),
-        )))
-    }
-
-    /// Processes one packet.
-    #[inline]
-    pub fn process(&self, packet: &mut Packet) -> Verdict {
-        match self {
-            AnySwitch::Eswitch(s) => s.process(packet),
-            AnySwitch::Ovs(s) => s.process(packet),
-            AnySwitch::Direct(s) => s.process(packet),
-        }
-    }
-
-    /// Processes a batch of packets through the architecture's batched fast
-    /// path, appending one verdict per packet to `verdicts` (cleared first).
-    /// The direct interpreter has no batch path; it falls back to per-packet
-    /// processing into the same buffer.
-    #[inline]
-    pub fn process_batch_into(&self, packets: &mut [Packet], verdicts: &mut Vec<Verdict>) {
-        match self {
-            AnySwitch::Eswitch(s) => s.process_batch_into(packets, verdicts),
-            AnySwitch::Ovs(s) => s.process_batch_into(packets, verdicts),
-            AnySwitch::Direct(s) => {
-                verdicts.clear();
-                verdicts.reserve(packets.len());
-                for p in packets.iter_mut() {
-                    verdicts.push(s.process(p));
-                }
-            }
-        }
-    }
-
-    /// Applies a flow-mod (used by the update experiments).
-    pub fn flow_mod(&self, fm: &FlowMod) {
-        match self {
-            AnySwitch::Eswitch(s) => {
-                let _ = s.flow_mod(fm);
-            }
-            AnySwitch::Ovs(s) => {
-                let _ = s.flow_mod(fm);
-            }
-            AnySwitch::Direct(s) => {
-                let _ = s.flow_mod(fm);
-            }
-        }
-    }
-
-    /// The ESWITCH runtime, if this is one (for template/update statistics).
-    pub fn as_eswitch(&self) -> Option<&EswitchRuntime> {
-        match self {
-            AnySwitch::Eswitch(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The OVS datapath, if this is one (for cache statistics).
-    pub fn as_ovs(&self) -> Option<&OvsDatapath> {
-        match self {
-            AnySwitch::Ovs(s) => Some(s),
-            _ => None,
+            SwitchKind::Ovs => Box::new(OvsDatapath::new(pipeline)),
+            SwitchKind::Direct => Box::new(DirectDatapath::new(pipeline)),
         }
     }
 }
@@ -148,14 +65,14 @@ mod tests {
             seed: 4,
         };
         let traffic = l2::build_traffic(&config, 64);
-        let switches: Vec<AnySwitch> = [
+        let switches: Vec<Box<dyn Datapath>> = [
             SwitchKind::Eswitch,
             SwitchKind::EswitchDecomposed,
             SwitchKind::Ovs,
             SwitchKind::Direct,
         ]
         .iter()
-        .map(|k| AnySwitch::build(*k, l2::build_pipeline(&config)))
+        .map(|k| k.build(l2::build_pipeline(&config)))
         .collect();
         for i in 0..128 {
             let reference = {

@@ -95,6 +95,7 @@ pub fn build_ring(traffic: &FlowSet) -> Vec<Packet> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openflow::Datapath;
     use ovsdp::OvsDatapath;
 
     #[test]

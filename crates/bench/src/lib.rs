@@ -2,8 +2,9 @@
 //!
 //! Every table and figure of the evaluation has a dedicated binary under
 //! `src/bin/` (`fig03_*` … `fig20_*`, `tab_decompose_acl`); this library
-//! holds what they share: a datapath abstraction covering the three switch
-//! architectures under test, throughput/latency measurement loops, the
+//! holds what they share: a constructor for the three switch architectures
+//! under test behind `openflow::Datapath`, throughput/latency measurement
+//! loops, the
 //! multi-core runner for Fig. 19, and plain-text series/table rendering so
 //! every binary prints the same self-describing report format.
 //!
@@ -21,7 +22,7 @@ pub mod reactive;
 pub mod report;
 pub mod updates;
 
-pub use datapath::{AnySwitch, SwitchKind};
+pub use datapath::SwitchKind;
 pub use io::{measure_io_throughput, measure_tx_styles, IoConfig, IoResult, TxStyles};
 pub use measure::{measure_latency_cycles, measure_throughput, Measurement};
 pub use multicore::{

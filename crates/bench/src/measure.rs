@@ -11,9 +11,8 @@
 use std::time::Instant;
 
 use cpumodel::SystemProfile;
+use openflow::Datapath;
 use workloads::FlowSet;
-
-use crate::datapath::AnySwitch;
 
 /// One measured data point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,7 +28,7 @@ pub struct Measurement {
 
 /// Measures single-thread throughput of `switch` over `traffic`.
 pub fn measure_throughput(
-    switch: &AnySwitch,
+    switch: &dyn Datapath,
     traffic: &FlowSet,
     warmup_packets: usize,
     measured_packets: usize,
@@ -57,7 +56,7 @@ pub fn measure_throughput(
 /// Measures mean per-packet latency (identical loop, exposed separately so
 /// call sites read naturally for the latency figures).
 pub fn measure_latency_cycles(
-    switch: &AnySwitch,
+    switch: &dyn Datapath,
     traffic: &FlowSet,
     warmup_packets: usize,
     measured_packets: usize,
@@ -67,10 +66,10 @@ pub fn measure_latency_cycles(
 
 /// Measures how long installing a sequence of flow-mods takes, returning
 /// seconds (the Fig. 17 metric: "total time to set up the pipeline").
-pub fn measure_update_time(switch: &AnySwitch, mods: &[openflow::FlowMod]) -> f64 {
+pub fn measure_update_time(switch: &dyn Datapath, mods: &[openflow::FlowMod]) -> f64 {
     let start = Instant::now();
     for fm in mods {
-        switch.flow_mod(fm);
+        let _ = switch.flow_mod(fm);
     }
     start.elapsed().as_secs_f64()
 }
@@ -95,9 +94,9 @@ pub fn rate_sweep(
         .map(|kind| {
             let mut series = crate::report::Series::new(format!("{}({})", kind.label(), suffix));
             for &flows in sweep {
-                let switch = AnySwitch::build(*kind, make_pipeline());
+                let switch = kind.build(make_pipeline());
                 let traffic = traffic_for(flows);
-                let m = measure_throughput(&switch, &traffic, warmup, measured);
+                let m = measure_throughput(&*switch, &traffic, warmup, measured);
                 series.push(flows as f64, m.pps);
             }
             series
@@ -118,9 +117,9 @@ mod tests {
             ports: 2,
             seed: 1,
         };
-        let switch = AnySwitch::build(SwitchKind::Eswitch, l2::build_pipeline(&config));
+        let switch = SwitchKind::Eswitch.build(l2::build_pipeline(&config));
         let traffic = l2::build_traffic(&config, 32);
-        let m = measure_throughput(&switch, &traffic, 100, 2_000);
+        let m = measure_throughput(&*switch, &traffic, 100, 2_000);
         assert!(m.pps > 0.0);
         assert!(m.ns_per_packet > 0.0);
         assert!((m.cycles_per_packet - m.ns_per_packet * 2.0).abs() < 1e-6);
@@ -133,7 +132,7 @@ mod tests {
             ports: 2,
             seed: 1,
         };
-        let switch = AnySwitch::build(SwitchKind::Ovs, l2::build_pipeline(&config));
+        let switch = SwitchKind::Ovs.build(l2::build_pipeline(&config));
         let mods: Vec<openflow::FlowMod> = (0..20u64)
             .map(|i| {
                 openflow::FlowMod::add(
@@ -145,7 +144,7 @@ mod tests {
                 )
             })
             .collect();
-        let seconds = measure_update_time(&switch, &mods);
+        let seconds = measure_update_time(&*switch, &mods);
         assert!(seconds >= 0.0);
     }
 }

@@ -26,7 +26,8 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use netdev::BURST_SIZE;
-use openflow::{Pipeline, Verdict};
+use openflow::ct::NoCt;
+use openflow::{Datapath, Pipeline, Verdict};
 use pkt::builder::PacketBuilder;
 use pkt::Packet;
 use shard::{
@@ -34,8 +35,6 @@ use shard::{
     ShardedSwitch,
 };
 use workloads::FlowSet;
-
-use crate::datapath::AnySwitch;
 
 /// Per-shard ring capacity [`measure_sharded_throughput`] launches with;
 /// public so the `multicore` bin records the operating point it measured.
@@ -63,7 +62,7 @@ pub fn measure_multicore_throughput<F>(
     duration_ms: u64,
 ) -> f64
 where
-    F: Fn() -> AnySwitch + Sync,
+    F: Fn() -> Box<dyn Datapath> + Sync,
 {
     let cores = cores.max(1);
     let stop = Arc::new(AtomicBool::new(false));
@@ -82,7 +81,7 @@ where
                     let mut warmed = 0usize;
                     while warmed < warmup {
                         for chunk in ring.chunks_mut(BURST_SIZE) {
-                            switch.process_batch_into(chunk, &mut verdicts);
+                            switch.process_burst(chunk, &mut verdicts, &mut NoCt);
                             std::hint::black_box(verdicts.len());
                         }
                         warmed += ring.len();
@@ -91,7 +90,7 @@ where
                     let mut processed = 0u64;
                     while !stop.load(Ordering::Relaxed) {
                         for chunk in ring.chunks_mut(BURST_SIZE) {
-                            switch.process_batch_into(chunk, &mut verdicts);
+                            switch.process_burst(chunk, &mut verdicts, &mut NoCt);
                             std::hint::black_box(verdicts.len());
                         }
                         processed += ring.len() as u64;
@@ -428,7 +427,7 @@ mod tests {
             seed: 2,
         };
         let traffic = l3::build_traffic(&config, 256);
-        let make = || AnySwitch::build(SwitchKind::Eswitch, l3::build_pipeline(&config));
+        let make = || SwitchKind::Eswitch.build(l3::build_pipeline(&config));
         let one = measure_multicore_throughput(make, &traffic, 1, 200, 60);
         let four = measure_multicore_throughput(make, &traffic, 4, 200, 60);
         assert!(one > 0.0);

@@ -453,8 +453,8 @@ mod tests {
         for (i, packet) in packets.iter().enumerate() {
             let mut a = packet.clone();
             let mut b = packet.clone();
-            let compiled = dp.process(&mut a);
-            let reference = pipeline.process(&mut b);
+            let compiled = crate::process_one(&dp, &mut a);
+            let reference = pipeline.process_ct(&mut b, &mut openflow::NoCt);
             assert_eq!(
                 compiled.decision(),
                 reference.decision(),
@@ -626,7 +626,7 @@ mod tests {
             .tcp_dst(80)
             .in_port(0)
             .build();
-        assert_eq!(dp.process(&mut web).tables_visited, 2);
+        assert_eq!(crate::process_one(&dp, &mut web).tables_visited, 2);
     }
 
     #[test]
@@ -725,9 +725,9 @@ mod tests {
 
         let dp = compile_default(&p).unwrap();
         let mut http = PacketBuilder::tcp().tcp_dst(80).build();
-        assert_eq!(dp.process(&mut http).outputs, vec![5]);
+        assert_eq!(crate::process_one(&dp, &mut http).outputs, vec![5]);
         let mut other = PacketBuilder::tcp().tcp_dst(22).build();
-        assert_eq!(dp.process(&mut other).outputs, vec![3]);
+        assert_eq!(crate::process_one(&dp, &mut other).outputs, vec![3]);
     }
 
     #[test]
@@ -758,7 +758,7 @@ mod tests {
 
         let dp = compile_default(&p).unwrap();
         let mut pkt = PacketBuilder::udp().build();
-        let verdict = dp.process(&mut pkt);
+        let verdict = crate::process_one(&dp, &mut pkt);
         assert_eq!(verdict.outputs, vec![9]);
     }
 
@@ -769,14 +769,14 @@ mod tests {
         p.table_mut(1).unwrap().miss = TableMissBehavior::ToController;
         let dp = compile_default(&p).unwrap();
         let mut pkt = PacketBuilder::udp().build();
-        let verdict = dp.process(&mut pkt);
+        let verdict = crate::process_one(&dp, &mut pkt);
         assert!(verdict.to_controller);
         assert_eq!(dp.stats.punted.packets(), 1);
 
         let empty = Pipeline::new();
         let dp = compile_default(&empty).unwrap();
         let mut pkt = PacketBuilder::udp().build();
-        assert!(dp.process(&mut pkt).is_drop());
+        assert!(crate::process_one(&dp, &mut pkt).is_drop());
     }
 
     #[test]

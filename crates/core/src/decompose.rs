@@ -273,8 +273,8 @@ mod tests {
             let mut x = p.clone();
             let mut y = p.clone();
             assert_eq!(
-                a.process(&mut x).decision(),
-                b.process(&mut y).decision(),
+                a.process_ct(&mut x, &mut openflow::NoCt).decision(),
+                b.process_ct(&mut y, &mut openflow::NoCt).decision(),
                 "packet {i} diverged"
             );
         }
@@ -485,8 +485,8 @@ mod tests {
             let mut a = packet.clone();
             let mut b = packet.clone();
             assert_eq!(
-                dp.process(&mut a).decision(),
-                original.process(&mut b).decision()
+                crate::process_one(&dp, &mut a).decision(),
+                original.process_ct(&mut b, &mut openflow::NoCt).decision()
             );
         }
     }

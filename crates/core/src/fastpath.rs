@@ -33,7 +33,7 @@ use std::cell::{Cell, OnceCell};
 
 use parking_lot::RwLockReadGuard;
 
-use openflow::ct::{ConnCtx, NoCt};
+use openflow::ct::ConnCtx;
 use openflow::field::FieldValue;
 use openflow::table::TableMissBehavior;
 use openflow::{PacketInReason, Verdict};
@@ -287,27 +287,13 @@ fn with_cells<T: Default, R>(n: usize, f: impl FnOnce(&[T]) -> R) -> R {
 }
 
 impl CompiledDatapath {
-    /// Processes one packet through the compiled fast path. Ct verbs run
-    /// against the no-op tracker; stateful pipelines use
-    /// [`CompiledDatapath::process_ct`].
-    pub fn process(&self, packet: &mut Packet) -> Verdict {
-        self.process_ct(packet, &mut NoCt)
-    }
-
-    /// Processes one packet with a live connection tracker: the burst of
-    /// one. The datapath is shared read-only across shards; each caller
-    /// threads its own shard-local engine, so the compiled program stays
-    /// immutable while connection state stays unshared.
-    pub fn process_ct(&self, packet: &mut Packet, ct: &mut dyn ConnCtx) -> Verdict {
-        let mut verdict = Verdict::default();
-        self.run_burst(std::slice::from_mut(packet), ct, |v| verdict = v);
-        verdict
-    }
-
     /// Processes a burst, appending one verdict per packet to `verdicts`
-    /// (cleared first). See the module docs for the burst contract: every
-    /// trampoline guard taken is released before this returns, so callers
-    /// hand punted packets to a controller only afterwards.
+    /// (cleared first); a single packet is the burst of one. See the module
+    /// docs for the burst contract: every trampoline guard taken is released
+    /// before this returns, so callers hand punted packets to a controller
+    /// only afterwards. The datapath is shared read-only across shards; each
+    /// caller threads its own shard-local tracker, so the compiled program
+    /// stays immutable while connection state stays unshared.
     pub fn process_burst_ct(
         &self,
         packets: &mut [Packet],
@@ -316,15 +302,6 @@ impl CompiledDatapath {
     ) {
         verdicts.clear();
         verdicts.reserve(packets.len());
-        self.run_burst(packets, ct, |v| verdicts.push(v));
-    }
-
-    fn run_burst(
-        &self,
-        packets: &mut [Packet],
-        ct: &mut dyn ConnCtx,
-        mut emit: impl FnMut(Verdict),
-    ) {
         // One guard cell and one write-set cell per slot: a packet visits a
         // table at most once (gotos only go forward), so it collects at most
         // that many sets.
@@ -339,7 +316,7 @@ impl CompiledDatapath {
                         punted += 1;
                         punted_bytes += packet.len() as u64;
                     }
-                    emit(verdict);
+                    verdicts.push(verdict);
                 }
                 self.stats
                     .processed
@@ -455,6 +432,7 @@ impl CompiledDatapath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openflow::ct::NoCt;
     use openflow::flow_match::FlowMatch;
     use openflow::{Action, Field, FlowEntry, FlowKey, Instruction, Pipeline};
     use pkt::builder::PacketBuilder;
@@ -490,7 +468,7 @@ mod tests {
         let mut verdicts = Vec::new();
         datapath.process_burst_ct(&mut burst, &mut verdicts, &mut NoCt);
         for ((packet, verdict), expected) in burst.iter().zip(&verdicts).zip(&mut reference) {
-            let want = pipeline.process(expected);
+            let want = pipeline.process_ct(expected, &mut NoCt);
             assert_eq!(verdict.decision(), want.decision());
             assert_eq!(verdict.outputs, vec![TABLES - 1]);
             assert_eq!(verdict.tables_visited, TABLES);

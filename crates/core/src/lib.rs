@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use eswitch::runtime::EswitchRuntime;
-//! use openflow::{Action, Field, FlowEntry, FlowMatch, Pipeline};
+//! use openflow::{Action, Datapath, Field, FlowEntry, FlowMatch, Pipeline};
 //! use openflow::instruction::terminal_actions;
 //! use pkt::builder::PacketBuilder;
 //!
@@ -62,3 +62,18 @@ pub use perfmodel::{CacheLevelCosts, PerformanceEstimate, PerformanceModel};
 pub use reactive::{punt_signature, IngressSnapshot, PuntGate};
 pub use runtime::EswitchRuntime;
 pub use update::{UpdateClass, UpdateCounter, UpdatePlan, UpdatePlanner};
+
+/// Test helper: one packet through a compiled datapath, the burst of one.
+#[cfg(test)]
+pub(crate) fn process_one(
+    datapath: &CompiledDatapath,
+    packet: &mut pkt::Packet,
+) -> openflow::Verdict {
+    let mut verdicts = Vec::with_capacity(1);
+    datapath.process_burst_ct(
+        std::slice::from_mut(packet),
+        &mut verdicts,
+        &mut openflow::NoCt,
+    );
+    verdicts.pop().expect("one verdict per packet")
+}

@@ -523,6 +523,7 @@ mod tests {
     use openflow::flow_match::FlowMatch;
     use openflow::flow_mod::apply_flow_mod;
     use openflow::instruction::terminal_actions;
+    use openflow::Datapath;
     use openflow::{Action, FlowEntry};
 
     fn l2_pipeline(n: u64) -> Pipeline {
@@ -621,7 +622,7 @@ mod tests {
         let mut pkt = pkt::builder::PacketBuilder::udp()
             .eth_dst(pkt::MacAddr::from_u64(0x0200_0000_0900).octets())
             .build();
-        assert_eq!(datapath.process(&mut pkt).outputs, vec![3]);
+        assert_eq!(crate::process_one(&datapath, &mut pkt).outputs, vec![3]);
     }
 
     #[test]
@@ -686,7 +687,8 @@ mod tests {
         let mut reference = pkt::builder::PacketBuilder::udp()
             .eth_dst(pkt::MacAddr::from_u64(0x0200_0000_0001).octets())
             .build();
-        let expected = runtime.with_pipeline(|pl| pl.process(&mut reference));
+        let expected =
+            runtime.with_pipeline(|pl| pl.process_ct(&mut reference, &mut openflow::NoCt));
         assert_eq!(compiled.decision(), expected.decision());
         assert_eq!(compiled.outputs, vec![1], "priority-10 entry must win");
 

@@ -7,6 +7,7 @@
 //! the lower baseline: the OVS caches (`ovsdp`) and the compiled templates
 //! (`eswitch`) must agree with it packet-for-packet while doing far less work.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -15,7 +16,10 @@ use netdev::Counters;
 use pkt::Packet;
 
 use crate::controller::{Controller, ControllerDecision, NullController};
+use crate::ct::ConnCtx;
+use crate::datapath::Datapath;
 use crate::flow_mod::{apply_flow_mod, FlowMod, FlowModEffect, FlowModError};
+use crate::instruction::{instructions_can_punt, pipeline_can_punt};
 use crate::key::FlowKey;
 use crate::messages::{PacketIn, PacketInReason};
 use crate::pipeline::{Pipeline, Verdict};
@@ -24,6 +28,9 @@ use crate::pipeline::{Pipeline, Verdict};
 pub struct DirectDatapath {
     pipeline: Arc<RwLock<Pipeline>>,
     controller: Mutex<Box<dyn Controller>>,
+    /// True when some path through the pipeline can punt; grows with
+    /// flow-mods and gates the ingress copy a packet-in carries.
+    may_punt: AtomicBool,
     /// Packets processed.
     pub processed: Counters,
     /// Packets punted to the controller.
@@ -39,6 +46,7 @@ impl DirectDatapath {
     /// Creates a datapath with an explicit controller application.
     pub fn with_controller(pipeline: Pipeline, controller: Box<dyn Controller>) -> Self {
         DirectDatapath {
+            may_punt: AtomicBool::new(pipeline_can_punt(&pipeline)),
             pipeline: Arc::new(RwLock::new(pipeline)),
             controller: Mutex::new(controller),
             processed: Counters::new(),
@@ -53,30 +61,17 @@ impl DirectDatapath {
 
     /// Applies a flow-mod to the pipeline.
     pub fn flow_mod(&self, fm: &FlowMod) -> Result<FlowModEffect, FlowModError> {
-        apply_flow_mod(&mut self.pipeline.write(), fm)
-    }
-
-    /// Processes a single packet and returns the forwarding verdict.
-    ///
-    /// Packets punted to the controller are handed to the controller
-    /// application synchronously; any flow-mods it returns are applied before
-    /// this call returns (reactive provisioning).
-    pub fn process(&self, packet: &mut Packet) -> Verdict {
-        self.processed.record(packet.len());
-        let verdict = {
-            let pipeline = self.pipeline.read();
-            pipeline.process(packet)
-        };
-        if verdict.to_controller {
-            self.punted.record(packet.len());
-            self.handle_packet_in(packet.clone(), PacketInReason::NoMatch);
+        let effect = apply_flow_mod(&mut self.pipeline.write(), fm)?;
+        if instructions_can_punt(&fm.instructions) {
+            self.may_punt.store(true, Ordering::Relaxed);
         }
-        verdict
+        Ok(effect)
     }
 
-    /// Processes a batch of packets, returning per-packet verdicts.
-    pub fn process_batch(&self, packets: &mut [Packet]) -> Vec<Verdict> {
-        packets.iter_mut().map(|p| self.process(p)).collect()
+    /// [`Datapath::process`]; kept inherent because the frozen
+    /// `benchmark/src/sut.rs` oracle calls it without importing the trait.
+    pub fn process(&self, packet: &mut Packet) -> Verdict {
+        Datapath::process(self, packet)
     }
 
     /// Runs the controller application for a punted packet.
@@ -103,6 +98,41 @@ impl DirectDatapath {
     /// Number of packet-in events the controller has handled.
     pub fn controller_packet_ins(&self) -> u64 {
         self.controller.lock().packet_in_count()
+    }
+}
+
+impl Datapath for DirectDatapath {
+    /// Walks each packet through the tables in arrival order. A punted
+    /// packet is handed to the controller synchronously, with its ingress
+    /// frame and the verdict's reason, and any flow-mods the controller
+    /// answers with apply before the next packet (reactive provisioning).
+    fn process_burst(
+        &self,
+        packets: &mut [Packet],
+        verdicts: &mut Vec<Verdict>,
+        ct: &mut dyn ConnCtx,
+    ) {
+        verdicts.clear();
+        for packet in packets.iter_mut() {
+            self.processed.record(packet.len());
+            let ingress = self
+                .may_punt
+                .load(Ordering::Relaxed)
+                .then(|| packet.clone());
+            let verdict = self.pipeline.read().process_ct(packet, ct);
+            if verdict.to_controller {
+                self.punted.record(packet.len());
+                // `may_punt` over-approximates the pipeline, so a punt
+                // implies the copy exists.
+                let original = ingress.unwrap_or_else(|| packet.clone());
+                self.handle_packet_in(original, verdict.punt_reason);
+            }
+            verdicts.push(verdict);
+        }
+    }
+
+    fn flow_mod(&self, fm: &FlowMod) -> Result<FlowModEffect, FlowModError> {
+        DirectDatapath::flow_mod(self, fm)
     }
 }
 
@@ -185,8 +215,52 @@ mod tests {
                     .build()
             })
             .collect();
-        let verdicts = dp.process_batch(&mut packets);
+        let mut singles = packets.clone();
+        let mut verdicts = Vec::new();
+        dp.process_burst(&mut packets, &mut verdicts, &mut crate::ct::NoCt);
         assert_eq!(verdicts.len(), 10);
         assert_eq!(verdicts.iter().filter(|v| v.outputs == vec![1]).count(), 5);
+        for (single, burst) in singles.iter_mut().zip(&verdicts) {
+            assert_eq!(dp.process(single), *burst);
+        }
+    }
+
+    #[test]
+    fn packet_in_carries_the_ingress_frame_and_the_reason() {
+        // An explicit output-to-controller after a rewrite: the controller
+        // sees the frame as it arrived, reported as an action punt.
+        let mut p = l2_pipeline();
+        p.table_mut(0).unwrap().insert(crate::entry::FlowEntry::new(
+            FlowMatch::any().with_exact(Field::EthDst, 0x0200_0000_0002),
+            10,
+            terminal_actions(vec![
+                Action::SetField(Field::IpDscp, 42),
+                Action::ToController,
+            ]),
+        ));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let controller = FnController::new(move |pi: PacketIn| {
+            sink.lock().push((pi.packet.data().to_vec(), pi.reason));
+            vec![ControllerDecision::Drop]
+        });
+        let dp = DirectDatapath::with_controller(p, Box::new(controller));
+        let ingress = PacketBuilder::udp().eth_dst([2, 0, 0, 0, 0, 2]).build();
+        let mut packet = ingress.clone();
+        assert!(dp.process(&mut packet).to_controller);
+        assert_ne!(
+            packet.data(),
+            ingress.data(),
+            "the forwarded copy is rewritten"
+        );
+        let mut miss = PacketBuilder::udp().eth_dst([2, 0, 0, 0, 0, 9]).build();
+        assert!(dp.process(&mut miss).to_controller);
+        assert_eq!(
+            *seen.lock(),
+            vec![
+                (ingress.data().to_vec(), PacketInReason::Action),
+                (miss.data().to_vec(), PacketInReason::NoMatch),
+            ]
+        );
     }
 }

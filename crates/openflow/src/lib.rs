@@ -15,11 +15,15 @@
 //! and it is the slow path the OVS architecture falls back to.
 //!
 //! Pipelines are plain data ([`Pipeline`]) shared between datapaths via
-//! `Arc`; datapaths never own the specification, they *realise* it.
+//! `Arc`; datapaths never own the specification, they *realise* it. Every
+//! datapath — this crate's interpreter, the compiled ESWITCH runtime, the OVS
+//! caches — implements the one [`Datapath`] trait: a burst entry plus
+//! flow-mods, with the per-packet forms provided as bursts of one.
 
 pub mod action;
 pub mod controller;
 pub mod ct;
+pub mod datapath;
 pub mod direct;
 pub mod entry;
 pub mod field;
@@ -35,6 +39,7 @@ pub mod table;
 pub use action::{Action, ActionSet};
 pub use controller::{Controller, ControllerDecision, NullController};
 pub use ct::{ConnCtx, CtOutcome, CtTuple, CtVerb, NatSpec, NoCt};
+pub use datapath::Datapath;
 pub use direct::DirectDatapath;
 pub use entry::FlowEntry;
 pub use field::{Field, FieldValue};

@@ -6,7 +6,7 @@ use std::fmt;
 use pkt::Packet;
 
 use crate::action::{apply_action_list_into, apply_action_list_into_ct, ActionSet, OutputKind};
-use crate::ct::{ConnCtx, NoCt};
+use crate::ct::ConnCtx;
 use crate::entry::FlowEntry;
 use crate::instruction::Instruction;
 use crate::key::FlowKey;
@@ -216,35 +216,27 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Reference pipeline processing ("direct datapath" semantics, §2.1).
+    /// Reference pipeline processing ("direct datapath" semantics, §2.1),
+    /// with `ct` threaded through ct actions ([`NoCt`](crate::ct::NoCt) for
+    /// stateless pipelines).
     ///
     /// The packet is matched starting at table 0; instructions of the matched
     /// entry are executed; processing continues at the goto target, if any,
     /// otherwise the accumulated action set runs and the verdict is returned.
     /// The packet is modified in place by apply-actions and by the final
-    /// action set.
-    pub fn process(&self, packet: &mut Packet) -> Verdict {
-        let mut key = FlowKey::extract(packet);
-        self.process_with_key(packet, &mut key)
-    }
-
-    /// Like [`Pipeline::process`] but reusing an already-extracted key
-    /// (the slow-path classifier of `ovsdp` extracts the key once and needs
-    /// it afterwards to build the megaflow).
-    pub fn process_with_key(&self, packet: &mut Packet, key: &mut FlowKey) -> Verdict {
-        self.process_with_key_ct(packet, key, &mut NoCt)
-    }
-
-    /// [`Pipeline::process`] with an explicit connection tracker threaded
-    /// through ct actions.
+    /// action set. [`DirectDatapath`](crate::DirectDatapath) runs every packet
+    /// through this walk; the frozen `benchmark/src/sut.rs` oracle calls it
+    /// directly.
     pub fn process_ct(&self, packet: &mut Packet, ct: &mut dyn ConnCtx) -> Verdict {
         let mut key = FlowKey::extract(packet);
         self.process_with_key_ct(packet, &mut key, ct)
     }
 
-    /// [`Pipeline::process_with_key`] with an explicit connection tracker.
-    /// A ct deny halts processing entirely: no further instructions, no
-    /// later tables, no action-set flush — the verdict is a drop.
+    /// [`Pipeline::process_ct`] reusing an already-extracted key: the OVS
+    /// slow path extracts the key once and needs it afterwards to build the
+    /// megaflow. A ct deny halts processing entirely: no further
+    /// instructions, no later tables, no action-set flush — the verdict is a
+    /// drop.
     pub fn process_with_key_ct(
         &self,
         packet: &mut Packet,
@@ -370,6 +362,7 @@ fn finish(action_set: &ActionSet, packet: &mut Packet, key: &mut FlowKey, verdic
 mod tests {
     use super::*;
     use crate::action::Action;
+    use crate::ct::NoCt;
     use crate::field::Field;
     use crate::flow_match::FlowMatch;
     use crate::instruction::{actions_then_goto, terminal_actions};
@@ -441,13 +434,13 @@ mod tests {
         p.validate().unwrap();
 
         let mut from_inside = web_packet(1, 12345);
-        assert_eq!(p.process(&mut from_inside).outputs, vec![0]);
+        assert_eq!(p.process_ct(&mut from_inside, &mut NoCt).outputs, vec![0]);
 
         let mut http_in = web_packet(0, 80);
-        assert_eq!(p.process(&mut http_in).outputs, vec![1]);
+        assert_eq!(p.process_ct(&mut http_in, &mut NoCt).outputs, vec![1]);
 
         let mut ssh_in = web_packet(0, 22);
-        assert!(p.process(&mut ssh_in).is_drop());
+        assert!(p.process_ct(&mut ssh_in, &mut NoCt).is_drop());
     }
 
     #[test]
@@ -459,14 +452,14 @@ mod tests {
             let mut a = web_packet(in_port, dst_port);
             let mut b = a.clone();
             assert_eq!(
-                single.process(&mut a).decision(),
-                multi.process(&mut b).decision(),
+                single.process_ct(&mut a, &mut NoCt).decision(),
+                multi.process_ct(&mut b, &mut NoCt).decision(),
                 "in_port={in_port} dst_port={dst_port}"
             );
         }
         // The multi-stage pipeline visits two tables for external traffic.
         let mut http_in = web_packet(0, 80);
-        assert_eq!(multi.process(&mut http_in).tables_visited, 2);
+        assert_eq!(multi.process_ct(&mut http_in, &mut NoCt).tables_visited, 2);
     }
 
     #[test]
@@ -485,7 +478,7 @@ mod tests {
             terminal_actions(vec![Action::Output(7)]),
         ));
         let mut pkt = web_packet(0, 80);
-        let verdict = p.process(&mut pkt);
+        let verdict = p.process_ct(&mut pkt, &mut NoCt);
         assert_eq!(verdict.outputs, vec![7]);
         assert_eq!(FlowKey::extract(&pkt).ipv4_dst, Some(0x0a00_0001));
     }
@@ -512,9 +505,9 @@ mod tests {
             .insert(FlowEntry::new(FlowMatch::any(), 1, vec![]));
 
         let mut http = web_packet(0, 80);
-        assert_eq!(p.process(&mut http).outputs, vec![5]);
+        assert_eq!(p.process_ct(&mut http, &mut NoCt).outputs, vec![5]);
         let mut other = web_packet(0, 22);
-        assert_eq!(p.process(&mut other).outputs, vec![3]);
+        assert_eq!(p.process_ct(&mut other, &mut NoCt).outputs, vec![3]);
     }
 
     #[test]
@@ -534,7 +527,7 @@ mod tests {
             vec![Instruction::ClearActions],
         ));
         let mut pkt = web_packet(0, 80);
-        assert!(p.process(&mut pkt).is_drop());
+        assert!(p.process_ct(&mut pkt, &mut NoCt).is_drop());
     }
 
     #[test]
@@ -557,7 +550,7 @@ mod tests {
             terminal_actions(vec![Action::Output(9)]),
         ));
         let mut pkt = web_packet(0, 80);
-        assert_eq!(p.process(&mut pkt).outputs, vec![9]);
+        assert_eq!(p.process_ct(&mut pkt, &mut NoCt).outputs, vec![9]);
     }
 
     #[test]
@@ -566,14 +559,14 @@ mod tests {
         p.table_mut(0).unwrap().miss = TableMissBehavior::Continue;
         p.table_mut(1).unwrap().miss = TableMissBehavior::ToController;
         let mut pkt = web_packet(0, 80);
-        let verdict = p.process(&mut pkt);
+        let verdict = p.process_ct(&mut pkt, &mut NoCt);
         assert!(verdict.to_controller);
         assert_eq!(verdict.tables_visited, 2);
 
         let mut drop_pipeline = Pipeline::with_tables(1);
         drop_pipeline.table_mut(0).unwrap().miss = TableMissBehavior::Drop;
         let mut pkt = web_packet(0, 80);
-        assert!(drop_pipeline.process(&mut pkt).is_drop());
+        assert!(drop_pipeline.process_ct(&mut pkt, &mut NoCt).is_drop());
     }
 
     #[test]
@@ -602,7 +595,7 @@ mod tests {
     fn entry_counters_updated() {
         let p = firewall_single_stage();
         let mut pkt = web_packet(0, 80);
-        p.process(&mut pkt);
+        p.process_ct(&mut pkt, &mut NoCt);
         let table = p.table(0).unwrap();
         let http_entry = &table.entries()[1];
         assert_eq!(http_entry.counters.packets(), 1);
@@ -613,7 +606,7 @@ mod tests {
     fn work_accounting_grows_with_entries_examined() {
         let p = firewall_single_stage();
         let mut ssh = web_packet(0, 22);
-        let verdict = p.process(&mut ssh);
+        let verdict = p.process_ct(&mut ssh, &mut NoCt);
         // Examined all three entries of the single table.
         assert_eq!(verdict.entries_examined, 3);
     }

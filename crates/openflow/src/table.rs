@@ -73,14 +73,10 @@ impl FlowTable {
     /// semantics); the displaced entry is returned so transactional callers
     /// can build an undo log without cloning the table up front.
     pub fn insert(&mut self, entry: FlowEntry) -> Option<FlowEntry> {
-        // The entries are sorted by descending priority, so the run of the
-        // new entry's priority is found by bisection and is the only place a
-        // duplicate can be.
-        let start = self
-            .entries
-            .partition_point(|e| e.priority > entry.priority);
-        let end = start + self.entries[start..].partition_point(|e| e.priority == entry.priority);
-        if let Some(existing) = self.entries[start..end]
+        // The run of the new entry's priority is the only place a duplicate
+        // can be.
+        let run = self.priority_run(entry.priority);
+        if let Some(existing) = self.entries[run.clone()]
             .iter_mut()
             .find(|e| e.flow_match == entry.flow_match)
         {
@@ -88,8 +84,15 @@ impl FlowTable {
         }
         // Insert after the run, preserving insertion order among equal
         // priorities.
-        self.entries.insert(end, entry);
+        self.entries.insert(run.end, entry);
         None
+    }
+
+    /// The index range of the entries at `priority`. The entries are sorted
+    /// by descending priority, so the run is found by bisection.
+    fn priority_run(&self, priority: u16) -> std::ops::Range<usize> {
+        let start = self.entries.partition_point(|e| e.priority > priority);
+        start..start + self.entries[start..].partition_point(|e| e.priority == priority)
     }
 
     /// Removes entries matching the (non-strict) OpenFlow delete semantics:
@@ -117,10 +120,11 @@ impl FlowTable {
     /// Removes the entry with exactly this match and priority (strict delete),
     /// returning it if present.
     pub fn remove_strict(&mut self, pattern: &FlowMatch, priority: u16) -> Option<FlowEntry> {
-        let pos = self
-            .entries
-            .iter()
-            .position(|e| e.priority == priority && e.flow_match == *pattern)?;
+        let run = self.priority_run(priority);
+        let pos = run.start
+            + self.entries[run]
+                .iter()
+                .position(|e| e.flow_match == *pattern)?;
         Some(self.entries.remove(pos))
     }
 
@@ -260,6 +264,40 @@ mod tests {
         // Non-strict delete with an empty pattern clears everything.
         assert_eq!(t.remove_overlapping(&FlowMatch::any(), None).len(), 2);
         assert!(t.is_empty());
+
+        // The strict delete bisects to its priority run: on a table of
+        // repeated priorities it removes what a scan of the whole table
+        // would, present or absent, and leaves the same order behind.
+        let mut t = FlowTable::new(0);
+        for i in 0..60u16 {
+            t.insert(entry(10 * (i % 4), 1000 + i % 15, u32::from(i)));
+        }
+        t.insert(FlowEntry::new(FlowMatch::any(), 10, vec![]));
+        for priority in [0u16, 5, 10, 20, 30, 40] {
+            for port in [None, Some(999u16), Some(1000), Some(1003), Some(1014)] {
+                let pattern = port.map_or(FlowMatch::any(), |p| {
+                    FlowMatch::any().with_exact(Field::TcpDst, u128::from(p))
+                });
+                let mut scanned = t.entries.clone();
+                let want = scanned
+                    .iter()
+                    .position(|e| e.priority == priority && e.flow_match == pattern)
+                    .map(|pos| scanned.remove(pos));
+                let got = t.remove_strict(&pattern, priority);
+                assert_eq!(
+                    got.map(|e| (e.priority, e.instructions)),
+                    want.map(|e| (e.priority, e.instructions)),
+                    "priority {priority} port {port:?}"
+                );
+                let order = |entries: &[FlowEntry]| {
+                    entries
+                        .iter()
+                        .map(|e| (e.priority, e.flow_match.clone()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(order(&t.entries), order(&scanned));
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The four-level OVS-architecture datapath.
 //!
 //! Packets move through the hierarchy one *burst* at a time
-//! ([`OvsDatapath::process_batch_into`]): keys and miniflow hashes are
+//! ([`Datapath::process_burst`]; a single packet is the burst of one): keys
+//! and miniflow hashes are
 //! extracted for the whole burst, packets of the same flow are grouped so
 //! each cache is consulted once per distinct flow (OVS's `packet_batch`
 //! behaviour), each cache lock is taken at most a handful of times per burst
@@ -16,12 +17,12 @@ use parking_lot::{Mutex, RwLock};
 
 use netdev::{Counters, BURST_SIZE};
 use openflow::action::{apply_action_list, apply_action_list_parsed_ct};
-use openflow::ct::{ConnCtx, NoCt};
+use openflow::ct::ConnCtx;
 use openflow::flow_match::FlowMatch;
 use openflow::flow_mod::{apply_flow_mod, FlowModEffect, FlowModError};
 use openflow::instruction::{pipeline_written_fields, written_match_fields};
 use openflow::{
-    Action, Controller, ControllerDecision, FlowKey, FlowMod, NullController, PacketIn,
+    Action, Controller, ControllerDecision, Datapath, FlowKey, FlowMod, NullController, PacketIn,
     PacketInReason, Pipeline, Verdict,
 };
 use pkt::parser::ParsedHeaders;
@@ -32,9 +33,10 @@ use crate::microflow::MicroflowCache;
 use crate::minikey::MiniKey;
 use crate::slowpath::{SlowPath, SlowPathConfig, SlowPathResult};
 
-/// Which level of the hierarchy answered a packet. Mirrors Fig. 14's series.
+/// Which level of the hierarchy answered a burst's leader packet. Mirrors
+/// Fig. 14's series, which [`CacheStats`] counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheLevel {
+enum CacheLevel {
     /// The exact-match microflow cache.
     Microflow,
     /// The wildcard megaflow cache.
@@ -307,113 +309,27 @@ impl OvsDatapath {
         self.microflow.lock().live_entries()
     }
 
-    /// Processes one packet, returning the verdict and the level that
-    /// answered it. Ct actions run against the no-op tracker; stateful
-    /// pipelines use [`OvsDatapath::process_traced_ct`].
-    pub fn process_traced(&self, packet: &mut Packet) -> (Verdict, CacheLevel) {
-        self.process_traced_ct(packet, &mut NoCt)
-    }
-
-    /// Like [`OvsDatapath::process_traced`] but with a live connection
-    /// tracker. Cached action programs retain their ct ops, so cache hits
+    /// The datapath's one execution entry ([`Datapath::process_burst`];
+    /// this inherent name is the one the frozen `benchmark/src/sut.rs`
+    /// binds): processes a batch of packets burst-by-burst, appending one
+    /// verdict per packet to `verdicts` (which is cleared first). Within
+    /// each burst of [`BURST_SIZE`], keys are extracted up front, packets of
+    /// the same flow share one cache resolution, and each cache lock is
+    /// taken a bounded number of times per burst rather than per packet.
+    ///
+    /// The caches are keyed on each packet's *original* key: the slow path
+    /// may rewrite the packet (and its working key) while classifying, but
+    /// later packets of the same flow arrive un-rewritten and must still
+    /// hit. Cached action programs retain their ct ops, so cache hits
     /// re-execute connection tracking per packet against `ct` — the caches
     /// accelerate classification, never connection state.
-    pub fn process_traced_ct(
-        &self,
-        packet: &mut Packet,
-        ct: &mut dyn ConnCtx,
-    ) -> (Verdict, CacheLevel) {
-        // Level 0 cost every packet pays in OVS: full key extraction. The
-        // caches are keyed on this *original* key: the slow path may rewrite
-        // the packet (and its working key) while classifying, but later
-        // packets of the same flow arrive un-rewritten and must still hit.
-        // The parse — the RX stage's stamp when the packet carries one — is
-        // kept so cached-program replay does not parse the frame again.
-        let headers = packet.headers();
-        let mut key = FlowKey::from_parsed(packet, &headers);
-        let original_key = key;
-
-        // 1. Microflow cache, probed with the precomputed miniflow hash.
-        let mini = if self.config.use_microflow {
-            let mini = MiniKey::from_flow(&original_key);
-            let cached = self.microflow.lock().lookup(&mini);
-            if let Some(actions) = cached {
-                self.stats.microflow_hits.record(packet.len());
-                let verdict = replay(&actions, packet, &mut key, headers, ct);
-                return (verdict, CacheLevel::Microflow);
-            }
-            Some(mini)
-        } else {
-            None
-        };
-
-        // 2. Megaflow cache.
-        let cached = self.megaflow.lock().lookup(&key);
-        if let Some(actions) = cached {
-            self.stats.megaflow_hits.record(packet.len());
-            if let Some(mini) = mini {
-                self.microflow.lock().insert(mini, Arc::clone(&actions));
-            }
-            let verdict = replay(&actions, packet, &mut key, headers, ct);
-            return (verdict, CacheLevel::Megaflow);
-        }
-
-        // 3. Slow path: classify on the real pipeline, install the megaflow.
-        self.stats.slowpath_hits.record(packet.len());
-        let result = {
-            let pipeline = self.pipeline.read();
-            self.slowpath.classify_ct(&pipeline, packet, &mut key, ct)
-        };
-        if result.cacheable {
-            self.megaflow.lock().insert(
-                &original_key,
-                result.mask.clone(),
-                Arc::clone(&result.actions),
-            );
-            if let Some(mini) = mini {
-                self.microflow
-                    .lock()
-                    .insert(mini, Arc::clone(&result.actions));
-            }
-        }
-
-        // 4. Controller, if the pipeline punted.
-        if result.verdict.to_controller {
-            self.stats.controller_punts.record(packet.len());
-            self.handle_packet_in(packet.clone());
-        }
-        (result.verdict, CacheLevel::SlowPath)
-    }
-
-    /// Processes one packet, returning only the verdict.
-    pub fn process(&self, packet: &mut Packet) -> Verdict {
-        self.process_traced(packet).0
-    }
-
-    /// Processes one packet with a live connection tracker.
-    pub fn process_ct(&self, packet: &mut Packet, ct: &mut dyn ConnCtx) -> Verdict {
-        self.process_traced_ct(packet, ct).0
-    }
-
-    /// Processes a batch of packets burst-by-burst, appending one verdict per
-    /// packet to `verdicts` (which is cleared first). Within each burst of
-    /// [`BURST_SIZE`], keys are extracted up front, packets of the same flow
-    /// share one cache resolution, and each cache lock is taken a bounded
-    /// number of times per burst rather than per packet.
     ///
-    /// Semantics match per-packet [`OvsDatapath::process`] exactly as long as
-    /// the controller does not rewrite the flow tables mid-batch (cache
-    /// lookups within a burst see the state from the start of that burst).
-    /// Statistics attribute the non-leading packets of a flow's burst to the
-    /// level that answered the leading packet (a flow answered by the slow
-    /// path counts its followers as megaflow hits, which is where sequential
-    /// processing would have answered them).
-    pub fn process_batch_into(&self, packets: &mut [Packet], verdicts: &mut Vec<Verdict>) {
-        self.process_batch_into_ct(packets, verdicts, &mut NoCt);
-    }
-
-    /// Batched processing with a live connection tracker (see
-    /// [`OvsDatapath::process_traced_ct`] for the cache semantics).
+    /// Cache lookups within a burst see the state from the start of that
+    /// burst; a controller's flow-mods land after it. Statistics attribute
+    /// the non-leading packets of a flow's burst to the level that answered
+    /// the leading packet (a flow answered by the slow path counts its
+    /// followers as megaflow hits, which is where sequential processing
+    /// would have answered them).
     pub fn process_batch_into_ct(
         &self,
         packets: &mut [Packet],
@@ -423,24 +339,13 @@ impl OvsDatapath {
         verdicts.clear();
         verdicts.reserve(packets.len());
         for chunk in packets.chunks_mut(BURST_SIZE) {
-            self.process_burst(chunk, verdicts, ct);
+            self.burst(chunk, verdicts, ct);
         }
     }
 
-    /// Processes a batch of packets, returning per-packet verdicts.
-    pub fn process_batch(&self, packets: &mut [Packet]) -> Vec<Verdict> {
-        let mut verdicts = Vec::new();
-        self.process_batch_into(packets, &mut verdicts);
-        verdicts
-    }
-
-    /// One burst (≤ [`BURST_SIZE`] packets) through the hierarchy.
-    fn process_burst(
-        &self,
-        packets: &mut [Packet],
-        verdicts: &mut Vec<Verdict>,
-        ct: &mut dyn ConnCtx,
-    ) {
+    /// One burst (≤ [`BURST_SIZE`] packets) through the hierarchy,
+    /// appending its verdicts.
+    fn burst(&self, packets: &mut [Packet], verdicts: &mut Vec<Verdict>, ct: &mut dyn ConnCtx) {
         let n = packets.len();
         debug_assert!(n <= BURST_SIZE);
         if n == 0 {
@@ -543,12 +448,12 @@ impl OvsDatapath {
         // that arrived earlier in the burst (a slow-path reply must not
         // outrun an already-cached teardown). Established-path bursts
         // resolve entirely from the caches and never take this branch; a
-        // burst with misses degrades to arrival-order per-packet
-        // processing, which is where those packets were headed anyway.
-        if unresolved > 0 && ct.is_stateful() {
+        // burst with misses degrades to arrival order, each packet a burst
+        // of one (which has nothing to reorder).
+        if n > 1 && unresolved > 0 && ct.is_stateful() {
             drop(scratch_guard);
             for packet in packets.iter_mut() {
-                verdicts.push(self.process_ct(packet, ct));
+                self.burst(std::slice::from_mut(packet), verdicts, ct);
             }
             return;
         }
@@ -653,18 +558,22 @@ impl OvsDatapath {
         if punted_any {
             let offset = verdicts.len() - n;
             for (i, _) in &s.slow {
-                if verdicts[offset + i].to_controller {
+                let verdict = &verdicts[offset + i];
+                if verdict.to_controller {
                     self.stats.controller_punts.record(packets[*i].len());
-                    self.handle_packet_in(packets[*i].clone());
+                    self.handle_packet_in(packets[*i].clone(), verdict.punt_reason);
                 }
             }
         }
     }
 
-    fn handle_packet_in(&self, packet: Packet) {
+    /// Hands a punted packet to the controller. The packet is the one the
+    /// slow path forwarded, rewrites included (ROADMAP item 2 records the
+    /// divergence from the other two executions' ingress frame).
+    fn handle_packet_in(&self, packet: Packet, reason: PacketInReason) {
         let decisions = {
             let mut controller = self.controller.lock();
-            controller.packet_in(PacketIn::new(packet, PacketInReason::NoMatch, 0))
+            controller.packet_in(PacketIn::new(packet, reason, 0))
         };
         for decision in decisions {
             match decision {
@@ -683,6 +592,21 @@ impl OvsDatapath {
     /// Number of packet-ins the controller has handled.
     pub fn controller_packet_ins(&self) -> u64 {
         self.controller.lock().packet_in_count()
+    }
+}
+
+impl Datapath for OvsDatapath {
+    fn process_burst(
+        &self,
+        packets: &mut [Packet],
+        verdicts: &mut Vec<Verdict>,
+        ct: &mut dyn ConnCtx,
+    ) {
+        self.process_batch_into_ct(packets, verdicts, ct);
+    }
+
+    fn flow_mod(&self, fm: &FlowMod) -> Result<FlowModEffect, FlowModError> {
+        OvsDatapath::flow_mod(self, fm)
     }
 }
 
@@ -709,6 +633,7 @@ fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openflow::ct::NoCt;
     use openflow::flow_match::FlowMatch;
     use openflow::instruction::terminal_actions;
     use openflow::Field;
@@ -735,24 +660,30 @@ mod tests {
         PacketBuilder::tcp().tcp_dst(port).tcp_src(src).build()
     }
 
+    /// Per-level hit counts as `(microflow, megaflow, slow path)`.
+    fn levels(dp: &OvsDatapath) -> (u64, u64, u64) {
+        (
+            dp.stats.microflow_hits.packets(),
+            dp.stats.megaflow_hits.packets(),
+            dp.stats.slowpath_hits.packets(),
+        )
+    }
+
     #[test]
     fn hierarchy_progression_slowpath_then_megaflow_then_microflow() {
         let dp = OvsDatapath::new(port_pipeline());
 
         // First packet of a flow: slow path.
-        let (v1, l1) = dp.process_traced(&mut pkt(80, 1000));
-        assert_eq!(v1.outputs, vec![1]);
-        assert_eq!(l1, CacheLevel::SlowPath);
+        assert_eq!(dp.process(&mut pkt(80, 1000)).outputs, vec![1]);
+        assert_eq!(levels(&dp), (0, 0, 1));
 
         // Same megaflow but a different transport connection: megaflow hit.
-        let (v2, l2) = dp.process_traced(&mut pkt(80, 2000));
-        assert_eq!(v2.outputs, vec![1]);
-        assert_eq!(l2, CacheLevel::Megaflow);
+        assert_eq!(dp.process(&mut pkt(80, 2000)).outputs, vec![1]);
+        assert_eq!(levels(&dp), (0, 1, 1));
 
         // Same exact connection again: microflow hit.
-        let (v3, l3) = dp.process_traced(&mut pkt(80, 2000));
-        assert_eq!(v3.outputs, vec![1]);
-        assert_eq!(l3, CacheLevel::Microflow);
+        assert_eq!(dp.process(&mut pkt(80, 2000)).outputs, vec![1]);
+        assert_eq!(levels(&dp), (1, 1, 1));
 
         assert_eq!(dp.stats.total(), 3);
         let (micro, mega, slow) = dp.stats.hit_fractions();
@@ -770,7 +701,7 @@ mod tests {
             let mut b = a.clone();
             assert_eq!(
                 dp.process(&mut a).decision(),
-                reference.process(&mut b).decision(),
+                reference.process_ct(&mut b, &mut NoCt).decision(),
                 "dst {dst} src {src}"
             );
         }
@@ -788,7 +719,7 @@ mod tests {
         let mut sequential = batch.clone();
 
         let mut verdicts = Vec::new();
-        batch_dp.process_batch_into(&mut batch, &mut verdicts);
+        batch_dp.process_burst(&mut batch, &mut verdicts, &mut NoCt);
         assert_eq!(verdicts.len(), batch.len());
         for (i, (p, v)) in sequential.iter_mut().zip(&verdicts).enumerate() {
             assert_eq!(seq_dp.process(p).decision(), v.decision(), "packet {i}");
@@ -813,7 +744,8 @@ mod tests {
         // A full burst of the *same* flow: the megaflow cache must be
         // consulted at most once (the EMC answers it after warm-up).
         let mut burst: Vec<Packet> = (0..BURST_SIZE).map(|_| pkt(80, 7)).collect();
-        let verdicts = dp.process_batch(&mut burst);
+        let mut verdicts = Vec::new();
+        dp.process_burst(&mut burst, &mut verdicts, &mut NoCt);
         assert!(verdicts.iter().all(|v| v.outputs == vec![1]));
         let lookups_after = {
             let mega = dp.megaflow.lock();
@@ -1004,9 +936,8 @@ mod tests {
         let mut p = Pipeline::with_tables(1);
         p.table_mut(0).unwrap().miss = openflow::TableMissBehavior::ToController;
         let dp = OvsDatapath::new(p);
-        let (v, level) = dp.process_traced(&mut pkt(80, 1));
-        assert!(v.to_controller);
-        assert_eq!(level, CacheLevel::SlowPath);
+        assert!(dp.process(&mut pkt(80, 1)).to_controller);
+        assert_eq!(levels(&dp), (0, 0, 1));
         assert_eq!(dp.stats.controller_punts.packets(), 1);
         assert_eq!(dp.controller_packet_ins(), 1);
     }

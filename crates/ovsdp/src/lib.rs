@@ -33,7 +33,7 @@ pub mod microflow;
 pub mod minikey;
 pub mod slowpath;
 
-pub use datapath::{CacheLevel, CacheStats, OvsConfig, OvsDatapath};
+pub use datapath::{CacheStats, OvsConfig, OvsDatapath};
 pub use mask::{FieldMask, MaskedKey};
 pub use megaflow::{MegaflowCache, MegaflowEntry};
 pub use microflow::MicroflowCache;

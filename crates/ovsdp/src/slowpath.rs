@@ -360,7 +360,7 @@ mod tests {
             let mut a = PacketBuilder::tcp().tcp_dst(port).build();
             let mut b = a.clone();
             let slow = classify(&pipeline, &mut a);
-            let reference = pipeline.process(&mut b);
+            let reference = pipeline.process_ct(&mut b, &mut NoCt);
             assert_eq!(slow.verdict.decision(), reference.decision(), "port {port}");
         }
     }

@@ -2,9 +2,12 @@
 //!
 //! A shard runs whichever architecture the deployment picked — the compiled
 //! ESWITCH datapath or the OVS-style cache hierarchy — but the worker loop
-//! must not care. [`ShardBackend`] is that seam: process one burst through
-//! the replica's zero-allocation batch path, and swap in a newly published
-//! compiled state when the control plane advances the epoch.
+//! must not care. Executing a burst is not what differs: both replicas
+//! forward it to their architecture's one burst entry
+//! ([`CompiledDatapath::process_burst_ct`], [`Datapath::process_burst`]).
+//! [`ShardBackend`] holds only what does differ between replicas: how a newly
+//! published compiled state is applied when the control plane advances the
+//! epoch, and how a migrated flow bucket is evicted from private caches.
 //!
 //! The two replicas differ in what is shared and what is private, mirroring
 //! the real systems:
@@ -23,7 +26,7 @@ use eswitch::analysis::CompilerConfig;
 use eswitch::compile::{compile, CompileError, CompiledDatapath};
 use openflow::ct::ConnCtx;
 use openflow::flow_match::FlowMatch;
-use openflow::{NullController, Pipeline, Verdict};
+use openflow::{Datapath, NullController, Pipeline, Verdict};
 use ovsdp::{OvsConfig, OvsDatapath};
 use pkt::Packet;
 
@@ -98,8 +101,8 @@ pub enum CompiledState {
 
 /// A per-shard datapath replica: one worker thread owns it exclusively.
 pub trait ShardBackend: Send {
-    /// Processes one burst through the replica's batch fast path, appending
-    /// one verdict per packet to `verdicts` (cleared first). Controller punts
+    /// Forwards one burst to the replica's burst entry, appending one
+    /// verdict per packet to `verdicts` (cleared first). Controller punts
     /// are reported in the verdicts (`to_controller` + `punt_reason`); the
     /// worker loop turns them into punt copies on its shard's punt ring
     /// (`shard::controller`), never calling the controller itself.
@@ -109,7 +112,7 @@ pub trait ShardBackend: Send {
     /// [`openflow::ct::NoCt`] otherwise. It is threaded per burst — never
     /// owned by the replica — so connection state survives epoch swaps and
     /// stays strictly shard-local.
-    fn process_batch_into(
+    fn process_burst(
         &mut self,
         packets: &mut [Packet],
         verdicts: &mut Vec<Verdict>,
@@ -137,11 +140,6 @@ pub trait ShardBackend: Send {
     /// the overlapping megaflow entries and the matching EMC entries, so a
     /// moved flow that later migrates *back* can never hit a stale verdict.
     fn invalidate_flows(&mut self, _matches: &[FlowMatch]) {}
-
-    /// The OVS replica, when this shard runs one (per-shard cache stats).
-    fn as_ovs(&self) -> Option<&OvsDatapath> {
-        None
-    }
 }
 
 /// ESWITCH replica: a shared handle to the compiled datapath.
@@ -150,7 +148,7 @@ struct EswitchShard {
 }
 
 impl ShardBackend for EswitchShard {
-    fn process_batch_into(
+    fn process_burst(
         &mut self,
         packets: &mut [Packet],
         verdicts: &mut Vec<Verdict>,
@@ -176,13 +174,13 @@ struct OvsShard {
 }
 
 impl ShardBackend for OvsShard {
-    fn process_batch_into(
+    fn process_burst(
         &mut self,
         packets: &mut [Packet],
         verdicts: &mut Vec<Verdict>,
         ct: &mut dyn ConnCtx,
     ) {
-        self.datapath.process_batch_into_ct(packets, verdicts, ct);
+        Datapath::process_burst(&self.datapath, packets, verdicts, ct);
     }
 
     fn apply(&mut self, state: &CompiledState, deltas: Option<&[Arc<Vec<FlowMatch>>]>) {
@@ -203,10 +201,6 @@ impl ShardBackend for OvsShard {
 
     fn invalidate_flows(&mut self, matches: &[FlowMatch]) {
         self.datapath.invalidate_matches(matches);
-    }
-
-    fn as_ovs(&self) -> Option<&OvsDatapath> {
-        Some(&self.datapath)
     }
 }
 
@@ -238,13 +232,13 @@ mod tests {
             let mut replica = spec.replica(&state);
             let mut burst = vec![PacketBuilder::tcp().tcp_dst(80).build()];
             let mut verdicts = Vec::new();
-            replica.process_batch_into(&mut burst, &mut verdicts, &mut NoCt);
+            replica.process_burst(&mut burst, &mut verdicts, &mut NoCt);
             assert_eq!(verdicts[0].outputs, vec![1], "{}", spec.label());
 
             let next = spec.compile_state(&port_pipeline(9)).unwrap();
             replica.apply(&next, None);
             let mut burst = vec![PacketBuilder::tcp().tcp_dst(80).build()];
-            replica.process_batch_into(&mut burst, &mut verdicts, &mut NoCt);
+            replica.process_burst(&mut burst, &mut verdicts, &mut NoCt);
             assert_eq!(verdicts[0].outputs, vec![9], "{}", spec.label());
         }
     }
@@ -252,15 +246,16 @@ mod tests {
     #[test]
     fn ovs_replica_applies_selective_delta() {
         let spec = BackendSpec::ovs();
-        let state = spec.compile_state(&port_pipeline(1)).unwrap();
-        let mut replica = spec.replica(&state);
+        let mut replica = OvsShard {
+            datapath: OvsDatapath::new(port_pipeline(1)),
+        };
         let mut burst = vec![
             PacketBuilder::tcp().tcp_dst(80).build(),
             PacketBuilder::tcp().tcp_dst(22).build(),
         ];
         let mut verdicts = Vec::new();
-        replica.process_batch_into(&mut burst, &mut verdicts, &mut NoCt);
-        let megaflows = replica.as_ovs().unwrap().megaflow_count();
+        replica.process_burst(&mut burst, &mut verdicts, &mut NoCt);
+        let megaflows = replica.datapath.megaflow_count();
         assert!(megaflows > 0);
 
         // An epoch that only changes tcp_dst=9999 behaviour, with the delta:
@@ -276,10 +271,10 @@ mod tests {
             FlowMatch::any().with_exact(Field::TcpDst, 9999)
         ])];
         replica.apply(&next, Some(&delta));
-        assert_eq!(replica.as_ovs().unwrap().megaflow_count(), megaflows);
+        assert_eq!(replica.datapath.megaflow_count(), megaflows);
 
         let mut burst = vec![PacketBuilder::tcp().tcp_dst(9999).build()];
-        replica.process_batch_into(&mut burst, &mut verdicts, &mut NoCt);
+        replica.process_burst(&mut burst, &mut verdicts, &mut NoCt);
         assert_eq!(verdicts[0].outputs, vec![5]);
     }
 }

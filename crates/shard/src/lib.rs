@@ -33,7 +33,7 @@
 //!   datapath (shared read-only, as compiled code is) or an OVS replica with
 //!   *private* microflow/megaflow caches, exactly like OVS PMD threads. A
 //!   shard drains its column of ingress rings in 32-packet bursts through
-//!   the zero-allocation `process_batch_into` fast path — one worker loop,
+//!   its architecture's one zero-allocation burst entry — one worker loop,
 //!   whatever the launch attached.
 //! * **Control plane** ([`runtime::ShardedSwitch::flow_mod`]) — flow-mods are
 //!   applied to the canonical [`openflow::Pipeline`] once, classified by the

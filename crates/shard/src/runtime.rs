@@ -1244,8 +1244,7 @@ impl WorkerHandle {
             }
             None => &mut no_ct,
         };
-        self.backend
-            .process_batch_into(burst, &mut self.verdicts, ct);
+        self.backend.process_burst(burst, &mut self.verdicts, ct);
         let Some(reactive) = &self.reactive else {
             return;
         };
@@ -1450,7 +1449,7 @@ mod tests {
             let mut expected = std::collections::HashMap::new();
             for packet in &traffic {
                 let mut copy = packet.clone();
-                let verdict = reference.process(&mut copy);
+                let verdict = reference.process_ct(&mut copy, &mut openflow::NoCt);
                 *expected.entry(verdict.decision()).or_insert(0u64) += 1;
             }
             for packet in traffic {

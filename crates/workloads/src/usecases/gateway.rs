@@ -308,7 +308,7 @@ mod tests {
         let pipeline = build_pipeline(&config);
         let traffic = build_traffic(&config, 16);
         for mut packet in traffic.one_cycle() {
-            let verdict = pipeline.process(&mut packet);
+            let verdict = pipeline.process_ct(&mut packet, &mut openflow::NoCt);
             assert_eq!(
                 verdict.outputs,
                 vec![PORT_NET],
@@ -330,7 +330,7 @@ mod tests {
             .ipv4_dst(user_public_ip(1, 2).octets())
             .in_port(PORT_NET)
             .build();
-        let verdict = pipeline.process(&mut packet);
+        let verdict = pipeline.process_ct(&mut packet, &mut openflow::NoCt);
         assert_eq!(verdict.outputs, vec![PORT_USER]);
         let key = FlowKey::extract(&packet);
         assert_eq!(key.ipv4_dst, Some(user_private_ip(1, 2).to_u32()));
@@ -350,7 +350,7 @@ mod tests {
             .ipv4_dst([8, 8, 8, 8])
             .in_port(PORT_USER)
             .build();
-        let verdict = pipeline.process(&mut packet);
+        let verdict = pipeline.process_ct(&mut packet, &mut openflow::NoCt);
         assert!(verdict.to_controller);
     }
 

@@ -109,7 +109,7 @@ mod tests {
         assert_eq!(traffic.active_flows(), 200);
         // Every generated packet hits a programmed MAC entry (no table miss).
         for mut packet in traffic.one_cycle() {
-            let verdict = pipeline.process(&mut packet);
+            let verdict = pipeline.process_ct(&mut packet, &mut openflow::NoCt);
             assert!(!verdict.is_drop(), "aligned traffic must not miss");
             assert!(verdict.outputs[0] < config.ports);
         }
@@ -120,7 +120,9 @@ mod tests {
         let config = L2Config::default();
         let pipeline = build_pipeline(&config);
         let mut stranger = PacketBuilder::udp().eth_dst([0x06, 1, 2, 3, 4, 5]).build();
-        assert!(pipeline.process(&mut stranger).is_drop());
+        assert!(pipeline
+            .process_ct(&mut stranger, &mut openflow::NoCt)
+            .is_drop());
     }
 
     #[test]

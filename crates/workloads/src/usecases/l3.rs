@@ -126,7 +126,7 @@ mod tests {
         let traffic = build_traffic(&config, 100);
         for mut packet in traffic.one_cycle() {
             let ttl_before = packet.data()[14 + 8];
-            let verdict = pipeline.process(&mut packet);
+            let verdict = pipeline.process_ct(&mut packet, &mut openflow::NoCt);
             assert!(!verdict.is_drop(), "covered destination must be routed");
             assert!(verdict.outputs[0] < config.next_hops);
             assert_eq!(packet.data()[14 + 8], ttl_before - 1);
@@ -152,8 +152,16 @@ mod tests {
         let pipeline = build_pipeline_from_routes(&routes);
         let mut specific = PacketBuilder::udp().ipv4_dst([10, 7, 1, 1]).build();
         let mut broad = PacketBuilder::udp().ipv4_dst([10, 8, 1, 1]).build();
-        assert_eq!(pipeline.process(&mut specific).outputs, vec![2]);
-        assert_eq!(pipeline.process(&mut broad).outputs, vec![1]);
+        assert_eq!(
+            pipeline
+                .process_ct(&mut specific, &mut openflow::NoCt)
+                .outputs,
+            vec![2]
+        );
+        assert_eq!(
+            pipeline.process_ct(&mut broad, &mut openflow::NoCt).outputs,
+            vec![1]
+        );
     }
 
     #[test]
@@ -166,6 +174,6 @@ mod tests {
         let pipeline = build_pipeline(&config);
         // 240.0.0.0/4 is never generated by the sampler.
         let mut pkt = PacketBuilder::udp().ipv4_dst([240, 0, 0, 1]).build();
-        assert!(pipeline.process(&mut pkt).is_drop());
+        assert!(pipeline.process_ct(&mut pkt, &mut openflow::NoCt).is_drop());
     }
 }

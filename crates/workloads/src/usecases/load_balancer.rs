@@ -157,7 +157,7 @@ mod tests {
             .tcp_dst(80)
             .in_port(PORT_NET)
             .build();
-        let verdict = pipeline.process(&mut low);
+        let verdict = pipeline.process_ct(&mut low, &mut openflow::NoCt);
         assert_eq!(verdict.outputs, vec![PORT_USER]);
         assert_eq!(
             openflow::FlowKey::extract(&low).ipv4_dst,
@@ -170,7 +170,7 @@ mod tests {
             .tcp_dst(80)
             .in_port(PORT_NET)
             .build();
-        pipeline.process(&mut high);
+        pipeline.process_ct(&mut high, &mut openflow::NoCt);
         assert_eq!(
             openflow::FlowKey::extract(&high).ipv4_dst,
             Some(backend_for(1, true).to_u32())
@@ -187,10 +187,15 @@ mod tests {
             .tcp_dst(22)
             .in_port(PORT_NET)
             .build();
-        assert!(pipeline.process(&mut ssh).is_drop());
+        assert!(pipeline.process_ct(&mut ssh, &mut openflow::NoCt).is_drop());
 
         let mut egress = PacketBuilder::tcp().in_port(PORT_USER).build();
-        assert_eq!(pipeline.process(&mut egress).outputs, vec![PORT_NET]);
+        assert_eq!(
+            pipeline
+                .process_ct(&mut egress, &mut openflow::NoCt)
+                .outputs,
+            vec![PORT_NET]
+        );
     }
 
     #[test]
@@ -204,7 +209,10 @@ mod tests {
         let mut admitted = 0;
         let mut dropped = 0;
         for mut packet in traffic.one_cycle() {
-            if pipeline.process(&mut packet).is_drop() {
+            if pipeline
+                .process_ct(&mut packet, &mut openflow::NoCt)
+                .is_drop()
+            {
                 dropped += 1;
             } else {
                 admitted += 1;

@@ -7,7 +7,7 @@
 
 use eswitch::analysis::CompilerConfig;
 use eswitch::runtime::EswitchRuntime;
-use openflow::FlowKey;
+use openflow::{Datapath, FlowKey};
 use pkt::ipv4::Ipv4Addr4;
 use workloads::gateway::{self, GatewayConfig};
 

@@ -14,6 +14,7 @@
 use std::time::Instant;
 
 use eswitch::runtime::EswitchRuntime;
+use openflow::Datapath;
 use ovsdp::OvsDatapath;
 use pkt::builder::PacketBuilder;
 use pkt::Packet;

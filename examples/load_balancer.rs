@@ -10,7 +10,7 @@ use std::time::Instant;
 use eswitch::analysis::CompilerConfig;
 use eswitch::decompose::decompose_pipeline_with;
 use eswitch::runtime::EswitchRuntime;
-use openflow::NullController;
+use openflow::{Datapath, NullController};
 use ovsdp::OvsDatapath;
 use workloads::load_balancer::{self, LoadBalancerConfig};
 

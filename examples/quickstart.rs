@@ -6,7 +6,7 @@
 use eswitch::runtime::EswitchRuntime;
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::terminal_actions;
-use openflow::{Action, Field, FlowEntry, FlowMod, Pipeline};
+use openflow::{Action, Datapath, Field, FlowEntry, FlowMod, Pipeline};
 use pkt::builder::PacketBuilder;
 
 fn main() {

@@ -1,9 +1,12 @@
 //! Differential property test for the burst-mode fast path: for random
-//! pipelines and random bursts, `process_batch` must be observationally
-//! identical to per-packet `process` on both the OVS-style caching datapath
-//! and the compiled ESWITCH datapath — same verdicts, same rewritten packet
-//! bytes. Batching (key pre-extraction, per-flow grouping, hoisted locks) is
-//! an optimisation, never a semantic change.
+//! pipelines and random bursts, `Datapath::process_burst` must be
+//! observationally identical to per-packet `process` (a burst of one) on
+//! every execution in one list — the interpreter, the compiled ESWITCH
+//! datapath and the OVS-style caching datapath in three cache
+//! configurations — and every burst must agree with the interpreter's: same
+//! verdicts, same rewritten packet bytes. Batching (key pre-extraction,
+//! per-flow grouping, hoisted locks) is an optimisation, never a semantic
+//! change.
 //!
 //! A second property holds the compiled burst path to three-way agreement —
 //! burst == per-packet == the reference interpreter — on pipelines built to
@@ -18,12 +21,13 @@
 
 mod common;
 
-use common::received;
+use common::{executions, received, Execution};
 use eswitch::runtime::EswitchRuntime;
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::{actions_then_goto, terminal_actions};
 use openflow::{
-    Action, Field, FlowEntry, Instruction, NullController, Pipeline, TableMissBehavior,
+    Action, Datapath, Field, FlowEntry, Instruction, NoCt, NullController, Pipeline,
+    TableMissBehavior,
 };
 use ovsdp::{OvsConfig, OvsDatapath};
 use pkt::builder::PacketBuilder;
@@ -129,27 +133,41 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
         })
 }
 
-/// Asserts batch == sequential for one OVS configuration.
-fn check_ovs(pipeline: &Pipeline, packets: &[Packet], config: OvsConfig) {
-    let batch_dp =
-        OvsDatapath::with_config(pipeline.clone(), config, Box::new(NullController::new()));
-    let seq_dp =
-        OvsDatapath::with_config(pipeline.clone(), config, Box::new(NullController::new()));
+/// The OVS configurations under test: the default one `executions` holds,
+/// deliberately tiny caches (so bursts straddle evictions) and the EMC
+/// disabled.
+fn ovs_configs() -> [(&'static str, OvsConfig); 3] {
+    [
+        ("ovs", OvsConfig::default()),
+        (
+            "ovs-tiny",
+            OvsConfig {
+                microflow_entries: 16,
+                megaflow_entries: 8,
+                ..OvsConfig::default()
+            },
+        ),
+        (
+            "ovs-no-emc",
+            OvsConfig {
+                use_microflow: false,
+                ..OvsConfig::default()
+            },
+        ),
+    ]
+}
 
-    let mut batch_pkts = received(packets);
-    let mut verdicts = Vec::new();
-    batch_dp.process_batch_into(&mut batch_pkts, &mut verdicts);
-    prop_assert_eq!(verdicts.len(), packets.len());
+fn ovs(pipeline: &Pipeline, config: OvsConfig) -> OvsDatapath {
+    OvsDatapath::with_config(pipeline.clone(), config, Box::new(NullController::new()))
+}
 
-    let mut seq_pkts = packets.to_vec();
-    for (i, p) in seq_pkts.iter_mut().enumerate() {
-        let v = seq_dp.process(p);
-        prop_assert_eq!(v.decision(), verdicts[i].decision(), "ovs verdict {}", i);
+/// The three executions plus the non-default OVS configurations.
+fn burst_executions(pipeline: &Pipeline) -> Vec<Execution> {
+    let mut list = executions(pipeline);
+    for (name, config) in ovs_configs().into_iter().skip(1) {
+        list.push((name, Box::new(ovs(pipeline, config))));
     }
-    for (i, (a, b)) in batch_pkts.iter().zip(&seq_pkts).enumerate() {
-        prop_assert_eq!(a.data(), b.data(), "ovs packet bytes {}", i);
-    }
-    prop_assert_eq!(batch_dp.stats.total(), packets.len() as u64);
+    list
 }
 
 /// In-port reserved for QinQ frames, so table-0 rules can tell them apart.
@@ -340,14 +358,14 @@ proptest! {
         let seq_switch = EswitchRuntime::compile(pipeline.clone()).expect("compiles");
         let mut burst_pkts = received(&packets);
         let mut verdicts = Vec::new();
-        burst_switch.process_batch_into(&mut burst_pkts, &mut verdicts);
+        burst_switch.process_burst(&mut burst_pkts, &mut verdicts, &mut NoCt);
         prop_assert_eq!(verdicts.len(), packets.len());
 
         for (i, ingress) in packets.iter().enumerate() {
             let mut seq_pkt = ingress.clone();
             let seq = seq_switch.process(&mut seq_pkt);
             let mut ref_pkt = ingress.clone();
-            let reference = pipeline.process(&mut ref_pkt);
+            let reference = pipeline.process_ct(&mut ref_pkt, &mut NoCt);
             prop_assert_eq!(verdicts[i].decision(), reference.decision(), "burst verdict {}", i);
             prop_assert_eq!(seq.decision(), reference.decision(), "per-packet verdict {}", i);
             prop_assert_eq!(verdicts[i].tables_visited, reference.tables_visited, "walk {}", i);
@@ -374,46 +392,48 @@ proptest! {
         prop_assert_eq!(burst_dp.slots()[0].lookups.packets(), packets.len() as u64);
     }
 
-    /// Burst processing and per-packet processing agree on the OVS datapath,
-    /// with both roomy caches and deliberately tiny ones (so bursts straddle
-    /// evictions), and on the compiled datapath.
+    /// On every execution, one burst (stamped) and packet-by-packet
+    /// processing (unstamped, on a twin instance) agree, and every
+    /// execution's burst agrees with the interpreter's.
     #[test]
     fn process_batch_matches_per_packet_processing(
         pipeline in arb_pipeline(),
         packets in prop::collection::vec(arb_packet(), 1..80),
     ) {
-        check_ovs(&pipeline, &packets, OvsConfig::default());
-        check_ovs(&pipeline, &packets, OvsConfig {
-            microflow_entries: 16,
-            megaflow_entries: 8,
-            ..OvsConfig::default()
-        });
-        check_ovs(&pipeline, &packets, OvsConfig {
-            use_microflow: false,
-            ..OvsConfig::default()
-        });
+        let mut reference: Option<(Vec<Packet>, Vec<openflow::Verdict>)> = None;
+        for ((name, burst_dp), (_, seq_dp)) in
+            burst_executions(&pipeline).iter().zip(&burst_executions(&pipeline))
+        {
+            let mut burst_pkts = received(&packets);
+            let mut verdicts = Vec::new();
+            burst_dp.process_burst(&mut burst_pkts, &mut verdicts, &mut NoCt);
+            prop_assert_eq!(verdicts.len(), packets.len());
 
-        // Compiled ESWITCH runtime: batch vs sequential.
-        let batch_switch = EswitchRuntime::compile(pipeline.clone()).expect("compiles");
-        let seq_switch = EswitchRuntime::compile(pipeline.clone()).expect("compiles");
-        let mut batch_pkts = received(&packets);
-        let mut verdicts = Vec::new();
-        batch_switch.process_batch_into(&mut batch_pkts, &mut verdicts);
-        let mut seq_pkts = packets.clone();
-        for (i, p) in seq_pkts.iter_mut().enumerate() {
-            let v = seq_switch.process(p);
-            prop_assert_eq!(v.decision(), verdicts[i].decision(), "eswitch verdict {}", i);
-        }
-        for (i, (a, b)) in batch_pkts.iter().zip(&seq_pkts).enumerate() {
-            prop_assert_eq!(a.data(), b.data(), "eswitch packet bytes {}", i);
+            let mut seq_pkts = packets.clone();
+            for (i, p) in seq_pkts.iter_mut().enumerate() {
+                let v = seq_dp.process(p);
+                prop_assert_eq!(v.decision(), verdicts[i].decision(), "{} verdict {}", name, i);
+            }
+            for (i, (a, b)) in burst_pkts.iter().zip(&seq_pkts).enumerate() {
+                prop_assert_eq!(a.data(), b.data(), "{} packet bytes {}", name, i);
+            }
+
+            let (want_pkts, want) = reference.get_or_insert((burst_pkts.clone(), verdicts.clone()));
+            for (i, (a, b)) in verdicts.iter().zip(want.iter()).enumerate() {
+                prop_assert_eq!(a.decision(), b.decision(), "{} vs interpreter, verdict {}", name, i);
+            }
+            for (i, (a, b)) in burst_pkts.iter().zip(want_pkts.iter()).enumerate() {
+                prop_assert_eq!(a.data(), b.data(), "{} vs interpreter, bytes {}", name, i);
+            }
         }
 
-        // And the two architectures agree with each other on the batch API.
-        let ovs = OvsDatapath::new(pipeline.clone());
-        let mut ovs_pkts = packets.clone();
-        let ovs_verdicts = ovs.process_batch(&mut ovs_pkts);
-        for (i, (a, b)) in ovs_verdicts.iter().zip(&verdicts).enumerate() {
-            prop_assert_eq!(a.decision(), b.decision(), "cross-architecture verdict {}", i);
+        // The burst's cache statistics count every packet exactly once, in
+        // every OVS configuration.
+        for (name, config) in ovs_configs() {
+            let burst_dp = ovs(&pipeline, config);
+            let mut burst_pkts = received(&packets);
+            burst_dp.process_burst(&mut burst_pkts, &mut Vec::new(), &mut NoCt);
+            prop_assert_eq!(burst_dp.stats.total(), packets.len() as u64, "{} cache stats", name);
         }
     }
 }

@@ -1,9 +1,57 @@
 //! Helpers shared by the differential suites (each uses some of them).
 #![allow(dead_code)]
 
+use eswitch::{CompilerConfig, EswitchRuntime};
 use netdev::Port;
+use openflow::{Controller, Datapath, DirectDatapath, NullController, Pipeline, Verdict};
+use ovsdp::{OvsConfig, OvsDatapath};
 use pkt::ipv4::Ipv4Header;
 use pkt::{checksum, parse, Packet, ParseDepth};
+
+/// One execution of a pipeline, named for assertion messages.
+pub type Execution = (&'static str, Box<dyn Datapath>);
+
+/// The paper's three executions of `pipeline` as one list — the reference
+/// interpreter first, then the compiled ESWITCH runtime and the OVS cache
+/// hierarchy — so a suite that iterates it checks every execution, and a new
+/// execution is one line here.
+pub fn executions(pipeline: &Pipeline) -> Vec<Execution> {
+    executions_with(pipeline, || Box::new(NullController::new()))
+}
+
+/// [`executions`], each answering punts through its own controller, made by
+/// `controller` in list order.
+pub fn executions_with(
+    pipeline: &Pipeline,
+    controller: impl Fn() -> Box<dyn Controller>,
+) -> Vec<Execution> {
+    let interpreter = DirectDatapath::with_controller(pipeline.clone(), controller());
+    let compiled =
+        EswitchRuntime::with_config(pipeline.clone(), CompilerConfig::default(), controller())
+            .expect("pipeline compiles");
+    let cached = OvsDatapath::with_config(pipeline.clone(), OvsConfig::default(), controller());
+    vec![
+        ("interpreter", Box::new(interpreter)),
+        ("eswitch", Box::new(compiled)),
+        ("ovs", Box::new(cached)),
+    ]
+}
+
+/// Runs a copy of `packet` through every execution and asserts that each
+/// agrees with the first (the interpreter) on the forwarding decision and on
+/// the bytes it forwards. Returns the interpreter's verdict and frame.
+pub fn assert_agree(executions: &[Execution], packet: &Packet, context: &str) -> (Verdict, Packet) {
+    let (reference, rest) = executions.split_first().expect("at least one execution");
+    let mut want_frame = packet.clone();
+    let want = reference.1.process(&mut want_frame);
+    for (name, datapath) in rest {
+        let mut frame = packet.clone();
+        let got = datapath.process(&mut frame);
+        assert_eq!(got.decision(), want.decision(), "{context}: {name} verdict");
+        assert_eq!(frame.data(), want_frame.data(), "{context}: {name} bytes");
+    }
+    (want, want_frame)
+}
 
 /// The packets as a switch receives them: each goes through a [`Port`]
 /// numbered as its `in_port`, so it comes back carrying the RX stage's parse

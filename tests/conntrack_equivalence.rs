@@ -2,15 +2,16 @@
 //! every datapath architecture to identical connection states, identical
 //! NAT rewrites, and identical verdicts.
 //!
-//! Single-switch: the openflow interpreter (`Pipeline::process_ct`) is the
-//! ground truth; the compiled datapath (`EswitchRuntime`), the OVS cache
-//! hierarchy (`process_ct`), and the OVS burst/replay path
-//! (`process_batch_into_ct`) each run the same trace against their own
-//! private engine. After every event the verdict **and the frame bytes**
-//! (NAT rewrites happen in place) must agree; after the trace the engines'
+//! Single-switch: the three executions of `common::executions` — the
+//! interpreter (`DirectDatapath`, the ground truth), the compiled datapath
+//! (`EswitchRuntime`) and the OVS cache hierarchy — each run the same trace
+//! through `Datapath::process_ct` (a burst of one) against their own private
+//! engine. After every event the verdict **and the frame bytes** (NAT
+//! rewrites happen in place) must agree; after the trace the engines'
 //! counter snapshots and live-connection counts must agree. Each trace runs
-//! twice: with the packets as built, and with every architecture's copy
-//! received through a `Port` first (carrying the RX parse stamp).
+//! twice: with the packets as built, and with every copy under test received
+//! through a `Port` first (carrying the RX parse stamp). A burst-level case
+//! pins the order of ct side effects inside one burst.
 //!
 //! Sharded: the same trace is dispatched through the 1-, 2- and 4-shard
 //! runtime on both backends. With one shard the verdict *sequence* must
@@ -24,12 +25,10 @@ mod common;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use common::{checksums_verify, received};
+use common::{checksums_verify, executions, received};
 use conntrack::CtEngine;
-use eswitch::runtime::EswitchRuntime;
 use openflow::ct::CtTuple;
 use openflow::{Pipeline, Verdict};
-use ovsdp::OvsDatapath;
 use pkt::builder::PacketBuilder;
 use pkt::{parse, Ipv4Addr4, Packet, ParseDepth, TcpFlags};
 use proptest::prelude::*;
@@ -140,93 +139,128 @@ fn event_input(ev: &Event, last_forward: &HashMap<usize, Packet>) -> Packet {
     }
 }
 
-/// Runs `events` through all four single-switch architectures over the
-/// given stateful use case, asserting equivalence event by event. With
-/// `stamped` the three architectures under test get each packet through a
-/// `Port`; the reference always takes it as built.
+/// Runs `events` through the three executions of the given stateful use
+/// case, asserting equivalence with the interpreter event by event. With
+/// `stamped` the executions under test get each packet through a `Port`;
+/// the interpreter always takes it as built.
 fn assert_single_switch_equivalence(
     label: &str,
-    build: impl Fn() -> Pipeline,
+    pipeline: &Pipeline,
     ct_config: &conntrack::CtConfig,
     events: &[Event],
     stamped: bool,
 ) {
-    let reference = build();
-    let mut ct_ref = CtEngine::new(ct_config);
-    let eswitch = EswitchRuntime::compile(build()).expect("pipeline compiles");
-    let mut ct_es = CtEngine::new(ct_config);
-    let ovs = OvsDatapath::new(build());
-    let mut ct_ovs = CtEngine::new(ct_config);
-    let ovs_burst = OvsDatapath::new(build());
-    let mut ct_burst = CtEngine::new(ct_config);
+    let executions = executions(pipeline);
+    let mut engines: Vec<CtEngine> = executions
+        .iter()
+        .map(|_| CtEngine::new(ct_config))
+        .collect();
 
     let mut last_forward: HashMap<usize, Packet> = HashMap::new();
-    let mut burst_verdicts: Vec<Verdict> = Vec::with_capacity(1);
     for (i, ev) in events.iter().enumerate() {
         let input = event_input(ev, &last_forward);
-        let mut p_ref = input.clone();
-        let copies = vec![input; 3];
-        let copies = if stamped { received(&copies) } else { copies };
-        let [mut p_es, mut p_ovs, mut p_burst]: [Packet; 3] =
-            copies.try_into().expect("three copies");
+        let copies = vec![input.clone(); executions.len() - 1];
+        let mut frames = vec![input];
+        frames.extend(if stamped { received(&copies) } else { copies });
+        let verdicts: Vec<Verdict> = executions
+            .iter()
+            .zip(&mut engines)
+            .zip(&mut frames)
+            .map(|(((_, datapath), engine), frame)| datapath.process_ct(frame, engine))
+            .collect();
 
-        let want = reference.process_ct(&mut p_ref, &mut ct_ref);
-        let got_es = eswitch.process_ct(&mut p_es, &mut ct_es);
-        let got_ovs = ovs.process_ct(&mut p_ovs, &mut ct_ovs);
-        burst_verdicts.clear();
-        ovs_burst.process_batch_into_ct(
-            std::slice::from_mut(&mut p_burst),
-            &mut burst_verdicts,
-            &mut ct_burst,
-        );
-
-        for (arch, got, frame) in [
-            ("eswitch", &got_es, &p_es),
-            ("ovs", &got_ovs, &p_ovs),
-            ("ovs-burst", &burst_verdicts[0], &p_burst),
-        ] {
+        let (want, want_frame) = (&verdicts[0], &frames[0]);
+        for (((name, _), got), frame) in executions.iter().zip(&verdicts).zip(&frames).skip(1) {
             assert_eq!(
                 got.outputs, want.outputs,
-                "{label}/{arch}: verdict diverged at event {i} ({ev:?})"
+                "{label}/{name}: verdict diverged at event {i} ({ev:?})"
             );
             assert_eq!(
                 frame.data(),
-                p_ref.data(),
-                "{label}/{arch}: frame bytes (NAT rewrites) diverged at event {i} ({ev:?})"
+                want_frame.data(),
+                "{label}/{name}: frame bytes (NAT rewrites) diverged at event {i} ({ev:?})"
             );
         }
 
-        // Every architecture forwarded these same bytes; a NAT rewrite must
+        // Every execution forwarded these same bytes; a NAT rewrite must
         // leave them acceptable to the receiver.
         assert!(
-            want.outputs.is_empty() || checksums_verify(p_ref.data()),
+            want.outputs.is_empty() || checksums_verify(want_frame.data()),
             "{label}: forwarded frame fails checksum verification at event {i} ({ev:?})"
         );
 
         if !ev.reply && !want.outputs.is_empty() {
-            last_forward.insert(ev.conn, p_ref.clone());
+            last_forward.insert(ev.conn, want_frame.clone());
         }
     }
 
     // Identical traces must leave identical connection state behind.
-    let mut snaps = Vec::new();
-    for (arch, engine) in [
-        ("reference", &mut ct_ref),
-        ("eswitch", &mut ct_es),
-        ("ovs", &mut ct_ovs),
-        ("ovs-burst", &mut ct_burst),
-    ] {
-        engine.advance_to(engine.now()); // flush batched hit counts
-        snaps.push((arch, engine.live(), engine.stats().snapshot()));
-    }
-    let (_, want_live, want_snap) = snaps[0];
-    for (arch, live, snap) in &snaps {
+    let snaps: Vec<_> = engines
+        .iter_mut()
+        .map(|engine| {
+            engine.advance_to(engine.now()); // flush batched hit counts
+            (engine.live(), engine.stats().snapshot())
+        })
+        .collect();
+    let (want_live, want_snap) = snaps[0];
+    for ((name, _), (live, snap)) in executions.iter().zip(&snaps) {
         assert_eq!(
             *live, want_live,
-            "{label}/{arch}: live connections diverged"
+            "{label}/{name}: live connections diverged"
         );
-        assert_eq!(*snap, want_snap, "{label}/{arch}: ct counters diverged");
-        assert!(snap.identity_holds(), "{label}/{arch}: identity violated");
+        assert_eq!(*snap, want_snap, "{label}/{name}: ct counters diverged");
+        assert!(snap.identity_holds(), "{label}/{name}: identity violated");
+    }
+}
+
+/// Inside one burst, ct side effects happen in arrival order on every
+/// execution. The case is the one the OVS burst path's stateful fallback
+/// exists for (`ovsdp::datapath`, `n > 1 && unresolved > 0 &&
+/// ct.is_stateful()`): a connection's RST replays from the caches, and the
+/// reply behind it in the same burst misses them. Run out of order, the
+/// slow-path reply would be admitted on the connection the RST closes.
+#[test]
+fn a_cached_teardown_is_not_outrun_by_a_slow_path_reply() {
+    let pipeline = acl::build_pipeline(&acl::StatefulAclConfig::default());
+    let syn = forward_packet(0, 0);
+    let bursts = [
+        // Opens the connection and caches the forward direction.
+        vec![syn.clone()],
+        // The RST hits that cache; no reply has been seen yet, so the reply
+        // misses every cache level.
+        vec![
+            forward_packet(0, 3),
+            reply_packet(&syn, 1).expect("tcp frame"),
+        ],
+    ];
+    let mut runs = Vec::new();
+    for (name, datapath) in &executions(&pipeline) {
+        let mut engine = CtEngine::new(&acl::ct_config());
+        let mut verdicts = Vec::new();
+        let outputs: Vec<Vec<Vec<u32>>> = bursts
+            .iter()
+            .map(|burst| {
+                let mut burst = burst.clone();
+                datapath.process_burst(&mut burst, &mut verdicts, &mut engine);
+                verdicts.iter().map(|v| v.outputs.to_vec()).collect()
+            })
+            .collect();
+        engine.advance_to(engine.now());
+        runs.push((*name, outputs, engine.live(), engine.stats().snapshot()));
+    }
+    let (_, want, want_live, want_snap) = &runs[0];
+    assert!(
+        want[1][1].is_empty(),
+        "the interpreter drops the late reply"
+    );
+    assert_eq!((*want_live, want_snap.teardown), (0, 1));
+    for (name, outputs, live, snap) in &runs[1..] {
+        assert_eq!(outputs, want, "{name}: verdicts diverged");
+        assert_eq!(
+            (live, snap),
+            (want_live, want_snap),
+            "{name}: ct state diverged"
+        );
     }
 }
 
@@ -238,7 +272,7 @@ proptest! {
         for stamped in [false, true] {
             assert_single_switch_equivalence(
                 "acl",
-                || acl::build_pipeline(&acl::StatefulAclConfig::default()),
+                &acl::build_pipeline(&acl::StatefulAclConfig::default()),
                 &acl::ct_config(),
                 &events,
                 stamped,
@@ -251,7 +285,7 @@ proptest! {
         for stamped in [false, true] {
             assert_single_switch_equivalence(
                 "snat",
-                || snat_edge::build_pipeline(&snat_edge::SnatEdgeConfig::default()),
+                &snat_edge::build_pipeline(&snat_edge::SnatEdgeConfig::default()),
                 &snat_edge::ct_config(),
                 &events,
                 stamped,

@@ -37,7 +37,7 @@ use netdev::{MatchSpec, PortSet};
 use openflow::ct::CtTuple;
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::terminal_actions;
-use openflow::{Action, Field, FlowEntry, FlowMod, Pipeline};
+use openflow::{Action, Datapath, Field, FlowEntry, FlowMod, Pipeline};
 use ovsdp::OvsDatapath;
 use pkt::builder::PacketBuilder;
 use pkt::{parse, Ipv4Addr4, Packet, ParseDepth, TcpFlags};
@@ -196,15 +196,16 @@ fn run_multiport(
 /// The per-flow log of the bare datapath behind `spec`, fed the trace one
 /// unstamped packet at a time (no port, no dispatcher, no ring).
 fn run_unstamped(spec: BackendSpec) -> HashMap<u16, FlowLog> {
-    let eswitch = EswitchRuntime::compile(pipeline()).expect("pipeline compiles");
-    let ovs = OvsDatapath::new(pipeline());
+    let datapath: Box<dyn Datapath> = match spec {
+        BackendSpec::Eswitch(_) => {
+            Box::new(EswitchRuntime::compile(pipeline()).expect("pipeline compiles"))
+        }
+        BackendSpec::Ovs(_) => Box::new(OvsDatapath::new(pipeline())),
+    };
     let mut flows: HashMap<u16, FlowLog> = HashMap::new();
     for (flow, mut packet) in trace() {
         assert!(packet.parsed().is_none());
-        let verdict = match spec {
-            BackendSpec::Eswitch(_) => eswitch.process(&mut packet),
-            BackendSpec::Ovs(_) => ovs.process(&mut packet),
-        };
+        let verdict = datapath.process(&mut packet);
         let log = (packet.data().to_vec(), verdict.outputs.as_slice().to_vec());
         flows.entry(flow).or_default().push(log);
     }

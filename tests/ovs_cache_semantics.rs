@@ -5,7 +5,7 @@
 
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::terminal_actions;
-use openflow::{Action, Field, FlowEntry, FlowMod, Pipeline};
+use openflow::{Action, Datapath, Field, FlowEntry, FlowMod, Pipeline};
 use ovsdp::{MegaflowCache, OvsDatapath};
 use pkt::builder::PacketBuilder;
 use pkt::Packet;

@@ -16,7 +16,7 @@ use netdev::flat_hash::HashKey;
 use netdev::{FlatHash, Lpm};
 use openflow::flow_match::{FlowMatch, MatchField};
 use openflow::instruction::terminal_actions;
-use openflow::{Action, Field, FlowEntry, FlowKey, FlowTable, Pipeline};
+use openflow::{Action, Field, FlowEntry, FlowKey, FlowTable, NoCt, Pipeline};
 use pkt::builder::PacketBuilder;
 use pkt::ipv4::{prefix_mask, Ipv4Addr4};
 use pkt::parser::{parse, ParseDepth};
@@ -331,8 +331,8 @@ proptest! {
             let mut a = packet.clone();
             let mut b = packet;
             prop_assert_eq!(
-                original.process(&mut a).decision(),
-                decomposed.process(&mut b).decision()
+                original.process_ct(&mut a, &mut NoCt).decision(),
+                decomposed.process_ct(&mut b, &mut NoCt).decision()
             );
         }
     }

@@ -20,8 +20,8 @@ use openflow::controller::FnController;
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::terminal_actions;
 use openflow::{
-    Action, Controller, ControllerDecision, Field, FlowEntry, FlowKey, FlowMod, PacketIn, Pipeline,
-    TableMissBehavior,
+    Action, Controller, ControllerDecision, Datapath, Field, FlowEntry, FlowKey, FlowMod, NoCt,
+    PacketIn, Pipeline, TableMissBehavior,
 };
 use ovsdp::{OvsConfig, OvsDatapath};
 use pkt::builder::PacketBuilder;
@@ -95,7 +95,11 @@ fn canonical_tables(pipeline: &Pipeline) -> Vec<(u32, u16, String, String)> {
 fn per_flow_verdicts(pipeline: &Pipeline, flows: &[u64]) -> Vec<(Vec<u32>, bool, bool)> {
     flows
         .iter()
-        .map(|f| pipeline.process(&mut flow_packet(*f, 0)).decision())
+        .map(|f| {
+            pipeline
+                .process_ct(&mut flow_packet(*f, 0), &mut NoCt)
+                .decision()
+        })
         .collect()
 }
 

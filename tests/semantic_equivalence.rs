@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the three datapath architectures (direct
 //! reference interpreter, OVS-style cache hierarchy, compiled ESWITCH) must
-//! agree packet-for-packet on randomly generated pipelines and traffic.
+//! agree packet-for-packet on randomly generated pipelines and traffic. Each
+//! property iterates `common::executions`, one list of `dyn Datapath`.
 //!
 //! This is the master correctness property of the reproduction: dataplane
 //! specialization (and flow caching) are *optimisations*, never semantic
@@ -8,11 +9,17 @@
 
 mod common;
 
-use common::{checksums_verify, with_ipv4_options};
-use eswitch::runtime::EswitchRuntime;
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex};
+
+use common::{assert_agree, checksums_verify, executions, executions_with, with_ipv4_options};
+use openflow::controller::FnController;
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::{actions_then_goto, terminal_actions};
-use openflow::{Action, DirectDatapath, Field, FlowEntry, Pipeline};
+use openflow::{
+    Action, Controller, ControllerDecision, Datapath, Field, FlowEntry, PacketIn, PacketInReason,
+    Pipeline, TableMissBehavior,
+};
 use ovsdp::OvsDatapath;
 use pkt::builder::PacketBuilder;
 use pkt::ipv4::Ipv4Header;
@@ -116,6 +123,65 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
         })
 }
 
+/// The three executions hand the controller the same packet-ins: an
+/// explicit output-to-controller after a rewrite is reported as an action
+/// punt and a table miss as a miss, and the interpreter and ESWITCH hand up
+/// the frame as it arrived. (OVS hands up the frame its slow path rewrote —
+/// ROADMAP item 2 — so its bytes are not compared.)
+#[test]
+fn packet_ins_agree_across_executions() {
+    let mut pipeline = Pipeline::with_tables(1);
+    let table = pipeline.table_mut(0).unwrap();
+    table.miss = TableMissBehavior::ToController;
+    table.insert(FlowEntry::new(
+        FlowMatch::any().with_exact(Field::TcpDst, 80),
+        10,
+        terminal_actions(vec![
+            Action::SetField(Field::IpDscp, 42),
+            Action::ToController,
+        ]),
+    ));
+    type Log = Arc<Mutex<Vec<PacketIn>>>;
+    let logs: RefCell<Vec<Log>> = RefCell::default();
+    let executions = executions_with(&pipeline, || -> Box<dyn Controller> {
+        let log = Log::default();
+        logs.borrow_mut().push(Arc::clone(&log));
+        Box::new(FnController::new(move |pi: PacketIn| {
+            log.lock().unwrap().push(pi);
+            vec![ControllerDecision::Drop]
+        }))
+    });
+
+    // One packet per flow: the rewrite-then-punt rule, then a miss.
+    let packets = [
+        PacketBuilder::tcp().tcp_dst(80).build(),
+        PacketBuilder::udp().udp_dst(53).build(),
+    ];
+    for (name, datapath) in &executions {
+        for packet in &packets {
+            assert!(
+                datapath.process(&mut packet.clone()).to_controller,
+                "{name}"
+            );
+        }
+    }
+
+    let ingress: Vec<&[u8]> = packets.iter().map(Packet::data).collect();
+    for ((name, _), log) in executions.iter().zip(logs.into_inner()) {
+        let log = log.lock().unwrap();
+        let reasons: Vec<PacketInReason> = log.iter().map(|pi| pi.reason).collect();
+        assert_eq!(
+            reasons,
+            [PacketInReason::Action, PacketInReason::NoMatch],
+            "{name}"
+        );
+        if *name != "ovs" {
+            let frames: Vec<&[u8]> = log.iter().map(|pi| pi.packet.data()).collect();
+            assert_eq!(frames, ingress, "{name}: packet-in bytes");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -126,20 +192,9 @@ proptest! {
         pipeline in arb_pipeline(),
         packets in prop::collection::vec(arb_packet(), 1..40),
     ) {
-        let direct = DirectDatapath::new(pipeline.clone());
-        let ovs = OvsDatapath::new(pipeline.clone());
-        let eswitch = EswitchRuntime::compile(pipeline).expect("random pipeline compiles");
-        for packet in packets {
-            let mut a = packet.clone();
-            let mut b = packet.clone();
-            let mut c = packet.clone();
-            let reference = direct.process(&mut a);
-            let cached = ovs.process(&mut b);
-            let compiled = eswitch.process(&mut c);
-            prop_assert_eq!(reference.decision(), cached.decision());
-            prop_assert_eq!(reference.decision(), compiled.decision());
-            prop_assert_eq!(a.data(), b.data());
-            prop_assert_eq!(a.data(), c.data());
+        let executions = executions(&pipeline);
+        for (i, packet) in packets.iter().enumerate() {
+            assert_agree(&executions, packet, &format!("packet {i}"));
         }
     }
 
@@ -188,9 +243,7 @@ proptest! {
                 Action::Output(1),
             ]),
         ));
-        let direct = DirectDatapath::new(pipeline.clone());
-        let ovs = OvsDatapath::new(pipeline.clone());
-        let eswitch = EswitchRuntime::compile(pipeline).expect("pipeline compiles");
+        let executions = executions(&pipeline);
 
         let builder = if udp { PacketBuilder::udp() } else { PacketBuilder::tcp() };
         let intact = with_ipv4_options(&builder.build(), ihl, options);
@@ -204,17 +257,12 @@ proptest! {
         }
 
         let mut expected = intact.clone();
-        prop_assert_eq!(direct.process(&mut expected).outputs.to_vec(), vec![1]);
+        prop_assert_eq!(executions[0].1.process(&mut expected).outputs.to_vec(), vec![1]);
         prop_assert!(checksums_verify(expected.data()));
 
-        let [mut a, mut b, mut warm, mut c] = [(); 4].map(|()| corrupt.clone());
-        let reference = direct.process(&mut a);
-        prop_assert_eq!(ovs.process(&mut b).decision(), reference.decision());
-        prop_assert_eq!(ovs.process(&mut warm).decision(), reference.decision());
-        prop_assert_eq!(eswitch.process(&mut c).decision(), reference.decision());
-        prop_assert_eq!(a.data(), b.data());
-        prop_assert_eq!(a.data(), warm.data());
-        prop_assert_eq!(a.data(), c.data());
+        // Twice: the second pass finds the OVS caches warm.
+        let (_, a) = assert_agree(&executions, &corrupt, "cold");
+        assert_agree(&executions, &corrupt, "warm");
 
         prop_assert!(!Ipv4Header::verify_checksum(&a.data()[14..]));
         prop_assert_eq!(&a.data()[..24], &expected.data()[..24]);

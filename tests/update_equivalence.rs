@@ -2,8 +2,10 @@
 //! random flow-mod sequence must leave every update path observationally
 //! identical —
 //!
-//! (a) the planner-driven `EswitchRuntime` (incremental edits, per-table
-//!     trampoline swaps, full recompiles, whatever the planner picked),
+//! (a) the three executions (`common::executions`: the interpreter, the
+//!     planner-driven `EswitchRuntime` — incremental edits, per-table
+//!     trampoline swaps, full recompiles, whatever the planner picked — and
+//!     the OVS caches), each fed the sequence through `Datapath::flow_mod`,
 //! (b) a from-scratch full recompilation of the final pipeline,
 //! (c) the sharded runtime after epoch convergence, on both the ESWITCH and
 //!     the OVS backend (delta-aware cache invalidation included),
@@ -11,7 +13,9 @@
 //! all compared against the reference interpreter on a fixed probe set. The
 //! ladder is an optimisation, never a semantic change.
 
-use eswitch::compile::compile_default;
+mod common;
+
+use common::{assert_agree, executions};
 use eswitch::runtime::EswitchRuntime;
 use openflow::flow_match::FlowMatch;
 use openflow::flow_mod::{apply_flow_mod, FlowModCommand};
@@ -218,49 +222,28 @@ proptest! {
     ) {
         let base = base_pipeline(lpm);
 
-        // Reference: the declarative pipeline with the same mods applied.
-        let mut reference = base.clone();
-        let mut applied = Vec::new();
-        for fm in &mods {
-            if apply_flow_mod(&mut reference, fm).is_ok() {
-                applied.push(fm.clone());
+        // (a) every execution takes the same mods, rejected ones included.
+        let mut executions = executions(&base);
+        for (_, datapath) in &executions {
+            for fm in &mods {
+                let _ = datapath.flow_mod(fm);
             }
         }
-
-        // (a) the planner-driven incremental path.
-        let runtime = EswitchRuntime::compile(base.clone()).unwrap();
-        for fm in &mods {
-            let _ = runtime.flow_mod(fm);
-        }
         // (b) a from-scratch full recompile of the final pipeline.
-        let recompiled = compile_default(&reference).unwrap();
+        let mut reference = base.clone();
+        for fm in &mods {
+            let _ = apply_flow_mod(&mut reference, fm);
+        }
+        executions.push(("recompiled", Box::new(EswitchRuntime::compile(reference).unwrap())));
 
         let probes = probes();
+        let mut expected = Vec::with_capacity(probes.len());
         for (i, probe) in probes.iter().enumerate() {
-            let expected = reference.process(&mut probe.clone()).decision();
-            let mut a = probe.clone();
-            prop_assert_eq!(
-                runtime.process(&mut a).decision(),
-                expected.clone(),
-                "probe {} diverged on the planner path (lpm={})",
-                i,
-                lpm
-            );
-            let mut b = probe.clone();
-            prop_assert_eq!(
-                recompiled.process(&mut b).decision(),
-                expected,
-                "probe {} diverged on the full recompile (lpm={})",
-                i,
-                lpm
-            );
+            let (verdict, _) = assert_agree(&executions, probe, &format!("probe {i} (lpm={lpm})"));
+            expected.push(verdict.decision());
         }
 
         // (c) the sharded runtime after convergence, both backends.
-        let expected: Vec<_> = probes
-            .iter()
-            .map(|p| reference.process(&mut p.clone()).decision())
-            .collect();
         for spec in [BackendSpec::eswitch(), BackendSpec::ovs()] {
             let got = sharded_decisions(spec, &base, &mods, &probes);
             prop_assert_eq!(

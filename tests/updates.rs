@@ -5,7 +5,7 @@
 use eswitch::runtime::EswitchRuntime;
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::terminal_actions;
-use openflow::{Action, Field, FlowMod};
+use openflow::{Action, Datapath, Field, FlowMod};
 use ovsdp::OvsDatapath;
 use workloads::gateway::{self, GatewayConfig};
 use workloads::l2::{self, L2Config};

@@ -1,14 +1,15 @@
 //! End-to-end integration tests over the four evaluation use cases: the
 //! compiled datapath and the flow-caching datapath must agree with the
-//! reference interpreter, the expected templates must be selected, and the
+//! reference interpreter (one list of executions, `common::executions`),
+//! the expected templates must be selected, and the
 //! cache-hierarchy behaviour the figures rely on must be observable.
 
 mod common;
 
-use common::checksums_verify;
+use common::{assert_agree, checksums_verify, executions};
 use eswitch::analysis::{CompilerConfig, TemplateKind};
 use eswitch::runtime::EswitchRuntime;
-use openflow::{DirectDatapath, NullController};
+use openflow::{Datapath, NullController};
 use ovsdp::OvsDatapath;
 use workloads::gateway::{self, GatewayConfig};
 use workloads::l2::{self, L2Config};
@@ -20,28 +21,14 @@ use workloads::FlowSet;
 /// decision and on the frame bytes — over one full cycle of the traffic mix,
 /// and that what is forwarded still verifies (the gateway NATs and routes:
 /// header and TCP/UDP checksums both have to follow the rewrites).
-fn assert_all_agree(pipeline_builder: impl Fn() -> openflow::Pipeline, traffic: &FlowSet) {
-    let direct = DirectDatapath::new(pipeline_builder());
-    let ovs = OvsDatapath::new(pipeline_builder());
-    let eswitch = EswitchRuntime::compile(pipeline_builder()).expect("compiles");
+fn assert_all_agree(pipeline: openflow::Pipeline, traffic: &FlowSet) {
+    let executions = executions(&pipeline);
     for (i, packet) in traffic.one_cycle().enumerate() {
-        let mut a = packet.clone();
-        let mut b = packet.clone();
-        let mut c = packet;
-        let reference = direct.process(&mut a).decision();
-        assert_eq!(
-            ovs.process(&mut b).decision(),
-            reference,
-            "OVS diverged at {i}"
+        let (_, forwarded) = assert_agree(&executions, &packet, &format!("packet {i}"));
+        assert!(
+            checksums_verify(forwarded.data()),
+            "bad checksum out at {i}"
         );
-        assert_eq!(
-            eswitch.process(&mut c).decision(),
-            reference,
-            "ESWITCH diverged at {i}"
-        );
-        assert_eq!(a.data(), b.data(), "OVS rewrote differently at {i}");
-        assert_eq!(a.data(), c.data(), "ESWITCH rewrote differently at {i}");
-        assert!(checksums_verify(a.data()), "bad checksum out at {i}");
     }
 }
 
@@ -58,7 +45,7 @@ fn l2_use_case_compiles_to_hash_and_agrees() {
         vec![(0, TemplateKind::CompoundHash)]
     );
     assert_all_agree(
-        || l2::build_pipeline(&config),
+        l2::build_pipeline(&config),
         &l2::build_traffic(&config, 500),
     );
 }
@@ -76,7 +63,7 @@ fn l3_use_case_compiles_to_lpm_and_agrees() {
         vec![(0, TemplateKind::Lpm)]
     );
     assert_all_agree(
-        || l3::build_pipeline(&config),
+        l3::build_pipeline(&config),
         &l3::build_traffic(&config, 500),
     );
 }
@@ -113,16 +100,13 @@ fn load_balancer_decomposition_promotes_templates_and_agrees() {
         );
     }
 
-    // And the decomposed compiled datapath still agrees with the reference.
+    // And the decomposed compiled datapath still agrees with the reference
+    // (and so do the other executions).
+    let mut executions = executions(&load_balancer::build_pipeline(&config));
+    executions.push(("eswitch-decomposed", Box::new(decomposed)));
     let traffic = load_balancer::build_traffic(&config, 400);
-    let reference = DirectDatapath::new(load_balancer::build_pipeline(&config));
-    for packet in traffic.one_cycle() {
-        let mut a = packet.clone();
-        let mut b = packet;
-        assert_eq!(
-            decomposed.process(&mut b).decision(),
-            reference.process(&mut a).decision()
-        );
+    for (i, packet) in traffic.one_cycle().enumerate() {
+        assert_agree(&executions, &packet, &format!("packet {i}"));
     }
 }
 
@@ -136,11 +120,11 @@ fn gateway_use_case_agrees_in_both_directions() {
         preinstall_users: true,
     };
     assert_all_agree(
-        || gateway::build_pipeline(&config),
+        gateway::build_pipeline(&config),
         &gateway::build_traffic(&config, 300),
     );
     assert_all_agree(
-        || gateway::build_pipeline(&config),
+        gateway::build_pipeline(&config),
         &gateway::build_downstream_traffic(&config, 300),
     );
 }

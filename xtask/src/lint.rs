@@ -1,7 +1,7 @@
 //! Source-analysis lint gate: repo-specific rules that `rustc`/`clippy`
 //! cannot express, run in CI as `cargo xtask lint`.
 //!
-//! Four rules, all pure text analysis over the workspace's `.rs` files:
+//! Five rules, all pure text analysis over the workspace's `.rs` files:
 //!
 //! 1. **SAFETY comments** — every `unsafe {` block and `unsafe impl` must
 //!    carry a `SAFETY:` comment, either on the same line or in the
@@ -30,6 +30,14 @@
 //!    re-summing costs a pass over the header per rewrite and turns a
 //!    corrupted checksum into a valid one. `#[cfg(test)]` regions are exempt
 //!    (re-summing is the oracle there).
+//! 5. **One entry per execution** — every execution of a pipeline is reached
+//!    through `openflow::Datapath`, whose one required entry is
+//!    `process_burst` (the per-packet forms are provided bursts of one; trait
+//!    methods are not `pub fn` definitions). Outside `#[cfg(test)]` regions
+//!    of the datapath crates, a `pub fn process` or `pub fn process_…`
+//!    definition is allowed only where [`ONE_ENTRY_ALLOWED`] names it, with
+//!    its reason, so a second per-packet, traced or allocating twin of an
+//!    execution cannot grow back unnoticed.
 
 use std::fmt;
 use std::path::Path;
@@ -87,6 +95,51 @@ const REWRITE_MODULES: &[&str] = &[
 ];
 
 const BANNED_RESUMS: &[&str] = &["ones_complement"];
+
+/// Crates whose `pub fn process…` definitions rule 5 polices.
+const ONE_ENTRY_CRATES: &[&str] = &[
+    "crates/openflow/src/",
+    "crates/core/src/",
+    "crates/ovsdp/src/",
+    "crates/shard/src/",
+    "crates/bench/src/",
+];
+
+/// The `pub fn process…` definitions that may exist beside the trait:
+/// `(file, function, reason)`. The frozen bindings go when ROADMAP item 1a
+/// re-binds `benchmark/src/sut.rs` to the trait.
+const ONE_ENTRY_ALLOWED: &[(&str, &str, &str)] = &[
+    (
+        "crates/core/src/fastpath.rs",
+        "process_burst_ct",
+        "the compiled walk, shared by `EswitchRuntime` and the ESWITCH shard replicas",
+    ),
+    (
+        "crates/openflow/src/pipeline.rs",
+        "process_with_key_ct",
+        "the interpreter walk over a key the OVS slow path extracted once",
+    ),
+    (
+        "crates/openflow/src/pipeline.rs",
+        "process_ct",
+        "the interpreter walk; frozen binding of `benchmark/src/sut.rs`'s oracle",
+    ),
+    (
+        "crates/openflow/src/direct.rs",
+        "process",
+        "frozen binding of `benchmark/src/sut.rs`'s oracle; forwards to the trait",
+    ),
+    (
+        "crates/core/src/runtime.rs",
+        "process_batch_into_ct",
+        "frozen binding of `benchmark/src/sut.rs`; the ESWITCH runtime's burst body",
+    ),
+    (
+        "crates/ovsdp/src/datapath.rs",
+        "process_batch_into_ct",
+        "frozen binding of `benchmark/src/sut.rs`; the OVS burst body",
+    ),
+];
 
 #[derive(Debug, PartialEq)]
 struct Violation {
@@ -420,11 +473,52 @@ fn check_full_resum(file: &str, src: &str) -> Vec<Violation> {
     )
 }
 
+/// Rule 5: in the datapath crates, outside `#[cfg(test)]` regions, a
+/// `pub fn process` / `pub fn process_…` definition must be allowlisted.
+fn check_one_entry(file: &str, src: &str) -> Vec<Violation> {
+    if !ONE_ENTRY_CRATES.iter().any(|p| file.starts_with(p)) {
+        return Vec::new();
+    }
+    let censored = censor(src);
+    let mask = test_region_mask(&censored);
+    let mut out = Vec::new();
+    for (idx, line) in censored.lines().enumerate() {
+        if mask.get(idx).copied().unwrap_or(false) {
+            continue;
+        }
+        for (at, _) in line.match_indices("pub fn ") {
+            let name: String = line[at + "pub fn ".len()..]
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            let entry = name == "process" || name.starts_with("process_");
+            if entry
+                && !ONE_ENTRY_ALLOWED
+                    .iter()
+                    .any(|(f, n, _)| *f == file && *n == name)
+            {
+                out.push(Violation {
+                    file: file.to_string(),
+                    line: idx + 1,
+                    rule: "one-entry",
+                    message: format!(
+                        "`pub fn {name}` beside `openflow::Datapath::process_burst` — \
+                         implement the trait's one burst entry and call its provided \
+                         `process`/`process_ct`, or allowlist it with a reason"
+                    ),
+                });
+            }
+        }
+    }
+    out
+}
+
 fn check_file(rel_path: &str, src: &str) -> Vec<Violation> {
     let mut v = check_safety_comments(rel_path, src);
     v.extend(check_facade_bypass(rel_path, src));
     v.extend(check_fastpath_alloc(rel_path, src));
     v.extend(check_full_resum(rel_path, src));
+    v.extend(check_one_entry(rel_path, src));
     v
 }
 
@@ -486,7 +580,7 @@ pub fn run() -> ExitCode {
 
     if violations.is_empty() {
         println!(
-            "xtask lint: {} files clean (safety-comment, facade-bypass, fastpath-alloc, full-resum)",
+            "xtask lint: {} files clean (safety-comment, facade-bypass, fastpath-alloc, full-resum, one-entry)",
             sources.len()
         );
         ExitCode::SUCCESS
@@ -736,6 +830,46 @@ mod tests {
         assert!(check_full_resum("crates/packet/src/ipv4.rs", src).is_empty());
         let src = "fn step() {}\n\n#[cfg(test)]\nmod tests {\n    fn t(h: &[u8]) -> u16 { pkt::checksum::ones_complement(h) }\n}\n";
         assert!(check_full_resum("crates/openflow/src/action.rs", src).is_empty());
+    }
+
+    // ---- rule 5: one entry per execution ------------------------------
+
+    #[test]
+    fn new_process_twin_in_ovsdp_is_flagged_and_processed_is_not() {
+        let src = "impl OvsDatapath {\n    pub fn process_batch(&self) {}\n    pub fn processed(&self) -> u64 { 0 }\n}\n";
+        let v = check_one_entry("crates/ovsdp/src/datapath.rs", src);
+        assert_eq!(rules(&v), ["one-entry"]);
+        assert_eq!(v[0].line, 2);
+        assert!(v[0].message.contains("process_batch"));
+        let src = "pub fn process(&self) {}\n";
+        assert_eq!(
+            rules(&check_one_entry("crates/bench/src/datapath.rs", src)),
+            ["one-entry"]
+        );
+    }
+
+    #[test]
+    fn allowlisted_entries_pass_only_where_listed() {
+        let src = "pub fn process_batch_into_ct(&self) {}\n";
+        assert!(check_one_entry("crates/ovsdp/src/datapath.rs", src).is_empty());
+        assert_eq!(
+            rules(&check_one_entry("crates/ovsdp/src/megaflow.rs", src)),
+            ["one-entry"]
+        );
+        for (file, name, reason) in ONE_ENTRY_ALLOWED {
+            assert!(!reason.is_empty(), "{file}::{name} needs a reason");
+            let src = format!("pub fn {name}(&self) {{}}\n");
+            assert!(check_one_entry(file, &src).is_empty(), "{file}::{name}");
+        }
+    }
+
+    #[test]
+    fn one_entry_exempts_tests_trait_methods_and_other_crates() {
+        let src = "trait Datapath {\n    fn process(&self) {}\n}\n\n#[cfg(test)]\nmod tests {\n    pub fn process_one() {}\n}\n";
+        assert!(check_one_entry("crates/openflow/src/datapath.rs", src).is_empty());
+        let src = "pub fn process_burst(&self) {}\n";
+        assert!(check_one_entry("crates/conntrack/src/engine.rs", src).is_empty());
+        assert!(check_one_entry("benchmark/src/sut.rs", src).is_empty());
     }
 
     // ---- plumbing ----------------------------------------------------
