@@ -6,7 +6,7 @@ use std::fmt;
 use crate::entry::FlowEntry;
 use crate::flow_match::FlowMatch;
 use crate::instruction::Instruction;
-use crate::pipeline::{Pipeline, TableId};
+use crate::pipeline::{Pipeline, PipelineError, TableId};
 
 /// The flow-mod command (OpenFlow `ofp_flow_mod_command`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,6 +100,10 @@ pub enum FlowModError {
     NoSuchEntry,
     /// Add/Modify without a table id.
     TableRequired,
+    /// Add/Modify instructions with a goto to the same table, an earlier
+    /// one, or one that does not exist: every packet matching the entry would
+    /// loop or dangle.
+    BadGoto(PipelineError),
 }
 
 impl fmt::Display for FlowModError {
@@ -108,6 +112,7 @@ impl fmt::Display for FlowModError {
             FlowModError::NoSuchTable(t) => write!(f, "no such table {t}"),
             FlowModError::NoSuchEntry => write!(f, "no matching entry"),
             FlowModError::TableRequired => write!(f, "flow-mod requires a table id"),
+            FlowModError::BadGoto(e) => write!(f, "{e}"),
         }
     }
 }
@@ -131,6 +136,10 @@ pub struct FlowModEffect {
     /// layered datapath needs for selective invalidation: only packets
     /// matching one of these can see a different verdict after the change.
     pub touched_matches: Vec<FlowMatch>,
+    /// True when an Add created its table. That is structural — a
+    /// `Continue` miss of the table before it now lands in the new table —
+    /// and no list of touched matches describes it.
+    pub table_created: bool,
 }
 
 impl FlowModEffect {
@@ -198,6 +207,28 @@ pub fn apply_flow_mod(
     apply_flow_mod_undoable(pipeline, fm).map(|(effect, _)| effect)
 }
 
+/// Refuses instructions bound for `table` whose gotos do not name an
+/// existing, strictly later table. Checked before anything is mutated, so a
+/// refused flow-mod leaves the pipeline as it was.
+fn check_gotos(
+    pipeline: &Pipeline,
+    table: TableId,
+    instructions: &[Instruction],
+) -> Result<(), FlowModError> {
+    for to in instructions.iter().filter_map(Instruction::goto_target) {
+        if to <= table {
+            return Err(FlowModError::BadGoto(PipelineError::BackwardGoto {
+                from: table,
+                to,
+            }));
+        }
+        if pipeline.table(to).is_none() {
+            return Err(FlowModError::BadGoto(PipelineError::NoSuchTable(to)));
+        }
+    }
+    Ok(())
+}
+
 /// Applies a flow-mod and returns, alongside the effect, an undo log that
 /// restores the pre-flow-mod pipeline — without any up-front clone.
 pub fn apply_flow_mod_undoable(
@@ -208,6 +239,7 @@ pub fn apply_flow_mod_undoable(
     match fm.command {
         FlowModCommand::Add => {
             let table_id = fm.table_id.ok_or(FlowModError::TableRequired)?;
+            check_gotos(pipeline, table_id, &fm.instructions)?;
             let created = pipeline.table(table_id).is_none();
             let table = pipeline.table_mut_or_create(table_id);
             let mut entry =
@@ -237,6 +269,7 @@ pub fn apply_flow_mod_undoable(
                     tables_touched: vec![table_id],
                     added: 1,
                     touched_matches: vec![fm.flow_match.clone()],
+                    table_created: created,
                     ..FlowModEffect::default()
                 },
                 undo,
@@ -245,6 +278,7 @@ pub fn apply_flow_mod_undoable(
         FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
             let table_id = fm.table_id.ok_or(FlowModError::TableRequired)?;
             let strict = fm.command == FlowModCommand::ModifyStrict;
+            check_gotos(pipeline, table_id, &fm.instructions)?;
             let table = pipeline
                 .table_mut(table_id)
                 .ok_or(FlowModError::NoSuchTable(table_id))?;
@@ -501,6 +535,47 @@ mod tests {
             vec![FlowMatch::any().with_exact(Field::TcpDst, 80)]
         );
         assert_eq!(effect.entries_touched(), 1);
+    }
+
+    #[test]
+    fn bad_gotos_are_refused_before_anything_changes() {
+        use crate::instruction::actions_then_goto;
+        let mut p = Pipeline::with_tables(3);
+        apply_flow_mod(&mut p, &add(80, 10, 1)).unwrap();
+        let before: Vec<Vec<FlowEntry>> = p.tables().iter().map(|t| t.entries().to_vec()).collect();
+        let goto = |from: TableId, to: TableId| {
+            FlowMod::add(
+                from,
+                FlowMatch::any(),
+                1,
+                actions_then_goto(vec![Action::PopVlan], to),
+            )
+        };
+        let refused = [
+            (goto(1, 1), PipelineError::BackwardGoto { from: 1, to: 1 }),
+            (goto(1, 0), PipelineError::BackwardGoto { from: 1, to: 0 }),
+            (goto(1, 9), PipelineError::NoSuchTable(9)),
+            // An Add that would create its own table checks before creating.
+            (goto(7, 9), PipelineError::NoSuchTable(9)),
+            (
+                FlowMod {
+                    command: FlowModCommand::Modify,
+                    ..goto(0, 0)
+                },
+                PipelineError::BackwardGoto { from: 0, to: 0 },
+            ),
+        ];
+        for (fm, want) in refused {
+            assert_eq!(
+                apply_flow_mod(&mut p, &fm),
+                Err(FlowModError::BadGoto(want)),
+                "{fm:?}"
+            );
+        }
+        let after: Vec<Vec<FlowEntry>> = p.tables().iter().map(|t| t.entries().to_vec()).collect();
+        assert_eq!(after, before);
+        // A forward goto to an existing table is accepted.
+        assert_eq!(apply_flow_mod(&mut p, &goto(1, 2)).unwrap().added, 1);
     }
 
     #[test]

@@ -65,13 +65,14 @@ pub fn actions_then_goto(actions: Vec<Action>, table: TableId) -> Vec<Instructio
     ]
 }
 
-/// Bitmask (by [`Field::index`]) of the match-relevant fields these
+/// Bitmask (by [`Field::index`](crate::Field::index)) of the match-relevant fields these
 /// instructions can rewrite *while the packet is still traversing the
 /// pipeline*. Write-actions are excluded: they execute at pipeline exit,
 /// after every table lookup, so they can never change what a later table
-/// matches. Delta-aware cache invalidation uses this to decide whether a
-/// rule's match can be compared against extraction-time keys: a match on a
-/// field some apply-action rewrites cannot.
+/// matches. Each [`FlowTable`](crate::FlowTable) keeps the union over its
+/// entries, which the goto-graph gate
+/// ([`Pipeline::fields_written_upstream`](crate::Pipeline::fields_written_upstream))
+/// reads.
 pub fn written_match_fields(instructions: &[Instruction]) -> u64 {
     use crate::field::Field;
     let mut bits = 0u64;
@@ -112,21 +113,12 @@ pub fn written_match_fields(instructions: &[Instruction]) -> u64 {
     bits
 }
 
-/// [`written_match_fields`] over every entry of a pipeline.
-pub fn pipeline_written_fields(pipeline: &crate::pipeline::Pipeline) -> u64 {
-    pipeline
-        .tables()
-        .iter()
-        .flat_map(|t| t.entries())
-        .fold(0u64, |bits, e| bits | written_match_fields(&e.instructions))
-}
-
 /// True when these instructions can punt a packet to the controller (an
 /// explicit [`Action::ToController`] in an apply- or write-actions list).
 /// Runtimes use this to decide whether a flow-mod can introduce punting into
-/// a previously punt-free pipeline; like `written_match_fields`, the answer
-/// is consumed as a monotone OR, so a deleted punt action merely leaves the
-/// runtime conservatively prepared for punts that never come.
+/// a previously punt-free pipeline; the answer is consumed as a monotone OR,
+/// so a deleted punt action merely leaves the runtime conservatively
+/// prepared for punts that never come.
 pub fn instructions_can_punt(instructions: &[Instruction]) -> bool {
     instructions.iter().any(|instruction| match instruction {
         Instruction::ApplyActions(actions) | Instruction::WriteActions(actions) => {

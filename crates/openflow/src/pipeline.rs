@@ -216,6 +216,50 @@ impl Pipeline {
         Ok(())
     }
 
+    /// Bitmask (by [`Field::index`](crate::Field::index)) of the match
+    /// fields that the strict goto-graph ancestors of `tables` can rewrite:
+    /// the tables from which a packet can reach one of `tables` through
+    /// `GotoTable` instructions and `Continue` misses, each contributing what
+    /// its entries' instructions rewrite
+    /// ([`written_match_fields`](crate::instruction::written_match_fields)).
+    /// A packet's key at table T has been rewritten only by the
+    /// apply-actions of the tables it passed on the way, and each of those
+    /// reaches T; so a match in T on a field outside this mask reads the
+    /// packet's extraction-time value. Flow caches keyed on extraction-time
+    /// keys use that to invalidate selectively.
+    ///
+    /// Reads the per-table summaries only: O(tables + goto edges), never
+    /// O(entries). It relies on gotos running forward, to an existing later
+    /// table, which [`apply_flow_mod`](crate::flow_mod::apply_flow_mod)
+    /// enforces; a hand-built pipeline holding a backward goto gets every
+    /// bit, the answer that is sound for any graph.
+    pub fn fields_written_upstream(&self, tables: &[TableId]) -> u64 {
+        // Every edge runs from a lower to a higher table id, so one pass from
+        // the highest table down settles each table's successors before the
+        // table itself. `reaches[i]`: table i is one of `tables` or an
+        // ancestor of one.
+        let mut reaches = vec![false; self.tables.len()];
+        let mut written = 0u64;
+        for (i, table) in self.tables.iter().enumerate().rev() {
+            if table.goto_targets().next().is_some_and(|to| to <= table.id) {
+                return u64::MAX;
+            }
+            let reached = |to: TableId| {
+                self.tables
+                    .binary_search_by_key(&to, |t| t.id)
+                    .is_ok_and(|j| reaches[j])
+            };
+            let ancestor = (table.miss == TableMissBehavior::Continue
+                && reaches.get(i + 1) == Some(&true))
+                || table.goto_targets().any(reached);
+            if ancestor {
+                written |= table.written_fields();
+            }
+            reaches[i] = ancestor || tables.contains(&table.id);
+        }
+        written
+    }
+
     /// Reference pipeline processing ("direct datapath" semantics, §2.1),
     /// with `ct` threaded through ct actions ([`NoCt`](crate::ct::NoCt) for
     /// stateless pipelines).
@@ -589,6 +633,98 @@ mod tests {
             vec![Instruction::GotoTable(9)],
         ));
         assert_eq!(p.validate(), Err(PipelineError::NoSuchTable(9)));
+    }
+
+    fn bits(fields: &[Field]) -> u64 {
+        fields.iter().fold(0, |b, f| b | 1 << f.index())
+    }
+
+    /// The access gateway's shape (Fig. 8): a demux that rewrites nothing,
+    /// CE tables that rewrite `Ipv4Src` and pop the VLAN on the way to
+    /// routing, and a downstream table that rewrites on its way out.
+    fn gateway_shape() -> Pipeline {
+        let mut p = Pipeline::new();
+        for id in [0, 1, 2, 110, 120] {
+            p.add_table(FlowTable::new(id));
+        }
+        for ce in [1, 2] {
+            p.table_mut(0).unwrap().insert(FlowEntry::new(
+                FlowMatch::any().with_exact(Field::VlanVid, u128::from(ce) + 100),
+                200,
+                vec![Instruction::GotoTable(ce)],
+            ));
+            p.table_mut(ce).unwrap().insert(FlowEntry::new(
+                FlowMatch::any().with_exact(Field::Ipv4Src, 0x0a00_0002),
+                100,
+                actions_then_goto(
+                    vec![
+                        Action::SetField(Field::Ipv4Src, 0x6440_0002),
+                        Action::PopVlan,
+                    ],
+                    110,
+                ),
+            ));
+        }
+        p.table_mut(0).unwrap().insert(FlowEntry::new(
+            FlowMatch::any(),
+            1,
+            vec![Instruction::GotoTable(120)],
+        ));
+        p.table_mut(120).unwrap().insert(FlowEntry::new(
+            FlowMatch::any().with_exact(Field::Ipv4Dst, 0x6440_0002),
+            100,
+            terminal_actions(vec![
+                Action::SetField(Field::Ipv4Dst, 0x0a00_0002),
+                Action::PushVlan(0x8100),
+                Action::Output(0),
+            ]),
+        ));
+        p
+    }
+
+    #[test]
+    fn gate_sees_only_goto_graph_ancestors() {
+        let p = gateway_shape();
+        p.validate().unwrap();
+        // A sibling CE table's rewrites are upstream of routing alone.
+        assert_eq!(p.fields_written_upstream(&[0]), 0);
+        assert_eq!(p.fields_written_upstream(&[1]), 0);
+        assert_eq!(p.fields_written_upstream(&[120]), 0);
+        assert_eq!(p.fields_written_upstream(&[1, 120]), 0);
+        let ce_rewrites = bits(&[Field::Ipv4Src, Field::VlanVid, Field::VlanPcp]);
+        assert_eq!(p.fields_written_upstream(&[110]), ce_rewrites);
+        assert_eq!(p.fields_written_upstream(&[110, 120]), ce_rewrites);
+        // A touched table that is itself upstream of another touched table
+        // counts; one that is not (table 120 writes, reaches nothing) does
+        // not.
+        assert_eq!(p.fields_written_upstream(&[1, 110]), ce_rewrites);
+    }
+
+    #[test]
+    fn gate_follows_continue_misses_and_refuses_backward_gotos() {
+        // Table 0 rewrites Ipv4Dst and stops, or misses on to table 1, whose
+        // miss continues to table 2: the miss edges make 0 upstream of 2.
+        let mut p = Pipeline::with_tables(3);
+        p.table_mut(0).unwrap().insert(FlowEntry::new(
+            FlowMatch::any().with_exact(Field::TcpDst, 80),
+            10,
+            terminal_actions(vec![Action::SetField(Field::Ipv4Dst, 1)]),
+        ));
+        p.table_mut(0).unwrap().miss = TableMissBehavior::Continue;
+        p.table_mut(1).unwrap().miss = TableMissBehavior::Continue;
+        assert_eq!(p.fields_written_upstream(&[2]), bits(&[Field::Ipv4Dst]));
+        p.table_mut(1).unwrap().miss = TableMissBehavior::Drop;
+        assert_eq!(p.fields_written_upstream(&[2]), 0);
+        assert_eq!(p.fields_written_upstream(&[1]), bits(&[Field::Ipv4Dst]));
+
+        // Only a hand-built pipeline can hold a backward goto; the gate then
+        // suspects every field.
+        p.table_mut(2).unwrap().insert(FlowEntry::new(
+            FlowMatch::any(),
+            1,
+            vec![Instruction::GotoTable(1)],
+        ));
+        assert_eq!(p.fields_written_upstream(&[2]), u64::MAX);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Flow tables.
 
 use netdev::Counters;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::entry::FlowEntry;
 use crate::flow_match::FlowMatch;
+use crate::instruction::{written_match_fields, Instruction};
 use crate::key::FlowKey;
 use crate::pipeline::TableId;
 
@@ -36,10 +38,68 @@ pub struct FlowTable {
     /// Miss behaviour.
     pub miss: TableMissBehavior,
     entries: Vec<FlowEntry>,
+    /// What the entries do to packets that leave them for another table;
+    /// kept in step with `entries` by every mutator below.
+    summary: TableSummary,
     /// Packets looked up in this table (hit or miss).
     pub lookups: Arc<Counters>,
     /// Packets that matched some entry.
     pub matches: Arc<Counters>,
+}
+
+/// What a table's entries can do to a packet before another table sees it:
+/// the match fields their apply-actions and metadata writes rewrite, and the
+/// tables their gotos name. Both are counted per entry, so an insert or a
+/// removal costs that entry's instructions and never a rescan of the table;
+/// the goto-graph gate ([`Pipeline::fields_written_upstream`]) reads only
+/// these summaries.
+///
+/// [`Pipeline::fields_written_upstream`]: crate::Pipeline::fields_written_upstream
+#[derive(Debug, Clone, Default)]
+struct TableSummary {
+    /// Entries rewriting each field, by [`Field::index`](crate::Field::index).
+    writers: BTreeMap<usize, u32>,
+    /// Entries naming each goto target.
+    gotos: BTreeMap<TableId, u32>,
+}
+
+impl TableSummary {
+    fn of(entries: &[FlowEntry]) -> Self {
+        let mut summary = TableSummary::default();
+        for entry in entries {
+            summary.count(entry, true);
+        }
+        summary
+    }
+
+    /// Counts `entry` in (`add`) or out of the summary.
+    fn count(&mut self, entry: &FlowEntry, add: bool) {
+        let mut bits = written_match_fields(&entry.instructions);
+        while bits != 0 {
+            bump(&mut self.writers, bits.trailing_zeros() as usize, add);
+            bits &= bits - 1;
+        }
+        for target in entry
+            .instructions
+            .iter()
+            .filter_map(Instruction::goto_target)
+        {
+            bump(&mut self.gotos, target, add);
+        }
+    }
+}
+
+/// Adds one to, or takes one from, `key`'s count; a count that reaches zero
+/// leaves the map.
+fn bump<K: Ord>(counts: &mut BTreeMap<K, u32>, key: K, add: bool) {
+    if add {
+        *counts.entry(key).or_insert(0) += 1;
+    } else if let std::collections::btree_map::Entry::Occupied(mut slot) = counts.entry(key) {
+        *slot.get_mut() -= 1;
+        if *slot.get() == 0 {
+            slot.remove();
+        }
+    }
 }
 
 impl FlowTable {
@@ -50,6 +110,7 @@ impl FlowTable {
             name: format!("table{id}"),
             miss: TableMissBehavior::default(),
             entries: Vec::new(),
+            summary: TableSummary::default(),
             lookups: Arc::new(Counters::new()),
             matches: Arc::new(Counters::new()),
         }
@@ -76,11 +137,14 @@ impl FlowTable {
         // The run of the new entry's priority is the only place a duplicate
         // can be.
         let run = self.priority_run(entry.priority);
+        self.summary.count(&entry, true);
         if let Some(existing) = self.entries[run.clone()]
             .iter_mut()
             .find(|e| e.flow_match == entry.flow_match)
         {
-            return Some(std::mem::replace(existing, entry));
+            let old = std::mem::replace(existing, entry);
+            self.summary.count(&old, false);
+            return Some(old);
         }
         // Insert after the run, preserving insertion order among equal
         // priorities.
@@ -114,6 +178,9 @@ impl FlowTable {
                 true
             }
         });
+        for entry in &removed {
+            self.summary.count(entry, false);
+        }
         removed
     }
 
@@ -125,7 +192,9 @@ impl FlowTable {
             + self.entries[run]
                 .iter()
                 .position(|e| e.flow_match == *pattern)?;
-        Some(self.entries.remove(pos))
+        let removed = self.entries.remove(pos);
+        self.summary.count(&removed, false);
+        Some(removed)
     }
 
     /// The entries, in match order (descending priority).
@@ -147,7 +216,21 @@ impl FlowTable {
     /// decomposition pass).
     pub fn set_entries(&mut self, mut entries: Vec<FlowEntry>) {
         entries.sort_by_key(|e| std::cmp::Reverse(e.priority));
+        self.summary = TableSummary::of(&entries);
         self.entries = entries;
+    }
+
+    /// Bitmask (by [`Field::index`](crate::Field::index)) of the match
+    /// fields some entry's apply-actions or metadata write can rewrite
+    /// before a later table looks the packet up
+    /// ([`written_match_fields`]).
+    pub(crate) fn written_fields(&self) -> u64 {
+        self.summary.writers.keys().fold(0, |bits, i| bits | 1 << i)
+    }
+
+    /// Every table some entry's goto names, ascending, each once.
+    pub(crate) fn goto_targets(&self) -> impl Iterator<Item = TableId> + '_ {
+        self.summary.gotos.keys().copied()
     }
 
     /// Looks up the highest-priority matching entry for `key`, recording
@@ -308,6 +391,54 @@ mod tests {
         assert_eq!(t.remove_overlapping(&FlowMatch::any(), Some(0xaa)).len(), 1);
         assert_eq!(t.len(), 1);
         assert_eq!(t.entries()[0].cookie, 0xbb);
+    }
+
+    #[test]
+    fn summary_tracks_every_mutation() {
+        use crate::instruction::actions_then_goto;
+        // The summary must always equal a recount of the entries.
+        fn check(t: &FlowTable) {
+            let written = t
+                .entries()
+                .iter()
+                .fold(0, |b, e| b | written_match_fields(&e.instructions));
+            let mut gotos: Vec<TableId> = t
+                .entries()
+                .iter()
+                .flat_map(|e| e.instructions.iter().filter_map(Instruction::goto_target))
+                .collect();
+            gotos.sort_unstable();
+            gotos.dedup();
+            assert_eq!(t.written_fields(), written);
+            assert_eq!(t.goto_targets().collect::<Vec<_>>(), gotos);
+        }
+        let rewrite = |port: u16, field: Field, to: TableId| {
+            FlowEntry::new(
+                FlowMatch::any().with_exact(Field::TcpDst, u128::from(port)),
+                10,
+                actions_then_goto(vec![Action::SetField(field, 1)], to),
+            )
+        };
+        let mut t = FlowTable::new(0);
+        t.insert(rewrite(80, Field::Ipv4Src, 3));
+        t.insert(rewrite(81, Field::Ipv4Src, 5));
+        t.insert(rewrite(82, Field::Ipv4Dst, 3));
+        check(&t);
+        // Replacing an entry counts the new one in and the old one out.
+        t.insert(rewrite(82, Field::TcpSrc, 4));
+        check(&t);
+        assert_eq!(t.goto_targets().collect::<Vec<_>>(), [3, 4, 5]);
+        t.remove_strict(&FlowMatch::any().with_exact(Field::TcpDst, 80), 10);
+        check(&t);
+        t.remove_overlapping(&FlowMatch::any().with_exact(Field::TcpDst, 81), None);
+        check(&t);
+        assert_eq!(t.written_fields(), 1 << Field::TcpSrc.index());
+        t.set_entries(vec![rewrite(90, Field::EthDst, 7), entry(5, 22, 1)]);
+        check(&t);
+        t.remove_overlapping(&FlowMatch::any(), None);
+        check(&t);
+        assert_eq!(t.written_fields(), 0);
+        assert_eq!(t.goto_targets().count(), 0);
     }
 
     #[test]

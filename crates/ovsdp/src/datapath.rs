@@ -10,7 +10,6 @@
 //! steady-state hit path — microflow or megaflow hit — performs no heap
 //! allocation per packet (enforced by `tests/alloc_regression.rs`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -20,7 +19,6 @@ use openflow::action::{apply_action_list, apply_action_list_parsed_ct};
 use openflow::ct::ConnCtx;
 use openflow::flow_match::FlowMatch;
 use openflow::flow_mod::{apply_flow_mod, FlowModEffect, FlowModError};
-use openflow::instruction::{pipeline_written_fields, written_match_fields};
 use openflow::{
     Action, Controller, ControllerDecision, Datapath, FlowKey, FlowMod, NullController, PacketIn,
     PacketInReason, Pipeline, Verdict,
@@ -31,6 +29,7 @@ use pkt::Packet;
 use crate::megaflow::MegaflowCache;
 use crate::microflow::MicroflowCache;
 use crate::minikey::MiniKey;
+use crate::program::Program;
 use crate::slowpath::{SlowPath, SlowPathConfig, SlowPathResult};
 
 /// Which level of the hierarchy answered a burst's leader packet. Mirrors
@@ -116,7 +115,7 @@ struct BurstScratch {
     hashes: Vec<u64>,
     /// `group[i]`: index of the first packet of packet i's flow in the burst.
     group: Vec<usize>,
-    actions: Vec<Option<Arc<Vec<Action>>>>,
+    actions: Vec<Option<Arc<Program>>>,
     levels: Vec<CacheLevel>,
     /// Sparse `(leader index, classification)` list — empty in steady state,
     /// so no 700-byte `Option<SlowPathResult>` slots get rewritten per burst.
@@ -150,29 +149,34 @@ pub struct OvsDatapath {
     /// Burst working state; `try_lock` + local fallback, so concurrent
     /// batchers degrade to allocating instead of serialising on each other.
     scratch: Mutex<BurstScratch>,
-    /// Bitmask (by `Field::index`) of match fields some apply-action in the
-    /// pipeline can rewrite mid-traversal. Grown monotonically as flow-mods
-    /// add instructions (a stale set bit only costs an unnecessary full
-    /// flush, never a wrong answer); recomputed on pipeline replacement.
-    written_fields: AtomicU64,
     /// Per-level hit statistics.
     pub stats: CacheStats,
 }
 
-/// True when `matches` can soundly drive selective (delta-aware) cache
-/// invalidation against extraction-time keys: there is at least one match to
-/// check against, and none of the matched fields is rewritten by an
-/// apply-action anywhere in the pipeline (`written_fields` bitmask from
-/// [`pipeline_written_fields`]). A rewritten field would make the comparison
-/// against extraction-time keys unsound, so those updates fall back to the
-/// brute-force full flush.
-pub fn delta_is_selective(written_fields: u64, matches: &[FlowMatch]) -> bool {
-    !matches.is_empty()
-        && matches.iter().all(|m| {
-            m.fields()
-                .iter()
-                .all(|mf| written_fields & (1u64 << mf.field.index()) == 0)
-        })
+/// True when a flow-mod's `effect` on `pipeline` (the pipeline *after* the
+/// change) can soundly drive selective cache invalidation: flushing only the
+/// cached flows whose extraction-time keys match a touched rule.
+///
+/// A cached flow sees a different verdict only if its path first diverges
+/// at a touched table T, on a touched rule its key at T matches. Up to T the
+/// path used unchanged rules, so every table on it is a goto-graph ancestor
+/// of T in the new pipeline too; if none of those rewrites a field the
+/// touched rules match ([`Pipeline::fields_written_upstream`]), the key at
+/// T agrees with the extraction-time key on those fields and the flow is
+/// among the flushed ones. A match on a field rewritten upstream, and a
+/// created table (it changes where `Continue` misses land, which no match
+/// describes), fall back to the brute-force full flush, as does an effect
+/// with no match to compare.
+pub fn delta_is_selective(pipeline: &Pipeline, effect: &FlowModEffect) -> bool {
+    if effect.table_created || effect.touched_matches.is_empty() {
+        return false;
+    }
+    let written = pipeline.fields_written_upstream(&effect.tables_touched);
+    effect.touched_matches.iter().all(|m| {
+        m.fields()
+            .iter()
+            .all(|mf| written & (1u64 << mf.field.index()) == 0)
+    })
 }
 
 impl OvsDatapath {
@@ -192,7 +196,6 @@ impl OvsDatapath {
         config: OvsConfig,
         controller: Box<dyn Controller>,
     ) -> Self {
-        let written = pipeline_written_fields(&pipeline);
         OvsDatapath {
             pipeline: Arc::new(RwLock::new(pipeline)),
             microflow: Mutex::new(MicroflowCache::with_capacity(config.microflow_entries)),
@@ -201,7 +204,6 @@ impl OvsDatapath {
             controller: Mutex::new(controller),
             config,
             scratch: Mutex::new(BurstScratch::default()),
-            written_fields: AtomicU64::new(written),
             stats: CacheStats::default(),
         }
     }
@@ -211,56 +213,39 @@ impl OvsDatapath {
         Arc::clone(&self.pipeline)
     }
 
-    /// Applies a flow-mod and invalidates the caches — selectively when the
-    /// change's delta allows it, falling back to OVS's brute-force strategy
-    /// ("invalidate the entire cache after essentially all changes") when it
-    /// does not.
+    /// Applies a flow-mod and invalidates as little of the cache hierarchy
+    /// as the change permits: nothing when it changed nothing, the megaflows
+    /// overlapping a touched rule when [`delta_is_selective`] proves that
+    /// sound, and otherwise everything — OVS's brute-force strategy
+    /// ("invalidate the entire cache after essentially all changes").
     pub fn flow_mod(&self, fm: &FlowMod) -> Result<FlowModEffect, FlowModError> {
-        let effect = {
+        let (effect, selective) = {
             let mut pipeline = self.pipeline.write();
             let effect = apply_flow_mod(&mut pipeline, fm)?;
-            // New instructions may introduce new rewritten fields; the
-            // bitmask only ever grows (conservative), so no full rescan is
-            // needed. Updated *inside* the pipeline write section so a
-            // concurrent flow-mod's selectivity check can never read a
-            // bitmask missing this change's bits.
-            self.written_fields
-                .fetch_or(written_match_fields(&fm.instructions), Ordering::Relaxed);
-            effect
+            let selective = delta_is_selective(&pipeline, &effect);
+            (effect, selective)
         };
-        self.invalidate_for(&effect);
+        // A flow-mod that matched nothing (e.g. a non-strict delete with no
+        // overlapping entries) leaves every cached program exact.
+        if effect.entries_touched() > 0 {
+            if selective {
+                self.invalidate_matches(&effect.touched_matches);
+            } else {
+                self.invalidate_caches();
+            }
+        }
         Ok(effect)
     }
 
-    /// Invalidates as little of the cache hierarchy as the flow-mod's delta
-    /// permits: megaflows provably disjoint from every changed rule survive,
-    /// and the EMC keeps every exact entry whose key fails all changed
-    /// matches. Falls back to the full flush when the delta is unusable
-    /// (structural change, or a changed match on a rewritten field).
-    pub fn invalidate_for(&self, effect: &FlowModEffect) {
-        if effect.entries_touched() == 0 {
-            // Matched nothing, changed nothing (e.g. a non-strict delete
-            // with no overlapping entries): every cached program is still
-            // exact, so nothing is invalidated.
-            return;
-        }
-        let written = self.written_fields.load(Ordering::Relaxed);
-        if delta_is_selective(written, &effect.touched_matches) {
-            self.invalidate_matches(&effect.touched_matches);
-        } else {
-            self.invalidate_caches();
-        }
-    }
-
     /// Selective invalidation for a known-good list of matches: flushes the
-    /// overlapping megaflow entries and the matching EMC entries, leaving
-    /// every disjoint cache entry alive. Used internally for selective-safe
+    /// overlapping megaflow entries — and with them, through their programs'
+    /// liveness, every EMC entry they answered — leaving every disjoint
+    /// cache entry alive. The EMC is not scanned. Used for selective-safe
     /// flow-mod deltas, and by the sharded runtime's elastic scheduler to
     /// evict exactly a migrated flow bucket's connections from this
     /// replica's caches.
     pub fn invalidate_matches(&self, matches: &[FlowMatch]) {
         self.megaflow.lock().invalidate_overlapping(matches);
-        self.microflow.lock().invalidate_matching(matches);
     }
 
     /// Replaces the whole pipeline with an externally prepared one and
@@ -270,8 +255,6 @@ impl OvsDatapath {
     /// datapath replica. Equivalent to replaying the flow-mods locally with
     /// no usable delta: the entire cache hierarchy is invalidated (§2.3).
     pub fn replace_pipeline(&self, pipeline: Pipeline) {
-        self.written_fields
-            .store(pipeline_written_fields(&pipeline), Ordering::Relaxed);
         *self.pipeline.write() = pipeline;
         self.invalidate_caches();
     }
@@ -279,23 +262,20 @@ impl OvsDatapath {
     /// Replaces the pipeline using the publishing control plane's delta:
     /// `deltas` lists, epoch by epoch, the matches of every rule changed
     /// between this replica's pipeline and `pipeline`. Only the megaflow
-    /// subtable entries overlapping a changed match are flushed and the EMC
-    /// survives changes that cannot affect its exact keys. The caller (the
+    /// subtable entries overlapping a changed match are flushed, and the EMC
+    /// keeps every entry whose megaflow survives. The caller (the
     /// epoch-swap control plane) guarantees the deltas are contiguous and
     /// selective-safe; replicas that skipped epochs use
     /// [`OvsDatapath::replace_pipeline`] instead.
     pub fn replace_pipeline_with_delta(&self, pipeline: Pipeline, deltas: &[Arc<Vec<FlowMatch>>]) {
-        self.written_fields
-            .store(pipeline_written_fields(&pipeline), Ordering::Relaxed);
         *self.pipeline.write() = pipeline;
         for delta in deltas {
             self.invalidate_matches(delta);
         }
     }
 
-    /// Invalidates the microflow and megaflow caches.
+    /// Invalidates the megaflow cache, and with it every EMC entry.
     pub fn invalidate_caches(&self) {
-        self.microflow.lock().invalidate();
         self.megaflow.lock().invalidate();
     }
 
@@ -812,6 +792,74 @@ mod tests {
     }
 
     #[test]
+    fn emc_entry_dies_with_its_flushed_megaflow_and_only_then() {
+        let dp = OvsDatapath::new(port_pipeline());
+        for _ in 0..2 {
+            dp.process(&mut pkt(80, 1));
+            dp.process(&mut pkt(443, 1));
+        }
+        assert_eq!(levels(&dp), (2, 0, 2));
+        assert_eq!(dp.microflow_count(), 2);
+
+        // Redirect port 80: a selective flow-mod flushes the port-80
+        // megaflow, so its EMC entry stops answering; the port-443 megaflow
+        // survives, and so does its EMC entry.
+        dp.flow_mod(&FlowMod::add(
+            0,
+            FlowMatch::any().with_exact(Field::TcpDst, 80),
+            100,
+            terminal_actions(vec![Action::Output(9)]),
+        ))
+        .unwrap();
+        assert_eq!(dp.microflow_count(), 1, "only live entries count");
+        assert_eq!(dp.process(&mut pkt(80, 1)).outputs, vec![9]);
+        assert_eq!(levels(&dp), (2, 0, 3), "a flushed entry answered");
+        assert_eq!(dp.process(&mut pkt(443, 1)).outputs, vec![2]);
+        assert_eq!(levels(&dp), (3, 0, 3), "a surviving entry stopped");
+    }
+
+    #[test]
+    fn emc_entry_dies_when_its_megaflow_is_evicted() {
+        let config = OvsConfig {
+            megaflow_entries: 1,
+            ..OvsConfig::default()
+        };
+        let dp = OvsDatapath::with_config(port_pipeline(), config, Box::new(NullController::new()));
+        dp.process(&mut pkt(80, 1));
+        // The port-443 megaflow takes the only slot: the port-80 megaflow is
+        // evicted, and its EMC entry with it.
+        dp.process(&mut pkt(443, 1));
+        assert_eq!(dp.microflow_count(), 1);
+        assert_eq!(dp.process(&mut pkt(80, 1)).outputs, vec![1]);
+        assert_eq!(
+            levels(&dp),
+            (0, 0, 3),
+            "an evicted megaflow's EMC entry answered"
+        );
+    }
+
+    #[test]
+    fn emc_entry_dies_when_its_megaflow_is_replaced() {
+        // Two connections of one megaflow slow-pathed in one burst: the
+        // second installs the same masked key, replacing the first's
+        // program, whose EMC entry must stop answering.
+        let dp = OvsDatapath::new(port_pipeline());
+        let mut burst = vec![pkt(80, 1), pkt(80, 2)];
+        dp.process_burst(&mut burst, &mut Vec::new(), &mut NoCt);
+        assert_eq!(levels(&dp), (0, 0, 2));
+        assert_eq!(dp.megaflow_count(), 1);
+        assert_eq!(dp.microflow_count(), 1);
+        dp.process(&mut pkt(80, 1));
+        assert_eq!(
+            levels(&dp),
+            (0, 1, 2),
+            "a replaced program's EMC entry answered"
+        );
+        dp.process(&mut pkt(80, 2));
+        assert_eq!(levels(&dp), (1, 1, 2));
+    }
+
+    #[test]
     fn no_op_flow_mod_invalidates_nothing() {
         // A non-strict delete matching zero entries changes nothing: both
         // caches must survive untouched.
@@ -869,6 +917,33 @@ mod tests {
             0,
             "rewritten-field delta must full-flush"
         );
+    }
+
+    #[test]
+    fn flow_mod_creating_a_table_falls_back_to_full_flush() {
+        // Table 0 misses on to table 2, which forwards. A rule into a new
+        // table 1 reroutes every such miss there — and table 1 drops what
+        // it does not match — though the rule's own match is disjoint from
+        // the cached flow: no delta describes that, so everything goes.
+        let mut p = Pipeline::new();
+        p.add_table(openflow::FlowTable::new(0)).miss = openflow::TableMissBehavior::Continue;
+        p.add_table(openflow::FlowTable::new(2))
+            .insert(openflow::FlowEntry::new(
+                FlowMatch::any().with_exact(Field::TcpDst, 80),
+                1,
+                terminal_actions(vec![Action::Output(3)]),
+            ));
+        let dp = OvsDatapath::new(p);
+        assert_eq!(dp.process(&mut pkt(80, 1)).outputs, vec![3]);
+        dp.flow_mod(&FlowMod::add(
+            1,
+            FlowMatch::any().with_exact(Field::TcpDst, 9999),
+            10,
+            terminal_actions(vec![Action::Output(4)]),
+        ))
+        .unwrap();
+        assert_eq!(dp.megaflow_count(), 0, "a created table must full-flush");
+        assert!(dp.process(&mut pkt(80, 1)).is_drop());
     }
 
     #[test]

@@ -22,15 +22,19 @@
 //! * the caches are bounded and evict, so large active-flow sets push
 //!   processing down the hierarchy (Fig. 14) and throughput collapses to the
 //!   slow-path rate (Fig. 13),
-//! * any flow-table change invalidates the entire megaflow + microflow cache
-//!   (§2.3, footnote 2), which is what hurts update-intensive workloads
-//!   (Fig. 18).
+//! * a flow-table change invalidates the caches (§2.3, footnote 2), which is
+//!   what hurts update-intensive workloads (Fig. 18). Here the change is
+//!   selective wherever it can be proven sound — only megaflows overlapping
+//!   a changed rule go, and their EMC entries with them — and the full flush
+//!   is kept for changes that match a field rewritten upstream of the
+//!   changed table (see [`datapath::delta_is_selective`]).
 
 pub mod datapath;
 pub mod mask;
 pub mod megaflow;
 pub mod microflow;
 pub mod minikey;
+pub mod program;
 pub mod slowpath;
 
 pub use datapath::{CacheStats, OvsConfig, OvsDatapath};
@@ -38,4 +42,5 @@ pub use mask::{FieldMask, MaskedKey};
 pub use megaflow::{MegaflowCache, MegaflowEntry};
 pub use microflow::MicroflowCache;
 pub use minikey::MiniKey;
+pub use program::Program;
 pub use slowpath::{SlowPath, SlowPathResult};

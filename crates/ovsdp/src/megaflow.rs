@@ -23,20 +23,24 @@ use std::sync::Arc;
 
 use netdev::FxBuildHasher;
 use openflow::flow_match::FlowMatch;
-use openflow::{Action, FieldValue, FlowKey};
+use openflow::{FieldValue, FlowKey};
 
 use crate::mask::{FieldMask, MaskedKey};
+use crate::program::Program;
 
-/// One cached megaflow. Deliberately slim (two words + a counter): entries
-/// live inline in the subtable hash slots, so their size is what tuple-space
-/// probes drag through the cache. The mask lives on the subtable
-/// ([`MegaflowCache::subtable_masks`]), not on every entry.
+/// One cached megaflow. Deliberately slim (two words): entries live inline
+/// in the subtable hash slots, so their size is what tuple-space probes drag
+/// through the cache, and a hit only reads its slot. The mask lives on the
+/// subtable ([`MegaflowCache::subtable_masks`]), not on every entry; hits
+/// are counted per subtable, for the probe-order ranking.
 #[derive(Debug, Clone)]
 pub struct MegaflowEntry {
-    /// The cached action program.
-    pub actions: Arc<Vec<Action>>,
-    /// Packets answered by this entry.
-    pub hits: u64,
+    /// The cached action program; the entry owns its liveness flag.
+    pub actions: Arc<Program>,
+    /// Insertion sequence number: an eviction-FIFO pair evicts this entry
+    /// only when its stamp matches, so pairs left behind by flushed entries
+    /// are harmless.
+    stamp: u64,
 }
 
 /// One subtable: all megaflows sharing a mask, hashed by masked key.
@@ -57,9 +61,14 @@ struct Subtable {
 pub struct MegaflowCache {
     subtables: Vec<Subtable>,
     next_subtable_id: u32,
-    /// FIFO of (subtable id, key) used for eviction when the cache is at
-    /// capacity, coarsely modelling OVS's flow-limit + revalidator behaviour.
-    insertion_order: VecDeque<(u32, MaskedKey)>,
+    /// FIFO of (subtable id, key, stamp) used for eviction when the cache is
+    /// at capacity, coarsely modelling OVS's flow-limit + revalidator
+    /// behaviour. Selective flushes leave their pairs behind (stale: no
+    /// entry with that stamp); they are skipped when popped and compacted
+    /// away once they outnumber the live ones.
+    insertion_order: VecDeque<(u32, MaskedKey, u64)>,
+    /// The stamp the next new entry gets.
+    next_stamp: u64,
     max_entries: usize,
     len: usize,
     /// Lookups until the next subtable re-rank.
@@ -94,6 +103,7 @@ impl MegaflowCache {
             subtables: Vec::new(),
             next_subtable_id: 0,
             insertion_order: VecDeque::new(),
+            next_stamp: 0,
             max_entries: max_entries.max(1),
             len: 0,
             rank_countdown: Self::RANK_INTERVAL,
@@ -122,7 +132,7 @@ impl MegaflowCache {
     /// Tuple space search: one hash probe per subtable until a hit, hot
     /// subtables first, no heap allocation.
     #[inline]
-    pub fn lookup(&mut self, key: &FlowKey) -> Option<Arc<Vec<Action>>> {
+    pub fn lookup(&mut self, key: &FlowKey) -> Option<Arc<Program>> {
         self.lookups += 1;
         self.rank_countdown -= 1;
         if self.rank_countdown == 0 {
@@ -133,8 +143,7 @@ impl MegaflowCache {
             let n = self.subtables[si].mask.project_into(key, &mut self.scratch);
             let probe: &[FieldValue] = &self.scratch[..n];
             let subtable = &mut self.subtables[si];
-            if let Some(entry) = subtable.entries.get_mut(probe) {
-                entry.hits += 1;
+            if let Some(entry) = subtable.entries.get(probe) {
                 subtable.rank_hits += 1;
                 return Some(Arc::clone(&entry.actions));
             }
@@ -156,8 +165,9 @@ impl MegaflowCache {
     /// Installs a megaflow computed by the slow path: `key` projected through
     /// `mask` → `actions`. Evicts the oldest megaflow when inserting a *new*
     /// entry at capacity; replacing the program of an existing masked key
-    /// never evicts anything.
-    pub fn insert(&mut self, key: &FlowKey, mask: FieldMask, actions: Arc<Vec<Action>>) {
+    /// never evicts anything, keeps the entry's place in the eviction order,
+    /// and retires the replaced program.
+    pub fn insert(&mut self, key: &FlowKey, mask: FieldMask, actions: Arc<Program>) {
         let subtable_index = match self.subtables.iter().position(|s| s.mask == mask) {
             Some(i) => i,
             None => {
@@ -172,39 +182,58 @@ impl MegaflowCache {
             }
         };
         let masked = mask.project(key);
-        let is_new = !self.subtables[subtable_index]
+        if let Some(entry) = self.subtables[subtable_index]
             .entries
-            .contains_key(masked.values());
-        if is_new {
-            while self.len >= self.max_entries {
-                self.evict_oldest();
-            }
+            .get_mut(masked.values())
+        {
+            std::mem::replace(&mut entry.actions, actions).retire();
+            return;
         }
-        let entry = MegaflowEntry { actions, hits: 0 };
+        while self.len >= self.max_entries {
+            self.evict_oldest();
+        }
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
         let subtable = &mut self.subtables[subtable_index];
-        if subtable.entries.insert(masked.clone(), entry).is_none() {
-            self.len += 1;
-            self.insertion_order.push_back((subtable.id, masked));
-        }
+        subtable
+            .entries
+            .insert(masked.clone(), MegaflowEntry { actions, stamp });
+        self.len += 1;
+        self.insertion_order.push_back((subtable.id, masked, stamp));
     }
 
+    /// Evicts the oldest megaflow still cached, skipping stale FIFO pairs.
     fn evict_oldest(&mut self) {
-        while let Some((subtable_id, key)) = self.insertion_order.pop_front() {
-            if let Some(subtable) = self.subtables.iter_mut().find(|s| s.id == subtable_id) {
-                if subtable.entries.remove(key.values()).is_some() {
-                    self.len -= 1;
-                    return;
-                }
+        while let Some((id, key, stamp)) = self.insertion_order.pop_front() {
+            if self.is_current(id, &key, stamp) {
+                let subtable = self.subtables.iter_mut().find(|s| s.id == id);
+                let entry = subtable.and_then(|s| s.entries.remove(key.values()));
+                entry.expect("current pair").actions.retire();
+                self.len -= 1;
+                return;
             }
         }
         // Insertion order exhausted: nothing left to evict.
         self.len = self.subtables.iter().map(|s| s.entries.len()).sum();
     }
 
-    /// Drops every megaflow (and every subtable). This is what a flow-table
+    /// True when the FIFO pair `(id, key, stamp)` still names a cached entry.
+    fn is_current(&self, id: u32, key: &MaskedKey, stamp: u64) -> bool {
+        self.subtables
+            .iter()
+            .find(|s| s.id == id)
+            .and_then(|s| s.entries.get(key.values()))
+            .is_some_and(|e| e.stamp == stamp)
+    }
+
+    /// Drops every megaflow (and every subtable), retiring every program so
+    /// the EMC entries sharing them die too. This is what a flow-table
     /// change triggers in OVS: "the brute-force strategy to invalidate the
     /// entire cache after essentially all changes".
     pub fn invalidate(&mut self) {
+        for entry in self.iter() {
+            entry.actions.retire();
+        }
         self.subtables.clear();
         self.insertion_order.clear();
         self.len = 0;
@@ -212,7 +241,8 @@ impl MegaflowCache {
 
     /// Delta-aware invalidation: drops only the megaflows that could overlap
     /// one of the changed rules' matches, keeping every entry that provably
-    /// cannot see a different verdict ([`FieldMask::disjoint_from`]). The
+    /// cannot see a different verdict ([`FieldMask::disjoint_from`]), and
+    /// retires the dropped programs (so their EMC entries die too). The
     /// modelled analogue of OVS's revalidator tagging instead of the
     /// brute-force whole-cache flush. Returns the number of flushed entries.
     ///
@@ -225,25 +255,27 @@ impl MegaflowCache {
         for subtable in &mut self.subtables {
             let mask = &subtable.mask;
             let before = subtable.entries.len();
-            subtable
-                .entries
-                .retain(|key, _| matches.iter().all(|m| mask.disjoint_from(key.values(), m)));
+            subtable.entries.retain(|key, entry| {
+                let keep = matches.iter().all(|m| mask.disjoint_from(key.values(), m));
+                if !keep {
+                    entry.actions.retire();
+                }
+                keep
+            });
             flushed += before - subtable.entries.len();
         }
         self.len -= flushed;
         // Emptied subtables drop out of the probe order entirely.
         self.subtables.retain(|s| !s.entries.is_empty());
-        // Purge the flushed entries' eviction bookkeeping too: under
-        // sustained selective churn the FIFO would otherwise accumulate one
-        // stale (id, key) pair per flushed-and-reinstalled megaflow forever
-        // (eviction only drains it once the cache reaches capacity).
-        if flushed > 0 {
-            let subtables = &self.subtables;
-            self.insertion_order.retain(|(id, key)| {
-                subtables
-                    .iter()
-                    .any(|s| s.id == *id && s.entries.contains_key(key.values()))
-            });
+        // The flushed entries' FIFO pairs stay behind, stale. Under
+        // sustained selective churn below capacity nothing pops them, so
+        // compact once they outnumber the live pairs: each compaction
+        // removes at least half of what it scans, which amortises it to
+        // O(1) per insert.
+        if self.insertion_order.len() > 2 * self.len {
+            let mut order = std::mem::take(&mut self.insertion_order);
+            order.retain(|(id, key, stamp)| self.is_current(*id, key, *stamp));
+            self.insertion_order = order;
         }
         flushed
     }
@@ -277,7 +309,7 @@ impl Default for MegaflowCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openflow::Field;
+    use openflow::{Action, Field};
     use pkt::builder::PacketBuilder;
 
     fn key(port: u16, ip_last: u8) -> FlowKey {
@@ -301,8 +333,8 @@ mod tests {
         m
     }
 
-    fn actions(p: u32) -> Arc<Vec<Action>> {
-        Arc::new(vec![Action::Output(p)])
+    fn actions(p: u32) -> Arc<Program> {
+        Arc::new(Program::new(vec![Action::Output(p)]))
     }
 
     #[test]
@@ -413,6 +445,55 @@ mod tests {
     }
 
     #[test]
+    fn stale_fifo_pairs_never_evict_a_reinstalled_entry() {
+        use openflow::flow_match::FlowMatch;
+        let flush = |cache: &mut MegaflowCache, port: u16| {
+            cache.invalidate_overlapping(&[
+                FlowMatch::any().with_exact(Field::TcpDst, u128::from(port))
+            ])
+        };
+        let mut cache = MegaflowCache::with_capacity(3);
+        let (a, b) = (actions(1), actions(2));
+        cache.insert(&key(80, 1), port_mask(), Arc::clone(&a));
+        cache.insert(&key(81, 1), port_mask(), Arc::clone(&b));
+        assert_eq!(flush(&mut cache, 80), 1);
+        assert!(!a.is_alive(), "a flushed program stays alive");
+        // Port 80 comes back (its old FIFO pair is now stale), then fills
+        // the cache: the next insert evicts the oldest *live* entry, port
+        // 81, not the reinstalled port 80.
+        cache.insert(&key(80, 1), port_mask(), actions(3));
+        cache.insert(&key(82, 1), port_mask(), actions(4));
+        cache.insert(&key(83, 1), port_mask(), actions(5));
+        assert_eq!(cache.len(), 3);
+        assert!(
+            cache.lookup(&key(80, 1)).is_some(),
+            "reinstalled entry evicted"
+        );
+        assert!(cache.lookup(&key(81, 1)).is_none());
+        assert!(!b.is_alive(), "an evicted program stays alive");
+
+        // Sustained flush-and-reinstall churn keeps the FIFO within twice
+        // the live entries (plus the pair just pushed).
+        for _ in 0..100 {
+            flush(&mut cache, 82);
+            cache.insert(&key(82, 1), port_mask(), actions(6));
+            assert!(cache.insertion_order.len() <= 2 * cache.len() + 1);
+        }
+    }
+
+    #[test]
+    fn replacement_retires_the_replaced_program() {
+        let mut cache = MegaflowCache::new();
+        let old = actions(1);
+        cache.insert(&key(80, 1), port_mask(), Arc::clone(&old));
+        let new = actions(9);
+        cache.insert(&key(80, 2), port_mask(), Arc::clone(&new));
+        assert!(!old.is_alive() && new.is_alive());
+        cache.invalidate();
+        assert!(!new.is_alive(), "a full flush left a program alive");
+    }
+
+    #[test]
     fn delta_invalidation_respects_absent_fields() {
         use openflow::flow_match::FlowMatch;
         let mut cache = MegaflowCache::new();
@@ -453,7 +534,7 @@ mod tests {
             cache.lookup(&key(80, 1));
         }
         assert!(cache.avg_subtables_per_lookup() >= 1.0);
-        let hits: u64 = cache.iter().map(|e| e.hits).sum();
+        let hits: u64 = cache.subtables.iter().map(|s| s.rank_hits).sum();
         assert_eq!(hits, 10);
     }
 

@@ -12,21 +12,24 @@
 //! once at extraction — so a probe is an index plus a compact compare, with
 //! no per-lookup SipHash and no allocation (the real EMC stores
 //! `(miniflow, hash)` pairs for the same reason).
+//!
+//! The EMC has no invalidation of its own: an entry answers only while the
+//! megaflow it came from is cached, which its shared [`Program`]'s liveness
+//! flag says. Whatever removes megaflows — a selective or full flush, an
+//! eviction, a replacement — thereby removes their EMC entries, in O(1) each
+//! and without a scan of the EMC.
 
 use std::sync::Arc;
 
-use openflow::Action;
-
 use crate::minikey::MiniKey;
+use crate::program::Program;
 
-/// One cached entry: the exact key plus the shared action program and the
-/// megaflow generation it was derived from (entries of stale generations are
-/// ignored, which is how the whole microflow cache is invalidated in O(1)).
+/// One cached entry: the exact key plus the program shared with its
+/// megaflow.
 #[derive(Debug, Clone)]
 struct Slot {
     key: MiniKey,
-    actions: Arc<Vec<Action>>,
-    generation: u64,
+    actions: Arc<Program>,
 }
 
 /// A set-associative exact-match cache.
@@ -35,7 +38,6 @@ pub struct MicroflowCache {
     slots: Vec<Option<Slot>>,
     ways: usize,
     sets: usize,
-    generation: u64,
     /// Toggle used to pick the victim way on insertion, mirroring the cheap
     /// replacement policy of the real EMC.
     victim_toggle: bool,
@@ -60,7 +62,6 @@ impl MicroflowCache {
             slots: vec![None; sets * Self::WAYS],
             ways: Self::WAYS,
             sets,
-            generation: 0,
             victim_toggle: false,
         }
     }
@@ -70,12 +71,12 @@ impl MicroflowCache {
         (key.hash() as usize) & (self.sets - 1)
     }
 
-    /// Looks up the action program cached for exactly this key.
+    /// Looks up the live action program cached for exactly this key.
     #[inline]
-    pub fn lookup(&self, key: &MiniKey) -> Option<Arc<Vec<Action>>> {
+    pub fn lookup(&self, key: &MiniKey) -> Option<Arc<Program>> {
         let base = self.set_index(key) * self.ways;
         for s in self.slots[base..base + self.ways].iter().flatten() {
-            if s.generation == self.generation && s.key == *key {
+            if s.key == *key && s.actions.is_alive() {
                 return Some(Arc::clone(&s.actions));
             }
         }
@@ -83,10 +84,12 @@ impl MicroflowCache {
     }
 
     /// Inserts (or refreshes) an entry for `key`.
-    pub fn insert(&mut self, key: MiniKey, actions: Arc<Vec<Action>>) {
+    pub fn insert(&mut self, key: MiniKey, actions: Arc<Program>) {
         let base = self.set_index(&key) * self.ways;
-        let generation = self.generation;
-        // Reuse a slot holding the same key or a stale/empty slot if possible.
+        // Reuse a slot holding the same key or an empty slot if possible.
+        // Dead slots get no preference: telling them apart would read every
+        // way's program, a cache miss per way on the promotion path, which
+        // runs once per megaflow hit.
         let mut victim = None;
         for (i, slot) in self.slots[base..base + self.ways].iter().enumerate() {
             match slot {
@@ -94,7 +97,6 @@ impl MicroflowCache {
                     victim = Some(i);
                     break;
                 }
-                Some(s) if s.generation != generation && victim.is_none() => victim = Some(i),
                 None if victim.is_none() => victim = Some(i),
                 _ => {}
             }
@@ -103,49 +105,16 @@ impl MicroflowCache {
             self.victim_toggle = !self.victim_toggle;
             usize::from(self.victim_toggle)
         });
-        self.slots[base + way] = Some(Slot {
-            key,
-            actions,
-            generation,
-        });
+        self.slots[base + way] = Some(Slot { key, actions });
     }
 
-    /// Invalidates every entry (O(1): bumps the generation counter).
-    pub fn invalidate(&mut self) {
-        self.generation += 1;
-    }
-
-    /// Delta-aware invalidation: drops only the entries whose exact key
-    /// satisfies one of the changed rules' matches. An exact-match entry
-    /// whose key fails every changed match cannot see a different verdict,
-    /// so it survives rule churn that cannot affect it — the "EMC survives
-    /// rule-adds" half of incremental epoch publication. Returns the number
-    /// of flushed entries.
-    ///
-    /// Same soundness precondition as
-    /// [`MegaflowCache::invalidate_overlapping`](crate::megaflow::MegaflowCache::invalidate_overlapping):
-    /// the changed match fields must not be apply-action-rewritten mid-pipeline.
-    pub fn invalidate_matching(&mut self, matches: &[openflow::flow_match::FlowMatch]) -> usize {
-        let generation = self.generation;
-        let mut flushed = 0usize;
-        for slot in self.slots.iter_mut() {
-            if let Some(s) = slot {
-                if s.generation == generation && matches.iter().any(|m| s.key.matches(m)) {
-                    *slot = None;
-                    flushed += 1;
-                }
-            }
-        }
-        flushed
-    }
-
-    /// Number of live (current-generation) entries; linear scan, meant for
-    /// tests and statistics dumps only.
+    /// Number of live entries (their megaflow is still cached); linear
+    /// scan, meant for tests and statistics dumps only.
     pub fn live_entries(&self) -> usize {
         self.slots
             .iter()
             .flatten()
-            .filter(|s| s.generation == self.generation)
+            .filter(|s| s.actions.is_alive())
             .count()
     }
 
@@ -164,7 +133,7 @@ impl Default for MicroflowCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openflow::FlowKey;
+    use openflow::{Action, FlowKey};
     use pkt::builder::PacketBuilder;
 
     fn key(port: u16) -> MiniKey {
@@ -176,8 +145,8 @@ mod tests {
         ))
     }
 
-    fn actions(port: u32) -> Arc<Vec<Action>> {
-        Arc::new(vec![Action::Output(port)])
+    fn actions(port: u32) -> Arc<Program> {
+        Arc::new(Program::new(vec![Action::Output(port)]))
     }
 
     #[test]
@@ -202,31 +171,22 @@ mod tests {
 
     #[test]
     fn invalidate_clears_everything() {
+        // A full megaflow flush retires every program: the whole EMC goes
+        // dead with it, without being touched.
         let mut c = MicroflowCache::with_capacity(64);
-        for p in 0..20 {
-            c.insert(key(p), actions(1));
+        let programs: Vec<_> = (0..20).map(|_| actions(1)).collect();
+        for (p, program) in programs.iter().enumerate() {
+            c.insert(key(p as u16), Arc::clone(program));
         }
         assert!(c.live_entries() > 0);
-        c.invalidate();
+        for program in &programs {
+            program.retire();
+        }
         assert_eq!(c.live_entries(), 0);
         assert!(c.lookup(&key(5)).is_none());
         // The cache keeps working after invalidation.
         c.insert(key(5), actions(3));
         assert_eq!(c.lookup(&key(5)).unwrap()[0], Action::Output(3));
-    }
-
-    #[test]
-    fn delta_invalidation_keeps_unmatched_entries() {
-        use openflow::flow_match::FlowMatch;
-        use openflow::Field;
-        let mut c = MicroflowCache::with_capacity(64);
-        c.insert(key(80), actions(1));
-        c.insert(key(443), actions(2));
-        let flushed = c.invalidate_matching(&[FlowMatch::any().with_exact(Field::TcpDst, 80)]);
-        assert_eq!(flushed, 1);
-        assert!(c.lookup(&key(80)).is_none(), "matching entry kept");
-        assert!(c.lookup(&key(443)).is_some(), "unmatched entry flushed");
-        assert_eq!(c.live_entries(), 1);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! [`FlowKey`] per lookup.
 
 use netdev::fx_mix;
-use openflow::flow_match::FlowMatch;
-use openflow::{Field, FieldValue, FlowKey};
+use openflow::{FieldValue, FlowKey};
 
 /// Number of [`FlowKey`] fields a [`MiniKey`] packs: the six always-present
 /// pipeline/L2 fields plus the twenty optional ones, in a fixed order. Real
@@ -175,67 +174,6 @@ impl MiniKey {
     pub fn hash(&self) -> u64 {
         self.hash
     }
-
-    /// Packing-order bit of a match field, mirroring [`MiniKey::from_flow`].
-    /// `None` for fields the key does not model (MPLS, PBB, IPv6 ND, ...) —
-    /// a match on those can never be satisfied by any packet in this model
-    /// (`FlowKey::get` returns `None` for them too).
-    fn packing_bit(field: Field) -> Option<u32> {
-        Some(match field {
-            // InPhyPort reads the same value as InPort, as in `FlowKey::get`.
-            Field::InPort | Field::InPhyPort => 0,
-            Field::Metadata => 1,
-            Field::TunnelId => 2,
-            Field::EthDst => 3,
-            Field::EthSrc => 4,
-            Field::EthType => 5,
-            Field::VlanVid => 6,
-            Field::VlanPcp => 7,
-            Field::IpDscp => 8,
-            Field::IpEcn => 9,
-            Field::IpProto => 10,
-            Field::Ipv4Src => 11,
-            Field::Ipv4Dst => 12,
-            Field::Ipv6Src => 13,
-            Field::Ipv6Dst => 14,
-            Field::TcpSrc => 15,
-            Field::TcpDst => 16,
-            Field::UdpSrc => 17,
-            Field::UdpDst => 18,
-            Field::Icmpv4Type => 19,
-            Field::Icmpv4Code => 20,
-            Field::ArpOp => 21,
-            Field::ArpSpa => 22,
-            Field::ArpTpa => 23,
-            Field::ArpSha => 24,
-            Field::ArpTha => 25,
-            _ => return None,
-        })
-    }
-
-    /// The packed value of a field, or `None` when the field was absent from
-    /// the flow this key was extracted from (or is not modelled).
-    #[inline]
-    fn value_of(&self, field: Field) -> Option<FieldValue> {
-        let bit = Self::packing_bit(field)?;
-        if self.present & (1 << bit) == 0 {
-            return None;
-        }
-        let rank = (self.present & ((1u32 << bit) - 1)).count_ones() as usize;
-        Some(self.values[rank])
-    }
-
-    /// Evaluates a flow match against this key, with the same semantics as
-    /// [`FlowMatch::matches`] on the original [`FlowKey`]: a match on an
-    /// absent (or unmodelled) field fails. Used by delta-aware EMC
-    /// invalidation — an exact-match entry whose key does not satisfy a
-    /// changed rule's match cannot see a different verdict from that change.
-    pub fn matches(&self, m: &FlowMatch) -> bool {
-        m.fields().iter().all(|mf| match self.value_of(mf.field) {
-            Some(v) => mf.matches_value(v),
-            None => false,
-        })
-    }
 }
 
 impl PartialEq for MiniKey {
@@ -316,34 +254,6 @@ mod tests {
         assert_eq!(MiniKey::group_hash(&a), MiniKey::group_hash(&a2));
         assert_ne!(MiniKey::group_hash(&a), MiniKey::group_hash(&b));
         assert_ne!(MiniKey::group_hash(&a), MiniKey::group_hash(&c));
-    }
-
-    #[test]
-    fn match_evaluation_agrees_with_flow_key() {
-        let packets = [
-            PacketBuilder::tcp()
-                .tcp_dst(80)
-                .tcp_src(1000)
-                .ipv4_dst([192, 0, 2, 1])
-                .build(),
-            PacketBuilder::udp().udp_dst(53).build(),
-            PacketBuilder::udp().vlan(7).build(),
-        ];
-        let matches = [
-            FlowMatch::any().with_exact(Field::TcpDst, 80),
-            FlowMatch::any().with_exact(Field::UdpDst, 53),
-            FlowMatch::any().with_prefix(Field::Ipv4Dst, u128::from(0xc0000200u32), 24),
-            FlowMatch::any().with_exact(Field::VlanVid, 7),
-            FlowMatch::any().with_exact(Field::MplsLabel, 9), // unmodelled
-            FlowMatch::any(),
-        ];
-        for p in &packets {
-            let key = FlowKey::extract(p);
-            let m = mini(&key);
-            for fm in &matches {
-                assert_eq!(m.matches(fm), fm.matches(&key), "{fm}");
-            }
-        }
     }
 
     #[test]

@@ -23,6 +23,7 @@ use openflow::{Action, Field, FieldValue, FlowEntry, FlowKey, Instruction, Pipel
 use pkt::Packet;
 
 use crate::mask::FieldMask;
+use crate::program::Program;
 
 /// Configuration knobs of the slow-path classifier.
 #[derive(Debug, Clone, Copy)]
@@ -52,7 +53,7 @@ impl Default for SlowPathConfig {
 #[derive(Debug, Clone)]
 pub struct SlowPathResult {
     /// The ordered action program the caches will replay for this megaflow.
-    pub actions: Arc<Vec<Action>>,
+    pub actions: Arc<Program>,
     /// The megaflow mask (un-wildcarded fields/bits).
     pub mask: FieldMask,
     /// The forwarding verdict for this packet.
@@ -163,7 +164,7 @@ impl SlowPath {
                                     // the accounting. The truncated program
                                     // is marked non-cacheable.
                                     return SlowPathResult {
-                                        actions: Arc::new(program),
+                                        actions: Arc::new(Program::new(program)),
                                         mask,
                                         verdict: Verdict {
                                             tables_visited: verdict.tables_visited,
@@ -226,7 +227,7 @@ impl SlowPath {
         }
 
         SlowPathResult {
-            actions: Arc::new(program),
+            actions: Arc::new(Program::new(program)),
             mask,
             verdict,
             cacheable: true,
@@ -482,7 +483,7 @@ mod tests {
         let mut pkt = PacketBuilder::tcp().build();
         let result = classify(&p, &mut pkt);
         assert!(result.verdict.to_controller);
-        assert_eq!(result.actions.as_slice(), &[Action::ToController]);
+        assert_eq!(&result.actions[..], &[Action::ToController]);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   one pointer swap per shard.
 //! * **OVS** — each shard owns private microflow/megaflow caches over a
 //!   replica of the pipeline (OVS's per-PMD-thread caches); an epoch advance
-//!   replaces the replica's pipeline and invalidates both caches, which is
-//!   what any flow-table change costs the OVS architecture (§2.3).
+//!   replaces the replica's pipeline and invalidates the megaflows the
+//!   epoch's delta overlaps — or, without a usable delta, both caches whole,
+//!   which is what a flow-table change costs the OVS architecture (§2.3).
 
 use std::sync::Arc;
 
@@ -137,8 +138,9 @@ pub trait ShardBackend: Send {
     /// connection direction. The default is a no-op: the ESWITCH replica
     /// has no per-shard caches (verdicts are recomputed from the shared
     /// compiled state, placement-independently). The OVS replica flushes
-    /// the overlapping megaflow entries and the matching EMC entries, so a
-    /// moved flow that later migrates *back* can never hit a stale verdict.
+    /// the overlapping megaflow entries, and with them the EMC entries they
+    /// answered, so a moved flow that later migrates *back* can never hit a
+    /// stale verdict.
     fn invalidate_flows(&mut self, _matches: &[FlowMatch]) {}
 }
 
@@ -187,8 +189,8 @@ impl ShardBackend for OvsShard {
         if let CompiledState::Ovs(pipeline) = state {
             match deltas {
                 // Contiguous, selective-safe delta: flush only the megaflow
-                // entries overlapping a changed rule; the EMC survives
-                // changes that cannot touch its exact keys.
+                // entries overlapping a changed rule; EMC entries live on
+                // with their surviving megaflows.
                 Some(deltas) => self
                     .datapath
                     .replace_pipeline_with_delta(Pipeline::clone(pipeline), deltas),

@@ -53,10 +53,7 @@ use netdev::{CounterSnapshot, Counters, PortSet, SpscRing, BURST_SIZE};
 use openflow::ct::{ConnCtx, NoCt};
 use openflow::flow_match::FlowMatch;
 use openflow::flow_mod::{apply_flow_mod_undoable, FlowModEffect, FlowModError};
-use openflow::instruction::{
-    instructions_can_punt, pipeline_can_punt, pipeline_has_ct, pipeline_written_fields,
-    written_match_fields,
-};
+use openflow::instruction::{instructions_can_punt, pipeline_can_punt, pipeline_has_ct};
 use openflow::{Controller, FlowKey, FlowMod, PacketInReason, Pipeline, Verdict};
 use ovsdp::datapath::delta_is_selective;
 use pkt::Packet;
@@ -195,8 +192,9 @@ const DELTA_WINDOW: usize = 64;
 struct EpochDelta {
     epoch: u64,
     /// Matches of the rules this epoch changed; `None` when the change was
-    /// not provably selective-safe (structural, or a match on a field some
-    /// apply-action rewrites).
+    /// not provably selective-safe (a created table, or a match on a field
+    /// rewritten upstream of the touched table —
+    /// [`delta_is_selective`]).
     matches: Option<Arc<Vec<FlowMatch>>>,
 }
 
@@ -295,10 +293,6 @@ pub(crate) struct Control {
     /// state >= N. The swap protocol itself is model-checked in
     /// `tests/loom_epoch.rs`.
     published: EpochSlot<Published>,
-    /// Bitmask of match fields some apply-action in the canonical pipeline
-    /// can rewrite mid-traversal; grown monotonically (a stale bit only
-    /// costs a full flush, never a wrong answer). Gates the OVS delta path.
-    written_fields: AtomicU64,
     /// True when some path through the canonical pipeline can punt to the
     /// controller; monotone OR, gates the workers' per-burst ingress-frame
     /// snapshot so proactive pipelines pay nothing for packet-in fidelity.
@@ -371,11 +365,8 @@ impl Control {
                 // it lazily); the ladder classification reflects what the
                 // *shards* pay: a selective-safe delta invalidates
                 // incrementally, anything else costs the full hierarchy.
-                let added_bits = written_match_fields(&fm.instructions);
-                let written =
-                    self.written_fields.fetch_or(added_bits, Ordering::Relaxed) | added_bits;
                 let state = CompiledState::Ovs(Arc::new(pipeline.clone()));
-                if delta_is_selective(written, &effect.touched_matches) {
+                if delta_is_selective(&pipeline, &effect) {
                     (
                         state,
                         UpdateClass::Incremental,
@@ -540,7 +531,6 @@ impl ShardedSwitch {
     ) -> Result<(Self, RssDispatcher), CompileError> {
         let workers_wanted = config.workers.max(1);
         let state = spec.compile_state(&pipeline)?;
-        let written = pipeline_written_fields(&pipeline);
         let may_punt = pipeline_can_punt(&pipeline);
         // A ct-bearing pipeline needs both directions of a connection on one
         // shard: steer every dispatcher (ingress and the controller workers'
@@ -557,7 +547,6 @@ impl ShardedSwitch {
             strategy: config.update_strategy,
             pipeline: Mutex::new(pipeline),
             published: EpochSlot::new(Arc::clone(&published)),
-            written_fields: AtomicU64::new(written),
             may_punt: AtomicBool::new(may_punt),
             update_stats: UpdateClassStats::default(),
             shutdown: AtomicBool::new(false),

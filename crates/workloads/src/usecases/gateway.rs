@@ -303,6 +303,22 @@ mod tests {
     }
 
     #[test]
+    fn flow_mod_gate_sees_ce_rewrites_only_upstream_of_routing() {
+        // What a user's rule pair touches — a CE table, the downstream
+        // table — has only the demux upstream, which rewrites nothing; the
+        // CE tables' NAT and VLAN pop are upstream of routing alone.
+        let p = build_pipeline(&small_config());
+        for ce in 0..3 {
+            assert_eq!(p.fields_written_upstream(&[ce_table(ce)]), 0, "ce {ce}");
+        }
+        assert_eq!(p.fields_written_upstream(&[DOWNSTREAM_TABLE]), 0);
+        let ce_rewrites = [Field::Ipv4Src, Field::VlanVid, Field::VlanPcp]
+            .iter()
+            .fold(0u64, |bits, f| bits | 1 << f.index());
+        assert_eq!(p.fields_written_upstream(&[ROUTING_TABLE]), ce_rewrites);
+    }
+
+    #[test]
     fn upstream_packet_is_natted_and_routed() {
         let config = small_config();
         let pipeline = build_pipeline(&config);

@@ -1,7 +1,7 @@
 //! Integration tests for the flow-cache behaviours the paper's §2.3 critique
 //! rests on: megaflow masks reflect what the slow path consulted, arrival
 //! order shapes the cache, fine-grained rules fragment aggregates, and
-//! updates invalidate everything.
+//! updates invalidate what they can affect.
 
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::terminal_actions;
@@ -212,7 +212,7 @@ fn megaflow_store_disjointness_and_eviction() {
         cache.insert(
             &key(port),
             mask.clone(),
-            std::sync::Arc::new(vec![Action::Output(1)]),
+            std::sync::Arc::new(ovsdp::Program::new(vec![Action::Output(1)])),
         );
     }
     assert!(cache.len() <= 8, "capacity must bound the cache");

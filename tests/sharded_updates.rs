@@ -192,6 +192,63 @@ fn flow_mods_under_load_are_per_packet_atomic_and_lossless() {
     }
 }
 
+/// The gateway's user churn on a 2-shard OVS switch: removing and re-adding
+/// a user's NAT rule pair touches a CE table and the downstream table, whose
+/// goto-graph ancestor (the demux) rewrites nothing. So every epoch ships a
+/// selective delta and is counted incremental — although a sibling CE table
+/// rewrites `Ipv4Src`, the field the CE rules match — while traffic keeps
+/// flowing through both shards' warm caches.
+#[test]
+fn gateway_user_churn_on_ovs_publishes_incremental_epochs() {
+    use eswitch_repro::workloads::gateway::{self, GatewayConfig};
+    let config = GatewayConfig {
+        ces: 2,
+        users_per_ce: 4,
+        routing_prefixes: 32,
+        seed: 7,
+        preinstall_users: true,
+    };
+    let (switch, mut dispatcher) = ShardedSwitch::launch(
+        BackendSpec::ovs(),
+        gateway::build_pipeline(&config),
+        ShardedConfig {
+            workers: 2,
+            ring_capacity: 256,
+            ..ShardedConfig::default()
+        },
+    )
+    .expect("gateway pipeline launches");
+    let traffic = gateway::build_traffic(&config, 64);
+    let mut flow_mods = 0u64;
+    for round in 0..8 {
+        // Remove one user's rule pair, then re-add it.
+        let rules = gateway::user_flow_mods(round % 2, round / 2);
+        let mut mods: Vec<FlowMod> = rules
+            .iter()
+            .map(|fm| {
+                FlowMod::delete_strict(fm.table_id.unwrap(), fm.flow_match.clone(), fm.priority)
+            })
+            .collect();
+        mods.extend(rules);
+        for fm in &mods {
+            switch.flow_mod(fm).expect("user rule applies");
+            flow_mods += 1;
+            for packet in traffic.one_cycle() {
+                dispatcher.dispatch(packet);
+            }
+        }
+    }
+    let report = switch.shutdown(dispatcher);
+    assert_eq!(report.processed.packets, report.dispatched);
+    assert_eq!(report.epoch, flow_mods);
+    assert_eq!(
+        report.update_classes.incremental, flow_mods,
+        "{:?}",
+        report.update_classes
+    );
+    assert_eq!(report.update_classes.full, 0);
+}
+
 /// Unwraps the `Arc` once the updater thread is joined (sole owner again).
 fn switch_into_inner(switch: Arc<ShardedSwitch>) -> ShardedSwitch {
     Arc::try_unwrap(switch).unwrap_or_else(|_| panic!("switch still shared"))

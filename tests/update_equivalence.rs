@@ -1,30 +1,37 @@
-//! Differential property test for the §3.4 update planner: replaying a
-//! random flow-mod sequence must leave every update path observationally
-//! identical —
+//! Differential property test for the §3.4 update planner and for flow-cache
+//! invalidation: replaying a random flow-mod sequence must leave every update
+//! path observationally identical —
 //!
 //! (a) the three executions (`common::executions`: the interpreter, the
 //!     planner-driven `EswitchRuntime` — incremental edits, per-table
 //!     trampoline swaps, full recompiles, whatever the planner picked — and
 //!     the OVS caches), each fed the sequence through `Datapath::flow_mod`,
-//! (b) a from-scratch full recompilation of the final pipeline,
+//! (b) a from-scratch full recompilation of the pipeline so far,
 //! (c) the sharded runtime after epoch convergence, on both the ESWITCH and
 //!     the OVS backend (delta-aware cache invalidation included),
 //!
 //! all compared against the reference interpreter on a fixed probe set. The
-//! ladder is an optimisation, never a semantic change.
+//! probes run after the base pipeline and again after every flow-mod, so
+//! each change lands on caches the previous round warmed: a cached flow the
+//! invalidation wrongly spares answers the next round with its old verdict.
+//! The ladder and the selective flushes are optimisations, never a semantic
+//! change.
 
 mod common;
 
-use common::{assert_agree, executions};
+use common::{assert_agree, executions, Execution};
 use eswitch::runtime::EswitchRuntime;
 use openflow::flow_match::FlowMatch;
-use openflow::flow_mod::{apply_flow_mod, FlowModCommand};
+use openflow::flow_mod::{apply_flow_mod, FlowModCommand, FlowModError};
 use openflow::instruction::terminal_actions;
-use openflow::{Action, Field, FlowEntry, FlowMod, Pipeline};
+use openflow::{Action, Field, FlowEntry, FlowMod, Instruction, Pipeline};
 use pkt::builder::PacketBuilder;
 use pkt::Packet;
 use proptest::prelude::*;
-use shard::{BackendSpec, LaunchParts, ShardedConfig, ShardedSwitch, VerdictSink};
+use shard::{BackendSpec, LaunchParts, ShardError, ShardedConfig, ShardedSwitch, VerdictSink};
+use workloads::gateway::{self, GatewayConfig, DOWNSTREAM_TABLE, ROUTING_TABLE};
+use workloads::prefixes::sample_covered_addresses;
+use workloads::usecases::{PORT_NET, PORT_USER};
 
 const MAC_BASE: u64 = 0x0200_0000_0000;
 
@@ -157,17 +164,160 @@ fn probes() -> Vec<Packet> {
     probes
 }
 
-/// Runs the flow-mod sequence through the sharded runtime (one worker, so
-/// the verdict sink observes dispatch order) and returns per-probe decisions
-/// after every shard converged to the final epoch.
+/// A small access gateway (Fig. 8): the demux table, CE tables that rewrite
+/// `Ipv4Src` and pop the VLAN on the way to the routing table, and the
+/// downstream table. Users `0..3` of each CE are provisioned.
+fn gateway_config() -> GatewayConfig {
+    GatewayConfig {
+        ces: 2,
+        users_per_ce: 3,
+        routing_prefixes: 16,
+        seed: 5,
+        preinstall_users: true,
+    }
+}
+
+/// Users `0..GATEWAY_USERS` of each CE appear in the gateway flow-mods and
+/// probes: the provisioned ones and two that are not.
+const GATEWAY_USERS: usize = 5;
+
+/// One randomly generated flow-mod against the gateway: a user's CE or
+/// downstream rule added or removed, a demux rule re-pointed, a routing rule
+/// matching `Ipv4Src` — which the CE tables upstream rewrite, so the caches
+/// must flush whole — added or removed, or a goto every path refuses.
+fn arb_gateway_flow_mod() -> impl Strategy<Value = FlowMod> {
+    let user_rule = |ce: usize, user: usize, downstream: bool| {
+        gateway::user_flow_mods(ce, user).swap_remove(usize::from(downstream))
+    };
+    let source_route = |ce: usize, user: usize| {
+        FlowMatch::any().with_exact(
+            Field::Ipv4Src,
+            u128::from(gateway::user_public_ip(ce, user).to_u32()),
+        )
+    };
+    prop_oneof![
+        (0usize..2, 0usize..GATEWAY_USERS, any::<bool>())
+            .prop_map(move |(ce, user, down)| user_rule(ce, user, down)),
+        (0usize..2, 0usize..GATEWAY_USERS, any::<bool>()).prop_map(move |(ce, user, down)| {
+            let fm = user_rule(ce, user, down);
+            FlowMod::delete_strict(fm.table_id.unwrap(), fm.flow_match, fm.priority)
+        }),
+        (0usize..2, 0usize..2).prop_map(|(vlan_of, ce)| FlowMod::add(
+            0,
+            FlowMatch::any()
+                .with_exact(Field::InPort, u128::from(PORT_USER))
+                .with_exact(Field::VlanVid, u128::from(gateway::ce_vlan(vlan_of))),
+            200,
+            vec![Instruction::GotoTable(gateway::ce_table(ce))],
+        )),
+        (0usize..2, 0usize..GATEWAY_USERS, 7u32..9).prop_map(move |(ce, user, out)| {
+            FlowMod::add(
+                ROUTING_TABLE,
+                source_route(ce, user),
+                300,
+                terminal_actions(vec![Action::Output(out)]),
+            )
+        }),
+        (0usize..2, 0usize..GATEWAY_USERS).prop_map(move |(ce, user)| FlowMod::delete_strict(
+            ROUTING_TABLE,
+            source_route(ce, user),
+            300,
+        )),
+        Just(FlowMod::add(
+            ROUTING_TABLE,
+            FlowMatch::any(),
+            300,
+            vec![Instruction::GotoTable(0)],
+        )),
+    ]
+}
+
+/// Upstream probes from every user of the universe to covered destinations,
+/// and downstream probes to every user's public address.
+fn gateway_probes() -> Vec<Packet> {
+    let config = gateway_config();
+    let destinations = sample_covered_addresses(&gateway::routes(&config), 4, 11);
+    let mut probes = Vec::new();
+    for ce in 0..config.ces {
+        for user in 0..GATEWAY_USERS {
+            let dst = destinations[(ce + user) % destinations.len()];
+            probes.push(
+                PacketBuilder::tcp()
+                    .vlan(gateway::ce_vlan(ce))
+                    .ipv4_src(gateway::user_private_ip(ce, user).octets())
+                    .ipv4_dst(dst.octets())
+                    .tcp_src(40_000 + user as u16)
+                    .tcp_dst(443)
+                    .in_port(PORT_USER)
+                    .build(),
+            );
+            probes.push(
+                PacketBuilder::tcp()
+                    .ipv4_src([198, 51, 100, 1])
+                    .ipv4_dst(gateway::user_public_ip(ce, user).octets())
+                    .tcp_src(443)
+                    .tcp_dst(40_000 + user as u16)
+                    .in_port(PORT_NET)
+                    .build(),
+            );
+        }
+    }
+    probes
+}
+
 type Decision = (Vec<u32>, bool, bool);
 
+/// One probe round: every probe through every execution plus a fresh
+/// compilation of `reference`, all agreeing with the interpreter. Returns
+/// the interpreter's decisions.
+fn probe_round(
+    executions: &mut Vec<Execution>,
+    reference: &Pipeline,
+    probes: &[Packet],
+    context: &str,
+) -> Vec<Decision> {
+    let recompiled = EswitchRuntime::compile(reference.clone()).expect("pipeline compiles");
+    executions.push(("recompiled", Box::new(recompiled)));
+    let decisions = probes
+        .iter()
+        .enumerate()
+        .map(|(i, probe)| {
+            assert_agree(executions, probe, &format!("{context}, probe {i}"))
+                .0
+                .decision()
+        })
+        .collect();
+    executions.pop();
+    decisions
+}
+
+/// Paths (a) and (b): a probe round after the base pipeline and after every
+/// flow-mod. Returns the interpreter's decisions, round by round.
+fn executions_agree(base: &Pipeline, mods: &[FlowMod], probes: &[Packet]) -> Vec<Vec<Decision>> {
+    let mut executions = executions(base);
+    let mut reference = base.clone();
+    let mut rounds = vec![probe_round(&mut executions, &reference, probes, "base")];
+    for (i, fm) in mods.iter().enumerate() {
+        // Every execution takes the same mods, rejected ones included.
+        for (_, datapath) in &executions {
+            let _ = datapath.flow_mod(fm);
+        }
+        let _ = apply_flow_mod(&mut reference, fm);
+        let context = format!("after flow-mod {i} ({fm:?})");
+        rounds.push(probe_round(&mut executions, &reference, probes, &context));
+    }
+    rounds
+}
+
+/// Path (c): runs the same rounds through the sharded runtime (one worker,
+/// so the verdict sink observes dispatch order), each round once the shard
+/// serves the newest epoch. Returns per-round decisions.
 fn sharded_decisions(
     spec: BackendSpec,
     base: &Pipeline,
     mods: &[FlowMod],
     probes: &[Packet],
-) -> Vec<Decision> {
+) -> Vec<Vec<Decision>> {
     use std::sync::{Arc, Mutex};
 
     let seen: Arc<Mutex<Vec<Decision>>> = Arc::new(Mutex::new(Vec::new()));
@@ -190,26 +340,54 @@ fn sharded_decisions(
     )
     .expect("base pipeline compiles");
 
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let mut probe_round = || {
+        // Probe only once the shard serves the newest epoch.
+        while switch.shard_epochs().iter().any(|e| *e != switch.epoch()) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "shards never converged"
+            );
+            std::thread::yield_now();
+        }
+        let before = switch.stats().packets;
+        for p in probes {
+            dispatcher.dispatch(p.clone());
+        }
+        dispatcher.flush();
+        while switch.stats().packets < before + probes.len() as u64 {
+            assert!(std::time::Instant::now() < deadline, "probes never drained");
+            std::thread::yield_now();
+        }
+        std::mem::take(&mut *seen.lock().unwrap())
+    };
+    let mut rounds = vec![probe_round()];
     for fm in mods {
         let _ = switch.flow_mod(fm);
-    }
-    // Wait for the single shard to converge to the newest epoch before
-    // probing, so every probe sees the final state.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while switch.shard_epochs().iter().any(|e| *e != switch.epoch()) {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "shards never converged"
-        );
-        std::thread::yield_now();
-    }
-    for p in probes {
-        dispatcher.dispatch(p.clone());
+        rounds.push(probe_round());
     }
     let report = switch.shutdown(dispatcher);
-    assert_eq!(report.processed.packets, probes.len() as u64);
-    let decisions = seen.lock().unwrap().clone();
-    decisions
+    assert_eq!(
+        report.processed.packets,
+        (probes.len() * (mods.len() + 1)) as u64
+    );
+    rounds
+}
+
+/// Every path agrees with the interpreter, round by round.
+fn all_paths_agree(base: &Pipeline, mods: &[FlowMod], probes: &[Packet], label: &str) {
+    let expected = executions_agree(base, mods, probes);
+    for spec in [BackendSpec::eswitch(), BackendSpec::ovs()] {
+        let got = sharded_decisions(spec, base, mods, probes);
+        for (round, (got, expected)) in got.iter().zip(&expected).enumerate() {
+            assert_eq!(
+                got,
+                expected,
+                "sharded {} diverged in round {round} ({label})",
+                spec.label()
+            );
+        }
+    }
 }
 
 proptest! {
@@ -220,39 +398,76 @@ proptest! {
         lpm in any::<bool>(),
         mods in prop::collection::vec(arb_flow_mod(), 1..14),
     ) {
-        let base = base_pipeline(lpm);
+        all_paths_agree(&base_pipeline(lpm), &mods, &probes(), &format!("lpm={lpm}"));
+    }
 
-        // (a) every execution takes the same mods, rejected ones included.
-        let mut executions = executions(&base);
-        for (_, datapath) in &executions {
-            for fm in &mods {
-                let _ = datapath.flow_mod(fm);
-            }
-        }
-        // (b) a from-scratch full recompile of the final pipeline.
-        let mut reference = base.clone();
-        for fm in &mods {
-            let _ = apply_flow_mod(&mut reference, fm);
-        }
-        executions.push(("recompiled", Box::new(EswitchRuntime::compile(reference).unwrap())));
+    #[test]
+    fn gateway_flow_mods_agree_against_warm_caches(
+        mods in prop::collection::vec(arb_gateway_flow_mod(), 1..14),
+    ) {
+        let base = gateway::build_pipeline(&gateway_config());
+        all_paths_agree(&base, &mods, &gateway_probes(), "gateway");
+    }
+}
 
-        let probes = probes();
-        let mut expected = Vec::with_capacity(probes.len());
-        for (i, probe) in probes.iter().enumerate() {
-            let (verdict, _) = assert_agree(&executions, probe, &format!("probe {i} (lpm={lpm})"));
-            expected.push(verdict.decision());
-        }
-
-        // (c) the sharded runtime after convergence, both backends.
-        for spec in [BackendSpec::eswitch(), BackendSpec::ovs()] {
-            let got = sharded_decisions(spec, &base, &mods, &probes);
-            prop_assert_eq!(
-                &got,
-                &expected,
-                "sharded {} diverged (lpm={})",
-                spec.label(),
-                lpm
+/// A goto to the same table, an earlier one, or one that does not exist is
+/// refused by every execution and by the sharded control plane, before
+/// anything changes: accepted, it would hang or dangle every packet that
+/// matched it.
+#[test]
+fn backward_and_dangling_gotos_are_refused_everywhere() {
+    let base = gateway::build_pipeline(&gateway_config());
+    let goto = |table, target| {
+        FlowMod::add(
+            table,
+            FlowMatch::any(),
+            300,
+            vec![Instruction::GotoTable(target)],
+        )
+    };
+    let bad = [
+        goto(gateway::ce_table(0), gateway::ce_table(0)),
+        goto(ROUTING_TABLE, 0),
+        goto(DOWNSTREAM_TABLE, 200),
+        FlowMod::add(1, FlowMatch::any(), 1, vec![Instruction::GotoTable(1)]),
+    ];
+    let probes = gateway_probes();
+    let mut executions = executions(&base);
+    for (name, datapath) in &executions {
+        for fm in &bad {
+            assert!(
+                matches!(datapath.flow_mod(fm), Err(FlowModError::BadGoto(_))),
+                "{name} accepted {fm:?}"
             );
         }
+    }
+    // Nothing changed: every execution still forwards like fresh ones over
+    // the base pipeline.
+    let unchanged = probe_round(&mut executions, &base, &probes, "after refused gotos");
+    assert_eq!(unchanged, executions_agree(&base, &[], &probes)[0]);
+
+    for spec in [BackendSpec::eswitch(), BackendSpec::ovs()] {
+        let (switch, dispatcher) = ShardedSwitch::launch(
+            spec,
+            base.clone(),
+            ShardedConfig {
+                workers: 1,
+                ring_capacity: 64,
+                ..ShardedConfig::default()
+            },
+        )
+        .expect("gateway launches");
+        for fm in &bad {
+            assert!(
+                matches!(
+                    switch.flow_mod(fm),
+                    Err(ShardError::FlowMod(FlowModError::BadGoto(_)))
+                ),
+                "sharded {} accepted {fm:?}",
+                spec.label()
+            );
+        }
+        assert_eq!(switch.epoch(), 0, "a refused flow-mod published an epoch");
+        switch.shutdown(dispatcher);
     }
 }
