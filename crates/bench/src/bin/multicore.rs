@@ -1,11 +1,10 @@
 //! multicore — throughput harness for the sharded multi-worker runtime.
 //!
-//! Runs the PR-2 fastpath workloads through the `shard` runtime (RSS
+//! Runs the port-pipeline workloads through the `shard` runtime (RSS
 //! dispatcher → per-worker SPSC rings → per-shard datapath replicas draining
 //! 32-packet bursts) at 1, 2 and 4 worker shards, and records the results to
 //! `BENCH_multicore.json` so the multi-core trajectory of the repo is a
-//! committed artifact, like `BENCH_fastpath.json` is for the single-core
-//! fast path:
+//! committed artifact:
 //!
 //! * `megaflow_hit`  — OVS backend, EMC thrashing, tuple-space-search bound;
 //! * `microflow_hit` — OVS backend, active flows fit the per-shard EMCs;
@@ -27,8 +26,7 @@
 
 use std::fmt::Write as _;
 
-use bench_harness::fastpath::{port_pipeline, port_traffic};
-use bench_harness::multicore::SHARD_RING_CAPACITY;
+use bench_harness::multicore::{port_pipeline, port_traffic, SHARD_RING_CAPACITY};
 use bench_harness::{measure_sharded_throughput, measure_skewed_throughput, print_header};
 use bench_harness::{SkewConfig, SkewResult};
 use openflow::Pipeline;
@@ -56,7 +54,7 @@ fn warmup_packets() -> usize {
     }
 }
 
-/// One of the PR-2 fastpath workloads, sharded.
+/// One sharded workload of the sweep.
 struct Workload {
     name: &'static str,
     spec: BackendSpec,

@@ -4,34 +4,35 @@
 //! `src/bin/` (`fig03_*` … `fig20_*`, `tab_decompose_acl`); this library
 //! holds what they share: a constructor for the three switch architectures
 //! under test behind `openflow::Datapath`, throughput/latency measurement
-//! loops, the
-//! multi-core runner for Fig. 19, and plain-text series/table rendering so
-//! every binary prints the same self-describing report format.
+//! loops, the sharded-runtime runner for Fig. 19, and plain-text
+//! series/table rendering so every binary prints the same self-describing
+//! report format.
+//!
+//! Three emitters still write committed `BENCH_*.json` files for the
+//! experiments the repo's benchmark (`benchmark/`) has no workload for yet:
+//! `multicore` (Zipf skew with and without the rebalancer, [`multicore`]),
+//! `fig_reactive` (punt storm, [`reactive`]) and `fig_io` (ports × shards,
+//! [`io`]).
 //!
 //! The binaries honour the `ESWITCH_BENCH_QUICK=1` environment variable,
 //! which shrinks packet counts and sweep ranges so the whole figure set can
 //! be regenerated in seconds (CI) instead of minutes (faithful runs).
 
-pub mod conntrack;
 pub mod datapath;
-pub mod fastpath;
 pub mod io;
 pub mod measure;
 pub mod multicore;
 pub mod reactive;
 pub mod report;
-pub mod updates;
 
 pub use datapath::SwitchKind;
 pub use io::{measure_io_throughput, measure_tx_styles, IoConfig, IoResult, TxStyles};
 pub use measure::{measure_latency_cycles, measure_throughput, Measurement};
 pub use multicore::{
-    measure_multicore_throughput, measure_sharded_throughput, measure_skewed_throughput,
-    SkewConfig, SkewResult,
+    measure_sharded_throughput, measure_skewed_throughput, SkewConfig, SkewResult,
 };
 pub use reactive::{measure_reactive_load, ReactiveLoadConfig, ReactiveLoadPoint};
 pub use report::{render_series_table, Series};
-pub use updates::{measure_update_load, UpdateLoadConfig, UpdateLoadPoint};
 
 /// True when quick mode is requested (smaller packet counts and sweeps).
 pub fn quick_mode() -> bool {

@@ -834,4 +834,48 @@ mod tests {
         assert_eq!(snap.evicted_capacity, 1);
         assert!(snap.identity_holds());
     }
+
+    /// A refuse-new engine holds a fill that no tick interrupts, then one
+    /// sweep past the idle timeout (plus the wheel's lazy re-arm slack)
+    /// hands every connection back with the stats identity intact. The
+    /// flows are distinct UDP packets committed through a one-rule pipeline.
+    #[test]
+    fn capacity_run_fills_and_reclaims() {
+        use openflow::instruction::terminal_actions;
+        use openflow::{Action, FlowEntry, FlowMatch, Pipeline};
+        use pkt::builder::PacketBuilder;
+
+        let config = CtConfig {
+            capacity: 1 << 12,
+            wheel_slots: 4096,
+            eviction: EvictionPolicy::RefuseNew,
+            ..CtConfig::default()
+        };
+        let mut pipeline = Pipeline::with_tables(1);
+        pipeline.table_mut(0).unwrap().insert(FlowEntry::new(
+            FlowMatch::any(),
+            10,
+            terminal_actions(vec![Action::Ct(CtVerb::Commit), Action::Output(2)]),
+        ));
+        let mut engine = CtEngine::new(&config);
+        let offered = 3 << 10;
+        for i in 0..offered {
+            let mut packet = PacketBuilder::udp()
+                .ipv4_src([10, (i >> 14) as u8, (i >> 6) as u8, i as u8])
+                .ipv4_dst([192, 0, 2, 1])
+                .udp_src(1024 + (i % 4096) as u16)
+                .udp_dst(53)
+                .build();
+            pipeline.process_ct(&mut packet, &mut engine);
+        }
+        assert_eq!(engine.live(), offered);
+        assert!(engine.memory_bytes() > 0);
+
+        let deadline = engine.now() + config.timeouts.udp_new + config.wheel_slots as u64 + 1;
+        engine.advance_to(deadline);
+        assert_eq!(engine.live(), 0);
+        let snap = engine.stats().snapshot();
+        assert_eq!(snap.evicted_idle, offered as u64);
+        assert!(snap.identity_holds());
+    }
 }

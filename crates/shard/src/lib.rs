@@ -93,6 +93,6 @@ pub use remap::{RebalanceConfig, RemapShared, RemapTable};
 pub use rss::{rss_hash, rss_hash_symmetric, shard_of, RssDispatcher};
 pub use runtime::{
     LaunchParts, ShardError, ShardStats, ShardedConfig, ShardedSwitch, ShutdownReport,
-    UpdateClassCounts, UpdateClassStats, UpdateStrategy, VerdictSink,
+    UpdateClassCounts, UpdateClassStats, VerdictSink,
 };
 pub use telemetry::{LoadSnapshot, ShardLoad};

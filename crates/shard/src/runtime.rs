@@ -68,19 +68,6 @@ use crate::remap::{
 use crate::rss::{backoff, wait_on_thread, Elastic, RssDispatcher, Thread};
 use crate::telemetry::{LoadRecorder, LoadSnapshot, ShardLoad};
 
-/// How the control plane turns an applied flow-mod into the next epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UpdateStrategy {
-    /// Drive the shared §3.4 [`UpdatePlanner`]: in-place incremental edits
-    /// and per-table rebuilds publish epochs that structurally share every
-    /// untouched table; OVS epochs carry a selective-invalidation delta.
-    #[default]
-    Planned,
-    /// Recompile the whole state on every flow-mod (the pre-planner
-    /// behaviour) — kept as the measurable Fig. 18 baseline.
-    FullRecompile,
-}
-
 /// Sharded runtime configuration.
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
@@ -88,8 +75,6 @@ pub struct ShardedConfig {
     pub workers: usize,
     /// Per-shard ring capacity in packets (rounded up to a power of two).
     pub ring_capacity: usize,
-    /// How flow-mods become epochs.
-    pub update_strategy: UpdateStrategy,
     /// Per-(shard, controller-worker) punt ring capacity (reactive launches
     /// only; rounded up to a power of two). A full punt ring sheds the punt
     /// *copy* — counted as `overflow`, never blocking the worker.
@@ -131,7 +116,6 @@ impl Default for ShardedConfig {
         ShardedConfig {
             workers: 2,
             ring_capacity: 1024,
-            update_strategy: UpdateStrategy::Planned,
             punt_ring_capacity: 256,
             max_in_flight_punts: PuntGate::DEFAULT_CAPACITY,
             controller_workers: 1,
@@ -282,7 +266,6 @@ impl UpdateClassCounts {
 /// handle uses.
 pub(crate) struct Control {
     spec: BackendSpec,
-    strategy: UpdateStrategy,
     /// The canonical pipeline; the single source of truth flow-mods mutate.
     pipeline: Mutex<Pipeline>,
     /// The latest compiled state plus the monotonic epoch counter workers
@@ -324,16 +307,8 @@ impl Control {
         }
         let prev = self.published.load();
 
-        let (state, class, delta) = match (self.strategy, &self.spec, &prev.state) {
-            // The measurable baseline: recompile everything on every change.
-            (UpdateStrategy::FullRecompile, spec, _) => match spec.compile_state(&pipeline) {
-                Ok(state) => (state, UpdateClass::Full, None),
-                Err(e) => {
-                    undo.undo(&mut pipeline);
-                    return Err(ShardError::Compile(e));
-                }
-            },
-            (UpdateStrategy::Planned, BackendSpec::Eswitch(config), CompiledState::Eswitch(dp)) => {
+        let (state, class, delta) = match (&self.spec, &prev.state) {
+            (BackendSpec::Eswitch(config), CompiledState::Eswitch(dp)) => {
                 match UpdatePlanner::new(config).absorb(&pipeline, dp, fm, &effect) {
                     // The shared datapath absorbed the edit in place
                     // (trampoline semantics): re-publish the same state
@@ -360,7 +335,7 @@ impl Control {
                     },
                 }
             }
-            (UpdateStrategy::Planned, BackendSpec::Ovs(_), _) => {
+            (BackendSpec::Ovs(_), _) => {
                 // OVS epochs always snapshot the pipeline (replicas realise
                 // it lazily); the ladder classification reflects what the
                 // *shards* pay: a selective-safe delta invalidates
@@ -544,7 +519,6 @@ impl ShardedSwitch {
         });
         let control = Arc::new(Control {
             spec,
-            strategy: config.update_strategy,
             pipeline: Mutex::new(pipeline),
             published: EpochSlot::new(Arc::clone(&published)),
             may_punt: AtomicBool::new(may_punt),
@@ -1592,35 +1566,6 @@ mod tests {
         assert_eq!(effect.entries_touched(), 0);
         assert_eq!(switch.epoch(), 0, "no-op must not publish an epoch");
         assert_eq!(switch.update_classes().total(), 0);
-        switch.shutdown(dispatcher);
-    }
-
-    #[test]
-    fn full_recompile_strategy_classifies_everything_full() {
-        let (switch, dispatcher) = ShardedSwitch::launch(
-            BackendSpec::eswitch(),
-            l2_hash_pipeline(),
-            ShardedConfig {
-                workers: 1,
-                ring_capacity: 64,
-                update_strategy: UpdateStrategy::FullRecompile,
-                ..ShardedConfig::default()
-            },
-        )
-        .unwrap();
-        for i in 100..105u64 {
-            switch
-                .flow_mod(&FlowMod::add(
-                    0,
-                    mac_match(i),
-                    10,
-                    terminal_actions(vec![Action::Output(3)]),
-                ))
-                .unwrap();
-        }
-        let classes = switch.update_classes();
-        assert_eq!(classes.full, 5);
-        assert_eq!(classes.incremental + classes.per_table, 0);
         switch.shutdown(dispatcher);
     }
 

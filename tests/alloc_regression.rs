@@ -31,10 +31,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bench_harness::conntrack::{data_ring, warm_established, BURST};
+mod common;
+
+use common::{data_ring, warm_established};
 use conntrack::CtEngine;
 use eswitch::EswitchRuntime;
-use netdev::Port;
+use netdev::{Port, BURST_SIZE};
 use openflow::ct::NoCt;
 use openflow::{
     Action, Datapath, Field, FlowEntry, FlowMatch, FlowMod, NullController, Pipeline, Verdict,
@@ -232,10 +234,10 @@ fn assert_established_path_allocation_free(
     ring: &[Packet],
 ) {
     let mut work: Vec<Packet> = ring.to_vec();
-    let mut verdicts: Vec<Verdict> = Vec::with_capacity(BURST);
+    let mut verdicts: Vec<Verdict> = Vec::with_capacity(BURST_SIZE);
     // One unmeasured pass warms the burst scratch and verdict buffers.
     work.clone_from_slice(ring);
-    for chunk in work.chunks_mut(BURST) {
+    for chunk in work.chunks_mut(BURST_SIZE) {
         engine.tick();
         dp.process_batch_into_ct(chunk, &mut verdicts, engine);
     }
@@ -250,7 +252,7 @@ fn assert_established_path_allocation_free(
     for _ in 0..8 {
         work.clone_from_slice(ring);
         let before = allocations();
-        for chunk in work.chunks_mut(BURST) {
+        for chunk in work.chunks_mut(BURST_SIZE) {
             engine.tick();
             dp.process_batch_into_ct(chunk, &mut verdicts, engine);
             std::hint::black_box(verdicts.len());
@@ -286,15 +288,15 @@ fn port_rx_process_tx_loop_is_allocation_free() {
     let egress = Port::with_depth(2, 256);
 
     let mut staged = flow_packets(64);
-    let mut batch: Vec<Packet> = Vec::with_capacity(BURST);
-    let mut verdicts: Vec<Verdict> = Vec::with_capacity(BURST);
+    let mut batch: Vec<Packet> = Vec::with_capacity(BURST_SIZE);
+    let mut verdicts: Vec<Verdict> = Vec::with_capacity(BURST_SIZE);
 
     // One lap moves a burst all the way around the loop and back into the
     // ingress ring, warming caches and every reusable buffer on the way.
     let lap = |staged: &mut Vec<Packet>, batch: &mut Vec<Packet>, verdicts: &mut Vec<Verdict>| {
         assert_eq!(ingress.inject_burst(staged), 64);
         loop {
-            if ingress.rx_burst_into(batch, BURST) == 0 {
+            if ingress.rx_burst_into(batch, BURST_SIZE) == 0 {
                 break;
             }
             dp.process_burst(batch, verdicts, &mut NoCt);
@@ -305,7 +307,7 @@ fn port_rx_process_tx_loop_is_allocation_free() {
             let frames = batch.len();
             assert_eq!(egress.tx_burst(batch), frames);
         }
-        while egress.tx_drain_into(staged, BURST) > 0 {}
+        while egress.tx_drain_into(staged, BURST_SIZE) > 0 {}
         assert_eq!(staged.len(), 64, "a lap lost frames");
     };
     lap(&mut staged, &mut batch, &mut verdicts);
@@ -345,9 +347,9 @@ fn compiled_gateway_burst_path_is_allocation_free() {
     };
     let switch = EswitchRuntime::compile(gateway::build_pipeline(&config)).expect("compiles");
     let ring: Vec<Packet> = gateway::build_traffic(&config, 64).one_cycle().collect();
-    assert!(ring.len() >= 2 * BURST);
+    assert!(ring.len() >= 2 * BURST_SIZE);
     let mut work: Vec<Packet> = ring.clone();
-    let mut verdicts: Vec<Verdict> = Vec::with_capacity(BURST);
+    let mut verdicts: Vec<Verdict> = Vec::with_capacity(BURST_SIZE);
 
     let mut allocated = 0;
     // Pass 0 warms the verdict buffer and the ingress-snapshot scratch.
@@ -356,7 +358,7 @@ fn compiled_gateway_burst_path_is_allocation_free() {
         // must not, so only the processing is counted.
         work.clone_from_slice(&ring);
         let before = allocations();
-        for chunk in work.chunks_mut(BURST) {
+        for chunk in work.chunks_mut(BURST_SIZE) {
             switch.process_batch_into_ct(chunk, &mut verdicts, &mut NoCt);
             for verdict in &verdicts {
                 assert_eq!(verdict.outputs.as_slice(), [PORT_NET]);
@@ -431,8 +433,8 @@ fn assert_rx_hash_process_allocation_free(
         .iter()
         .map(|&id| Port::with_depth(id, ring.len()))
         .collect();
-    let mut batch: Vec<Packet> = Vec::with_capacity(BURST);
-    let mut verdicts: Vec<Verdict> = Vec::with_capacity(BURST);
+    let mut batch: Vec<Packet> = Vec::with_capacity(BURST_SIZE);
+    let mut verdicts: Vec<Verdict> = Vec::with_capacity(BURST_SIZE);
     let mut allocated = 0;
     // Lap 0 warms the verdict buffer and the datapath's burst scratch.
     for lap in 0..9 {
@@ -442,7 +444,7 @@ fn assert_rx_hash_process_allocation_free(
         }
         let before = allocations();
         for port in &ports {
-            while port.rx_burst_into(&mut batch, BURST) > 0 {
+            while port.rx_burst_into(&mut batch, BURST_SIZE) > 0 {
                 for packet in batch.iter_mut() {
                     assert!(packet.parsed().is_some(), "{name}: RX stamps the parse");
                     let hash = hash(packet);

@@ -1,12 +1,14 @@
 //! Helpers shared by the differential suites (each uses some of them).
 #![allow(dead_code)]
 
+use conntrack::CtEngine;
 use eswitch::{CompilerConfig, EswitchRuntime};
-use netdev::Port;
+use netdev::{Port, BURST_SIZE};
 use openflow::{Controller, Datapath, DirectDatapath, NullController, Pipeline, Verdict};
 use ovsdp::{OvsConfig, OvsDatapath};
+use pkt::builder::PacketBuilder;
 use pkt::ipv4::Ipv4Header;
-use pkt::{checksum, parse, Packet, ParseDepth};
+use pkt::{checksum, parse, Packet, ParseDepth, TcpFlags};
 
 /// One execution of a pipeline, named for assertion messages.
 pub type Execution = (&'static str, Box<dyn Datapath>);
@@ -121,4 +123,50 @@ pub fn with_ipv4_options(packet: &Packet, ihl: u8, options: u64) -> Packet {
     let check = checksum::ones_complement(&frame[L3..L3 + 20 + extra]);
     frame[L3 + 10..L3 + 12].copy_from_slice(&check.to_be_bytes());
     out
+}
+
+/// `flows` established-direction data packets (client → server, ACK set),
+/// one per connection, padded to a whole number of bursts. The same ring
+/// warms a connection table (each packet's first pass commits its
+/// connection) and is then replayed, so every replayed packet is an
+/// established-path hit.
+pub fn data_ring(flows: usize, in_port: u32) -> Vec<Packet> {
+    let n = flows.max(BURST_SIZE).div_ceil(BURST_SIZE) * BURST_SIZE;
+    (0..n)
+        .map(|f| {
+            let f = f % flows.max(1);
+            PacketBuilder::tcp()
+                .ipv4_src([10, 0, (f >> 8) as u8, f as u8])
+                .ipv4_dst([198, 51, 100, (f % 200) as u8 + 1])
+                .tcp_src(1024 + (f % 30_000) as u16)
+                .tcp_dst(80)
+                .tcp_flags(TcpFlags {
+                    ack: true,
+                    ..TcpFlags::default()
+                })
+                .in_port(in_port)
+                .build()
+        })
+        .collect()
+}
+
+/// Warms every connection of `ring` to the established state: one forward
+/// pass creates the connections, then each *forwarded* frame is answered
+/// (tuple-swapped, arriving on `reply_port`) so the reverse direction is
+/// seen too. Works for translating pipelines as well because the reply
+/// answers the frame as it left the datapath.
+pub fn warm_established(
+    dp: &dyn Datapath,
+    engine: &mut CtEngine,
+    ring: &[Packet],
+    reply_port: u32,
+) {
+    let mut verdicts: Vec<Verdict> = Vec::with_capacity(BURST_SIZE);
+    for packet in ring {
+        let mut forward = packet.clone();
+        dp.process_burst(std::slice::from_mut(&mut forward), &mut verdicts, engine);
+        if let Some(mut reply) = workloads::reply_to(&forward, reply_port) {
+            dp.process_burst(std::slice::from_mut(&mut reply), &mut verdicts, engine);
+        }
+    }
 }

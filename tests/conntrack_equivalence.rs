@@ -11,7 +11,8 @@
 //! counter snapshots and live-connection counts must agree. Each trace runs
 //! twice: with the packets as built, and with every copy under test received
 //! through a `Port` first (carrying the RX parse stamp). A burst-level case
-//! pins the order of ct side effects inside one burst.
+//! pins the order of ct side effects inside one burst; a warmed-ring case
+//! pins that an established ring replays as ct hits only.
 //!
 //! Sharded: the same trace is dispatched through the 1-, 2- and 4-shard
 //! runtime on both backends. With one shard the verdict *sequence* must
@@ -25,7 +26,7 @@ mod common;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use common::{checksums_verify, executions, received};
+use common::{checksums_verify, data_ring, executions, received, warm_established};
 use conntrack::CtEngine;
 use openflow::ct::CtTuple;
 use openflow::{Pipeline, Verdict};
@@ -261,6 +262,39 @@ fn a_cached_teardown_is_not_outrun_by_a_slow_path_reply() {
             (want_live, want_snap),
             "{name}: ct state diverged"
         );
+    }
+}
+
+/// `common::warm_established` leaves every connection of a data ring
+/// established on every execution: replaying the ring in bursts, engine
+/// ticked per burst, forwards every packet and is all ct hits, no creates.
+#[test]
+fn warmed_ring_replays_as_established_hits() {
+    let pipeline = acl::build_pipeline(&acl::StatefulAclConfig::default());
+    let ring = data_ring(64, PORT_USER);
+    for (name, datapath) in &executions(&pipeline) {
+        let mut engine = CtEngine::new(&acl::ct_config());
+        warm_established(datapath.as_ref(), &mut engine, &ring, PORT_NET);
+        // Hits are batched per tick; flush before snapshotting.
+        engine.advance_to(engine.now());
+        let created = engine.stats().snapshot().created;
+        assert_eq!(created, 64, "{name}");
+
+        let before = engine.stats().snapshot().hits;
+        let mut replay: Vec<Packet> = ring.clone();
+        let mut verdicts = Vec::new();
+        for chunk in replay.chunks_mut(netdev::BURST_SIZE) {
+            engine.tick();
+            datapath.process_burst(chunk, &mut verdicts, &mut engine);
+            assert!(
+                verdicts.iter().all(|v| v.outputs.as_slice() == [PORT_NET]),
+                "{name}"
+            );
+        }
+        engine.advance_to(engine.now());
+        let hits = engine.stats().snapshot().hits - before;
+        assert_eq!(hits, ring.len() as u64, "{name}");
+        assert_eq!(engine.stats().snapshot().created, created, "{name}");
     }
 }
 

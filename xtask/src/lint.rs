@@ -523,10 +523,10 @@ fn check_file(rel_path: &str, src: &str) -> Vec<Violation> {
 }
 
 /// Collects every workspace-owned `.rs` file (crates/, xtask/, vendor/,
-/// tests/, benches/), skipping build output.
+/// tests/), skipping build output.
 fn collect_sources(root: &Path) -> Vec<(String, String)> {
     let mut files = Vec::new();
-    let mut stack: Vec<std::path::PathBuf> = ["crates", "xtask", "vendor", "tests", "benches"]
+    let mut stack: Vec<std::path::PathBuf> = ["crates", "xtask", "vendor", "tests"]
         .iter()
         .map(|d| root.join(d))
         .filter(|d| d.is_dir())
