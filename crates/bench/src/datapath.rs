@@ -2,7 +2,7 @@
 
 use eswitch::analysis::CompilerConfig;
 use eswitch::runtime::EswitchRuntime;
-use openflow::{Datapath, DirectDatapath, NullController, Pipeline};
+use openflow::{Datapath, DirectDatapath, Pipeline};
 use ovsdp::OvsDatapath;
 
 /// Which switch architecture a measurement runs against.
@@ -42,7 +42,6 @@ impl SwitchKind {
                         enable_decomposition: true,
                         ..CompilerConfig::default()
                     },
-                    Box::new(NullController::new()),
                 )
                 .expect("pipeline compiles"),
             ),

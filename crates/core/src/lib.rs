@@ -22,7 +22,8 @@
 //! 4. **Runtime** ([`runtime`]) — execute the compiled datapath, apply
 //!    flow-mods with per-table granularity (incremental where the template
 //!    allows, side-by-side rebuild + trampoline swap otherwise), and keep
-//!    serving packets during updates.
+//!    serving packets during updates. Punts are only reported in the
+//!    verdicts; [`reactive::Reactive`] answers them for any execution.
 //! 5. **Performance model** ([`perfmodel`]) — compose per-template cycle
 //!    "atoms" into whole-datapath estimates (Fig. 20) and lower/upper packet
 //!    rate bounds (Figs. 13 and 16).
@@ -59,7 +60,7 @@ pub use analysis::{select_template, CompilerConfig, TemplateKind};
 pub use compile::{compile, CompileError, CompiledDatapath};
 pub use decompose::{decompose_pipeline, decompose_table, DecomposeStats};
 pub use perfmodel::{CacheLevelCosts, PerformanceEstimate, PerformanceModel};
-pub use reactive::{punt_signature, IngressSnapshot, PuntGate};
+pub use reactive::{punt_signature, IngressSnapshot, LoopStats, PuntGate, Reactive};
 pub use runtime::EswitchRuntime;
 pub use update::{UpdateClass, UpdateCounter, UpdatePlan, UpdatePlanner};
 

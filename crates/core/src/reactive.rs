@@ -1,9 +1,14 @@
-//! Shared reactive-handoff machinery: punt admission control for the slow
-//! path, layered defense-in-depth style.
+//! The reactive handoff: the synchronous controller loop ([`Reactive`]) and
+//! the punt admission control it shares with the sharded runtime's
+//! asynchronous channel, layered defense-in-depth style.
 //!
 //! The paper's reactive workloads (the access gateway, a learning switch)
 //! depend on table misses reaching the controller and the controller's
-//! flow-mods repopulating the pipeline. Between the miss and the install,
+//! flow-mods repopulating the pipeline. A datapath only *reports* punts, in
+//! its verdicts (`to_controller`, `punt_reason`); [`Reactive`] wraps any
+//! [`Datapath`] and answers them after each burst, and the `shard` crate's
+//! controller workers answer them asynchronously. Between the miss and the
+//! install,
 //! *every* packet of the missing flow keeps missing — and a line-rate flow
 //! would flood the controller with thousands of identical packet-ins for one
 //! decision. Worse, the slow path is an *attack surface*: a single tenant
@@ -43,12 +48,18 @@ use std::collections::HashSet;
 use netdev::sync::atomic::{AtomicU64, Ordering};
 use netdev::sync::Mutex;
 use netdev::FxBuildHasher;
-use openflow::FlowKey;
+use openflow::action::apply_action_list;
+use openflow::ct::ConnCtx;
+use openflow::flow_mod::{FlowModEffect, FlowModError};
+use openflow::{
+    Controller, ControllerDecision, Datapath, FlowKey, FlowMod, PacketIn, PacketInReason, Verdict,
+};
 use pkt::Packet;
 
 /// The 64-bit flow signature punt deduplication keys on: an FxHash of the
-/// full extraction-time flow key. Both runtimes (and the tests asserting
-/// suppression) must derive it the same way, which is why it lives here.
+/// full extraction-time flow key. Both controller loops (and the tests
+/// asserting suppression) must derive it the same way, which is why it lives
+/// here.
 pub fn punt_signature(key: &FlowKey) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut hasher = netdev::FxHasher::new();
@@ -376,8 +387,8 @@ impl Default for PuntGate {
 /// Reusable per-burst ingress snapshots: frame bytes + ingress port, copied
 /// *before* processing (which rewrites frames in place) so punt copies carry
 /// the frame as received. Buffers are reused across bursts — steady-state
-/// snapshotting is a memcpy per packet, no allocation. Shared by the
-/// batched single-switch runtime and the sharded workers.
+/// snapshotting is a memcpy per packet, no allocation. Shared by
+/// [`Reactive`] and the sharded workers.
 #[derive(Debug, Default)]
 pub struct IngressSnapshot {
     frames: Vec<Vec<u8>>,
@@ -409,10 +420,287 @@ impl IngressSnapshot {
     }
 }
 
+/// What a [`Reactive`] loop has done so far — the synchronous counterpart of
+/// the sharded runtime's `ReactiveStats`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LoopStats {
+    /// Packet-ins handed to the controller.
+    pub packet_ins: u64,
+    /// Controller flow-mods the datapath applied.
+    pub flow_mods: u64,
+    /// Controller flow-mods the datapath refused (its pipeline unchanged).
+    pub flow_mods_rejected: u64,
+}
+
+/// The synchronous controller loop: any [`Datapath`] `D` plus the
+/// [`Controller`] that answers its punts. It is itself a [`Datapath`], so a
+/// suite can hold reactive and bare executions in one list.
+///
+/// Each burst's ingress frames are snapshotted before `D` processes (and
+/// rewrites) them; once `D::process_burst` has returned — every lock it took
+/// released — each punting verdict raises a packet-in carrying that packet's
+/// ingress frame and the verdict's reason, at most one per flow per burst
+/// (the [`PuntGate`] stays closed for the burst's whole punt group). The
+/// answers apply before the burst returns: flow-mods through `D::flow_mod`
+/// (counted applied or rejected), `OFPP_TABLE` resubmits as a burst of one
+/// through `D` whose own punt is not raised again, and other packet-outs by
+/// applying their action list.
+pub struct Reactive<D> {
+    datapath: D,
+    controller: Mutex<Box<dyn Controller>>,
+    gate: PuntGate,
+    /// Reused ingress snapshot; `try_lock` + local fallback, so concurrent
+    /// bursts degrade to allocating instead of serialising on each other.
+    ingress: Mutex<IngressSnapshot>,
+    packet_ins: AtomicU64,
+    flow_mods: AtomicU64,
+    flow_mods_rejected: AtomicU64,
+}
+
+impl<D: Datapath> Reactive<D> {
+    /// Answers `datapath`'s punts with `controller`.
+    pub fn new(datapath: D, controller: Box<dyn Controller>) -> Self {
+        Reactive {
+            datapath,
+            controller: Mutex::new(controller),
+            gate: PuntGate::default(),
+            ingress: Mutex::new(IngressSnapshot::default()),
+            packet_ins: AtomicU64::new(0),
+            flow_mods: AtomicU64::new(0),
+            flow_mods_rejected: AtomicU64::new(0),
+        }
+    }
+
+    /// The wrapped datapath.
+    pub fn inner(&self) -> &D {
+        &self.datapath
+    }
+
+    /// The per-flow punt gate (admitted/suppressed accounting).
+    pub fn punt_gate(&self) -> &PuntGate {
+        &self.gate
+    }
+
+    /// The loop's counters at this instant.
+    pub fn stats(&self) -> LoopStats {
+        LoopStats {
+            packet_ins: self.packet_ins.load(Ordering::Relaxed),
+            flow_mods: self.flow_mods.load(Ordering::Relaxed),
+            flow_mods_rejected: self.flow_mods_rejected.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Raises one packet-in and applies the controller's answers.
+    fn handle_packet_in(&self, packet: Packet, reason: PacketInReason, ct: &mut dyn ConnCtx) {
+        self.packet_ins.fetch_add(1, Ordering::Relaxed);
+        let decisions = self
+            .controller
+            .lock()
+            .packet_in(PacketIn::new(packet, reason, 0));
+        for decision in decisions {
+            match decision {
+                ControllerDecision::FlowMod(fm) => {
+                    let counter = match self.datapath.flow_mod(&fm) {
+                        Ok(_) => &self.flow_mods,
+                        Err(_) => &self.flow_mods_rejected,
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                }
+                ControllerDecision::PacketOut(mut po) if po.resubmit => {
+                    self.datapath.process_burst(
+                        std::slice::from_mut(&mut po.packet),
+                        &mut Vec::with_capacity(1),
+                        ct,
+                    );
+                }
+                ControllerDecision::PacketOut(mut po) => {
+                    let mut key = FlowKey::extract(&po.packet);
+                    apply_action_list(&po.actions, &mut po.packet, &mut key);
+                }
+                ControllerDecision::Drop => {}
+            }
+        }
+    }
+}
+
+impl<D: Datapath> Datapath for Reactive<D> {
+    fn process_burst(
+        &self,
+        packets: &mut [Packet],
+        verdicts: &mut Vec<Verdict>,
+        ct: &mut dyn ConnCtx,
+    ) {
+        let mut shared = self.ingress.try_lock();
+        let mut local = None;
+        let ingress = match shared.as_deref_mut() {
+            Some(snapshot) => snapshot,
+            None => local.insert(IngressSnapshot::default()),
+        };
+        ingress.capture(packets);
+        self.datapath.process_burst(packets, verdicts, ct);
+        let mut admitted = Vec::new();
+        for (i, verdict) in verdicts.iter().enumerate() {
+            if !verdict.to_controller {
+                continue;
+            }
+            let packet = ingress.packet(i);
+            let flow = punt_signature(&FlowKey::extract(&packet));
+            if self.gate.admit(flow) {
+                admitted.push(flow);
+                self.handle_packet_in(packet, verdict.punt_reason, ct);
+            }
+        }
+        for flow in admitted {
+            self.gate.complete(flow);
+        }
+    }
+
+    fn flow_mod(&self, fm: &FlowMod) -> Result<FlowModEffect, FlowModError> {
+        self.datapath.flow_mod(fm)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::EswitchRuntime;
+    use openflow::controller::FnController;
+    use openflow::flow_match::FlowMatch;
+    use openflow::instruction::terminal_actions;
+    use openflow::{
+        Action, DirectDatapath, Field, FlowEntry, Instruction, Pipeline, TableMissBehavior,
+    };
     use pkt::builder::PacketBuilder;
+    use std::sync::Arc;
+
+    fn l2_pipeline() -> Pipeline {
+        let mut p = Pipeline::with_tables(1);
+        let t = p.table_mut(0).unwrap();
+        t.miss = TableMissBehavior::ToController;
+        t.insert(FlowEntry::new(
+            FlowMatch::any().with_exact(Field::EthDst, 0x0200_0000_0001),
+            10,
+            terminal_actions(vec![Action::Output(1)]),
+        ));
+        p
+    }
+
+    #[test]
+    fn reactive_controller_installs_rules() {
+        // The controller installs a forwarding rule for every punted MAC, so
+        // the second packet to the same destination is switched by the
+        // interpreter without controller involvement.
+        let controller = FnController::new(|pi: PacketIn| {
+            let key = FlowKey::extract(&pi.packet);
+            vec![ControllerDecision::FlowMod(FlowMod::add(
+                0,
+                FlowMatch::any().with_exact(Field::EthDst, u128::from(key.eth_dst)),
+                10,
+                terminal_actions(vec![Action::Output(2)]),
+            ))]
+        });
+        let dp = Reactive::new(DirectDatapath::new(l2_pipeline()), Box::new(controller));
+
+        let mut first = PacketBuilder::udp().eth_dst([2, 0, 0, 0, 0, 9]).build();
+        assert!(dp.process(&mut first).to_controller);
+
+        let mut second = PacketBuilder::udp().eth_dst([2, 0, 0, 0, 0, 9]).build();
+        let verdict = dp.process(&mut second);
+        assert_eq!(verdict.outputs, vec![2]);
+        assert!(!verdict.to_controller);
+        assert_eq!(dp.stats().packet_ins, 1);
+    }
+
+    #[test]
+    fn packet_in_carries_the_ingress_frame_and_the_reason() {
+        // An explicit output-to-controller after a rewrite: the controller
+        // sees the frame as it arrived, reported as an action punt.
+        let mut p = l2_pipeline();
+        p.table_mut(0).unwrap().insert(FlowEntry::new(
+            FlowMatch::any().with_exact(Field::EthDst, 0x0200_0000_0002),
+            10,
+            terminal_actions(vec![
+                Action::SetField(Field::IpDscp, 42),
+                Action::ToController,
+            ]),
+        ));
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let controller = FnController::new(move |pi: PacketIn| {
+            sink.lock().push((pi.packet.data().to_vec(), pi.reason));
+            vec![ControllerDecision::Drop]
+        });
+        let dp = Reactive::new(DirectDatapath::new(p), Box::new(controller));
+        let ingress = PacketBuilder::udp().eth_dst([2, 0, 0, 0, 0, 2]).build();
+        let mut packet = ingress.clone();
+        assert!(dp.process(&mut packet).to_controller);
+        assert_ne!(
+            packet.data(),
+            ingress.data(),
+            "the forwarded copy is rewritten"
+        );
+        let mut miss = PacketBuilder::udp().eth_dst([2, 0, 0, 0, 0, 9]).build();
+        assert!(dp.process(&mut miss).to_controller);
+        assert_eq!(
+            *seen.lock(),
+            vec![
+                (ingress.data().to_vec(), PacketInReason::Action),
+                (miss.data().to_vec(), PacketInReason::NoMatch),
+            ]
+        );
+    }
+
+    /// Every rule of `p` as text, in table order.
+    fn rules(p: &Pipeline) -> Vec<String> {
+        p.tables()
+            .iter()
+            .flat_map(|t| {
+                t.entries().iter().map(move |e| {
+                    format!(
+                        "{} {} {:?} {:?}",
+                        t.id, e.priority, e.flow_match, e.instructions
+                    )
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rejected_controller_flow_mod_is_counted_and_changes_nothing() {
+        // The controller answers every miss with a rule in table 1 that
+        // jumps back to table 0, which `apply_flow_mod` refuses: the loop
+        // counts the refusal, and neither execution's pipeline moves.
+        let controller = || -> Box<dyn Controller> {
+            Box::new(FnController::new(|_pi: PacketIn| {
+                vec![ControllerDecision::FlowMod(FlowMod::add(
+                    1,
+                    FlowMatch::any(),
+                    10,
+                    vec![Instruction::GotoTable(0)],
+                ))]
+            }))
+        };
+        let mut p = l2_pipeline();
+        p.add_table(openflow::FlowTable::new(1));
+        let before = rules(&p);
+        let miss = || PacketBuilder::udp().eth_dst([2, 0, 0, 0, 0, 9]).build();
+
+        let interpreter = Reactive::new(DirectDatapath::new(p.clone()), controller());
+        assert!(interpreter.process(&mut miss()).to_controller);
+        let compiled = Reactive::new(EswitchRuntime::compile(p).unwrap(), controller());
+        assert!(compiled.process(&mut miss()).to_controller);
+
+        let want = LoopStats {
+            packet_ins: 1,
+            flow_mods: 0,
+            flow_mods_rejected: 1,
+        };
+        assert_eq!(interpreter.stats(), want);
+        assert_eq!(compiled.stats(), want);
+        assert_eq!(rules(&interpreter.inner().pipeline().read()), before);
+        assert_eq!(compiled.inner().with_pipeline(rules), before);
+        assert_eq!(compiled.inner().updates.full_recompiles.updates(), 0);
+    }
 
     #[test]
     fn signature_is_per_flow() {

@@ -18,22 +18,15 @@
 
 use std::sync::Arc;
 
-use netdev::sync::atomic::{AtomicBool, Ordering};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
-use openflow::action::apply_action_list;
-use openflow::ct::{ConnCtx, NoCt};
+use openflow::ct::ConnCtx;
 use openflow::flow_mod::{apply_flow_mod_undoable, FlowModEffect, FlowModError};
-use openflow::instruction::{instructions_can_punt, pipeline_can_punt};
-use openflow::{
-    Controller, ControllerDecision, Datapath, FlowKey, FlowMod, NullController, PacketIn,
-    PacketInReason, Pipeline, Verdict,
-};
+use openflow::{Datapath, FlowMod, Pipeline, Verdict};
 use pkt::Packet;
 
 use crate::analysis::CompilerConfig;
 use crate::compile::{compile, CompileError, CompiledDatapath};
-use crate::reactive::{punt_signature, IngressSnapshot, PuntGate};
 use crate::update::{Absorbed, UpdateClass, UpdateCounter, UpdatePlanner};
 
 /// Statistics about how updates were absorbed; the Fig. 17/18 harnesses read
@@ -65,53 +58,29 @@ pub struct EswitchRuntime {
     pipeline: RwLock<Pipeline>,
     datapath: RwLock<Arc<CompiledDatapath>>,
     config: CompilerConfig,
-    controller: Mutex<Box<dyn Controller>>,
-    /// True when some path through the pipeline can punt to the controller.
-    /// Monotone OR (a deleted punt path leaves it conservatively set): gates
-    /// the per-burst ingress-frame snapshot, so purely proactive pipelines
-    /// pay nothing for packet-in fidelity.
-    may_punt: AtomicBool,
-    /// Punt deduplication: one in-flight packet-in per flow (shared logic
-    /// with the sharded runtime's async controller channel).
-    gate: PuntGate,
-    /// Reused ingress-frame snapshot for the batched path; `try_lock` +
-    /// local fallback, so concurrent batchers degrade to allocating
-    /// instead of serialising on each other.
-    ingress_scratch: Mutex<IngressSnapshot>,
     /// Update accounting.
     pub updates: UpdateStats,
 }
 
 impl EswitchRuntime {
-    /// Compiles `pipeline` with the default configuration and a drop-all
-    /// controller.
+    /// Compiles `pipeline` with the default configuration.
     pub fn compile(pipeline: Pipeline) -> Result<Self, CompileError> {
-        Self::with_config(
-            pipeline,
-            CompilerConfig::default(),
-            Box::new(NullController::new()),
-        )
+        Self::with_config(pipeline, CompilerConfig::default())
     }
 
-    /// Compiles `pipeline` with an explicit configuration and controller.
+    /// Compiles `pipeline` with an explicit configuration.
     pub fn with_config(
         mut pipeline: Pipeline,
         config: CompilerConfig,
-        controller: Box<dyn Controller>,
     ) -> Result<Self, CompileError> {
         if config.enable_decomposition {
             pipeline = crate::decompose::decompose_pipeline(&pipeline).pipeline;
         }
         let datapath = compile(&pipeline, &config)?;
-        let may_punt = pipeline_can_punt(&pipeline);
         Ok(EswitchRuntime {
             pipeline: RwLock::new(pipeline),
             datapath: RwLock::new(Arc::new(datapath)),
             config,
-            controller: Mutex::new(controller),
-            may_punt: AtomicBool::new(may_punt),
-            gate: PuntGate::default(),
-            ingress_scratch: Mutex::new(IngressSnapshot::default()),
             updates: UpdateStats::default(),
         })
     }
@@ -140,14 +109,9 @@ impl EswitchRuntime {
     /// `RwLock` read + `Arc` clone instead of one per packet) and so is each
     /// table's trampoline ([`CompiledDatapath::process_burst_ct`]); an update
     /// racing the batch lands in the *next* batch, which is exactly the
-    /// trampoline-swap semantics of §3.4. Controller punts are collected and
-    /// handed over after the burst so reactive flow-mods cannot stall the
-    /// remaining packets of the burst mid-flight; any flow-mods the
-    /// controller answers with are applied before this returns (reactive
-    /// provisioning, as the access-gateway use case requires). Each deferred
-    /// packet-in carries that packet's *ingress* frame and punt reason,
-    /// unaffected by anything processing did to the burst (its own rewrites
-    /// included) after the frames were snapshotted.
+    /// trampoline-swap semantics of §3.4. Punts are reported in the verdicts
+    /// and answered, if at all, by a [`crate::reactive::Reactive`] wrapping
+    /// this runtime.
     ///
     /// `ct` is the caller's connection tracker — shard-local by construction
     /// — so the runtime itself stays free of connection state.
@@ -157,60 +121,7 @@ impl EswitchRuntime {
         verdicts: &mut Vec<Verdict>,
         ct: &mut dyn ConnCtx,
     ) {
-        let datapath = self.datapath();
-        // Snapshot the ingress frames up front when the pipeline can punt at
-        // all: the deferred packet-ins must not observe mutations processing
-        // makes to the burst. The snapshot buffers are reused across bursts
-        // (a memcpy per packet, no steady-state allocation) and proactive
-        // pipelines skip the copy entirely.
-        let may_punt = self.may_punt.load(Ordering::Relaxed);
-        let mut scratch_guard = if may_punt {
-            self.ingress_scratch.try_lock()
-        } else {
-            None
-        };
-        let mut scratch_local: Option<IngressSnapshot> = None;
-        if may_punt {
-            let snapshot = match scratch_guard.as_deref_mut() {
-                Some(shared) => shared,
-                None => scratch_local.insert(IngressSnapshot::default()),
-            };
-            snapshot.capture(packets);
-        }
-        // The burst holds its tables' trampolines only inside this call, so
-        // the flow-mods a deferred packet-in provokes below find them free.
-        datapath.process_burst_ct(packets, verdicts, ct);
-        if verdicts.iter().any(|v| v.to_controller) {
-            // One packet-in per flow per burst: the gate stays closed for
-            // the whole deferred punt group (the burst's "install in
-            // flight" window), so a burst full of one missing flow raises
-            // a single packet-in — shared dedup policy with the sharded
-            // runtime's async channel. A suppressed packet whose only
-            // disposition was the controller is simply not duplicated up —
-            // the upcall-queue behaviour of a real switch.
-            let snapshot: Option<&IngressSnapshot> =
-                scratch_guard.as_deref().or(scratch_local.as_ref());
-            let mut handled: Vec<u64> = Vec::new();
-            for (i, v) in verdicts.iter().enumerate() {
-                if v.to_controller {
-                    // `may_punt` is monotone over the compiled state, so a
-                    // punting verdict implies the snapshot exists; fall back
-                    // to the processed frame defensively rather than panic.
-                    let original = match snapshot {
-                        Some(s) => s.packet(i),
-                        None => packets[i].clone(),
-                    };
-                    let flow = punt_signature(&FlowKey::extract(&original));
-                    if self.gate.admit(flow) {
-                        handled.push(flow);
-                        self.handle_packet_in(original, v.punt_reason);
-                    }
-                }
-            }
-            for flow in handled {
-                self.gate.complete(flow);
-            }
-        }
+        self.datapath().process_burst_ct(packets, verdicts, ct);
     }
 
     /// Applies a flow-mod, updating the compiled datapath at the finest
@@ -226,13 +137,8 @@ impl EswitchRuntime {
 
         // 1. Update the declarative pipeline (the source of truth), keeping
         //    the undo log so a failed compilation can roll it back without
-        //    having cloned anything up front. The punt-capability bit grows
-        //    monotonically with it (a rolled-back punt path only leaves the
-        //    bit conservatively set).
+        //    having cloned anything up front.
         let (effect, undo) = apply_flow_mod_undoable(&mut pipeline, fm)?;
-        if instructions_can_punt(&fm.instructions) {
-            self.may_punt.store(true, Ordering::Relaxed);
-        }
         let entries = effect.entries_touched();
         if entries == 0 {
             // The flow-mod matched nothing (e.g. a non-strict delete with no
@@ -290,51 +196,6 @@ impl EswitchRuntime {
             *slot.table.write() = table;
         }
     }
-
-    /// Raises one packet-in and applies the controller's decisions. Punt
-    /// deduplication happens at the call site, which owns the burst's
-    /// in-flight window.
-    fn handle_packet_in(&self, packet: Packet, reason: PacketInReason) {
-        let decisions = {
-            let mut controller = self.controller.lock();
-            controller.packet_in(PacketIn::new(packet, reason, 0))
-        };
-        for decision in decisions {
-            match decision {
-                ControllerDecision::FlowMod(fm) => {
-                    let _ = self.flow_mod(&fm);
-                }
-                ControllerDecision::PacketOut(mut po) => {
-                    if po.resubmit {
-                        // OFPP_TABLE resubmit: one pass through the current
-                        // datapath so the packet takes any rule the
-                        // controller just installed. A punt from the
-                        // re-injected packet is deliberately *not* recursed
-                        // on — the next genuine miss re-punts.
-                        self.datapath().process_burst_ct(
-                            std::slice::from_mut(&mut po.packet),
-                            &mut Vec::with_capacity(1),
-                            &mut NoCt,
-                        );
-                    } else {
-                        let mut key = FlowKey::extract(&po.packet);
-                        let _ = apply_action_list(&po.actions, &mut po.packet, &mut key);
-                    }
-                }
-                ControllerDecision::Drop => {}
-            }
-        }
-    }
-
-    /// Number of packet-ins the controller has handled.
-    pub fn controller_packet_ins(&self) -> u64 {
-        self.controller.lock().packet_in_count()
-    }
-
-    /// The punt-deduplication gate (admitted/suppressed accounting).
-    pub fn punt_gate(&self) -> &PuntGate {
-        &self.gate
-    }
 }
 
 impl Datapath for EswitchRuntime {
@@ -356,9 +217,15 @@ impl Datapath for EswitchRuntime {
 mod tests {
     use super::*;
     use crate::analysis::TemplateKind;
+    use crate::reactive::Reactive;
+    use openflow::controller::FnController;
+    use openflow::ct::NoCt;
     use openflow::flow_match::FlowMatch;
     use openflow::instruction::terminal_actions;
-    use openflow::{Action, Field, FlowEntry};
+    use openflow::{
+        Action, ControllerDecision, Field, FlowEntry, FlowKey, NullController, PacketIn,
+        PacketInReason,
+    };
     use pkt::builder::PacketBuilder;
 
     fn l2_pipeline(n: u64) -> Pipeline {
@@ -658,14 +525,17 @@ mod tests {
         assert_eq!(switch.datapath().stats.processed.packets(), packets);
     }
 
+    // The three tests below run the runtime under the controller loop,
+    // `Reactive`, which answers the punts its verdicts report.
+
     #[test]
     fn deferred_batch_punts_carry_ingress_frame_and_reason() {
-        // Regression: the batched runtime defers punts to burst end, after
-        // processing has rewritten the burst's frames in place. The deferred
-        // PacketIn must carry each punted packet's *ingress* bytes and its
-        // faithful reason — here packet 0 is rewritten (SetField) and then
-        // punted by an explicit ToController action, while packet 1 punts
-        // via a plain table miss later in the same burst.
+        // Regression: punts are answered at burst end, after processing has
+        // rewritten the burst's frames in place. The deferred PacketIn must
+        // carry each punted packet's *ingress* bytes and its faithful reason
+        // — here packet 0 is rewritten (SetField) and then punted by an
+        // explicit ToController action, while packet 1 punts via a plain
+        // table miss later in the same burst.
         let mut p = Pipeline::with_tables(1);
         p.table_mut(0).unwrap().miss = openflow::TableMissBehavior::ToController;
         p.table_mut(0).unwrap().insert(FlowEntry::new(
@@ -679,13 +549,11 @@ mod tests {
         let seen: Arc<parking_lot::Mutex<Vec<PacketIn>>> =
             Arc::new(parking_lot::Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
-        let controller = openflow::controller::FnController::new(move |pi: PacketIn| {
+        let controller = FnController::new(move |pi: PacketIn| {
             sink.lock().push(pi);
             vec![ControllerDecision::Drop]
         });
-        let switch =
-            EswitchRuntime::with_config(p, CompilerConfig::default(), Box::new(controller))
-                .unwrap();
+        let switch = Reactive::new(EswitchRuntime::compile(p).unwrap(), Box::new(controller));
 
         let mut batch = vec![
             PacketBuilder::tcp().tcp_dst(80).build(),
@@ -718,23 +586,21 @@ mod tests {
         // install is in flight and counts the rest as suppressed.
         let mut p = Pipeline::with_tables(1);
         p.table_mut(0).unwrap().miss = openflow::TableMissBehavior::ToController;
-        let switch = EswitchRuntime::with_config(
-            p,
-            CompilerConfig::default(),
+        let switch = Reactive::new(
+            EswitchRuntime::compile(p).unwrap(),
             Box::new(NullController::new()),
-        )
-        .unwrap();
+        );
 
         let mut batch = vec![mac_packet(1), mac_packet(1), mac_packet(1), mac_packet(2)];
         switch.process_burst(&mut batch, &mut Vec::new(), &mut NoCt);
-        assert_eq!(switch.controller_packet_ins(), 2, "one packet-in per flow");
+        assert_eq!(switch.stats().packet_ins, 2, "one packet-in per flow");
         assert_eq!(switch.punt_gate().admitted(), 2);
         assert_eq!(switch.punt_gate().suppressed(), 2);
         // The installs (here: drops) completed, so the flows re-arm: the
         // next miss punts again.
         let mut again = vec![mac_packet(1)];
         switch.process_burst(&mut again, &mut Vec::new(), &mut NoCt);
-        assert_eq!(switch.controller_packet_ins(), 3);
+        assert_eq!(switch.stats().packet_ins, 3);
     }
 
     #[test]
@@ -743,7 +609,7 @@ mod tests {
         // rules reactively; the second packet takes the compiled fast path.
         let mut p = Pipeline::with_tables(1);
         p.table_mut(0).unwrap().miss = openflow::TableMissBehavior::ToController;
-        let controller = openflow::controller::FnController::new(|pi: PacketIn| {
+        let controller = FnController::new(|pi: PacketIn| {
             let key = FlowKey::extract(&pi.packet);
             vec![ControllerDecision::FlowMod(FlowMod::add(
                 0,
@@ -752,9 +618,7 @@ mod tests {
                 terminal_actions(vec![Action::Output(2)]),
             ))]
         });
-        let switch =
-            EswitchRuntime::with_config(p, CompilerConfig::default(), Box::new(controller))
-                .unwrap();
+        let switch = Reactive::new(EswitchRuntime::compile(p).unwrap(), Box::new(controller));
 
         let mut first = mac_packet(42);
         assert!(switch.process(&mut first).to_controller);
@@ -762,6 +626,7 @@ mod tests {
         let verdict = switch.process(&mut second);
         assert_eq!(verdict.outputs, vec![2]);
         assert!(!verdict.to_controller);
-        assert_eq!(switch.controller_packet_ins(), 1);
+        assert_eq!(switch.stats().packet_ins, 1);
+        assert_eq!(switch.stats().flow_mods, 1);
     }
 }

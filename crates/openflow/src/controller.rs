@@ -40,8 +40,8 @@ pub trait Controller: Send {
     fn packet_in_count(&self) -> u64;
 }
 
-/// A controller that drops every punted packet. Used as the default and for
-/// the use cases that are purely proactive (L2, L3, load balancer).
+/// A controller that drops every punted packet: the answer of a purely
+/// proactive deployment (L2, L3, load balancer).
 #[derive(Debug, Default)]
 pub struct NullController {
     seen: u64,

@@ -24,12 +24,13 @@ pub trait Datapath: Send + Sync {
     /// per burst, never owned by the datapath, so connection state stays
     /// with the shard that owns the packets.
     ///
-    /// Punts are handed to the datapath's controller before this returns.
-    /// The packet-in carries the verdict's
-    /// [`punt_reason`](Verdict::punt_reason) and the ingress frame. Two
-    /// known exceptions, both in the OVS implementation (ROADMAP item 2(e)):
-    /// it hands up the forwarded (rewritten) frame, and a packet that hits a
-    /// cached miss-to-controller megaflow is not handed up again.
+    /// A datapath owns no controller: every packet that must reach one says
+    /// so in its verdict ([`to_controller`](Verdict::to_controller) and
+    /// [`punt_reason`](Verdict::punt_reason)), whichever level of the
+    /// datapath answered it. The synchronous controller loop,
+    /// `eswitch::reactive::Reactive`, answers them after the burst (and
+    /// hands the controller the ingress frame); the sharded runtime answers
+    /// them asynchronously.
     fn process_burst(
         &self,
         packets: &mut [Packet],
@@ -59,5 +60,22 @@ pub trait Datapath: Send + Sync {
         let verdict = verdicts.pop().expect("one verdict per packet");
         VERDICTS.set(verdicts);
         verdict
+    }
+}
+
+/// A boxed execution is an execution, so a list of `Box<dyn Datapath>` can
+/// be wrapped whole (in a controller loop, say).
+impl<D: Datapath + ?Sized> Datapath for Box<D> {
+    fn process_burst(
+        &self,
+        packets: &mut [Packet],
+        verdicts: &mut Vec<Verdict>,
+        ct: &mut dyn ConnCtx,
+    ) {
+        (**self).process_burst(packets, verdicts, ct);
+    }
+
+    fn flow_mod(&self, fm: &FlowMod) -> Result<FlowModEffect, FlowModError> {
+        (**self).flow_mod(fm)
     }
 }

@@ -15,14 +15,11 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use netdev::{Counters, BURST_SIZE};
-use openflow::action::{apply_action_list, apply_action_list_parsed_ct};
+use openflow::action::apply_action_list_parsed_ct;
 use openflow::ct::ConnCtx;
 use openflow::flow_match::FlowMatch;
 use openflow::flow_mod::{apply_flow_mod, FlowModEffect, FlowModError};
-use openflow::{
-    Action, Controller, ControllerDecision, Datapath, FlowKey, FlowMod, NullController, PacketIn,
-    PacketInReason, Pipeline, Verdict,
-};
+use openflow::{Datapath, FlowKey, FlowMod, Pipeline, Verdict};
 use pkt::parser::ParsedHeaders;
 use pkt::Packet;
 
@@ -53,8 +50,6 @@ pub struct CacheStats {
     pub megaflow_hits: Counters,
     /// Packets that required slow-path classification.
     pub slowpath_hits: Counters,
-    /// Packets additionally punted to the controller.
-    pub controller_punts: Counters,
 }
 
 impl CacheStats {
@@ -137,14 +132,12 @@ impl BurstScratch {
     }
 }
 
-/// The flow-caching datapath: microflow cache → megaflow cache → slow path →
-/// controller.
+/// The flow-caching datapath: microflow cache → megaflow cache → slow path.
 pub struct OvsDatapath {
     pipeline: Arc<RwLock<Pipeline>>,
     microflow: Mutex<MicroflowCache>,
     megaflow: Mutex<MegaflowCache>,
     slowpath: SlowPath,
-    controller: Mutex<Box<dyn Controller>>,
     config: OvsConfig,
     /// Burst working state; `try_lock` + local fallback, so concurrent
     /// batchers degrade to allocating instead of serialising on each other.
@@ -180,28 +173,18 @@ pub fn delta_is_selective(pipeline: &Pipeline, effect: &FlowModEffect) -> bool {
 }
 
 impl OvsDatapath {
-    /// Creates a datapath over `pipeline` with default configuration and a
-    /// drop-all controller.
+    /// Creates a datapath over `pipeline` with default configuration.
     pub fn new(pipeline: Pipeline) -> Self {
-        Self::with_config(
-            pipeline,
-            OvsConfig::default(),
-            Box::new(NullController::new()),
-        )
+        Self::with_config(pipeline, OvsConfig::default())
     }
 
-    /// Creates a datapath with explicit configuration and controller.
-    pub fn with_config(
-        pipeline: Pipeline,
-        config: OvsConfig,
-        controller: Box<dyn Controller>,
-    ) -> Self {
+    /// Creates a datapath with explicit configuration.
+    pub fn with_config(pipeline: Pipeline, config: OvsConfig) -> Self {
         OvsDatapath {
             pipeline: Arc::new(RwLock::new(pipeline)),
             microflow: Mutex::new(MicroflowCache::with_capacity(config.microflow_entries)),
             megaflow: Mutex::new(MegaflowCache::with_capacity(config.megaflow_entries)),
             slowpath: SlowPath::with_config(config.slowpath),
-            controller: Mutex::new(controller),
             config,
             scratch: Mutex::new(BurstScratch::default()),
             stats: CacheStats::default(),
@@ -304,12 +287,12 @@ impl OvsDatapath {
     /// re-execute connection tracking per packet against `ct` — the caches
     /// accelerate classification, never connection state.
     ///
-    /// Cache lookups within a burst see the state from the start of that
-    /// burst; a controller's flow-mods land after it. Statistics attribute
-    /// the non-leading packets of a flow's burst to the level that answered
-    /// the leading packet (a flow answered by the slow path counts its
-    /// followers as megaflow hits, which is where sequential processing
-    /// would have answered them).
+    /// Every packet of a punting flow reports the punt in its verdict, with
+    /// the reason the slow path found, whichever level answered it.
+    /// Statistics attribute the non-leading packets of a flow's burst to the
+    /// level that answered the leading packet (a flow answered by the slow
+    /// path counts its followers as megaflow hits, which is where sequential
+    /// processing would have answered them).
     pub fn process_batch_into_ct(
         &self,
         packets: &mut [Packet],
@@ -484,7 +467,6 @@ impl OvsDatapath {
         // Phase 4: apply the resolved action programs and emit verdicts.
         // Leaders answered by a cache replay their program; followers replay
         // their leader's. All cache locks are released by now.
-        let mut punted_any = false;
         #[allow(clippy::needless_range_loop)] // parallel scratch arrays
         for i in 0..n {
             let leader = s.group[i];
@@ -500,7 +482,6 @@ impl OvsDatapath {
                         .map(|(_, r)| r)
                         .expect("leader resolved");
                     if leader == i {
-                        punted_any |= result.verdict.to_controller;
                         verdicts.push(result.verdict.clone());
                         continue;
                     }
@@ -532,46 +513,6 @@ impl OvsDatapath {
                 ct,
             ));
         }
-
-        // Phase 5: controller punts, with every cache lock released (the
-        // controller may answer with flow-mods that invalidate the caches).
-        if punted_any {
-            let offset = verdicts.len() - n;
-            for (i, _) in &s.slow {
-                let verdict = &verdicts[offset + i];
-                if verdict.to_controller {
-                    self.stats.controller_punts.record(packets[*i].len());
-                    self.handle_packet_in(packets[*i].clone(), verdict.punt_reason);
-                }
-            }
-        }
-    }
-
-    /// Hands a punted packet to the controller. The packet is the one the
-    /// slow path forwarded, rewrites included (ROADMAP item 2 records the
-    /// divergence from the other two executions' ingress frame).
-    fn handle_packet_in(&self, packet: Packet, reason: PacketInReason) {
-        let decisions = {
-            let mut controller = self.controller.lock();
-            controller.packet_in(PacketIn::new(packet, reason, 0))
-        };
-        for decision in decisions {
-            match decision {
-                ControllerDecision::FlowMod(fm) => {
-                    let _ = self.flow_mod(&fm);
-                }
-                ControllerDecision::PacketOut(mut po) => {
-                    let mut key = FlowKey::extract(&po.packet);
-                    let _ = apply_action_list(&po.actions, &mut po.packet, &mut key);
-                }
-                ControllerDecision::Drop => {}
-            }
-        }
-    }
-
-    /// Number of packet-ins the controller has handled.
-    pub fn controller_packet_ins(&self) -> u64 {
-        self.controller.lock().packet_in_count()
     }
 }
 
@@ -591,21 +532,25 @@ impl Datapath for OvsDatapath {
 }
 
 /// Replays a cached action program on a packet and converts the outputs into
-/// a [`Verdict`], resuming from the parse the key was extracted with.
+/// a [`Verdict`], resuming from the parse the key was extracted with; a punt
+/// carries the reason the program was recorded with.
 /// Allocation-free for inline-sized output lists. Ct ops in the program
 /// re-execute against `ct`; a stateful deny discards every decision the
 /// replay merged and drops the packet.
 #[inline]
 fn replay(
-    actions: &[Action],
+    program: &Program,
     packet: &mut Packet,
     key: &mut FlowKey,
     headers: ParsedHeaders,
     ct: &mut dyn ConnCtx,
 ) -> Verdict {
     let mut verdict = Verdict::default();
-    if apply_action_list_parsed_ct(actions, packet, key, headers, |out| verdict.add(out), ct) {
+    if apply_action_list_parsed_ct(program, packet, key, headers, |out| verdict.add(out), ct) {
         return Verdict::default();
+    }
+    if verdict.to_controller {
+        verdict.punt_reason = program.punt_reason();
     }
     verdict
 }
@@ -616,7 +561,7 @@ mod tests {
     use openflow::ct::NoCt;
     use openflow::flow_match::FlowMatch;
     use openflow::instruction::terminal_actions;
-    use openflow::Field;
+    use openflow::{Action, Field, PacketInReason};
     use pkt::builder::PacketBuilder;
 
     fn port_pipeline() -> Pipeline {
@@ -824,7 +769,7 @@ mod tests {
             megaflow_entries: 1,
             ..OvsConfig::default()
         };
-        let dp = OvsDatapath::with_config(port_pipeline(), config, Box::new(NullController::new()));
+        let dp = OvsDatapath::with_config(port_pipeline(), config);
         dp.process(&mut pkt(80, 1));
         // The port-443 megaflow takes the only slot: the port-80 megaflow is
         // evicted, and its EMC entry with it.
@@ -1008,13 +953,18 @@ mod tests {
 
     #[test]
     fn controller_punts_counted() {
+        // A miss punt is reported in the verdict, as a miss, by the slow
+        // path and again by the megaflow it cached — every packet of the
+        // flow punts until a controller installs a rule.
         let mut p = Pipeline::with_tables(1);
         p.table_mut(0).unwrap().miss = openflow::TableMissBehavior::ToController;
         let dp = OvsDatapath::new(p);
-        assert!(dp.process(&mut pkt(80, 1)).to_controller);
-        assert_eq!(levels(&dp), (0, 0, 1));
-        assert_eq!(dp.stats.controller_punts.packets(), 1);
-        assert_eq!(dp.controller_packet_ins(), 1);
+        for (src, want) in [(1, (0, 0, 1)), (2, (0, 1, 1)), (2, (1, 1, 1))] {
+            let verdict = dp.process(&mut pkt(80, src));
+            assert!(verdict.to_controller, "{want:?}");
+            assert_eq!(verdict.punt_reason, PacketInReason::NoMatch, "{want:?}");
+            assert_eq!(levels(&dp), want);
+        }
     }
 
     #[test]
@@ -1023,7 +973,7 @@ mod tests {
             use_microflow: false,
             ..OvsConfig::default()
         };
-        let dp = OvsDatapath::with_config(port_pipeline(), config, Box::new(NullController::new()));
+        let dp = OvsDatapath::with_config(port_pipeline(), config);
         dp.process(&mut pkt(80, 7));
         dp.process(&mut pkt(80, 7));
         assert_eq!(dp.stats.microflow_hits.packets(), 0);

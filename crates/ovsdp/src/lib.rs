@@ -11,6 +11,9 @@
 //!    field (and, with prefix tracking, every bit) it consulted, and installs
 //!    the resulting megaflow,
 //! 4. **the controller** — the last resort for packets the pipeline punts.
+//!    The datapath reports each punt in its verdict; the controller loop
+//!    that answers it (`eswitch::reactive::Reactive`) is shared with the
+//!    other executions.
 //!
 //! This crate re-implements that architecture over the same `openflow`
 //! pipeline model the ESWITCH compiler consumes, so the two datapaths can be

@@ -334,7 +334,7 @@ mod tests {
     }
 
     fn actions(p: u32) -> Arc<Program> {
-        Arc::new(Program::new(vec![Action::Output(p)]))
+        Arc::new(Program::new(vec![Action::Output(p)], Default::default()))
     }
 
     #[test]

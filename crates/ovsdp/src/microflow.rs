@@ -146,7 +146,7 @@ mod tests {
     }
 
     fn actions(port: u32) -> Arc<Program> {
-        Arc::new(Program::new(vec![Action::Output(port)]))
+        Arc::new(Program::new(vec![Action::Output(port)], Default::default()))
     }
 
     #[test]

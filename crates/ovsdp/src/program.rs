@@ -11,31 +11,42 @@
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use openflow::Action;
+use openflow::{Action, PacketInReason};
 
-/// An ordered action program plus its megaflow's liveness flag; derefs to
-/// the actions.
+/// An ordered action program plus its megaflow's liveness flag and punt
+/// reason; derefs to the actions.
 ///
 /// `repr(C)` keeps the flag directly behind the slice header, which a cache
 /// hit reads anyway to replay the actions: checking liveness is one load in
 /// a line the hit already fetched, and costs no allocation of its own. A
 /// boxed slice rather than a `Vec` keeps the shared allocation (reference
-/// counts, header, flag) at 40 bytes, the size a bare `Arc<Vec<Action>>`
-/// had.
+/// counts, header, flag, reason) at 40 bytes, the size a bare
+/// `Arc<Vec<Action>>` had.
 #[repr(C)]
 #[derive(Debug)]
 pub struct Program {
     actions: Box<[Action]>,
     alive: AtomicBool,
+    /// Why a replay that punts punts: the program records a table miss and
+    /// an explicit output-to-controller alike as `Action::ToController`.
+    punt_reason: PacketInReason,
 }
 
 impl Program {
-    /// A live program over `actions`.
-    pub fn new(actions: Vec<Action>) -> Self {
+    /// A live program over `actions` whose punt, if it has one, reports
+    /// `punt_reason`.
+    pub fn new(actions: Vec<Action>, punt_reason: PacketInReason) -> Self {
         Program {
             actions: actions.into_boxed_slice(),
             alive: AtomicBool::new(true),
+            punt_reason,
         }
+    }
+
+    /// The reason a punting replay of this program reports.
+    #[inline]
+    pub(crate) fn punt_reason(&self) -> PacketInReason {
+        self.punt_reason
     }
 
     /// False once the megaflow that owned the program has left the cache.

@@ -164,7 +164,10 @@ impl SlowPath {
                                     // the accounting. The truncated program
                                     // is marked non-cacheable.
                                     return SlowPathResult {
-                                        actions: Arc::new(Program::new(program)),
+                                        actions: Arc::new(Program::new(
+                                            program,
+                                            verdict.punt_reason,
+                                        )),
                                         mask,
                                         verdict: Verdict {
                                             tables_visited: verdict.tables_visited,
@@ -227,7 +230,7 @@ impl SlowPath {
         }
 
         SlowPathResult {
-            actions: Arc::new(Program::new(program)),
+            actions: Arc::new(Program::new(program, verdict.punt_reason)),
             mask,
             verdict,
             cacheable: true,

@@ -27,7 +27,7 @@ use eswitch::analysis::CompilerConfig;
 use eswitch::compile::{compile, CompileError, CompiledDatapath};
 use openflow::ct::ConnCtx;
 use openflow::flow_match::FlowMatch;
-use openflow::{Datapath, NullController, Pipeline, Verdict};
+use openflow::{Datapath, Pipeline, Verdict};
 use ovsdp::{OvsConfig, OvsDatapath};
 use pkt::Packet;
 
@@ -80,11 +80,7 @@ impl BackendSpec {
                 datapath: Arc::clone(datapath),
             }),
             (BackendSpec::Ovs(config), CompiledState::Ovs(pipeline)) => Box::new(OvsShard {
-                datapath: OvsDatapath::with_config(
-                    Pipeline::clone(pipeline),
-                    *config,
-                    Box::new(NullController::new()),
-                ),
+                datapath: OvsDatapath::with_config(Pipeline::clone(pipeline), *config),
             }),
             _ => unreachable!("published state does not match the backend spec"),
         }

@@ -371,37 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn admission_controller_installs_the_user() {
-        let config = GatewayConfig {
-            preinstall_users: false,
-            ..small_config()
-        };
-        let pipeline = build_pipeline(&config);
-        let dp = openflow::DirectDatapath::with_controller(
-            pipeline,
-            Box::new(admission_controller(&config)),
-        );
-        let mk_packet = || {
-            PacketBuilder::tcp()
-                .vlan(ce_vlan(2))
-                .ipv4_src(user_private_ip(2, 3).octets())
-                .ipv4_dst([198, 51, 100, 9])
-                .in_port(PORT_USER)
-                .build()
-        };
-        // First packet of the user: punted, NAT rules installed.
-        let mut first = mk_packet();
-        assert!(dp.process(&mut first).to_controller);
-        // Second packet: handled in the dataplane. The destination may or may
-        // not be covered by the synthetic routing table; what matters is that
-        // the per-CE table no longer punts.
-        let mut second = mk_packet();
-        let verdict = dp.process(&mut second);
-        assert!(!verdict.to_controller);
-        assert_eq!(dp.controller_packet_ins(), 1);
-    }
-
-    #[test]
     fn traffic_spreads_over_ces_and_users() {
         let config = small_config();
         let traffic = build_traffic(&config, 60);

@@ -1,12 +1,13 @@
 //! The telco access-gateway (vPE) use case end to end, in reactive mode:
 //! the per-CE tables start empty, unknown users are punted to the admission
 //! controller, which allocates a public address and installs the NAT rule
-//! pair; subsequent packets of the user take the compiled fast path.
+//! pair; subsequent packets of the user take the compiled fast path. The
+//! controller loop (`eswitch::Reactive`) answers the runtime's punts.
 //!
 //! Run with: `cargo run --release --example access_gateway`
 
-use eswitch::analysis::CompilerConfig;
 use eswitch::runtime::EswitchRuntime;
+use eswitch::Reactive;
 use openflow::{Datapath, FlowKey};
 use pkt::ipv4::Ipv4Addr4;
 use workloads::gateway::{self, GatewayConfig};
@@ -19,15 +20,15 @@ fn main() {
         seed: 42,
         preinstall_users: false, // reactive admission
     };
-    let switch = EswitchRuntime::with_config(
-        gateway::build_pipeline(&config),
-        CompilerConfig::default(),
+    let switch = Reactive::new(
+        EswitchRuntime::compile(gateway::build_pipeline(&config))
+            .expect("gateway pipeline compiles"),
         Box::new(gateway::admission_controller(&config)),
-    )
-    .expect("gateway pipeline compiles");
+    );
+    let runtime = switch.inner();
 
     println!("compiled templates:");
-    for (id, kind) in switch.datapath().template_kinds() {
+    for (id, kind) in runtime.datapath().template_kinds() {
         println!("  table {id:>3}: {kind:?}");
     }
 
@@ -50,10 +51,10 @@ fn main() {
     }
     println!(
         "controller handled {} packet-ins; updates: incremental={}, table rebuilds={}, full recompiles={}",
-        switch.controller_packet_ins(),
-        switch.updates.incremental.updates(),
-        switch.updates.table_rebuilds.updates(),
-        switch.updates.full_recompiles.updates(),
+        switch.stats().packet_ins,
+        runtime.updates.incremental.updates(),
+        runtime.updates.table_rebuilds.updates(),
+        runtime.updates.full_recompiles.updates(),
     );
 
     // Second packets of the same users: NATted and routed in the fast path.

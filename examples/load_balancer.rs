@@ -10,7 +10,7 @@ use std::time::Instant;
 use eswitch::analysis::CompilerConfig;
 use eswitch::decompose::decompose_pipeline_with;
 use eswitch::runtime::EswitchRuntime;
-use openflow::{Datapath, NullController};
+use openflow::Datapath;
 use ovsdp::OvsDatapath;
 use workloads::load_balancer::{self, LoadBalancerConfig};
 
@@ -38,12 +38,8 @@ fn main() {
     );
 
     // Compile and compare against the flow-caching baseline.
-    let eswitch = EswitchRuntime::with_config(
-        load_balancer::build_pipeline(&config),
-        compiler,
-        Box::new(NullController::new()),
-    )
-    .expect("compiles");
+    let eswitch = EswitchRuntime::with_config(load_balancer::build_pipeline(&config), compiler)
+        .expect("compiles");
     println!(
         "compiled templates: {:?}",
         eswitch.datapath().template_kinds()

@@ -38,9 +38,7 @@ use conntrack::CtEngine;
 use eswitch::EswitchRuntime;
 use netdev::{Port, BURST_SIZE};
 use openflow::ct::NoCt;
-use openflow::{
-    Action, Datapath, Field, FlowEntry, FlowMatch, FlowMod, NullController, Pipeline, Verdict,
-};
+use openflow::{Action, Datapath, Field, FlowEntry, FlowMatch, FlowMod, Pipeline, Verdict};
 use ovsdp::{OvsConfig, OvsDatapath};
 use pkt::builder::PacketBuilder;
 use pkt::Packet;
@@ -172,7 +170,6 @@ fn megaflow_hit_path_is_allocation_free() {
             use_microflow: false,
             ..OvsConfig::default()
         },
-        Box::new(NullController::new()),
     );
     let mut packets = flow_packets(64);
     for p in packets.iter_mut() {

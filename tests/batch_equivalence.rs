@@ -26,8 +26,7 @@ use eswitch::runtime::EswitchRuntime;
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::{actions_then_goto, terminal_actions};
 use openflow::{
-    Action, Datapath, Field, FlowEntry, Instruction, NoCt, NullController, Pipeline,
-    TableMissBehavior,
+    Action, Datapath, Field, FlowEntry, Instruction, NoCt, Pipeline, TableMissBehavior,
 };
 use ovsdp::{OvsConfig, OvsDatapath};
 use pkt::builder::PacketBuilder;
@@ -158,7 +157,7 @@ fn ovs_configs() -> [(&'static str, OvsConfig); 3] {
 }
 
 fn ovs(pipeline: &Pipeline, config: OvsConfig) -> OvsDatapath {
-    OvsDatapath::with_config(pipeline.clone(), config, Box::new(NullController::new()))
+    OvsDatapath::with_config(pipeline.clone(), config)
 }
 
 /// The three executions plus the non-default OVS configurations.

@@ -2,10 +2,10 @@
 #![allow(dead_code)]
 
 use conntrack::CtEngine;
-use eswitch::{CompilerConfig, EswitchRuntime};
+use eswitch::{EswitchRuntime, Reactive};
 use netdev::{Port, BURST_SIZE};
-use openflow::{Controller, Datapath, DirectDatapath, NullController, Pipeline, Verdict};
-use ovsdp::{OvsConfig, OvsDatapath};
+use openflow::{Controller, Datapath, DirectDatapath, Pipeline, Verdict};
+use ovsdp::OvsDatapath;
 use pkt::builder::PacketBuilder;
 use pkt::ipv4::Ipv4Header;
 use pkt::{checksum, parse, Packet, ParseDepth, TcpFlags};
@@ -18,25 +18,29 @@ pub type Execution = (&'static str, Box<dyn Datapath>);
 /// hierarchy — so a suite that iterates it checks every execution, and a new
 /// execution is one line here.
 pub fn executions(pipeline: &Pipeline) -> Vec<Execution> {
-    executions_with(pipeline, || Box::new(NullController::new()))
-}
-
-/// [`executions`], each answering punts through its own controller, made by
-/// `controller` in list order.
-pub fn executions_with(
-    pipeline: &Pipeline,
-    controller: impl Fn() -> Box<dyn Controller>,
-) -> Vec<Execution> {
-    let interpreter = DirectDatapath::with_controller(pipeline.clone(), controller());
-    let compiled =
-        EswitchRuntime::with_config(pipeline.clone(), CompilerConfig::default(), controller())
-            .expect("pipeline compiles");
-    let cached = OvsDatapath::with_config(pipeline.clone(), OvsConfig::default(), controller());
+    let interpreter = DirectDatapath::new(pipeline.clone());
+    let compiled = EswitchRuntime::compile(pipeline.clone()).expect("pipeline compiles");
+    let cached = OvsDatapath::new(pipeline.clone());
     vec![
         ("interpreter", Box::new(interpreter)),
         ("eswitch", Box::new(compiled)),
         ("ovs", Box::new(cached)),
     ]
+}
+
+/// One execution under the synchronous controller loop.
+pub type ReactiveExecution = (&'static str, Reactive<Box<dyn Datapath>>);
+
+/// [`executions`], each wrapped in a `Reactive` loop that answers its punts
+/// through its own controller, made by `controller` in list order.
+pub fn executions_with(
+    pipeline: &Pipeline,
+    controller: impl Fn() -> Box<dyn Controller>,
+) -> Vec<ReactiveExecution> {
+    executions(pipeline)
+        .into_iter()
+        .map(|(name, datapath)| (name, Reactive::new(datapath, controller())))
+        .collect()
 }
 
 /// Runs a copy of `packet` through every execution and asserts that each

@@ -110,8 +110,7 @@ fn fine_grained_rule_fragments_megaflows() {
             },
             ..ovsdp::OvsConfig::default()
         };
-        let dp =
-            OvsDatapath::with_config(pipeline, config, Box::new(openflow::NullController::new()));
+        let dp = OvsDatapath::with_config(pipeline, config);
         for src in 0..200u16 {
             dp.process(
                 &mut PacketBuilder::tcp()
@@ -212,7 +211,10 @@ fn megaflow_store_disjointness_and_eviction() {
         cache.insert(
             &key(port),
             mask.clone(),
-            std::sync::Arc::new(ovsdp::Program::new(vec![Action::Output(1)])),
+            std::sync::Arc::new(ovsdp::Program::new(
+                vec![Action::Output(1)],
+                Default::default(),
+            )),
         );
     }
     assert!(cache.len() <= 8, "capacity must bound the cache");

@@ -3,9 +3,9 @@
 //! must converge to identical final table contents — and therefore identical
 //! per-flow verdicts — no matter which runtime carried the punts:
 //!
-//! (a) the synchronous single-switch `EswitchRuntime` (punt handled inline),
-//! (b) the synchronous single-switch `OvsDatapath` (punt from the slow-path
-//!     classifier),
+//! (a) the synchronous controller loop, `Reactive`, over a single-switch
+//!     `EswitchRuntime`,
+//! (b) the same loop over a single-switch `OvsDatapath`,
 //! (c) the sharded runtime's asynchronous controller channel, with 1, 2 and
 //!     4 worker shards, on both the ESWITCH and the OVS backend.
 //!
@@ -15,7 +15,7 @@
 use std::time::{Duration, Instant};
 
 use eswitch::runtime::EswitchRuntime;
-use eswitch::CompilerConfig;
+use eswitch::Reactive;
 use openflow::controller::FnController;
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::terminal_actions;
@@ -23,7 +23,7 @@ use openflow::{
     Action, Controller, ControllerDecision, Datapath, Field, FlowEntry, FlowKey, FlowMod, NoCt,
     PacketIn, Pipeline, TableMissBehavior,
 };
-use ovsdp::{OvsConfig, OvsDatapath};
+use ovsdp::OvsDatapath;
 use pkt::builder::PacketBuilder;
 use pkt::{MacAddr, Packet};
 use proptest::prelude::*;
@@ -171,30 +171,24 @@ proptest! {
             .flat_map(|r| flows.iter().map(move |f| flow_packet(*f, r)))
             .collect();
 
-        // (a) synchronous ESWITCH runtime: punts handled inline.
-        let es = EswitchRuntime::with_config(
-            base.clone(),
-            CompilerConfig::default(),
+        // (a) the synchronous loop over the ESWITCH runtime.
+        let es = Reactive::new(
+            EswitchRuntime::compile(base.clone()).unwrap(),
             deterministic_controller(),
-        )
-        .unwrap();
+        );
         for packet in &traffic {
             es.process(&mut packet.clone());
         }
-        let expected_tables = es.with_pipeline(canonical_tables);
-        let expected_verdicts = es.with_pipeline(|p| per_flow_verdicts(p, &flows));
+        let expected_tables = es.inner().with_pipeline(canonical_tables);
+        let expected_verdicts = es.inner().with_pipeline(|p| per_flow_verdicts(p, &flows));
 
-        // (b) synchronous OVS datapath: punts from the slow-path classifier.
-        let ovs = OvsDatapath::with_config(
-            base.clone(),
-            OvsConfig::default(),
-            deterministic_controller(),
-        );
+        // (b) the same loop over the OVS datapath.
+        let ovs = Reactive::new(OvsDatapath::new(base.clone()), deterministic_controller());
         for packet in &traffic {
             ovs.process(&mut packet.clone());
         }
         {
-            let pipeline = ovs.pipeline();
+            let pipeline = ovs.inner().pipeline();
             let guard = pipeline.read();
             prop_assert_eq!(&canonical_tables(&guard), &expected_tables, "OVS single-switch diverged");
             prop_assert_eq!(&per_flow_verdicts(&guard, &flows), &expected_verdicts);

@@ -123,11 +123,11 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
         })
 }
 
-/// The three executions hand the controller the same packet-ins: an
-/// explicit output-to-controller after a rewrite is reported as an action
-/// punt and a table miss as a miss, and the interpreter and ESWITCH hand up
-/// the frame as it arrived. (OVS hands up the frame its slow path rewrote —
-/// ROADMAP item 2 — so its bytes are not compared.)
+/// The three executions, each under the controller loop, hand the
+/// controller the same packet-ins: an explicit output-to-controller after a
+/// rewrite is reported as an action punt and a table miss as a miss, each
+/// with the frame as it arrived. A flow that keeps punting raises a
+/// packet-in in every burst, also where OVS answers it from a cache.
 #[test]
 fn packet_ins_agree_across_executions() {
     let mut pipeline = Pipeline::with_tables(1);
@@ -152,33 +152,39 @@ fn packet_ins_agree_across_executions() {
         }))
     });
 
-    // One packet per flow: the rewrite-then-punt rule, then a miss.
-    let packets = [
+    // Two flows, the rewrite-then-punt rule and a miss, each sent in two
+    // separate bursts: the second burst of each finds OVS's caches warm.
+    let flows = [
         PacketBuilder::tcp().tcp_dst(80).build(),
         PacketBuilder::udp().udp_dst(53).build(),
     ];
+    let packets = [&flows[0], &flows[1], &flows[0], &flows[1]];
     for (name, datapath) in &executions {
-        for packet in &packets {
+        for packet in packets {
             assert!(
                 datapath.process(&mut packet.clone()).to_controller,
                 "{name}"
             );
         }
+        assert_eq!(datapath.stats().packet_ins, 4, "{name}");
     }
 
-    let ingress: Vec<&[u8]> = packets.iter().map(Packet::data).collect();
+    let ingress: Vec<&[u8]> = packets.iter().map(|p| p.data()).collect();
     for ((name, _), log) in executions.iter().zip(logs.into_inner()) {
         let log = log.lock().unwrap();
         let reasons: Vec<PacketInReason> = log.iter().map(|pi| pi.reason).collect();
         assert_eq!(
             reasons,
-            [PacketInReason::Action, PacketInReason::NoMatch],
+            [
+                PacketInReason::Action,
+                PacketInReason::NoMatch,
+                PacketInReason::Action,
+                PacketInReason::NoMatch
+            ],
             "{name}"
         );
-        if *name != "ovs" {
-            let frames: Vec<&[u8]> = log.iter().map(|pi| pi.packet.data()).collect();
-            assert_eq!(frames, ingress, "{name}: packet-in bytes");
-        }
+        let frames: Vec<&[u8]> = log.iter().map(|pi| pi.packet.data()).collect();
+        assert_eq!(frames, ingress, "{name}: packet-in bytes");
     }
 }
 

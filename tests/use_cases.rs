@@ -1,16 +1,18 @@
 //! End-to-end integration tests over the four evaluation use cases: the
 //! compiled datapath and the flow-caching datapath must agree with the
 //! reference interpreter (one list of executions, `common::executions`),
-//! the expected templates must be selected, and the
-//! cache-hierarchy behaviour the figures rely on must be observable.
+//! the expected templates must be selected, the gateway's reactive
+//! admission must work on every execution, and the cache-hierarchy
+//! behaviour the figures rely on must be observable.
 
 mod common;
 
-use common::{assert_agree, checksums_verify, executions};
+use common::{assert_agree, checksums_verify, executions, executions_with};
 use eswitch::analysis::{CompilerConfig, TemplateKind};
 use eswitch::runtime::EswitchRuntime;
-use openflow::{Datapath, NullController};
+use openflow::Datapath;
 use ovsdp::OvsDatapath;
+use pkt::builder::PacketBuilder;
 use workloads::gateway::{self, GatewayConfig};
 use workloads::l2::{self, L2Config};
 use workloads::l3::{self, L3Config};
@@ -88,7 +90,6 @@ fn load_balancer_decomposition_promotes_templates_and_agrees() {
             enable_decomposition: true,
             ..CompilerConfig::default()
         },
-        Box::new(NullController::new()),
     )
     .unwrap();
     assert!(decomposed.datapath().template_kinds().len() > 1);
@@ -127,6 +128,42 @@ fn gateway_use_case_agrees_in_both_directions() {
         gateway::build_pipeline(&config),
         &gateway::build_downstream_traffic(&config, 300),
     );
+}
+
+#[test]
+fn admission_controller_installs_the_user() {
+    // Fig. 13 in reactive mode: the per-CE tables start empty, so a user's
+    // first packet punts and the admission controller installs the user's
+    // NAT rule pair — on the interpreter, ESWITCH and OVS alike.
+    let config = GatewayConfig {
+        ces: 3,
+        users_per_ce: 4,
+        routing_prefixes: 200,
+        seed: 1,
+        preinstall_users: false,
+    };
+    let executions = executions_with(&gateway::build_pipeline(&config), || {
+        Box::new(gateway::admission_controller(&config))
+    });
+    let packet = || {
+        PacketBuilder::tcp()
+            .vlan(gateway::ce_vlan(2))
+            .ipv4_src(gateway::user_private_ip(2, 3).octets())
+            .ipv4_dst([198, 51, 100, 9])
+            .in_port(workloads::usecases::PORT_USER)
+            .build()
+    };
+    for (name, dp) in &executions {
+        // First packet of the user: punted, NAT rules installed.
+        assert!(dp.process(&mut packet()).to_controller, "{name}");
+        // Second packet: handled in the dataplane. The destination may or
+        // may not be covered by the synthetic routing table; what matters
+        // is that the per-CE table no longer punts.
+        assert!(!dp.process(&mut packet()).to_controller, "{name}");
+        let stats = dp.stats();
+        assert_eq!(stats.packet_ins, 1, "{name}");
+        assert_eq!(stats.flow_mods_rejected, 0, "{name}");
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Source-analysis lint gate: repo-specific rules that `rustc`/`clippy`
 //! cannot express, run in CI as `cargo xtask lint`.
 //!
-//! Five rules, all pure text analysis over the workspace's `.rs` files:
+//! Six rules, all pure text analysis over the workspace's `.rs` files:
 //!
 //! 1. **SAFETY comments** — every `unsafe {` block and `unsafe impl` must
 //!    carry a `SAFETY:` comment, either on the same line or in the
@@ -38,6 +38,12 @@
 //!    definition is allowed only where [`ONE_ENTRY_ALLOWED`] names it, with
 //!    its reason, so a second per-packet, traced or allocating twin of an
 //!    execution cannot grow back unnoticed.
+//! 6. **One controller loop** — a datapath reports punts in its verdicts and
+//!    owns no controller. Outside `#[cfg(test)]` regions of the `openflow`,
+//!    `core` and `ovsdp` crates, `dyn Controller` may be named only in
+//!    [`ONE_CONTROLLER_ALLOWED`]: the trait and the synchronous loop
+//!    (`eswitch::reactive::Reactive`). The sharded runtime's asynchronous
+//!    channel lives in `shard` and is not policed.
 
 use std::fmt;
 use std::path::Path;
@@ -139,6 +145,19 @@ const ONE_ENTRY_ALLOWED: &[(&str, &str, &str)] = &[
         "process_batch_into_ct",
         "frozen binding of `benchmark/src/sut.rs`; the OVS burst body",
     ),
+];
+
+/// Crates whose non-test code rule 6 polices for `dyn Controller`.
+const ONE_CONTROLLER_CRATES: &[&str] = &[
+    "crates/openflow/src/",
+    "crates/core/src/",
+    "crates/ovsdp/src/",
+];
+
+/// The files of those crates that may name `dyn Controller`.
+const ONE_CONTROLLER_ALLOWED: &[&str] = &[
+    "crates/openflow/src/controller.rs",
+    "crates/core/src/reactive.rs",
 ];
 
 #[derive(Debug, PartialEq)]
@@ -513,12 +532,60 @@ fn check_one_entry(file: &str, src: &str) -> Vec<Violation> {
     out
 }
 
+/// True when `line` names the trait object `dyn Controller`, however its
+/// path is spelled (`dyn openflow::Controller`, `dyn crate::controller::
+/// Controller`).
+fn names_dyn_controller(line: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices("dyn").any(|(at, _)| {
+        let before = line[..at].chars().next_back();
+        let rest = &line[at + "dyn".len()..];
+        if before.is_some_and(ident) || !rest.starts_with(char::is_whitespace) {
+            return false;
+        }
+        let path: String = rest
+            .trim_start()
+            .chars()
+            .take_while(|&c| ident(c) || c == ':')
+            .collect();
+        path.rsplit("::").next() == Some("Controller")
+    })
+}
+
+/// Rule 6: in the datapath crates, outside `#[cfg(test)]` regions,
+/// `dyn Controller` appears only in the allowlisted files.
+fn check_one_controller(file: &str, src: &str) -> Vec<Violation> {
+    if !ONE_CONTROLLER_CRATES.iter().any(|p| file.starts_with(p))
+        || ONE_CONTROLLER_ALLOWED.contains(&file)
+    {
+        return Vec::new();
+    }
+    let censored = censor(src);
+    let mask = test_region_mask(&censored);
+    censored
+        .lines()
+        .enumerate()
+        .filter(|(idx, line)| {
+            !mask.get(*idx).copied().unwrap_or(false) && names_dyn_controller(line)
+        })
+        .map(|(idx, _)| Violation {
+            file: file.to_string(),
+            line: idx + 1,
+            rule: "one-controller",
+            message: "`dyn Controller` in a datapath crate — report punts in the verdicts \
+                      and let `eswitch::reactive::Reactive` answer them"
+                .to_string(),
+        })
+        .collect()
+}
+
 fn check_file(rel_path: &str, src: &str) -> Vec<Violation> {
     let mut v = check_safety_comments(rel_path, src);
     v.extend(check_facade_bypass(rel_path, src));
     v.extend(check_fastpath_alloc(rel_path, src));
     v.extend(check_full_resum(rel_path, src));
     v.extend(check_one_entry(rel_path, src));
+    v.extend(check_one_controller(rel_path, src));
     v
 }
 
@@ -580,7 +647,7 @@ pub fn run() -> ExitCode {
 
     if violations.is_empty() {
         println!(
-            "xtask lint: {} files clean (safety-comment, facade-bypass, fastpath-alloc, full-resum, one-entry)",
+            "xtask lint: {} files clean (safety-comment, facade-bypass, fastpath-alloc, full-resum, one-entry, one-controller)",
             sources.len()
         );
         ExitCode::SUCCESS
@@ -870,6 +937,41 @@ mod tests {
         let src = "pub fn process_burst(&self) {}\n";
         assert!(check_one_entry("crates/conntrack/src/engine.rs", src).is_empty());
         assert!(check_one_entry("benchmark/src/sut.rs", src).is_empty());
+    }
+
+    // ---- rule 6: one controller loop ----------------------------------
+
+    #[test]
+    fn controller_owned_by_a_datapath_is_flagged() {
+        let src = "pub struct OvsDatapath {\n    controller: Mutex<Box<dyn Controller>>,\n}\n";
+        let v = check_one_controller("crates/ovsdp/src/datapath.rs", src);
+        assert_eq!(rules(&v), ["one-controller"]);
+        assert_eq!(v[0].line, 2);
+        let src = "pub fn with_controller(c: Box<dyn  openflow::Controller>) {}\n";
+        assert_eq!(
+            rules(&check_one_controller("crates/openflow/src/direct.rs", src)),
+            ["one-controller"]
+        );
+        assert_eq!(
+            rules(&check_file("crates/core/src/runtime.rs", src)),
+            ["one-controller"]
+        );
+    }
+
+    #[test]
+    fn one_controller_allowlist_tests_and_other_crates_pass() {
+        let src = "fn f(c: Box<dyn Controller>) {}\n";
+        for file in ONE_CONTROLLER_ALLOWED {
+            assert!(check_one_controller(file, src).is_empty(), "{file}");
+        }
+        // The asynchronous channel, the workloads' controllers and tests.
+        assert!(check_one_controller("crates/shard/src/controller.rs", src).is_empty());
+        assert!(check_one_controller("crates/workloads/src/usecases/gateway.rs", src).is_empty());
+        let src = "fn f() {}\n\n#[cfg(test)]\nmod tests {\n    fn c() -> Box<dyn Controller> { todo!() }\n}\n";
+        assert!(check_one_controller("crates/core/src/runtime.rs", src).is_empty());
+        // Neighbouring names, comments and strings do not count.
+        let src = "// a dyn Controller\nfn f(_: &dyn ControllerDecision, _: Box<dyn Datapath>) -> &'static str { \"dyn Controller\" }\nfn g(_: &mydyn Controller) {}\n";
+        assert!(check_one_controller("crates/core/src/runtime.rs", src).is_empty());
     }
 
     // ---- plumbing ----------------------------------------------------
