@@ -15,13 +15,13 @@ use bench_harness::{
 use cpumodel::CacheHierarchy;
 use eswitch::runtime::EswitchRuntime;
 use openflow::Datapath;
-use ovsdp::OvsDatapath;
+use ovsdp::{MicroflowCache, OvsDatapath};
 use workloads::gateway::{self, GatewayConfig};
 
-/// Rough per-entry resident sizes of the OVS cache structures (key + mask +
-/// action program bookkeeping), used for its working-set estimate.
+/// Rough per-entry resident size of a megaflow (key + mask + action program
+/// bookkeeping), used for the OVS working-set estimate; an EMC entry is
+/// charged its real slot size, [`MicroflowCache::ENTRY_BYTES`].
 const OVS_MEGAFLOW_ENTRY_BYTES: usize = 256;
-const OVS_MICROFLOW_ENTRY_BYTES: usize = 192;
 /// Per-packet auxiliary state both datapaths touch (packet data, stack).
 const PER_PACKET_BYTES: usize = 256;
 
@@ -55,7 +55,7 @@ fn main() {
             dp.process(&mut traffic.packet(i));
         }
         let ovs_ws = dp.megaflow_count() * OVS_MEGAFLOW_ENTRY_BYTES
-            + dp.microflow_count() * OVS_MICROFLOW_ENTRY_BYTES
+            + dp.microflow_count() * MicroflowCache::ENTRY_BYTES
             + PER_PACKET_BYTES;
         // Key extraction + microflow probe + megaflow subtable probes.
         ovs_series.push(flows as f64, hierarchy.llc_misses_per_packet(6.0, ovs_ws));

@@ -84,7 +84,7 @@ fn workloads() -> Vec<Workload> {
         Workload {
             name: "tss_no_emc",
             spec: BackendSpec::Ovs(OvsConfig {
-                use_microflow: false,
+                microflow_entries: 0,
                 ..OvsConfig::default()
             }),
             pipeline: port_pipeline(),

@@ -7,8 +7,10 @@
 //! each cache is consulted once per distinct flow (OVS's `packet_batch`
 //! behaviour), each cache lock is taken at most a handful of times per burst
 //! instead of per packet, and verdicts land in a caller-provided buffer. The
-//! steady-state hit path — microflow or megaflow hit — performs no heap
-//! allocation per packet (enforced by `tests/alloc_regression.rs`).
+//! steady-state hit path — microflow or megaflow hit, with or without a
+//! sampled EMC promotion — performs no heap allocation per packet (enforced
+//! by `tests/alloc_regression.rs`). Per-level hit counters are tallied
+//! locally and published once per burst.
 
 use std::sync::Arc;
 
@@ -32,6 +34,7 @@ use crate::slowpath::{SlowPath, SlowPathConfig, SlowPathResult};
 /// Which level of the hierarchy answered a burst's leader packet. Mirrors
 /// Fig. 14's series, which [`CacheStats`] counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(usize)]
 enum CacheLevel {
     /// The exact-match microflow cache.
     Microflow,
@@ -53,6 +56,21 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// Publishes one burst's per-level `(packets, bytes)` tally, indexed by
+    /// [`CacheLevel`]: one `record_batch` per level that answered anything.
+    fn record_burst(&self, tally: &[(u64, u64); 3]) {
+        let levels = [
+            &self.microflow_hits,
+            &self.megaflow_hits,
+            &self.slowpath_hits,
+        ];
+        for (counters, &(packets, bytes)) in levels.into_iter().zip(tally) {
+            if packets > 0 {
+                counters.record_batch(packets, bytes);
+            }
+        }
+    }
+
     /// Total packets processed.
     pub fn total(&self) -> u64 {
         self.microflow_hits.packets() + self.megaflow_hits.packets() + self.slowpath_hits.packets()
@@ -76,15 +94,13 @@ impl CacheStats {
 /// Configuration of the cache hierarchy.
 #[derive(Debug, Clone, Copy)]
 pub struct OvsConfig {
-    /// Microflow (EMC) capacity in entries.
+    /// Microflow (EMC) capacity in entries; 0 means no EMC at all, which
+    /// isolates megaflow behaviour in tests and ablations.
     pub microflow_entries: usize,
     /// Megaflow cache capacity in entries.
     pub megaflow_entries: usize,
     /// Slow-path classifier configuration.
     pub slowpath: SlowPathConfig,
-    /// If false, the microflow cache is bypassed entirely (useful for
-    /// isolating megaflow behaviour in tests and ablations).
-    pub use_microflow: bool,
 }
 
 impl Default for OvsConfig {
@@ -93,7 +109,6 @@ impl Default for OvsConfig {
             microflow_entries: MicroflowCache::DEFAULT_ENTRIES,
             megaflow_entries: MegaflowCache::DEFAULT_MAX_ENTRIES,
             slowpath: SlowPathConfig::default(),
-            use_microflow: true,
         }
     }
 }
@@ -330,7 +345,7 @@ impl OvsDatapath {
         // miniflow key is only materialised when the EMC will consume it.
         // The dense hash array makes the pairwise grouping scan a one-word
         // compare; the full key confirms only on a hash match.
-        let use_microflow = self.config.use_microflow;
+        let use_microflow = self.config.microflow_entries > 0;
         let mut leaders = 0usize;
         for (i, p) in packets.iter().enumerate() {
             let headers = p.headers();
@@ -394,12 +409,13 @@ impl OvsDatapath {
             }
         }
         if use_microflow && promoted > 0 {
-            // Promote this burst's megaflow hits into the EMC (one lock).
+            // Offer this burst's megaflow hits to the EMC (one lock); the
+            // cache admits about one in `EMC_INSERT_INV_PROB`.
             let mut micro = self.microflow.lock();
             for i in 0..n {
                 if s.levels[i] == CacheLevel::Megaflow {
                     if let Some(found) = &s.actions[i] {
-                        micro.insert(s.minis[i], Arc::clone(found));
+                        micro.promote(&s.minis[i], found);
                     }
                 }
             }
@@ -421,6 +437,15 @@ impl OvsDatapath {
             return;
         }
 
+        // Per-level `(packets, bytes)`, indexed by `CacheLevel` and published
+        // once at the end of the burst.
+        let mut tally = [(0u64, 0u64); 3];
+        let mut count = |level: CacheLevel, packet: &Packet| {
+            let (packets, bytes) = &mut tally[level as usize];
+            *packets += 1;
+            *bytes += packet.len() as u64;
+        };
+
         // Phase 3: slow-path the leaders both caches missed. `classify`
         // applies the actions to the leader packet as it walks the pipeline,
         // so leaders need no replay afterwards.
@@ -430,7 +455,7 @@ impl OvsDatapath {
                 #[allow(clippy::needless_range_loop)] // parallel scratch arrays
                 for i in 0..n {
                     if s.group[i] == i && s.actions[i].is_none() {
-                        self.stats.slowpath_hits.record(packets[i].len());
+                        count(CacheLevel::SlowPath, &packets[i]);
                         let mut working_key = s.keys[i];
                         let result = self.slowpath.classify_ct(
                             &pipeline,
@@ -487,7 +512,7 @@ impl OvsDatapath {
                     }
                     // Sequential processing would have answered followers of
                     // a slow-pathed flow from the just-installed megaflow.
-                    self.stats.megaflow_hits.record(packets[i].len());
+                    count(CacheLevel::Megaflow, &packets[i]);
                     verdicts.push(replay(
                         &result.actions,
                         &mut packets[i],
@@ -498,11 +523,8 @@ impl OvsDatapath {
                     continue;
                 }
             };
-            match s.levels[leader] {
-                CacheLevel::Microflow => self.stats.microflow_hits.record(packets[i].len()),
-                CacheLevel::Megaflow => self.stats.megaflow_hits.record(packets[i].len()),
-                CacheLevel::SlowPath => unreachable!("unresolved leader in replay phase"),
-            }
+            debug_assert_ne!(s.levels[leader], CacheLevel::SlowPath);
+            count(s.levels[leader], &packets[i]);
             // The scratch key is dead after this packet; replay mutates it
             // in place instead of copying 400 bytes of `FlowKey`.
             verdicts.push(replay(
@@ -513,6 +535,7 @@ impl OvsDatapath {
                 ct,
             ));
         }
+        self.stats.record_burst(&tally);
     }
 }
 
@@ -558,6 +581,7 @@ fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::microflow::EMC_INSERT_INV_PROB;
     use openflow::ct::NoCt;
     use openflow::flow_match::FlowMatch;
     use openflow::instruction::terminal_actions;
@@ -606,15 +630,58 @@ mod tests {
         assert_eq!(dp.process(&mut pkt(80, 2000)).outputs, vec![1]);
         assert_eq!(levels(&dp), (0, 1, 1));
 
-        // Same exact connection again: microflow hit.
+        // Same exact connection again: megaflow hits until one is sampled
+        // into the EMC, then a microflow hit.
+        let mut mega = 1;
+        while levels(&dp).0 == 0 {
+            assert_eq!(dp.process(&mut pkt(80, 2000)).outputs, vec![1]);
+            mega = levels(&dp).1;
+            assert!(mega < 20 * u64::from(EMC_INSERT_INV_PROB), "never promoted");
+        }
+        assert!(mega > 1, "promoted on its first megaflow hit");
+        assert_eq!(levels(&dp), (1, mega, 1));
         assert_eq!(dp.process(&mut pkt(80, 2000)).outputs, vec![1]);
-        assert_eq!(levels(&dp), (1, 1, 1));
+        assert_eq!(levels(&dp), (2, mega, 1));
 
-        assert_eq!(dp.stats.total(), 3);
-        let (micro, mega, slow) = dp.stats.hit_fractions();
-        assert!((micro - 1.0 / 3.0).abs() < 1e-9);
-        assert!((mega - 1.0 / 3.0).abs() < 1e-9);
-        assert!((slow - 1.0 / 3.0).abs() < 1e-9);
+        let total = mega + 3;
+        assert_eq!(dp.stats.total(), total);
+        let (micro, megaflow, slow) = dp.stats.hit_fractions();
+        assert!((micro - 2.0 / total as f64).abs() < 1e-9);
+        assert!((megaflow - mega as f64 / total as f64).abs() < 1e-9);
+        assert!((slow - 1.0 / total as f64).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cyclic_replay_beyond_emc_capacity_keeps_emc_hits() {
+        // 4 × capacity connections of one megaflow, replayed in a cycle.
+        // Promoting every megaflow hit would evict each entry before its
+        // flow came round again; sampled, the resident entries stay and
+        // keep answering.
+        let emc = 256;
+        let dp = OvsDatapath::with_config(
+            port_pipeline(),
+            OvsConfig {
+                microflow_entries: emc,
+                ..OvsConfig::default()
+            },
+        );
+        let ring: Vec<Packet> = (0..4 * emc as u16).map(|src| pkt(80, src)).collect();
+        let mut verdicts = Vec::new();
+        let mut cycle = |rounds: usize| {
+            for _ in 0..rounds {
+                let mut work = ring.clone();
+                dp.process_burst(&mut work, &mut verdicts, &mut NoCt);
+                assert!(verdicts.iter().all(|v| v.outputs == vec![1]));
+            }
+        };
+        cycle(60);
+        dp.stats.microflow_hits.reset();
+        dp.stats.megaflow_hits.reset();
+        dp.stats.slowpath_hits.reset();
+        cycle(10);
+        let (micro, _, slow) = dp.stats.hit_fractions();
+        assert_eq!(slow, 0.0);
+        assert!(micro >= 0.15, "steady-state microflow share {micro}");
     }
 
     #[test]
@@ -959,7 +1026,9 @@ mod tests {
         let mut p = Pipeline::with_tables(1);
         p.table_mut(0).unwrap().miss = openflow::TableMissBehavior::ToController;
         let dp = OvsDatapath::new(p);
-        for (src, want) in [(1, (0, 0, 1)), (2, (0, 1, 1)), (2, (1, 1, 1))] {
+        // The slow path's install fills the EMC, so the same connection is
+        // then a microflow hit; another connection is a megaflow hit.
+        for (src, want) in [(1, (0, 0, 1)), (1, (1, 0, 1)), (2, (1, 1, 1))] {
             let verdict = dp.process(&mut pkt(80, src));
             assert!(verdict.to_controller, "{want:?}");
             assert_eq!(verdict.punt_reason, PacketInReason::NoMatch, "{want:?}");
@@ -970,13 +1039,15 @@ mod tests {
     #[test]
     fn microflow_can_be_disabled() {
         let config = OvsConfig {
-            use_microflow: false,
+            microflow_entries: 0,
             ..OvsConfig::default()
         };
         let dp = OvsDatapath::with_config(port_pipeline(), config);
-        dp.process(&mut pkt(80, 7));
-        dp.process(&mut pkt(80, 7));
+        for _ in 0..1000 {
+            dp.process(&mut pkt(80, 7));
+        }
         assert_eq!(dp.stats.microflow_hits.packets(), 0);
-        assert_eq!(dp.stats.megaflow_hits.packets(), 1);
+        assert_eq!(dp.stats.megaflow_hits.packets(), 999);
+        assert_eq!(dp.microflow_count(), 0);
     }
 }

@@ -17,8 +17,14 @@
 //!
 //! This crate re-implements that architecture over the same `openflow`
 //! pipeline model the ESWITCH compiler consumes, so the two datapaths can be
-//! compared on identical workloads. The behaviours the paper attributes
-//! OVS's performance regressions to are reproduced deliberately:
+//! compared on identical workloads. The comparison is meant to be fair, so
+//! the fast path pays what OVS's pays: the EMC keys on miniflows of `u64`
+//! words ([`minikey`]) and takes its set from the hash's top bits, a megaflow
+//! hit is promoted into the EMC with OVS's default probability of 1 in 100
+//! ([`microflow::EMC_INSERT_INV_PROB`]) rather than on every hit, and the
+//! per-level hit counters are published once per burst, not per packet.
+//! The behaviours the paper attributes OVS's performance regressions to are
+//! reproduced deliberately:
 //!
 //! * megaflow masks depend on which rules the slow path had to examine, so
 //!   the cache contents depend on packet arrival order (Fig. 3),

@@ -1,35 +1,45 @@
 //! Miniflow-style compact flow keys.
 //!
 //! OVS does not hash `struct flow` (large, mostly-empty) on the fast path; it
-//! builds a `miniflow` — a presence bitmap plus the packed values of only the
-//! fields the packet actually carries — and computes the key's hash once,
+//! builds a `miniflow` — a presence bitmap plus the packed `u64` words of only
+//! the fields the packet actually carries — and computes the key's hash once,
 //! during extraction. [`MiniKey`] is that structure for this reproduction:
 //! the microflow cache keys on it, so an EMC probe is one precomputed-hash
 //! index plus one compact compare, instead of SipHashing a 27-field
 //! [`FlowKey`] per lookup.
+//!
+//! Every present field packs as one `u64` word (an IPv6 address as two), so
+//! a key is 240 bytes whatever it carries and an EMC slot with its program
+//! pointer is 248. The key stays exact: the presence bitmap separates an absent field from a
+//! zero one, and equality compares the bitmap and every packed word.
 
 use netdev::fx_mix;
-use openflow::{FieldValue, FlowKey};
+use openflow::FlowKey;
 
-/// Number of [`FlowKey`] fields a [`MiniKey`] packs: the six always-present
-/// pipeline/L2 fields plus the twenty optional ones, in a fixed order. Real
-/// packets populate far fewer (a VLAN TCP/IPv4 frame packs 15), but keys
-/// mutated through `FlowKey::set` can populate any subset.
-const MINI_MAX: usize = 26;
+/// Number of [`FlowKey`] fields a [`MiniKey`] can mark present: the six
+/// always-present pipeline/L2 fields plus the twenty optional ones, in a
+/// fixed order. Real packets populate far fewer (a VLAN TCP/IPv4 frame packs
+/// 15), but keys mutated through `FlowKey::set` can populate any subset.
+const MINI_FIELDS: u32 = 26;
 
-/// A compact exact-match key: presence bitmap + packed present values +
+/// Number of `u64` words a [`MiniKey`] can pack: one per field, plus the
+/// second word of each of the two IPv6 addresses.
+const MINI_WORDS: usize = MINI_FIELDS as usize + 2;
+
+/// A compact exact-match key: presence bitmap + packed present words +
 /// precomputed FxHash.
 #[derive(Debug, Clone, Copy)]
 pub struct MiniKey {
-    /// Precomputed hash over (presence bitmap, packed values).
+    /// Precomputed hash over (presence bitmap, packed words).
     hash: u64,
     /// Bit `i` set ⇔ the `i`-th key field (in the fixed packing order) is
-    /// present; its value then appears in `values` after all lower-index
-    /// present fields.
+    /// present; its word(s) then appear in `words` after those of all
+    /// lower-index present fields.
     present: u32,
-    /// Number of packed values (`present.count_ones()`).
+    /// Number of packed words (`present.count_ones()`, plus one per IPv6
+    /// address present).
     n: u8,
-    values: [FieldValue; MINI_MAX],
+    words: [u64; MINI_WORDS],
 }
 
 impl MiniKey {
@@ -40,49 +50,58 @@ impl MiniKey {
             hash: 0,
             present: 0,
             n: 0,
-            values: [0; MINI_MAX],
+            words: [0; MINI_WORDS],
         };
         let mut bit = 0u32;
         // Two independent mix lanes halve the latency of the (serially
         // dependent) multiply chain; they are folded together at the end.
+        // The lane is picked by field index, a constant at each site below.
         let mut lane0 = 0u64;
         let mut lane1 = 0x9e37_79b9_7f4a_7c15u64;
+        macro_rules! word {
+            ($word:expr, $lane:expr) => {{
+                let w: u64 = $word;
+                mini.words[usize::from(mini.n)] = w;
+                mini.n += 1;
+                if $lane {
+                    lane1 = fx_mix(lane1, w);
+                } else {
+                    lane0 = fx_mix(lane0, w);
+                }
+            }};
+        }
         macro_rules! push {
             ($value:expr) => {{
-                let v: FieldValue = $value;
                 mini.present |= 1 << bit;
-                mini.values[usize::from(mini.n)] = v;
-                mini.n += 1;
-                // The high word is nonzero only for IPv6 addresses; skipping
-                // the zero mix shortens the multiply chain for typical keys.
-                // Equality compares the full values, so a constructed
-                // collision costs a compare, never a wrong answer.
-                if bit % 2 == 0 {
-                    lane0 = fx_mix(lane0, v as u64);
-                } else {
-                    lane1 = fx_mix(lane1, v as u64);
-                }
-                let high = (v >> 64) as u64;
-                if high != 0 {
-                    lane1 = fx_mix(lane1, high);
-                }
+                word!(u64::from($value), bit % 2 == 1);
                 bit += 1;
             }};
         }
         macro_rules! push_opt {
             ($value:expr) => {{
-                match $value {
-                    Some(v) => push!(FieldValue::from(v)),
-                    None => bit += 1,
+                if let Some(v) = $value {
+                    push!(v);
+                } else {
+                    bit += 1;
                 }
             }};
         }
-        push!(FieldValue::from(key.in_port));
-        push!(FieldValue::from(key.metadata));
-        push!(FieldValue::from(key.tunnel_id));
-        push!(FieldValue::from(key.eth_dst));
-        push!(FieldValue::from(key.eth_src));
-        push!(FieldValue::from(key.eth_type));
+        macro_rules! push_wide {
+            ($value:expr) => {{
+                if let Some(v) = $value {
+                    mini.present |= 1 << bit;
+                    word!(v as u64, false);
+                    word!((v >> 64) as u64, true);
+                }
+                bit += 1;
+            }};
+        }
+        push!(key.in_port);
+        push!(key.metadata);
+        push!(key.tunnel_id);
+        push!(key.eth_dst);
+        push!(key.eth_src);
+        push!(key.eth_type);
         push_opt!(key.vlan_vid);
         push_opt!(key.vlan_pcp);
         push_opt!(key.ip_dscp);
@@ -90,8 +109,8 @@ impl MiniKey {
         push_opt!(key.ip_proto);
         push_opt!(key.ipv4_src);
         push_opt!(key.ipv4_dst);
-        push_opt!(key.ipv6_src);
-        push_opt!(key.ipv6_dst);
+        push_wide!(key.ipv6_src);
+        push_wide!(key.ipv6_dst);
         push_opt!(key.tcp_src);
         push_opt!(key.tcp_dst);
         push_opt!(key.udp_src);
@@ -103,9 +122,10 @@ impl MiniKey {
         push_opt!(key.arp_tpa);
         push_opt!(key.arp_sha);
         push_opt!(key.arp_tha);
-        debug_assert_eq!(bit as usize, MINI_MAX);
+        debug_assert_eq!(bit, MINI_FIELDS);
         // Fold the lanes and the presence bitmap in so "field absent" and
-        // "field zero" cannot hash alike.
+        // "field zero" cannot hash alike. The final multiply leaves the
+        // best-mixed bits at the top, which is where the EMC takes its set.
         mini.hash = fx_mix(fx_mix(lane0, lane1), u64::from(mini.present));
         mini
     }
@@ -179,11 +199,11 @@ impl MiniKey {
 impl PartialEq for MiniKey {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
-        // The hash is a cheap first-word reject; the bitmap + packed values
+        // The hash is a cheap first-word reject; the bitmap + packed words
         // are the authoritative comparison.
         self.hash == other.hash
             && self.present == other.present
-            && self.values[..usize::from(self.n)] == other.values[..usize::from(other.n)]
+            && self.words[..usize::from(self.n)] == other.words[..usize::from(other.n)]
     }
 }
 
@@ -258,13 +278,33 @@ mod tests {
 
     #[test]
     fn fully_populated_key_fits() {
-        // Populate every optional field through `set`; MINI_MAX must hold
-        // them all without panicking.
+        // Populate every optional field through `set`; MINI_WORDS must hold
+        // them all, IPv6 addresses two words each, without panicking.
         let mut key = FlowKey::extract(&PacketBuilder::tcp().build());
         for field in openflow::Field::ALL {
             key.set(field, 1);
         }
         let m = mini(&key);
-        assert_eq!(usize::from(m.n), m.present.count_ones() as usize);
+        assert_eq!(m.present.count_ones(), MINI_FIELDS);
+        assert_eq!(usize::from(m.n), MINI_WORDS);
+    }
+
+    #[test]
+    fn ipv6_addresses_compare_both_words() {
+        // Two addresses that differ only in the high or only in the low
+        // word must not share a key.
+        let base = FlowKey::extract(&PacketBuilder::tcp().build());
+        let with = |v6: u128| FlowKey {
+            ipv6_src: Some(v6),
+            ..base
+        };
+        let low = 0x2001_0db8_u128;
+        let keys = [with(low), with(low | (1 << 64)), with(low + 1)];
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(mini(a), mini(b));
+            }
+        }
+        assert_eq!(mini(&keys[1]), mini(&with(low | (1 << 64))));
     }
 }

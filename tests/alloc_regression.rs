@@ -129,17 +129,21 @@ fn flow_packets(flows: u16) -> Vec<Packet> {
 fn microflow_hit_path_is_allocation_free() {
     let dp = OvsDatapath::new(port_pipeline());
     let mut packets = flow_packets(64);
-    // Warm up: slow path + megaflow promotion populate the EMC.
-    for p in packets.iter_mut() {
-        dp.process(p);
+    // Warm up until every flow hits the EMC: slow-path installs fill it
+    // directly, megaflow hits only when sampled for promotion.
+    let mut passes = 0;
+    loop {
+        let before_hits = dp.stats.microflow_hits.packets();
+        for p in packets.iter_mut() {
+            dp.process(p);
+        }
+        if dp.stats.microflow_hits.packets() - before_hits == packets.len() as u64 {
+            break;
+        }
+        passes += 1;
+        assert!(passes < 5_000, "warm-up must bring every flow to the EMC");
     }
-    for p in packets.iter_mut() {
-        dp.process(p);
-    }
-    assert!(
-        dp.stats.microflow_hits.packets() > 0,
-        "warm-up must reach the EMC"
-    );
+    assert!(passes > 1, "the EMC filled without sampled promotions");
 
     let before_hits = dp.stats.microflow_hits.packets();
     let before = allocations();
@@ -167,7 +171,7 @@ fn megaflow_hit_path_is_allocation_free() {
     let dp = OvsDatapath::with_config(
         port_pipeline(),
         OvsConfig {
-            use_microflow: false,
+            microflow_entries: 0,
             ..OvsConfig::default()
         },
     );
@@ -192,6 +196,49 @@ fn megaflow_hit_path_is_allocation_free() {
         dp.stats.megaflow_hits.packets() - before_hits,
         packets.len() as u64,
         "every measured packet must be a megaflow hit"
+    );
+}
+
+/// Megaflow hits offered to the EMC: over 4 096 packets of 1 024 flows, a
+/// few dozen are sampled and promoted, rewriting an EMC slot each, and the
+/// path stays heap-free.
+#[test]
+fn megaflow_hit_with_emc_promotion_is_allocation_free() {
+    let dp = OvsDatapath::new(port_pipeline());
+    let ring = flow_packets(1024);
+    let mut work = ring.clone();
+    let mut verdicts: Vec<Verdict> = Vec::with_capacity(BURST_SIZE);
+    // One pass installs the 16 megaflows and warms the burst scratch.
+    for chunk in work.chunks_mut(BURST_SIZE) {
+        dp.process_burst(chunk, &mut verdicts, &mut NoCt);
+    }
+    let slow = dp.stats.slowpath_hits.packets();
+    let before_hits = dp.stats.megaflow_hits.packets();
+    let before_entries = dp.microflow_count();
+    let before = allocations();
+    for _ in 0..4 {
+        for chunk in work.chunks_mut(BURST_SIZE) {
+            dp.process_burst(chunk, &mut verdicts, &mut NoCt);
+            std::hint::black_box(verdicts.len());
+        }
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "megaflow hit path with EMC promotion allocated {} times over {} packets",
+        after - before,
+        4 * ring.len()
+    );
+    assert_eq!(dp.stats.slowpath_hits.packets(), slow);
+    assert!(
+        dp.stats.megaflow_hits.packets() - before_hits > 3 * ring.len() as u64,
+        "the measured packets must be mostly megaflow hits"
+    );
+    assert!(
+        dp.microflow_count() >= before_entries + 10,
+        "sampled promotions must happen: {before_entries} -> {} EMC entries",
+        dp.microflow_count()
     );
 }
 

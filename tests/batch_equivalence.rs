@@ -149,7 +149,7 @@ fn ovs_configs() -> [(&'static str, OvsConfig); 3] {
         (
             "ovs-no-emc",
             OvsConfig {
-                use_microflow: false,
+                microflow_entries: 0,
                 ..OvsConfig::default()
             },
         ),

@@ -58,6 +58,7 @@ const FAST_PATH_MODULES: &[&str] = &[
     "crates/netdev/src/stats.rs",
     "crates/netdev/src/flat_hash.rs",
     "crates/ovsdp/src/minikey.rs",
+    "crates/ovsdp/src/microflow.rs",
     "crates/conntrack/src/table.rs",
     "crates/conntrack/src/wheel.rs",
     "crates/shard/src/telemetry.rs",
@@ -844,6 +845,18 @@ mod tests {
             ["fastpath-alloc"]
         );
         assert!(check_fastpath_alloc("crates/shard/src/runtime.rs", src).is_empty());
+    }
+
+    #[test]
+    fn emc_module_is_covered() {
+        // Every packet probes the EMC and sampled megaflow hits insert into
+        // it; its slot array is collected, not built with `vec!`.
+        let src = "pub fn with_capacity(n: usize) -> Self {\n    Self { slots: vec![None; n].into() }\n}\n";
+        let v = check_fastpath_alloc("crates/ovsdp/src/microflow.rs", src);
+        assert_eq!(rules(&v), ["fastpath-alloc"]);
+        assert_eq!(v[0].line, 2);
+        let src = "pub fn with_capacity(n: usize) -> Self {\n    Self { slots: (0..n).map(|_| None).collect() }\n}\n";
+        assert!(check_fastpath_alloc("crates/ovsdp/src/microflow.rs", src).is_empty());
     }
 
     #[test]
