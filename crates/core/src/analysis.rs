@@ -10,7 +10,6 @@ use std::collections::HashMap;
 
 use openflow::field::{Field, FieldValue};
 use openflow::{FlowEntry, FlowTable};
-use pkt::parser::ParseDepth;
 
 /// The four table templates of Fig. 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,10 +49,6 @@ pub struct CompilerConfig {
     /// default, as for "well-behaved" control programs decomposition returns
     /// its input intact.
     pub enable_decomposition: bool,
-    /// Force a particular parser depth instead of deriving it from the
-    /// matched fields (the paper's prototype "defaults to a combined L2–L4
-    /// packet parser"; `None` derives the minimal depth).
-    pub parser_depth_override: Option<ParseDepth>,
 }
 
 impl Default for CompilerConfig {
@@ -61,7 +56,6 @@ impl Default for CompilerConfig {
         CompilerConfig {
             direct_code_limit: 4,
             enable_decomposition: false,
-            parser_depth_override: None,
         }
     }
 }

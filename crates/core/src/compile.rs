@@ -34,16 +34,12 @@ use crate::templates::table::{
 pub enum CompileError {
     /// The pipeline itself is malformed (dangling or backward goto).
     InvalidPipeline(PipelineError),
-    /// A table satisfied no template at all (cannot happen in practice since
-    /// the linked list accepts everything; kept for API completeness).
-    NoTemplate(TableId),
 }
 
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CompileError::InvalidPipeline(e) => write!(f, "invalid pipeline: {e}"),
-            CompileError::NoTemplate(t) => write!(f, "no template applies to table {t}"),
         }
     }
 }
@@ -59,9 +55,9 @@ impl From<PipelineError> for CompileError {
 /// The link map: OpenFlow table id → slot index in a compiled datapath.
 /// `goto_table` targets are resolved through it when instructions are
 /// compiled, so the fast path follows a goto by array index. Slot indices
-/// are stable across per-table rebuilds and
-/// [`CompiledDatapath::with_rebuilt_tables`]; only a full recompilation
-/// renumbers them (and recompiles every goto with them).
+/// are stable across incremental edits and per-table rebuilds, which write
+/// into the existing slots; only a full recompilation renumbers them (and
+/// recompiles every goto with them).
 pub(crate) type SlotIndex = HashMap<TableId, usize>;
 
 /// One compiled table behind its trampoline slot.
@@ -88,15 +84,15 @@ pub struct DatapathStats {
 
 /// A fully compiled, executable datapath.
 ///
-/// Per-table programs are individually `Arc`-shared: an epoch-publishing
-/// control plane can derive a successor datapath via
-/// [`CompiledDatapath::with_rebuilt_tables`] that *structurally shares* every
-/// untouched table — only the rebuilt tables get fresh slots, everything else
-/// is a pointer copy (§3.4's per-table update granularity, extended across
-/// epochs).
+/// Each table sits behind its own trampoline slot, and every update below a
+/// full recompilation lands in place: an incremental edit or a per-table
+/// rebuild writes the slot's template while the other tables keep serving
+/// packets (§3.4). One `Arc<CompiledDatapath>` therefore serves every
+/// holder — the single-switch runtime and every shard — until a structural
+/// change replaces it whole.
 pub struct CompiledDatapath {
     pub(crate) parser: ParserTemplate,
-    pub(crate) slots: Vec<Arc<TableSlot>>,
+    pub(crate) slots: Vec<TableSlot>,
     /// Control-plane lookups only (`slot(id)`, linking); the fast path
     /// follows pre-resolved slot indices.
     index_of: SlotIndex,
@@ -113,47 +109,14 @@ impl CompiledDatapath {
         &self.parser
     }
 
-    /// The compiled tables in pipeline order, each behind its shared slot.
-    pub fn slots(&self) -> &[Arc<TableSlot>] {
+    /// The compiled tables in pipeline order, each behind its slot.
+    pub fn slots(&self) -> &[TableSlot] {
         &self.slots
     }
 
     /// The link map tables destined for this datapath are compiled against.
     pub(crate) fn slot_index(&self) -> &SlotIndex {
         &self.index_of
-    }
-
-    /// Derives a new datapath in which the listed tables are replaced by
-    /// freshly rebuilt templates while every other table slot is shared
-    /// (`Arc` pointer copy) with `self`. Slots for unknown table ids are
-    /// ignored — the caller guarantees rebuilt tables exist (the planner only
-    /// produces per-table plans for tables the datapath already has). The
-    /// successor keeps `self`'s slot layout, so tables compiled against
-    /// [`CompiledDatapath::slot_index`] — and every shared table — stay
-    /// correctly linked.
-    pub fn with_rebuilt_tables(
-        &self,
-        rebuilt: impl IntoIterator<Item = (TableId, CompiledTable)>,
-    ) -> CompiledDatapath {
-        let mut slots: Vec<Arc<TableSlot>> = self.slots.iter().map(Arc::clone).collect();
-        for (id, table) in rebuilt {
-            if let Some(&i) = self.index_of.get(&id) {
-                slots[i] = Arc::new(TableSlot {
-                    id,
-                    miss: self.slots[i].miss,
-                    table: RwLock::new(table),
-                    lookups: Counters::new(),
-                });
-            }
-        }
-        CompiledDatapath {
-            parser: self.parser,
-            slots,
-            index_of: self.index_of.clone(),
-            entry: self.entry,
-            config: self.config,
-            stats: DatapathStats::default(),
-        }
     }
 
     /// The compiler configuration used.
@@ -163,7 +126,7 @@ impl CompiledDatapath {
 
     /// Looks up the slot backing an OpenFlow table id.
     pub fn slot(&self, id: TableId) -> Option<&TableSlot> {
-        self.index_of.get(&id).map(|i| &*self.slots[*i])
+        self.index_of.get(&id).map(|i| &self.slots[*i])
     }
 
     /// Template kinds per table, for statistics dumps and tests.
@@ -387,22 +350,17 @@ pub fn compile(
     let mut store = ActionStore::new();
 
     // Parser template: as deep as the deepest field matched *or touched by an
-    // action* anywhere in the pipeline, unless the prototype-style override
-    // forces a combined parser.
-    let parser = match config.parser_depth_override {
-        Some(depth) => ParserTemplate::with_depth(depth),
-        None => {
-            ParserTemplate::for_fields(pipeline.tables().iter().flat_map(|t| t.entries()).flat_map(
-                |e| {
-                    e.flow_match
-                        .fields()
-                        .iter()
-                        .map(|mf| mf.field)
-                        .chain(instruction_fields(e))
-                },
-            ))
-        }
-    };
+    // action* anywhere in the pipeline.
+    let parser =
+        ParserTemplate::for_fields(pipeline.tables().iter().flat_map(|t| t.entries()).flat_map(
+            |e| {
+                e.flow_match
+                    .fields()
+                    .iter()
+                    .map(|mf| mf.field)
+                    .chain(instruction_fields(e))
+            },
+        ));
 
     let index_of: SlotIndex = pipeline
         .tables()
@@ -413,12 +371,12 @@ pub fn compile(
     let mut slots = Vec::with_capacity(pipeline.table_count());
     for table in pipeline.tables() {
         let compiled = compile_table(table, config, &mut store, &index_of);
-        slots.push(Arc::new(TableSlot {
+        slots.push(TableSlot {
             id: table.id,
             miss: table.miss,
             table: RwLock::new(compiled),
             lookups: Counters::new(),
-        }));
+        });
     }
 
     Ok(CompiledDatapath {

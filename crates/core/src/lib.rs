@@ -60,7 +60,10 @@ pub use analysis::{select_template, CompilerConfig, TemplateKind};
 pub use compile::{compile, CompileError, CompiledDatapath};
 pub use decompose::{decompose_pipeline, decompose_table, DecomposeStats};
 pub use perfmodel::{CacheLevelCosts, PerformanceEstimate, PerformanceModel};
-pub use reactive::{punt_signature, IngressSnapshot, LoopStats, PuntGate, Reactive};
+pub use reactive::{
+    punt_signature, DecisionCounts, DecisionSink, DecisionStats, IngressSnapshot, PuntGate,
+    Reactive,
+};
 pub use runtime::EswitchRuntime;
 pub use update::{UpdateClass, UpdateCounter, UpdatePlan, UpdatePlanner};
 

@@ -7,14 +7,14 @@
 //! flow-mods repopulating the pipeline. A datapath only *reports* punts, in
 //! its verdicts (`to_controller`, `punt_reason`); [`Reactive`] wraps any
 //! [`Datapath`] and answers them after each burst, and the `shard` crate's
-//! controller workers answer them asynchronously. Between the miss and the
-//! install,
-//! *every* packet of the missing flow keeps missing — and a line-rate flow
-//! would flood the controller with thousands of identical packet-ins for one
-//! decision. Worse, the slow path is an *attack surface*: a single tenant
-//! emitting high-entropy traffic (every packet a fresh flow — the
-//! `cache_attack` scenario) turns the punt channel into a denial of service
-//! for every well-behaved tenant sharing the switch.
+//! controller workers answer them asynchronously — both through the one
+//! decision applier, [`DecisionStats::answer`]. Between the miss and the
+//! install, *every* packet of the missing flow keeps missing — and a
+//! line-rate flow would flood the controller with thousands of identical
+//! packet-ins for one decision. Worse, the slow path is an *attack
+//! surface*: a single tenant emitting high-entropy traffic (every packet a
+//! fresh flow — the `cache_attack` scenario) turns the punt channel into a
+//! denial of service for every well-behaved tenant sharing the switch.
 //!
 //! The defense is layered, each layer stateless or low-state on the fast
 //! path and every rejection counted by reason:
@@ -51,9 +51,7 @@ use netdev::FxBuildHasher;
 use openflow::action::apply_action_list;
 use openflow::ct::ConnCtx;
 use openflow::flow_mod::{FlowModEffect, FlowModError};
-use openflow::{
-    Controller, ControllerDecision, Datapath, FlowKey, FlowMod, PacketIn, PacketInReason, Verdict,
-};
+use openflow::{Controller, ControllerDecision, Datapath, FlowKey, FlowMod, PacketIn, Verdict};
 use pkt::Packet;
 
 /// The 64-bit flow signature punt deduplication keys on: an FxHash of the
@@ -420,16 +418,95 @@ impl IngressSnapshot {
     }
 }
 
-/// What a [`Reactive`] loop has done so far — the synchronous counterpart of
-/// the sharded runtime's `ReactiveStats`.
+/// Where the one decision applier ([`DecisionStats::answer`]) sends the
+/// answers it cannot finish at the controller edge. Two sinks exist: the
+/// in-place datapath of a [`Reactive`] loop, and the sharded runtime's
+/// control plane plus its controller worker's re-injection dispatcher.
+pub trait DecisionSink {
+    /// Applies a controller flow-mod.
+    fn flow_mod(&mut self, fm: &FlowMod) -> Result<FlowModEffect, FlowModError>;
+    /// Sends an `OFPP_TABLE` packet-out back through the pipeline.
+    fn resubmit(&mut self, packet: Packet);
+}
+
+/// What the one decision applier has done: both controller loops — the
+/// synchronous [`Reactive`] and the sharded runtime's controller workers —
+/// count their answers here.
+#[derive(Debug, Default)]
+pub struct DecisionStats {
+    /// Packet-ins handed to the controller.
+    pub packet_ins: AtomicU64,
+    /// Controller flow-mods the sink applied.
+    pub flow_mods: AtomicU64,
+    /// Controller flow-mods the sink refused (its pipeline unchanged).
+    pub flow_mods_rejected: AtomicU64,
+    /// Packet-outs with explicit actions, applied at the controller edge.
+    pub direct_outs: AtomicU64,
+    /// Controller decisions to drop the punted packet.
+    pub dropped: AtomicU64,
+}
+
+/// Plain-data copy of [`DecisionStats`] at one instant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LoopStats {
+pub struct DecisionCounts {
     /// Packet-ins handed to the controller.
     pub packet_ins: u64,
-    /// Controller flow-mods the datapath applied.
+    /// Controller flow-mods the sink applied.
     pub flow_mods: u64,
-    /// Controller flow-mods the datapath refused (its pipeline unchanged).
+    /// Controller flow-mods the sink refused.
     pub flow_mods_rejected: u64,
+    /// Packet-outs with explicit actions, applied at the controller edge.
+    pub direct_outs: u64,
+    /// Controller decisions to drop the punted packet.
+    pub dropped: u64,
+}
+
+impl DecisionStats {
+    /// The one decision applier: raises `event` at `controller` and applies
+    /// its answers in order — flow-mods through `sink` (counted applied or
+    /// rejected), `OFPP_TABLE` resubmits through `sink`, other packet-outs
+    /// by their action list, drops counted. The controller lock covers
+    /// computing the decisions only; applying them runs outside it.
+    pub fn answer(
+        &self,
+        controller: &Mutex<Box<dyn Controller>>,
+        event: PacketIn,
+        sink: &mut dyn DecisionSink,
+    ) {
+        self.packet_ins.fetch_add(1, Ordering::Relaxed);
+        let decisions = controller.lock().packet_in(event);
+        for decision in decisions {
+            match decision {
+                ControllerDecision::FlowMod(fm) => {
+                    let counter = match sink.flow_mod(&fm) {
+                        Ok(_) => &self.flow_mods,
+                        Err(_) => &self.flow_mods_rejected,
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                }
+                ControllerDecision::PacketOut(po) if po.resubmit => sink.resubmit(po.packet),
+                ControllerDecision::PacketOut(mut po) => {
+                    self.direct_outs.fetch_add(1, Ordering::Relaxed);
+                    let mut key = FlowKey::extract(&po.packet);
+                    apply_action_list(&po.actions, &mut po.packet, &mut key);
+                }
+                ControllerDecision::Drop => {
+                    self.dropped.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    /// Point-in-time copy of the counters.
+    pub fn snapshot(&self) -> DecisionCounts {
+        DecisionCounts {
+            packet_ins: self.packet_ins.load(Ordering::Relaxed),
+            flow_mods: self.flow_mods.load(Ordering::Relaxed),
+            flow_mods_rejected: self.flow_mods_rejected.load(Ordering::Relaxed),
+            direct_outs: self.direct_outs.load(Ordering::Relaxed),
+            dropped: self.dropped.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// The synchronous controller loop: any [`Datapath`] `D` plus the
@@ -441,10 +518,10 @@ pub struct LoopStats {
 /// released — each punting verdict raises a packet-in carrying that packet's
 /// ingress frame and the verdict's reason, at most one per flow per burst
 /// (the [`PuntGate`] stays closed for the burst's whole punt group). The
-/// answers apply before the burst returns: flow-mods through `D::flow_mod`
-/// (counted applied or rejected), `OFPP_TABLE` resubmits as a burst of one
-/// through `D` whose own punt is not raised again, and other packet-outs by
-/// applying their action list.
+/// answers apply before the burst returns, through
+/// [`DecisionStats::answer`] into `D` itself: flow-mods through
+/// `D::flow_mod`, `OFPP_TABLE` resubmits as a burst of one through `D`
+/// whose own punt is not raised again.
 pub struct Reactive<D> {
     datapath: D,
     controller: Mutex<Box<dyn Controller>>,
@@ -452,9 +529,27 @@ pub struct Reactive<D> {
     /// Reused ingress snapshot; `try_lock` + local fallback, so concurrent
     /// bursts degrade to allocating instead of serialising on each other.
     ingress: Mutex<IngressSnapshot>,
-    packet_ins: AtomicU64,
-    flow_mods: AtomicU64,
-    flow_mods_rejected: AtomicU64,
+    decisions: DecisionStats,
+}
+
+/// [`Reactive`]'s sink: the wrapped datapath, in place.
+struct InPlace<'a, D> {
+    datapath: &'a D,
+    ct: &'a mut dyn ConnCtx,
+}
+
+impl<D: Datapath> DecisionSink for InPlace<'_, D> {
+    fn flow_mod(&mut self, fm: &FlowMod) -> Result<FlowModEffect, FlowModError> {
+        self.datapath.flow_mod(fm)
+    }
+
+    fn resubmit(&mut self, mut packet: Packet) {
+        self.datapath.process_burst(
+            std::slice::from_mut(&mut packet),
+            &mut Vec::with_capacity(1),
+            self.ct,
+        );
+    }
 }
 
 impl<D: Datapath> Reactive<D> {
@@ -465,9 +560,7 @@ impl<D: Datapath> Reactive<D> {
             controller: Mutex::new(controller),
             gate: PuntGate::default(),
             ingress: Mutex::new(IngressSnapshot::default()),
-            packet_ins: AtomicU64::new(0),
-            flow_mods: AtomicU64::new(0),
-            flow_mods_rejected: AtomicU64::new(0),
+            decisions: DecisionStats::default(),
         }
     }
 
@@ -482,44 +575,8 @@ impl<D: Datapath> Reactive<D> {
     }
 
     /// The loop's counters at this instant.
-    pub fn stats(&self) -> LoopStats {
-        LoopStats {
-            packet_ins: self.packet_ins.load(Ordering::Relaxed),
-            flow_mods: self.flow_mods.load(Ordering::Relaxed),
-            flow_mods_rejected: self.flow_mods_rejected.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Raises one packet-in and applies the controller's answers.
-    fn handle_packet_in(&self, packet: Packet, reason: PacketInReason, ct: &mut dyn ConnCtx) {
-        self.packet_ins.fetch_add(1, Ordering::Relaxed);
-        let decisions = self
-            .controller
-            .lock()
-            .packet_in(PacketIn::new(packet, reason, 0));
-        for decision in decisions {
-            match decision {
-                ControllerDecision::FlowMod(fm) => {
-                    let counter = match self.datapath.flow_mod(&fm) {
-                        Ok(_) => &self.flow_mods,
-                        Err(_) => &self.flow_mods_rejected,
-                    };
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }
-                ControllerDecision::PacketOut(mut po) if po.resubmit => {
-                    self.datapath.process_burst(
-                        std::slice::from_mut(&mut po.packet),
-                        &mut Vec::with_capacity(1),
-                        ct,
-                    );
-                }
-                ControllerDecision::PacketOut(mut po) => {
-                    let mut key = FlowKey::extract(&po.packet);
-                    apply_action_list(&po.actions, &mut po.packet, &mut key);
-                }
-                ControllerDecision::Drop => {}
-            }
-        }
+    pub fn stats(&self) -> DecisionCounts {
+        self.decisions.snapshot()
     }
 }
 
@@ -547,7 +604,15 @@ impl<D: Datapath> Datapath for Reactive<D> {
             let flow = punt_signature(&FlowKey::extract(&packet));
             if self.gate.admit(flow) {
                 admitted.push(flow);
-                self.handle_packet_in(packet, verdict.punt_reason, ct);
+                let mut sink = InPlace {
+                    datapath: &self.datapath,
+                    ct: &mut *ct,
+                };
+                self.decisions.answer(
+                    &self.controller,
+                    PacketIn::new(packet, verdict.punt_reason, 0),
+                    &mut sink,
+                );
             }
         }
         for flow in admitted {
@@ -568,7 +633,8 @@ mod tests {
     use openflow::flow_match::FlowMatch;
     use openflow::instruction::terminal_actions;
     use openflow::{
-        Action, DirectDatapath, Field, FlowEntry, Instruction, Pipeline, TableMissBehavior,
+        Action, DirectDatapath, Field, FlowEntry, Instruction, PacketInReason, Pipeline,
+        TableMissBehavior,
     };
     use pkt::builder::PacketBuilder;
     use std::sync::Arc;
@@ -690,10 +756,12 @@ mod tests {
         let compiled = Reactive::new(EswitchRuntime::compile(p).unwrap(), controller());
         assert!(compiled.process(&mut miss()).to_controller);
 
-        let want = LoopStats {
+        let want = DecisionCounts {
             packet_ins: 1,
             flow_mods: 0,
             flow_mods_rejected: 1,
+            direct_outs: 0,
+            dropped: 0,
         };
         assert_eq!(interpreter.stats(), want);
         assert_eq!(compiled.stats(), want);

@@ -126,8 +126,12 @@ impl EswitchRuntime {
 
     /// Applies a flow-mod, updating the compiled datapath at the finest
     /// granularity that preserves correctness. The §3.4 ladder decision
-    /// itself lives in the shared [`UpdatePlanner`]; this runtime merely
-    /// executes the plan in place (trampoline semantics).
+    /// itself lives in the shared [`UpdatePlanner`]; this runtime is its one
+    /// executor (the sharded control plane applies ESWITCH flow-mods through
+    /// a runtime too), and it executes in place: an incremental edit or a
+    /// per-table rebuild is written through the touched tables' trampolines,
+    /// so a handle [`EswitchRuntime::datapath`] returned stays current; only
+    /// a full recompile replaces it.
     pub fn flow_mod(&self, fm: &FlowMod) -> Result<FlowModEffect, FlowModError> {
         // The pipeline write lock is held across apply + plan + execute (and
         // a possible undo), so concurrent flow-mods serialise: one caller's
@@ -151,50 +155,34 @@ impl EswitchRuntime {
         //    the live datapath inside `absorb`, per-table rebuilds swap
         //    through the trampolines here.
         let datapath = self.datapath();
-        let planner = UpdatePlanner::new(&self.config);
-        match planner.absorb(&pipeline, &datapath, fm, &effect) {
-            Absorbed::Incremental => {
-                self.updates.record(UpdateClass::Incremental, entries);
-                Ok(effect)
-            }
+        let class = match UpdatePlanner::new(&self.config).absorb(&pipeline, &datapath, fm, &effect)
+        {
+            Absorbed::Incremental => UpdateClass::Incremental,
             Absorbed::PerTable(rebuilt) => {
-                self.swap_rebuilt_tables(&datapath, rebuilt);
-                self.updates.record(UpdateClass::PerTable, entries);
-                Ok(effect)
+                for (id, table) in rebuilt {
+                    let slot = datapath.slot(id).expect("planner checked the slot exists");
+                    *slot.table.write() = table;
+                }
+                UpdateClass::PerTable
             }
             // 3. Structural change: full recompilation, swapped in
             //    atomically.
             Absorbed::Full => match compile(&pipeline, &self.config) {
                 Ok(dp) => {
                     *self.datapath.write() = Arc::new(dp);
-                    self.updates.record(UpdateClass::Full, entries);
-                    Ok(effect)
+                    UpdateClass::Full
                 }
-                Err(_) => {
+                Err(CompileError::InvalidPipeline(e)) => {
                     // Compilation failure: roll the declarative change back
                     // so the running datapath and the pipeline stay
                     // consistent (transactional updates, §3.4).
                     undo.undo(&mut pipeline);
-                    Err(FlowModError::TableRequired)
+                    return Err(FlowModError::BadGoto(e));
                 }
             },
-        }
-    }
-
-    /// Swaps freshly rebuilt tables into their trampoline slots while other
-    /// tables keep serving packets.
-    fn swap_rebuilt_tables(
-        &self,
-        datapath: &CompiledDatapath,
-        rebuilt: Vec<(
-            openflow::pipeline::TableId,
-            crate::templates::table::CompiledTable,
-        )>,
-    ) {
-        for (id, table) in rebuilt {
-            let slot = datapath.slot(id).expect("planner checked the slot exists");
-            *slot.table.write() = table;
-        }
+        };
+        self.updates.record(class, entries);
+        Ok(effect)
     }
 }
 

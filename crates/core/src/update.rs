@@ -4,20 +4,14 @@
 //! incremental template edit when the flow-mod fits the compiled template's
 //! shape, a side-by-side per-table rebuild swapped through the table's
 //! trampoline when only existing tables changed, and a full recompilation
-//! only when the pipeline's structure changed. Before this module the ladder
-//! lived inside `EswitchRuntime::flow_mod`; now it is a standalone
-//! [`UpdatePlanner`] producing an [`UpdatePlan`], and both the single-switch
-//! runtime and the sharded control plane consume the same plan:
-//!
-//! * [`EswitchRuntime`](crate::runtime::EswitchRuntime) applies the plan *in
-//!   place* (trampoline semantics: packets see the change at their next table
-//!   lookup);
-//! * the sharded control plane applies incremental edits in place on the
-//!   shared compiled datapath (O(1), the paper's trampoline design) and
-//!   realises per-table plans as a *new* [`CompiledDatapath`] that
-//!   structurally shares every untouched table
-//!   ([`CompiledDatapath::with_rebuilt_tables`]), so an epoch publication
-//!   costs one slot, not one datapath.
+//! only when the pipeline's structure changed. The [`UpdatePlanner`] decides
+//! the tier and produces an [`UpdatePlan`];
+//! [`EswitchRuntime`](crate::runtime::EswitchRuntime) is its one executor —
+//! the sharded control plane applies ESWITCH flow-mods through a runtime
+//! too. Every tier below the full recompile lands *in place* (trampoline
+//! semantics: packets see the change at their next lookup of the touched
+//! table), so a published datapath stays the same allocation until a
+//! structural change replaces it.
 //!
 //! Planning is conservative: a plan is only produced when the edit is known
 //! to apply (shape checked, existence checked for deletes, parser depth
@@ -158,7 +152,7 @@ pub enum UpdatePlan {
     /// In-place incremental edit of one table's template.
     Incremental(TableEdit),
     /// Rebuilt templates for the touched tables, ready to swap into their
-    /// trampoline slots (or into fresh structurally-shared slots).
+    /// trampoline slots.
     PerTable(Vec<(TableId, CompiledTable)>),
     /// Structural change: the whole datapath must be recompiled.
     Full,
@@ -181,9 +175,8 @@ impl UpdatePlan {
 pub enum Absorbed {
     /// The live datapath took an incremental edit in place.
     Incremental,
-    /// The touched tables were rebuilt; the caller decides where they land
-    /// (trampoline swap in place, or a structurally-sharing successor
-    /// datapath via [`CompiledDatapath::with_rebuilt_tables`]).
+    /// The touched tables were rebuilt; the caller writes them into their
+    /// trampoline slots.
     PerTable(Vec<(TableId, CompiledTable)>),
     /// Structure changed: the caller must recompile the whole datapath.
     Full,
@@ -778,34 +771,5 @@ mod tests {
         c.record(5);
         assert_eq!(c.updates(), 2);
         assert_eq!(c.entries(), 6);
-    }
-
-    #[test]
-    fn structural_sharing_keeps_untouched_slots() {
-        let mut p = Pipeline::with_tables(2);
-        p.table_mut(0).unwrap().insert(FlowEntry::new(
-            FlowMatch::any(),
-            1,
-            vec![openflow::Instruction::GotoTable(1)],
-        ));
-        p.table_mut(1).unwrap().insert(FlowEntry::new(
-            FlowMatch::any(),
-            1,
-            terminal_actions(vec![Action::Output(1)]),
-        ));
-        let config = CompilerConfig::default();
-        let datapath = crate::compile::compile(&p, &config).unwrap();
-
-        let mut store = ActionStore::new();
-        let rebuilt = compile_table(
-            p.table(1).unwrap(),
-            &config,
-            &mut store,
-            datapath.slot_index(),
-        );
-        let next = datapath.with_rebuilt_tables(vec![(1, rebuilt)]);
-        // Table 0's slot is the same allocation; table 1's is fresh.
-        assert!(Arc::ptr_eq(&datapath.slots()[0], &next.slots()[0]));
-        assert!(!Arc::ptr_eq(&datapath.slots()[1], &next.slots()[1]));
     }
 }

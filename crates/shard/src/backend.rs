@@ -1,4 +1,5 @@
-//! Per-shard datapath replicas behind one trait.
+//! Per-shard datapath replicas behind one trait, and the canonical state
+//! the control plane publishes them from.
 //!
 //! A shard runs whichever architecture the deployment picked — the compiled
 //! ESWITCH datapath or the OVS-style cache hierarchy — but the worker loop
@@ -12,22 +13,34 @@
 //! The two replicas differ in what is shared and what is private, mirroring
 //! the real systems:
 //!
-//! * **ESWITCH** — compiled code is immutable between epochs, so every shard
-//!   holds an `Arc` to the *same* [`CompiledDatapath`]; an epoch advance is
+//! * **ESWITCH** — every shard holds an `Arc` to the *same*
+//!   [`CompiledDatapath`]; updates below a full recompile land in it in
+//!   place, through the touched tables' trampolines, and an epoch advance is
 //!   one pointer swap per shard.
 //! * **OVS** — each shard owns private microflow/megaflow caches over a
 //!   replica of the pipeline (OVS's per-PMD-thread caches); an epoch advance
 //!   replaces the replica's pipeline and invalidates the megaflows the
 //!   epoch's delta overlaps — or, without a usable delta, both caches whole,
 //!   which is what a flow-table change costs the OVS architecture (§2.3).
+//!
+//! The control side differs the same way ([`Canonical`]): ESWITCH flow-mods
+//! go through one [`EswitchRuntime`], the §3.4 ladder's one executor, whose
+//! compiled datapath is what the shards share; OVS flow-mods edit a
+//! canonical pipeline that each epoch snapshots for the replicas.
 
 use std::sync::Arc;
 
+use netdev::sync::Mutex;
+
 use eswitch::analysis::CompilerConfig;
-use eswitch::compile::{compile, CompileError, CompiledDatapath};
+use eswitch::compile::{CompileError, CompiledDatapath};
+use eswitch::runtime::{EswitchRuntime, UpdateStats};
+use eswitch::update::UpdateClass;
 use openflow::ct::ConnCtx;
 use openflow::flow_match::FlowMatch;
-use openflow::{Datapath, Pipeline, Verdict};
+use openflow::flow_mod::{apply_flow_mod, FlowModEffect, FlowModError};
+use openflow::{Datapath, FlowMod, Pipeline, Verdict};
+use ovsdp::datapath::delta_is_selective;
 use ovsdp::{OvsConfig, OvsDatapath};
 use pkt::Packet;
 
@@ -59,20 +72,6 @@ impl BackendSpec {
         }
     }
 
-    /// Compiles the canonical pipeline into the state the control plane
-    /// broadcasts. For ESWITCH this is the actual template compilation; for
-    /// OVS it is a snapshot of the pipeline (the replica's slow path realises
-    /// it, caches fill on demand). Runs on the control thread, never on a
-    /// worker.
-    pub(crate) fn compile_state(&self, pipeline: &Pipeline) -> Result<CompiledState, CompileError> {
-        match self {
-            BackendSpec::Eswitch(config) => {
-                Ok(CompiledState::Eswitch(Arc::new(compile(pipeline, config)?)))
-            }
-            BackendSpec::Ovs(_) => Ok(CompiledState::Ovs(Arc::new(pipeline.clone()))),
-        }
-    }
-
     /// Builds one shard's replica of a published state.
     pub(crate) fn replica(&self, state: &CompiledState) -> Box<dyn ShardBackend> {
         match (self, state) {
@@ -94,6 +93,96 @@ pub enum CompiledState {
     Eswitch(Arc<CompiledDatapath>),
     /// A snapshot of the canonical pipeline for OVS replicas to realise.
     Ovs(Arc<Pipeline>),
+}
+
+/// The matches of the rules one epoch changed: what an OVS replica's
+/// selective flush compares its megaflows against.
+pub(crate) type Delta = Arc<Vec<FlowMatch>>;
+
+/// The switch's canonical state: what flow-mods mutate and every epoch is
+/// published from. Lives on the control side, never on a worker.
+pub(crate) enum Canonical {
+    /// The one ESWITCH runtime: the canonical pipeline plus the compiled
+    /// datapath every shard shares, updated through the §3.4 ladder in
+    /// place.
+    Eswitch(EswitchRuntime),
+    /// The canonical pipeline the OVS replicas realise, and how its
+    /// flow-mods were classified by what they cost the replicas' caches.
+    Ovs {
+        pipeline: Mutex<Pipeline>,
+        updates: UpdateStats,
+    },
+}
+
+impl Canonical {
+    /// Compiles (ESWITCH) or adopts (OVS) the launch pipeline.
+    pub(crate) fn new(spec: BackendSpec, pipeline: Pipeline) -> Result<Self, CompileError> {
+        Ok(match spec {
+            BackendSpec::Eswitch(config) => {
+                Canonical::Eswitch(EswitchRuntime::with_config(pipeline, config)?)
+            }
+            BackendSpec::Ovs(_) => Canonical::Ovs {
+                pipeline: Mutex::new(pipeline),
+                updates: UpdateStats::default(),
+            },
+        })
+    }
+
+    /// The state an epoch publishes: the runtime's datapath, or a snapshot
+    /// of the pipeline for the OVS replicas to realise.
+    pub(crate) fn state(&self) -> CompiledState {
+        match self {
+            Canonical::Eswitch(runtime) => CompiledState::Eswitch(runtime.datapath()),
+            Canonical::Ovs { pipeline, .. } => {
+                CompiledState::Ovs(Arc::new(pipeline.lock().clone()))
+            }
+        }
+    }
+
+    /// Applies `fm`, returning its effect and, for an OVS change that is
+    /// provably selective-safe ([`delta_is_selective`]), the changed rules'
+    /// matches. An OVS flow-mod's class reflects what the *shards* pay: a
+    /// selective-safe delta invalidates incrementally, anything else costs
+    /// the full hierarchy.
+    pub(crate) fn flow_mod(
+        &self,
+        fm: &FlowMod,
+    ) -> Result<(FlowModEffect, Option<Delta>), FlowModError> {
+        let (pipeline, updates) = match self {
+            Canonical::Eswitch(runtime) => return Ok((runtime.flow_mod(fm)?, None)),
+            Canonical::Ovs { pipeline, updates } => (pipeline, updates),
+        };
+        let mut pipeline = pipeline.lock();
+        let effect = apply_flow_mod(&mut pipeline, fm)?;
+        let entries = effect.entries_touched();
+        if entries == 0 {
+            return Ok((effect, None));
+        }
+        let delta = delta_is_selective(&pipeline, &effect)
+            .then(|| Arc::new(effect.touched_matches.clone()));
+        let class = match delta {
+            Some(_) => UpdateClass::Incremental,
+            None => UpdateClass::Full,
+        };
+        updates.record(class, entries);
+        Ok((effect, delta))
+    }
+
+    /// Read access to the canonical pipeline.
+    pub(crate) fn with_pipeline<R>(&self, f: impl FnOnce(&Pipeline) -> R) -> R {
+        match self {
+            Canonical::Eswitch(runtime) => runtime.with_pipeline(f),
+            Canonical::Ovs { pipeline, .. } => f(&pipeline.lock()),
+        }
+    }
+
+    /// Per-tier update accounting.
+    pub(crate) fn updates(&self) -> &UpdateStats {
+        match self {
+            Canonical::Eswitch(runtime) => &runtime.updates,
+            Canonical::Ovs { updates, .. } => updates,
+        }
+    }
 }
 
 /// A per-shard datapath replica: one worker thread owns it exclusively.
@@ -156,10 +245,9 @@ impl ShardBackend for EswitchShard {
     }
 
     fn apply(&mut self, state: &CompiledState, _deltas: Option<&[Arc<Vec<FlowMatch>>]>) {
-        // Compiled epochs already share every untouched table structurally
-        // (and incremental edits mutate the shared slot through its
-        // trampoline), so applying an epoch is one pointer swap regardless of
-        // the delta.
+        // Incremental and per-table updates already landed in the shared
+        // datapath through its trampolines; only a full recompile hands
+        // over a new one. Either way applying an epoch is one pointer swap.
         if let CompiledState::Eswitch(datapath) = state {
             self.datapath = Arc::clone(datapath);
         }
@@ -226,14 +314,14 @@ mod tests {
     #[test]
     fn both_replicas_process_and_swap_epochs() {
         for spec in [BackendSpec::eswitch(), BackendSpec::ovs()] {
-            let state = spec.compile_state(&port_pipeline(1)).unwrap();
+            let state = Canonical::new(spec, port_pipeline(1)).unwrap().state();
             let mut replica = spec.replica(&state);
             let mut burst = vec![PacketBuilder::tcp().tcp_dst(80).build()];
             let mut verdicts = Vec::new();
             replica.process_burst(&mut burst, &mut verdicts, &mut NoCt);
             assert_eq!(verdicts[0].outputs, vec![1], "{}", spec.label());
 
-            let next = spec.compile_state(&port_pipeline(9)).unwrap();
+            let next = Canonical::new(spec, port_pipeline(9)).unwrap().state();
             replica.apply(&next, None);
             let mut burst = vec![PacketBuilder::tcp().tcp_dst(80).build()];
             replica.process_burst(&mut burst, &mut verdicts, &mut NoCt);
@@ -264,7 +352,7 @@ mod tests {
             90,
             terminal_actions(vec![Action::Output(5)]),
         ));
-        let next = spec.compile_state(&p).unwrap();
+        let next = Canonical::new(spec, p).unwrap().state();
         let delta = vec![Arc::new(vec![
             FlowMatch::any().with_exact(Field::TcpDst, 9999)
         ])];

@@ -23,16 +23,21 @@
 //! the architecture already has:
 //!
 //! * **flow-mods** go through the control plane (`Control::flow_mod`), i.e.
-//!   through the §3.4 update planner and the epoch-swap publication — a
+//!   through the launch's runtime and the epoch-swap publication — a
 //!   reactive install is an incremental epoch like any other, and no worker
-//!   blocks on it. Concurrent controller workers serialise on the canonical
-//!   pipeline lock exactly like concurrent proactive flow-mods do;
+//!   blocks on it. Concurrent controller workers serialise on the publish
+//!   lock exactly like concurrent proactive flow-mods do;
 //! * **packet-outs** with an empty action list (`OFPP_TABLE` resubmit) are
 //!   re-injected through a *per-controller-worker* RSS dispatcher over that
 //!   worker's own slice of inject rings (`inject[w][s]`), so the triggering
 //!   packet re-enters its own shard and takes the freshly installed rule on
 //!   the fast path; explicit action lists are applied at the controller
 //!   edge.
+//!
+//! Those two channels are this loop's [`DecisionSink`]; the answers are
+//! applied, and counted, by the one decision applier the synchronous
+//! [`eswitch::reactive::Reactive`] loop uses too
+//! ([`DecisionStats::answer`]).
 //!
 //! The controller *application* (`dyn Controller`) is a single logical
 //! entity — a learning switch's MAC table spans flows from every partition —
@@ -66,11 +71,11 @@ use std::time::Instant;
 use netdev::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use netdev::sync::Mutex;
 
-use eswitch::reactive::{PuntAdmission, PuntGate, PuntPolicy};
+use eswitch::reactive::{DecisionSink, DecisionStats, PuntAdmission, PuntGate, PuntPolicy};
 use netdev::{SpscRing, BURST_SIZE};
-use openflow::action::apply_action_list;
+use openflow::flow_mod::{FlowModEffect, FlowModError};
 use openflow::pipeline::TableId;
-use openflow::{Controller, ControllerDecision, FlowKey, PacketIn, PacketInReason};
+use openflow::{Controller, FlowKey, FlowMod, PacketIn, PacketInReason};
 use pkt::Packet;
 
 use crate::rss::RssDispatcher;
@@ -135,19 +140,11 @@ pub struct ReactiveStats {
     /// Packet-ins the controller workers have fully handled (decisions
     /// applied).
     pub answered: AtomicU64,
-    /// Flow-mods applied successfully through the control plane.
-    pub flow_mods: AtomicU64,
-    /// Flow-mods the control plane rejected.
-    pub flow_mods_rejected: AtomicU64,
     /// Packet-outs re-injected through the RSS dispatchers (empty action
     /// list: `OFPP_TABLE` resubmit).
     pub reinjected: AtomicU64,
     /// Re-injected packets the workers have processed.
     pub injected: AtomicU64,
-    /// Packet-outs with explicit actions, applied at the controller edge.
-    pub direct_outs: AtomicU64,
-    /// Controller decisions to drop the punted packet.
-    pub dropped: AtomicU64,
     /// Sum of punt round-trip times (enqueue → decisions applied), nanos.
     pub rtt_nanos: AtomicU64,
     /// Worst observed punt round-trip, nanos.
@@ -192,6 +189,10 @@ impl ControllerWorkerSnapshot {
 /// share about the reactive channel.
 pub(crate) struct ReactiveShared {
     pub(crate) stats: ReactiveStats,
+    /// What the decision applier did with the controller's answers
+    /// (`packet_ins` is not reported: it equals `answered` once the
+    /// answers are applied).
+    pub(crate) decisions: DecisionStats,
     /// Per-shard punt-dedup gates (worker admits, controller completes).
     pub(crate) gates: Vec<Arc<PuntGate>>,
     /// Layers 2 and 3 of the admission pipeline (per-source + aggregate
@@ -212,6 +213,7 @@ impl ReactiveShared {
     ) -> Self {
         ReactiveShared {
             stats: ReactiveStats::default(),
+            decisions: DecisionStats::default(),
             gates: (0..shards)
                 .map(|_| Arc::new(PuntGate::new(gate_capacity)))
                 .collect(),
@@ -232,6 +234,7 @@ impl ReactiveShared {
     pub(crate) fn snapshot(&self) -> ReactiveSnapshot {
         let s = &self.stats;
         let answered = s.answered.load(Ordering::Acquire);
+        let decisions = self.decisions.snapshot();
         ReactiveSnapshot {
             admitted: self.gates.iter().map(|g| g.admitted()).sum(),
             suppressed: self.gates.iter().map(|g| g.suppressed()).sum(),
@@ -240,12 +243,12 @@ impl ReactiveShared {
             shed_source: s.shed_source.load(Ordering::Relaxed),
             shed_aggregate: s.shed_aggregate.load(Ordering::Relaxed),
             answered,
-            flow_mods: s.flow_mods.load(Ordering::Relaxed),
-            flow_mods_rejected: s.flow_mods_rejected.load(Ordering::Relaxed),
+            flow_mods: decisions.flow_mods,
+            flow_mods_rejected: decisions.flow_mods_rejected,
             reinjected: s.reinjected.load(Ordering::Acquire),
             injected: s.injected.load(Ordering::Acquire),
-            direct_outs: s.direct_outs.load(Ordering::Relaxed),
-            dropped: s.dropped.load(Ordering::Relaxed),
+            direct_outs: decisions.direct_outs,
+            dropped: decisions.dropped,
             rtt_nanos_total: s.rtt_nanos.load(Ordering::Relaxed),
             rtt_max_nanos: s.rtt_max_nanos.load(Ordering::Relaxed),
             per_worker: self
@@ -387,42 +390,16 @@ impl ControllerWorker {
             .with_epoch(punt.epoch)
             .with_buffer(punt.flow);
         // The application mutex covers decision *computation* only; the
-        // expensive halves — planner + epoch publication, RSS re-injection —
-        // run below, in parallel across controller workers.
-        let decisions = self.controller.lock().packet_in(event);
-        for decision in decisions {
-            match decision {
-                // Reactive installs flow through the §3.4 planner and the
-                // epoch-swap publication like any proactive flow-mod; the
-                // punting shard picks the new epoch up at a burst boundary.
-                ControllerDecision::FlowMod(fm) => {
-                    if self.control.flow_mod(&fm).is_ok() {
-                        stats.flow_mods.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        stats.flow_mods_rejected.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                ControllerDecision::PacketOut(mut po) => {
-                    if po.resubmit {
-                        // OFPP_TABLE resubmit: back through RSS, so the
-                        // packet re-enters its own shard and takes the rule
-                        // installed a moment ago on the fast path. Punts
-                        // are rare; flushing immediately trades burst
-                        // batching for setup latency.
-                        stats.reinjected.fetch_add(1, Ordering::Release);
-                        self.injector.dispatch(po.packet);
-                        self.injector.flush();
-                    } else {
-                        stats.direct_outs.fetch_add(1, Ordering::Relaxed);
-                        let mut key = FlowKey::extract(&po.packet);
-                        let _ = apply_action_list(&po.actions, &mut po.packet, &mut key);
-                    }
-                }
-                ControllerDecision::Drop => {
-                    stats.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+        // expensive halves — flow-mod publication, RSS re-injection — run
+        // after it, in parallel across controller workers.
+        let mut sink = ShardSink {
+            control: &self.control,
+            injector: &mut self.injector,
+            reinjected: &stats.reinjected,
+        };
+        self.shared
+            .decisions
+            .answer(&self.controller, event, &mut sink);
         // Re-arm the flow only after its install is published: a packet
         // missing *now* (stale epoch) may punt again, and the controller
         // must be idempotent — OpenFlow never promised exactly-once
@@ -439,5 +416,32 @@ impl ControllerWorker {
         // every handled punt (flow-mod published, packet-out enqueued and
         // counted) is already visible — the shutdown fixpoint relies on it.
         stats.answered.fetch_add(1, Ordering::Release);
+    }
+}
+
+/// A controller worker's [`DecisionSink`]: flow-mods through the control
+/// plane, resubmits through the worker's private inject dispatcher.
+struct ShardSink<'a> {
+    control: &'a Control,
+    injector: &'a mut RssDispatcher,
+    reinjected: &'a AtomicU64,
+}
+
+impl DecisionSink for ShardSink<'_> {
+    /// Reactive installs go through the runtime's ladder and the epoch-swap
+    /// publication like any proactive flow-mod; the punting shard picks the
+    /// new epoch up at a burst boundary.
+    fn flow_mod(&mut self, fm: &FlowMod) -> Result<FlowModEffect, FlowModError> {
+        self.control.flow_mod(fm)
+    }
+
+    /// OFPP_TABLE resubmit: back through RSS, so the packet re-enters its
+    /// own shard and takes the rule installed a moment ago on the fast path.
+    /// Punts are rare; flushing immediately trades burst batching for setup
+    /// latency.
+    fn resubmit(&mut self, packet: Packet) {
+        self.reinjected.fetch_add(1, Ordering::Release);
+        self.injector.dispatch(packet);
+        self.injector.flush();
     }
 }

@@ -35,19 +35,20 @@
 //!   shard drains its column of ingress rings in 32-packet bursts through
 //!   its architecture's one zero-allocation burst entry — one worker loop,
 //!   whatever the launch attached.
-//! * **Control plane** ([`runtime::ShardedSwitch::flow_mod`]) — flow-mods are
-//!   applied to the canonical [`openflow::Pipeline`] once, classified by the
-//!   shared §3.4 update planner ([`eswitch::update`]) on the control thread,
-//!   and broadcast as an epoch-stamped state via atomic `Arc` swap. An
-//!   incremental edit publishes in O(1) through the touched table's
-//!   trampoline; a per-table rebuild publishes a datapath that structurally
-//!   shares every untouched table; only structural changes recompile the
-//!   whole state. OVS epochs carry the changed rules' matches when provably
-//!   selective-safe, so replicas flush only overlapping megaflows and keep
-//!   disjoint EMC entries. Workers pick the new epoch up at their next burst
-//!   boundary: no worker ever blocks on recompilation, and a failed
-//!   compilation replays the flow-mod's undo log, leaving every shard on the
-//!   old epoch.
+//! * **Control plane** ([`runtime::ShardedSwitch::flow_mod`]) — an ESWITCH
+//!   launch owns one [`eswitch::runtime::EswitchRuntime`], and every
+//!   flow-mod goes through it: the §3.4 ladder's one executor, the same one
+//!   a single switch runs. It writes incremental edits and per-table
+//!   rebuilds into the shared datapath through the touched tables'
+//!   trampolines and recompiles only on structural change; a failed
+//!   compilation replays the flow-mod's undo log. The control plane then
+//!   publishes the runtime's datapath as the next epoch via atomic `Arc`
+//!   swap, under a lock that keeps epochs in flow-mod order. OVS flow-mods
+//!   edit a canonical pipeline, and their epochs carry the changed rules'
+//!   matches when provably selective-safe, so replicas flush only
+//!   overlapping megaflows and keep disjoint EMC entries. Workers pick a new
+//!   epoch up at their next burst boundary and never block on
+//!   recompilation.
 //! * **Reactive slow path** ([`controller`]) — worker shards run punted
 //!   packets through a layered admission pipeline (per-flow
 //!   [`eswitch::reactive::PuntGate`], per-source and aggregate token
@@ -56,10 +57,11 @@
 //!   matrix of SPSC punt rings; N controller workers, partitioned by flow
 //!   signature ([`controller::partition_of`]), each drain their own slice
 //!   into the shared [`openflow::Controller`] application and route the
-//!   answers back: flow-mods publish through the §3.4 planner as
-//!   incremental epochs, `OFPP_TABLE` packet-outs re-inject through each
-//!   worker's private RSS dispatcher so the triggering packet takes the
-//!   fresh rule on the fast path. A full punt ring or an over-rate source
+//!   answers back through the decision applier the synchronous loop uses
+//!   too ([`eswitch::reactive::DecisionStats::answer`]): flow-mods publish
+//!   through the control plane as incremental epochs, `OFPP_TABLE`
+//!   packet-outs re-inject through each worker's private RSS dispatcher so
+//!   the triggering packet takes the fresh rule on the fast path. A full punt ring or an over-rate source
 //!   sheds the punt *copy* (counted by reason — that packet is not
 //!   duplicated up, like a real switch's bounded upcall queue, but its
 //!   verdict stands) — workers never block on the controller.
@@ -92,7 +94,7 @@ pub use eswitch::reactive::{PuntPolicy, RateLimit};
 pub use remap::{RebalanceConfig, RemapShared, RemapTable};
 pub use rss::{rss_hash, rss_hash_symmetric, shard_of, RssDispatcher};
 pub use runtime::{
-    LaunchParts, ShardError, ShardStats, ShardedConfig, ShardedSwitch, ShutdownReport,
-    UpdateClassCounts, UpdateClassStats, VerdictSink,
+    LaunchParts, ShardStats, ShardedConfig, ShardedSwitch, ShutdownReport, UpdateClassCounts,
+    VerdictSink,
 };
 pub use telemetry::{LoadSnapshot, ShardLoad};

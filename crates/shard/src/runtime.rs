@@ -9,20 +9,21 @@
 //! classify/RSS → SPSC ring matrix → worker (backend + ct) → per-port
 //! egress. There is one worker loop whatever the launch attached.
 //!
-//! The control plane lives on whichever thread calls `flow_mod`: the flow-mod
-//! is applied to the canonical pipeline once, run through the shared §3.4
-//! update planner, and published as an epoch-stamped [`CompiledState`]
-//! behind an atomic `Arc` swap — an *incremental* epoch re-publishes the
-//! shared datapath after an O(1) trampoline edit, a *per-table* epoch is a
-//! new datapath structurally sharing every untouched table, and only
-//! structural changes recompile the full state. Workers poll the epoch
-//! counter (one relaxed load) at every loop iteration and swap in the
-//! published state at a burst boundary, so:
+//! The control plane lives on whichever thread calls `flow_mod`: an ESWITCH
+//! flow-mod goes through the launch's one [`eswitch::runtime::EswitchRuntime`]
+//! — the §3.4 ladder's one executor — and an OVS flow-mod edits the canonical
+//! pipeline ([`Canonical`]); the result is published as an epoch-stamped
+//! [`CompiledState`] behind an atomic `Arc` swap. An *incremental* or
+//! *per-table* epoch re-publishes the shared datapath after the runtime wrote
+//! the touched tables through their trampolines, and only structural
+//! changes recompile the full state. Workers poll the epoch counter (one
+//! relaxed load) at every loop iteration and swap in the published state at
+//! a burst boundary, so:
 //!
 //! * no worker ever blocks while the control plane plans or compiles (the
 //!   `published` write lock guards a pointer swap only),
-//! * a per-table or full epoch is atomic per worker (swapped at a burst
-//!   boundary), and an incremental edit is atomic per table lookup — the
+//! * a full epoch is atomic per worker (swapped at a burst boundary), and an
+//!   incremental or per-table update is atomic per table lookup — the
 //!   paper's trampoline semantics, so a verdict can never mix pre- and
 //!   post-update behaviour of one table,
 //! * a shard that is idle still converges to the newest epoch.
@@ -47,18 +48,16 @@ use eswitch::compile::CompileError;
 use eswitch::reactive::{
     punt_signature, source_signature, IngressSnapshot, PuntAdmit, PuntGate, PuntPolicy,
 };
-use eswitch::update::{Absorbed, UpdateClass, UpdatePlanner};
+use eswitch::runtime::UpdateStats;
 use netdev::classify::Classifier;
 use netdev::{CounterSnapshot, Counters, PortSet, SpscRing, BURST_SIZE};
 use openflow::ct::{ConnCtx, NoCt};
-use openflow::flow_match::FlowMatch;
-use openflow::flow_mod::{apply_flow_mod_undoable, FlowModEffect, FlowModError};
+use openflow::flow_mod::{FlowModEffect, FlowModError};
 use openflow::instruction::{instructions_can_punt, pipeline_can_punt, pipeline_has_ct};
 use openflow::{Controller, FlowKey, FlowMod, PacketInReason, Pipeline, Verdict};
-use ovsdp::datapath::delta_is_selective;
 use pkt::Packet;
 
-use crate::backend::{BackendSpec, CompiledState};
+use crate::backend::{BackendSpec, Canonical, CompiledState, Delta};
 use crate::controller::{partition_of, ControllerWorker, Punt, ReactiveShared, ReactiveSnapshot};
 use crate::epoch::EpochSlot;
 use crate::multiport::{Egress, Ingress, PortDispatcher};
@@ -79,11 +78,6 @@ pub struct ShardedConfig {
     /// only; rounded up to a power of two). A full punt ring sheds the punt
     /// *copy* — counted as `overflow`, never blocking the worker.
     pub punt_ring_capacity: usize,
-    /// Per-shard bound on flows tracked as punt-in-flight (the dedup gate's
-    /// capacity; beyond it the gate fails open to duplicates). Launch
-    /// applies an eviction-resistance floor on top — see
-    /// [`ShardedConfig::effective_gate_capacity`].
-    pub max_in_flight_punts: usize,
     /// Controller workers draining the punt rings, partitioned by flow
     /// signature (reactive launches only; clamped to at least 1). Each
     /// worker exclusively owns its slice of the punt/inject ring matrices,
@@ -117,7 +111,6 @@ impl Default for ShardedConfig {
             workers: 2,
             ring_capacity: 1024,
             punt_ring_capacity: 256,
-            max_in_flight_punts: PuntGate::DEFAULT_CAPACITY,
             controller_workers: 1,
             punt_policy: PuntPolicy::default(),
             ct: None,
@@ -127,8 +120,9 @@ impl Default for ShardedConfig {
 }
 
 impl ShardedConfig {
-    /// The per-shard [`PuntGate`] capacity a launch actually uses:
-    /// `max_in_flight_punts`, floored at the shard's total punt-ring slots
+    /// The per-shard [`PuntGate`] capacity a launch uses:
+    /// [`PuntGate::DEFAULT_CAPACITY`], floored at the shard's total punt-ring
+    /// slots
     /// (one ring per controller worker, capacities rounded to powers of
     /// two). The floor makes the gate *eviction-resistant by sizing*: every
     /// punt that can physically sit in a ring has a tracked gate entry, so
@@ -140,30 +134,9 @@ impl ShardedConfig {
     pub fn effective_gate_capacity(&self) -> usize {
         let ring_slots =
             self.punt_ring_capacity.max(1).next_power_of_two() * self.controller_workers.max(1);
-        self.max_in_flight_punts.max(ring_slots)
+        PuntGate::DEFAULT_CAPACITY.max(ring_slots)
     }
 }
-
-/// Errors the control plane can return from a live flow-mod.
-#[derive(Debug)]
-pub enum ShardError {
-    /// The flow-mod itself was invalid; nothing changed.
-    FlowMod(FlowModError),
-    /// The updated pipeline failed to compile; the canonical pipeline was
-    /// rolled back and every shard keeps serving the previous epoch.
-    Compile(CompileError),
-}
-
-impl std::fmt::Display for ShardError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardError::FlowMod(e) => write!(f, "flow-mod rejected: {e:?}"),
-            ShardError::Compile(e) => write!(f, "recompilation failed (rolled back): {e:?}"),
-        }
-    }
-}
-
-impl std::error::Error for ShardError {}
 
 /// Number of trailing per-epoch deltas an epoch publication carries. A
 /// worker that fell further behind than this window (or crossed a
@@ -179,14 +152,12 @@ struct EpochDelta {
     /// not provably selective-safe (a created table, or a match on a field
     /// rewritten upstream of the touched table —
     /// [`delta_is_selective`]).
-    matches: Option<Arc<Vec<FlowMatch>>>,
+    matches: Option<Delta>,
 }
 
 /// An epoch-stamped published state.
 struct Published {
     epoch: u64,
-    /// Which §3.4 tier produced this epoch (switch-wide update accounting).
-    class: UpdateClass,
     state: CompiledState,
     /// Trailing window of per-epoch deltas, newest last.
     recent: Vec<EpochDelta>,
@@ -195,7 +166,7 @@ struct Published {
 impl Published {
     /// The per-epoch deltas covering exactly `(since, self.epoch]`, if every
     /// epoch in that gap is inside the window and selective-safe.
-    fn deltas_since(&self, since: u64) -> Option<Vec<Arc<Vec<FlowMatch>>>> {
+    fn deltas_since(&self, since: u64) -> Option<Vec<Delta>> {
         let need = self.epoch.checked_sub(since)?;
         if need > self.recent.len() as u64 {
             // The gap exceeds the delta window: a far-behind worker cannot
@@ -214,35 +185,8 @@ impl Published {
     }
 }
 
-/// Switch-wide counts of how flow-mods were absorbed, by §3.4 ladder tier.
-#[derive(Debug, Default)]
-pub struct UpdateClassStats {
-    incremental: AtomicU64,
-    per_table: AtomicU64,
-    full: AtomicU64,
-}
-
-impl UpdateClassStats {
-    fn record(&self, class: UpdateClass) {
-        match class {
-            UpdateClass::Incremental => &self.incremental,
-            UpdateClass::PerTable => &self.per_table,
-            UpdateClass::Full => &self.full,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy of the per-class counts.
-    pub fn snapshot(&self) -> UpdateClassCounts {
-        UpdateClassCounts {
-            incremental: self.incremental.load(Ordering::Relaxed),
-            per_table: self.per_table.load(Ordering::Relaxed),
-            full: self.full.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data copy of [`UpdateClassStats`] at one instant.
+/// Switch-wide counts of how flow-mods were absorbed, by §3.4 ladder tier
+/// (one epoch each).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateClassCounts {
     /// Epochs published by an in-place incremental template edit.
@@ -260,14 +204,25 @@ impl UpdateClassCounts {
     }
 }
 
+impl From<&UpdateStats> for UpdateClassCounts {
+    fn from(updates: &UpdateStats) -> Self {
+        UpdateClassCounts {
+            incremental: updates.incremental.updates(),
+            per_table: updates.table_rebuilds.updates(),
+            full: updates.full_recompiles.updates(),
+        }
+    }
+}
+
 /// State shared between the control plane and every worker. The reactive
-/// controller thread holds an `Arc` to it too: its flow-mods go through
-/// [`Control::flow_mod`], the same planner-and-epoch-swap path the switch
-/// handle uses.
+/// controller threads hold an `Arc` to it too: their flow-mods go through
+/// [`Control::flow_mod`], the same path the switch handle uses.
 pub(crate) struct Control {
-    spec: BackendSpec,
-    /// The canonical pipeline; the single source of truth flow-mods mutate.
-    pipeline: Mutex<Pipeline>,
+    /// The canonical state flow-mods mutate.
+    canonical: Canonical,
+    /// Held across apply + publish, so epochs go out in the order their
+    /// flow-mods were applied.
+    publish: Mutex<()>,
     /// The latest compiled state plus the monotonic epoch counter workers
     /// poll, as an [`EpochSlot`]: the write-side critical section contains a
     /// pointer swap only — every compile/plan/rebuild happens before it,
@@ -280,8 +235,6 @@ pub(crate) struct Control {
     /// controller; monotone OR, gates the workers' per-burst ingress-frame
     /// snapshot so proactive pipelines pay nothing for packet-in fidelity.
     may_punt: AtomicBool,
-    /// Per-class epoch accounting (§3.4 ladder tiers).
-    update_stats: UpdateClassStats,
     shutdown: AtomicBool,
 }
 
@@ -289,90 +242,39 @@ impl Control {
     /// Applies a flow-mod and publishes the next epoch — the shared control
     /// plane entry point, reachable from the switch handle
     /// ([`ShardedSwitch::flow_mod`]) and from the reactive controller
-    /// thread. The pipeline lock is held across plan + publish so concurrent
-    /// flow-mods serialise and epochs stay monotonic with pipeline state.
-    pub(crate) fn flow_mod(&self, fm: &FlowMod) -> Result<FlowModEffect, ShardError> {
-        let mut pipeline = self.pipeline.lock();
-        let (effect, undo) =
-            apply_flow_mod_undoable(&mut pipeline, fm).map_err(ShardError::FlowMod)?;
+    /// threads.
+    pub(crate) fn flow_mod(&self, fm: &FlowMod) -> Result<FlowModEffect, FlowModError> {
+        let _order = self.publish.lock();
         if instructions_can_punt(&fm.instructions) {
-            // Monotone: a rolled-back punt path only leaves the bit
-            // conservatively set.
+            // Set before the change can reach a worker (an in-place edit
+            // does so before publication). Monotone: a refused punt path
+            // only leaves the bit conservatively set.
             self.may_punt.store(true, Ordering::Relaxed);
         }
-        if effect.entries_touched() == 0 {
-            // Matched nothing, changed nothing: every shard's state is still
-            // exact — publishing an epoch would only force needless work.
-            return Ok(effect);
-        }
-        let prev = self.published.load();
-
-        let (state, class, delta) = match (&self.spec, &prev.state) {
-            (BackendSpec::Eswitch(config), CompiledState::Eswitch(dp)) => {
-                match UpdatePlanner::new(config).absorb(&pipeline, dp, fm, &effect) {
-                    // The shared datapath absorbed the edit in place
-                    // (trampoline semantics): re-publish the same state
-                    // under the next epoch so convergence tracking and
-                    // class accounting advance.
-                    Absorbed::Incremental => (
-                        CompiledState::Eswitch(Arc::clone(dp)),
-                        UpdateClass::Incremental,
-                        None,
-                    ),
-                    // A new datapath structurally sharing every untouched
-                    // table; only the rebuilt tables get fresh slots.
-                    Absorbed::PerTable(rebuilt) => (
-                        CompiledState::Eswitch(Arc::new(dp.with_rebuilt_tables(rebuilt))),
-                        UpdateClass::PerTable,
-                        None,
-                    ),
-                    Absorbed::Full => match self.spec.compile_state(&pipeline) {
-                        Ok(state) => (state, UpdateClass::Full, None),
-                        Err(e) => {
-                            undo.undo(&mut pipeline);
-                            return Err(ShardError::Compile(e));
-                        }
-                    },
-                }
+        let (effect, delta) = self.canonical.flow_mod(fm)?;
+        // Matched nothing, changed nothing: every shard's state is still
+        // exact, and publishing an epoch would only force needless work.
+        if effect.entries_touched() > 0 {
+            let prev = self.published.load();
+            let epoch = prev.epoch + 1;
+            let mut recent = prev.recent.clone();
+            if recent.len() >= DELTA_WINDOW {
+                recent.drain(..recent.len() + 1 - DELTA_WINDOW);
             }
-            (BackendSpec::Ovs(_), _) => {
-                // OVS epochs always snapshot the pipeline (replicas realise
-                // it lazily); the ladder classification reflects what the
-                // *shards* pay: a selective-safe delta invalidates
-                // incrementally, anything else costs the full hierarchy.
-                let state = CompiledState::Ovs(Arc::new(pipeline.clone()));
-                if delta_is_selective(&pipeline, &effect) {
-                    (
-                        state,
-                        UpdateClass::Incremental,
-                        Some(Arc::new(effect.touched_matches.clone())),
-                    )
-                } else {
-                    (state, UpdateClass::Full, None)
-                }
-            }
-            _ => unreachable!("published state does not match the backend spec"),
-        };
-
-        let epoch = prev.epoch + 1;
-        let mut recent = prev.recent.clone();
-        if recent.len() >= DELTA_WINDOW {
-            recent.drain(..recent.len() + 1 - DELTA_WINDOW);
-        }
-        recent.push(EpochDelta {
-            epoch,
-            matches: delta,
-        });
-        self.published.publish(
-            epoch,
-            Arc::new(Published {
+            recent.push(EpochDelta {
                 epoch,
-                class,
-                state,
-                recent,
-            }),
-        );
-        self.update_stats.record(class);
+                matches: delta,
+            });
+            let state = self.canonical.state();
+            self.published.publish(
+                epoch,
+                Arc::new(Published {
+                    epoch,
+                    state,
+                    recent,
+                }),
+            );
+        }
         Ok(effect)
     }
 }
@@ -505,24 +407,22 @@ impl ShardedSwitch {
         parts: LaunchParts,
     ) -> Result<(Self, RssDispatcher), CompileError> {
         let workers_wanted = config.workers.max(1);
-        let state = spec.compile_state(&pipeline)?;
         let may_punt = pipeline_can_punt(&pipeline);
         // A ct-bearing pipeline needs both directions of a connection on one
         // shard: steer every dispatcher (ingress and the controller workers'
         // re-injectors) with the direction-insensitive hash.
         let symmetric = pipeline_has_ct(&pipeline);
+        let canonical = Canonical::new(spec, pipeline)?;
         let published = Arc::new(Published {
             epoch: 0,
-            class: UpdateClass::Full,
-            state,
+            state: canonical.state(),
             recent: Vec::new(),
         });
         let control = Arc::new(Control {
-            spec,
-            pipeline: Mutex::new(pipeline),
+            canonical,
+            publish: Mutex::new(()),
             published: EpochSlot::new(Arc::clone(&published)),
             may_punt: AtomicBool::new(may_punt),
-            update_stats: UpdateClassStats::default(),
             shutdown: AtomicBool::new(false),
         });
 
@@ -611,7 +511,7 @@ impl ShardedSwitch {
                 recorder: LoadRecorder::new(Arc::clone(&load)),
                 sink: parts.sink.clone(),
                 reactive,
-                backend: control.spec.replica(&published.state),
+                backend: spec.replica(&published.state),
                 epoch: 0,
                 ct,
                 verdicts: Vec::with_capacity(BURST_SIZE),
@@ -720,33 +620,34 @@ impl ShardedSwitch {
         self.stats.len()
     }
 
-    /// Applies a flow-mod while traffic runs: the canonical pipeline is
-    /// updated once, the §3.4 update planner decides the cheapest absorbing
-    /// tier on *this* thread, and the result is broadcast to every shard as
-    /// the next epoch. Workers swap it in at their next burst boundary
-    /// without ever blocking — the `published` write lock holds a pointer
-    /// swap only, never compilation.
+    /// Applies a flow-mod while traffic runs and broadcasts the result to
+    /// every shard as the next epoch. Workers swap it in at their next burst
+    /// boundary without ever blocking — the `published` write lock holds a
+    /// pointer swap only, never compilation.
+    ///
+    /// ESWITCH flow-mods go through the launch's one
+    /// [`eswitch::runtime::EswitchRuntime`], exactly as on a single switch:
     ///
     /// * **Incremental** — the edit lands in the shared compiled datapath
-    ///   through the touched table's trampoline (O(1) publication; packets
-    ///   see the edit at their next lookup of that one table, the paper's
-    ///   trampoline semantics);
-    /// * **PerTable** — only the touched tables are recompiled and the epoch
-    ///   is a new datapath that *structurally shares* every untouched table;
+    ///   through the touched table's trampoline (O(1); packets see the edit
+    ///   at their next lookup of that one table, the paper's trampoline
+    ///   semantics);
+    /// * **PerTable** — only the touched tables are recompiled and written
+    ///   into their trampolines the same way;
     /// * **Full** — structure changed: the whole state is recompiled. A
     ///   compilation failure replays the flow-mod's undo log (no up-front
     ///   pipeline clone) and leaves every shard on the previous epoch.
     ///
-    /// OVS epochs additionally carry the changed rules' matches when the
-    /// change is provably selective-safe, so replicas flush only the
-    /// overlapping megaflow entries and keep disjoint EMC entries alive.
-    pub fn flow_mod(&self, fm: &FlowMod) -> Result<FlowModEffect, ShardError> {
+    /// OVS epochs carry the changed rules' matches when the change is
+    /// provably selective-safe, so replicas flush only the overlapping
+    /// megaflow entries and keep disjoint EMC entries alive.
+    pub fn flow_mod(&self, fm: &FlowMod) -> Result<FlowModEffect, FlowModError> {
         self.control.flow_mod(fm)
     }
 
     /// Switch-wide per-class epoch counts (§3.4 ladder accounting).
     pub fn update_classes(&self) -> UpdateClassCounts {
-        self.control.update_stats.snapshot()
+        self.control.canonical.updates().into()
     }
 
     /// Reactive slow-path accounting, when this switch was launched with a
@@ -756,15 +657,9 @@ impl ShardedSwitch {
         self.reactive.as_ref().map(|r| r.shared.snapshot())
     }
 
-    /// The §3.4 ladder tier that produced the most recent epoch (epoch 0,
-    /// the launch compilation, reports as `Full`).
-    pub fn current_epoch_class(&self) -> UpdateClass {
-        self.control.published.load().class
-    }
-
     /// Read access to the canonical pipeline.
     pub fn with_pipeline<R>(&self, f: impl FnOnce(&Pipeline) -> R) -> R {
-        f(&self.control.pipeline.lock())
+        self.control.canonical.with_pipeline(f)
     }
 
     /// The control-plane epoch (number of published updates).
@@ -882,7 +777,7 @@ impl ShardedSwitch {
             processed: self.stats(),
             per_shard,
             epoch: self.control.published.epoch(),
-            update_classes: self.control.update_stats.snapshot(),
+            update_classes: self.update_classes(),
             reactive: self.reactive.as_ref().map(|r| r.shared.snapshot()),
             ct_per_shard: self
                 .ct_stats

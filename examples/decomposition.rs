@@ -63,7 +63,6 @@ fn main() {
     let config = CompilerConfig {
         direct_code_limit: 0, // force decomposition even for small examples
         enable_decomposition: true,
-        ..CompilerConfig::default()
     };
 
     // 1. The Fig. 5 example: decomposing along the low-diversity column gives

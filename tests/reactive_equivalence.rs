@@ -11,6 +11,10 @@
 //!
 //! The asynchronous channel reorders, buffers and deduplicates punts; none
 //! of that may change *what* ends up installed, only *when*.
+//!
+//! Both loops answer through one decision applier, so they also count the
+//! answers the same way: applied and refused flow-mods, direct packet-outs
+//! and drops.
 
 use std::time::{Duration, Instant};
 
@@ -20,8 +24,8 @@ use openflow::controller::FnController;
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::terminal_actions;
 use openflow::{
-    Action, Controller, ControllerDecision, Datapath, Field, FlowEntry, FlowKey, FlowMod, NoCt,
-    PacketIn, Pipeline, TableMissBehavior,
+    Action, Controller, ControllerDecision, Datapath, Field, FlowEntry, FlowKey, FlowMod,
+    Instruction, NoCt, PacketIn, PacketOut, Pipeline, TableMissBehavior,
 };
 use ovsdp::OvsDatapath;
 use pkt::builder::PacketBuilder;
@@ -31,6 +35,7 @@ use shard::{BackendSpec, LaunchParts, RssDispatcher, ShardedConfig, ShardedSwitc
 
 const SEED_MAC_BASE: u64 = 0x0200_0000_5000;
 const FLOW_MAC_BASE: u64 = 0x0200_0000_6000;
+const DROP_MAC_BASE: u64 = 0x0200_0000_7000;
 
 /// Table 0: a few seeded MAC rules plus a miss that punts to the controller.
 fn reactive_pipeline(seeded: u64) -> Pipeline {
@@ -153,6 +158,93 @@ fn quiesce(switch: &ShardedSwitch, dispatcher: &mut RssDispatcher) {
         assert!(Instant::now() < deadline, "never quiesced: {stats:?}");
         std::thread::yield_now();
     }
+}
+
+/// A controller giving every kind of answer. A flow below `DROP_MAC_BASE`
+/// gets one valid install, one install with a backward `GotoTable` (which
+/// every flow-mod path refuses) and one packet-out with an explicit
+/// `Output`; any other flow is dropped.
+fn mixed_answer_controller() -> Box<dyn Controller> {
+    Box::new(FnController::new(|pi: PacketIn| {
+        let key = FlowKey::extract(&pi.packet);
+        if key.eth_dst >= DROP_MAC_BASE {
+            return vec![ControllerDecision::Drop];
+        }
+        let flow = FlowMatch::any().with_exact(Field::EthDst, u128::from(key.eth_dst));
+        vec![
+            ControllerDecision::FlowMod(FlowMod::add(
+                0,
+                flow.clone(),
+                10,
+                terminal_actions(vec![Action::Output(1)]),
+            )),
+            ControllerDecision::FlowMod(FlowMod::add(1, flow, 10, vec![Instruction::GotoTable(0)])),
+            ControllerDecision::PacketOut(PacketOut::new(pi.packet, vec![Action::Output(2)])),
+        ]
+    }))
+}
+
+#[test]
+fn both_loops_count_the_same_answers() {
+    let base = reactive_pipeline(2);
+    // One packet per flow, so each flow raises exactly one packet-in in
+    // either loop: three installing flows, two dropped ones.
+    let traffic: Vec<Packet> = (0..3)
+        .map(|f| flow_packet(f, 0))
+        .chain((0..2).map(|f| {
+            PacketBuilder::udp()
+                .eth_dst(MacAddr::from_u64(DROP_MAC_BASE + f))
+                .build()
+        }))
+        .collect();
+
+    let sync = Reactive::new(
+        EswitchRuntime::compile(base.clone()).unwrap(),
+        mixed_answer_controller(),
+    );
+    for packet in &traffic {
+        sync.process(&mut packet.clone());
+    }
+    let sync = sync.stats();
+
+    let (switch, mut dispatcher) = ShardedSwitch::launch_with(
+        BackendSpec::eswitch(),
+        base,
+        ShardedConfig {
+            workers: 1,
+            ring_capacity: 256,
+            ..ShardedConfig::default()
+        },
+        LaunchParts {
+            controller: Some(mixed_answer_controller()),
+            ..LaunchParts::default()
+        },
+    )
+    .expect("base pipeline compiles");
+    for packet in &traffic {
+        dispatcher.dispatch(packet.clone());
+    }
+    quiesce(&switch, &mut dispatcher);
+    let sharded = switch
+        .shutdown(dispatcher)
+        .reactive
+        .expect("reactive launch");
+
+    // [flow_mods, flow_mods_rejected, direct_outs, dropped]
+    let sync = [
+        sync.flow_mods,
+        sync.flow_mods_rejected,
+        sync.direct_outs,
+        sync.dropped,
+    ];
+    let sharded = [
+        sharded.flow_mods,
+        sharded.flow_mods_rejected,
+        sharded.direct_outs,
+        sharded.dropped,
+    ];
+    assert_eq!(sync, sharded, "the two loops counted different answers");
+    assert_eq!(sync, [3, 3, 3, 2]);
 }
 
 proptest! {

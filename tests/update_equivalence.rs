@@ -28,7 +28,7 @@ use openflow::{Action, Field, FlowEntry, FlowMod, Instruction, Pipeline};
 use pkt::builder::PacketBuilder;
 use pkt::Packet;
 use proptest::prelude::*;
-use shard::{BackendSpec, LaunchParts, ShardError, ShardedConfig, ShardedSwitch, VerdictSink};
+use shard::{BackendSpec, LaunchParts, ShardedConfig, ShardedSwitch, VerdictSink};
 use workloads::gateway::{self, GatewayConfig, DOWNSTREAM_TABLE, ROUTING_TABLE};
 use workloads::prefixes::sample_covered_addresses;
 use workloads::usecases::{PORT_NET, PORT_USER};
@@ -459,10 +459,7 @@ fn backward_and_dangling_gotos_are_refused_everywhere() {
         .expect("gateway launches");
         for fm in &bad {
             assert!(
-                matches!(
-                    switch.flow_mod(fm),
-                    Err(ShardError::FlowMod(FlowModError::BadGoto(_)))
-                ),
+                matches!(switch.flow_mod(fm), Err(FlowModError::BadGoto(_))),
                 "sharded {} accepted {fm:?}",
                 spec.label()
             );

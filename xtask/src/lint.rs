@@ -1,7 +1,7 @@
 //! Source-analysis lint gate: repo-specific rules that `rustc`/`clippy`
 //! cannot express, run in CI as `cargo xtask lint`.
 //!
-//! Six rules, all pure text analysis over the workspace's `.rs` files:
+//! Seven rules, all pure text analysis over the workspace's `.rs` files:
 //!
 //! 1. **SAFETY comments** — every `unsafe {` block and `unsafe impl` must
 //!    carry a `SAFETY:` comment, either on the same line or in the
@@ -44,6 +44,13 @@
 //!    [`ONE_CONTROLLER_ALLOWED`]: the trait and the synchronous loop
 //!    (`eswitch::reactive::Reactive`). The sharded runtime's asynchronous
 //!    channel lives in `shard` and is not policed.
+//! 7. **One control plane** — the §3.4 update ladder has one executor and a
+//!    controller's answers one applier. Outside `#[cfg(test)]` regions of
+//!    the crates' `src/` trees, an `UpdatePlanner::absorb` call may appear
+//!    only in [`ONE_LADDER_EXECUTOR`] (`EswitchRuntime::flow_mod`) and a
+//!    `ControllerDecision::… =>` match arm only in [`ONE_DECISION_APPLIER`]
+//!    (`eswitch::reactive::DecisionStats::answer`), so a second control
+//!    plane cannot grow back beside them.
 
 use std::fmt;
 use std::path::Path;
@@ -160,6 +167,12 @@ const ONE_CONTROLLER_ALLOWED: &[&str] = &[
     "crates/openflow/src/controller.rs",
     "crates/core/src/reactive.rs",
 ];
+
+/// The one file that may call `UpdatePlanner::absorb` (rule 7).
+const ONE_LADDER_EXECUTOR: &str = "crates/core/src/runtime.rs";
+
+/// The one file that may match on `ControllerDecision` variants (rule 7).
+const ONE_DECISION_APPLIER: &str = "crates/core/src/reactive.rs";
 
 #[derive(Debug, PartialEq)]
 struct Violation {
@@ -580,6 +593,52 @@ fn check_one_controller(file: &str, src: &str) -> Vec<Violation> {
         .collect()
 }
 
+/// True when `line` calls `absorb` as a method or through a path
+/// (`planner.absorb(`, `UpdatePlanner::absorb(`); a definition is not a call.
+fn calls_absorb(line: &str) -> bool {
+    line.contains(".absorb(") || line.contains("::absorb(")
+}
+
+/// True when `line` holds a match arm on a `ControllerDecision` variant: the
+/// variant path followed, later on the line, by `=>`.
+fn matches_controller_decision(line: &str) -> bool {
+    line.match_indices("ControllerDecision::")
+        .any(|(at, _)| line[at..].contains("=>"))
+}
+
+/// Rule 7: in the crates' non-test code, `absorb` is called only by the one
+/// ladder executor and `ControllerDecision` is matched only by the one
+/// decision applier.
+fn check_one_control_plane(file: &str, src: &str) -> Vec<Violation> {
+    if !(file.starts_with("crates/") && file.contains("/src/")) {
+        return Vec::new();
+    }
+    let censored = censor(src);
+    let mask = test_region_mask(&censored);
+    let mut out = Vec::new();
+    for (idx, line) in censored.lines().enumerate() {
+        if mask.get(idx).copied().unwrap_or(false) {
+            continue;
+        }
+        let message = if file != ONE_LADDER_EXECUTOR && calls_absorb(line) {
+            "`UpdatePlanner::absorb` outside `EswitchRuntime::flow_mod` — apply the \
+             flow-mod through an `EswitchRuntime`, the ladder's one executor"
+        } else if file != ONE_DECISION_APPLIER && matches_controller_decision(line) {
+            "`ControllerDecision` matched outside `eswitch::reactive` — answer through \
+             `DecisionStats::answer` with a `DecisionSink`"
+        } else {
+            continue;
+        };
+        out.push(Violation {
+            file: file.to_string(),
+            line: idx + 1,
+            rule: "one-control-plane",
+            message: message.to_string(),
+        });
+    }
+    out
+}
+
 fn check_file(rel_path: &str, src: &str) -> Vec<Violation> {
     let mut v = check_safety_comments(rel_path, src);
     v.extend(check_facade_bypass(rel_path, src));
@@ -587,6 +646,7 @@ fn check_file(rel_path: &str, src: &str) -> Vec<Violation> {
     v.extend(check_full_resum(rel_path, src));
     v.extend(check_one_entry(rel_path, src));
     v.extend(check_one_controller(rel_path, src));
+    v.extend(check_one_control_plane(rel_path, src));
     v
 }
 
@@ -648,7 +708,7 @@ pub fn run() -> ExitCode {
 
     if violations.is_empty() {
         println!(
-            "xtask lint: {} files clean (safety-comment, facade-bypass, fastpath-alloc, full-resum, one-entry, one-controller)",
+            "xtask lint: {} files clean (safety-comment, facade-bypass, fastpath-alloc, full-resum, one-entry, one-controller, one-control-plane)",
             sources.len()
         );
         ExitCode::SUCCESS
@@ -985,6 +1045,44 @@ mod tests {
         // Neighbouring names, comments and strings do not count.
         let src = "// a dyn Controller\nfn f(_: &dyn ControllerDecision, _: Box<dyn Datapath>) -> &'static str { \"dyn Controller\" }\nfn g(_: &mydyn Controller) {}\n";
         assert!(check_one_controller("crates/core/src/runtime.rs", src).is_empty());
+    }
+
+    // ---- rule 7: one control plane -----------------------------------
+
+    #[test]
+    fn second_ladder_executor_or_decision_match_is_flagged() {
+        let src = "fn publish(&self) {\n    match UpdatePlanner::new(config).absorb(&p, dp, fm, &e) {\n        _ => {}\n    }\n}\n";
+        let v = check_one_control_plane("crates/shard/src/runtime.rs", src);
+        assert_eq!(rules(&v), ["one-control-plane"]);
+        assert_eq!(v[0].line, 2);
+        let src = "fn f(p: &UpdatePlanner) { UpdatePlanner::absorb(p, a, b, c, d); }\n";
+        assert_eq!(
+            rules(&check_file("crates/bench/src/lib.rs", src)),
+            ["one-control-plane"]
+        );
+        let src = "fn handle(d: ControllerDecision) {\n    match d {\n        ControllerDecision::FlowMod(fm) => {}\n        ControllerDecision::PacketOut(po) if po.resubmit => {}\n        _ => {}\n    }\n}\n";
+        let v = check_one_control_plane("crates/shard/src/controller.rs", src);
+        assert_eq!(rules(&v), ["one-control-plane", "one-control-plane"]);
+        assert_eq!((v[0].line, v[1].line), (3, 4));
+    }
+
+    #[test]
+    fn one_control_plane_allows_its_homes_tests_and_non_arms() {
+        let src = "fn f() { planner.absorb(&p, &d, fm, &e); }\n";
+        assert!(check_one_control_plane(ONE_LADDER_EXECUTOR, src).is_empty());
+        let src = "fn f(d: ControllerDecision) {\n    match d {\n        ControllerDecision::Drop => {}\n    }\n}\n";
+        assert!(check_one_control_plane(ONE_DECISION_APPLIER, src).is_empty());
+        // Test regions, integration tests and other trees are not policed.
+        let src = "fn f() {}\n\n#[cfg(test)]\nmod tests {\n    fn t() { planner.absorb(&p, &d, fm, &e); }\n}\n";
+        assert!(check_one_control_plane("crates/core/src/update.rs", src).is_empty());
+        let src = "fn f(d: ControllerDecision) { match d { ControllerDecision::Drop => {} } }\n";
+        assert!(check_one_control_plane("tests/reactive_equivalence.rs", src).is_empty());
+        assert!(check_one_control_plane("crates/shard/tests/loom_fixpoint.rs", src).is_empty());
+        // Definitions, constructions, comments and strings do not count.
+        let src = "pub fn absorb(&self) {}\nfn a() -> Vec<ControllerDecision> { vec![ControllerDecision::Drop] }\nfn b(x: u8) -> ControllerDecision {\n    match x {\n        0 => ControllerDecision::Drop,\n        _ => todo!(),\n    }\n}\n// ControllerDecision::Drop => {}\nfn c() -> &'static str { \".absorb(\" }\n";
+        assert!(
+            check_one_control_plane("crates/workloads/src/usecases/gateway.rs", src).is_empty()
+        );
     }
 
     // ---- plumbing ----------------------------------------------------

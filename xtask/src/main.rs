@@ -14,7 +14,7 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo xtask <task>\n\ntasks:\n  lint    source-analysis checks (SAFETY comments, sync facade, fast-path allocations, checksum re-sums, one datapath entry, one controller loop)");
+            eprintln!("usage: cargo xtask <task>\n\ntasks:\n  lint    source-analysis checks (SAFETY comments, sync facade, fast-path allocations, checksum re-sums, one datapath entry, one controller loop, one control plane)");
             ExitCode::FAILURE
         }
     }
