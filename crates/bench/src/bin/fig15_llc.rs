@@ -15,13 +15,9 @@ use bench_harness::{
 use cpumodel::CacheHierarchy;
 use eswitch::runtime::EswitchRuntime;
 use openflow::Datapath;
-use ovsdp::{MicroflowCache, OvsDatapath};
+use ovsdp::{MegaflowCache, MicroflowCache, OvsDatapath};
 use workloads::gateway::{self, GatewayConfig};
 
-/// Rough per-entry resident size of a megaflow (key + mask + action program
-/// bookkeeping), used for the OVS working-set estimate; an EMC entry is
-/// charged its real slot size, [`MicroflowCache::ENTRY_BYTES`].
-const OVS_MEGAFLOW_ENTRY_BYTES: usize = 256;
 /// Per-packet auxiliary state both datapaths touch (packet data, stack).
 const PER_PACKET_BYTES: usize = 256;
 
@@ -54,7 +50,8 @@ fn main() {
         for i in 0..(warmup_packets() + packets_per_point() / 4) {
             dp.process(&mut traffic.packet(i));
         }
-        let ovs_ws = dp.megaflow_count() * OVS_MEGAFLOW_ENTRY_BYTES
+        // Each cached entry is charged the slot its cache really keeps.
+        let ovs_ws = dp.megaflow_count() * MegaflowCache::ENTRY_BYTES
             + dp.microflow_count() * MicroflowCache::ENTRY_BYTES
             + PER_PACKET_BYTES;
         // Key extraction + microflow probe + megaflow subtable probes.

@@ -2,8 +2,8 @@
 //!
 //! Packets move through the hierarchy one *burst* at a time
 //! ([`Datapath::process_burst`]; a single packet is the burst of one): keys
-//! and miniflow hashes are
-//! extracted for the whole burst, packets of the same flow are grouped so
+//! and miniflow keys are extracted for the whole burst (one miniflow key per
+//! packet, probed by both caches), packets of the same flow are grouped so
 //! each cache is consulted once per distinct flow (OVS's `packet_batch`
 //! behaviour), each cache lock is taken at most a handful of times per burst
 //! instead of per packet, and verdicts land in a caller-provided buffer. The
@@ -25,6 +25,7 @@ use openflow::{Datapath, FlowKey, FlowMod, Pipeline, Verdict};
 use pkt::parser::ParsedHeaders;
 use pkt::Packet;
 
+use crate::mask::BitIter;
 use crate::megaflow::MegaflowCache;
 use crate::microflow::MicroflowCache;
 use crate::minikey::MiniKey;
@@ -337,43 +338,29 @@ impl OvsDatapath {
         };
         s.reset(n);
 
-        // Phase 1: read (or make) the parse and extract every key (and flow
-        // hash) for the burst, grouping by exact flow as we go: `group[i]` is
-        // the index of the first packet of packet i's flow in this burst (its
-        // leader).
-        // The parse results are reused by the replay phase; the full
-        // miniflow key is only materialised when the EMC will consume it.
+        // Phase 1: read (or make) the parse and extract every key, miniflow
+        // key and flow hash for the burst, grouping by exact flow as we go:
+        // `group[i]` is the index of the first packet of packet i's flow in
+        // this burst (its leader). The parse results are reused by the
+        // replay phase; the miniflow key is what both caches probe with.
         // The dense hash array makes the pairwise grouping scan a one-word
-        // compare; the full key confirms only on a hash match.
+        // compare; the miniflow key confirms only on a hash match.
         let use_microflow = self.config.microflow_entries > 0;
         let mut leaders = 0usize;
         for (i, p) in packets.iter().enumerate() {
             let headers = p.headers();
             s.keys.push(FlowKey::from_parsed(p, &headers));
-            let key = s.keys.last().expect("just pushed");
+            let mini = MiniKey::from_flow(s.keys.last().expect("just pushed"));
             // The grouping hash is a pure prefilter — every pairwise match
-            // below is confirmed by full mini/key equality — so any value
-            // that is deterministic per flow works. A packet that arrived
-            // through the sharded dispatcher already carries its RSS hash
-            // (the NIC-descriptor pattern): reuse it and skip the mix.
-            if use_microflow {
-                let mini = MiniKey::from_flow(key);
-                s.hashes.push(p.rss_hash().unwrap_or_else(|| mini.hash()));
-                s.minis.push(mini);
-            } else {
-                s.hashes
-                    .push(p.rss_hash().unwrap_or_else(|| MiniKey::group_hash(key)));
-            }
+            // below is confirmed by miniflow equality — so any value that is
+            // deterministic per flow works. A packet that arrived through
+            // the sharded dispatcher already carries its RSS hash (the
+            // NIC-descriptor pattern): reuse it.
+            s.hashes.push(p.rss_hash().unwrap_or_else(|| mini.hash()));
+            s.minis.push(mini);
             s.headers.push(headers);
             let leader = (0..i)
-                .find(|&j| {
-                    s.hashes[j] == s.hashes[i]
-                        && if use_microflow {
-                            s.minis[j] == s.minis[i]
-                        } else {
-                            s.keys[j] == s.keys[i]
-                        }
-                })
+                .find(|&j| s.hashes[j] == s.hashes[i] && s.minis[j] == s.minis[i])
                 .unwrap_or(i);
             leaders += usize::from(leader == i);
             s.group.push(leader);
@@ -396,17 +383,18 @@ impl OvsDatapath {
             }
         }
         if unresolved > 0 {
-            let mut mega = self.megaflow.lock();
-            for i in 0..n {
-                if s.group[i] == i && s.actions[i].is_none() {
-                    if let Some(found) = mega.lookup(&s.keys[i]) {
-                        s.actions[i] = Some(found);
-                        s.levels[i] = CacheLevel::Megaflow;
-                        unresolved -= 1;
-                        promoted += 1;
-                    }
-                }
+            let pending = (0..n)
+                .filter(|&i| s.group[i] == i && s.actions[i].is_none())
+                .fold(0u64, |bits, i| bits | 1 << i);
+            let found = self
+                .megaflow
+                .lock()
+                .lookup_burst(&s.minis, pending, &mut s.actions);
+            for i in BitIter(found) {
+                s.levels[i] = CacheLevel::Megaflow;
             }
+            promoted = found.count_ones() as usize;
+            unresolved -= promoted;
         }
         if use_microflow && promoted > 0 {
             // Offer this burst's megaflow hits to the EMC (one lock); the
@@ -471,11 +459,7 @@ impl OvsDatapath {
                 let mut mega = self.megaflow.lock();
                 for (i, result) in &s.slow {
                     if result.cacheable {
-                        mega.insert(
-                            &s.keys[*i],
-                            result.mask.clone(),
-                            Arc::clone(&result.actions),
-                        );
+                        mega.insert(&s.minis[*i], &result.mask, Arc::clone(&result.actions));
                     }
                 }
             }
@@ -1034,6 +1018,69 @@ mod tests {
             assert_eq!(verdict.punt_reason, PacketInReason::NoMatch, "{want:?}");
             assert_eq!(levels(&dp), want);
         }
+    }
+
+    /// One table: `Ipv6Src = ff…ff → Output(1)` above `any → Output(2)`.
+    fn all_ones_ipv6_pipeline() -> Pipeline {
+        let mut p = Pipeline::with_tables(1);
+        let t = p.table_mut(0).unwrap();
+        t.insert(openflow::FlowEntry::new(
+            FlowMatch::any().with_exact(Field::Ipv6Src, u128::MAX),
+            10,
+            terminal_actions(vec![Action::Output(1)]),
+        ));
+        t.insert(openflow::FlowEntry::new(
+            FlowMatch::any(),
+            1,
+            terminal_actions(vec![Action::Output(2)]),
+        ));
+        p
+    }
+
+    /// A UDP-over-IPv6 frame from `src` (`PacketBuilder` builds no IPv6).
+    fn ipv6_udp(src: u128) -> Packet {
+        let mut frame = vec![0x02, 0, 0, 0, 0, 0x02, 0x02, 0, 0, 0, 0, 0x01, 0x86, 0xdd];
+        frame.extend_from_slice(&[0x60, 0, 0, 0, 0, 8, 17, 64]); // 8-byte UDP payload
+        frame.extend_from_slice(&src.to_be_bytes());
+        frame.extend_from_slice(&1u128.to_be_bytes());
+        frame.extend_from_slice(&[0x30, 0x39, 0, 53, 0, 8, 0, 0]);
+        Packet::from_bytes(frame, 1)
+    }
+
+    #[test]
+    fn absent_ipv6_source_megaflow_does_not_cover_an_all_ones_source() {
+        // An IPv4 packet installs a megaflow pinning `Ipv6Src` as absent;
+        // an IPv6 packet from ff…ff must not hit it.
+        let dp = OvsDatapath::new(all_ones_ipv6_pipeline());
+        let reference = all_ones_ipv6_pipeline();
+        assert_eq!(
+            FlowKey::extract(&ipv6_udp(u128::MAX)).ipv6_src,
+            Some(u128::MAX)
+        );
+        assert_eq!(dp.process(&mut pkt(80, 1)).outputs, vec![2]);
+        let mut a = ipv6_udp(u128::MAX);
+        let mut b = a.clone();
+        let want = reference.process_ct(&mut b, &mut NoCt).decision();
+        assert_eq!(want.0, vec![1]);
+        assert_eq!(dp.process(&mut a).decision(), want);
+    }
+
+    #[test]
+    fn flow_mod_on_all_ones_ipv6_source_flushes_its_megaflow() {
+        // A megaflow holding a *present* all-ones `Ipv6Src` overlaps a rule
+        // on that value: the selective flush must take it.
+        let dp = OvsDatapath::new(all_ones_ipv6_pipeline());
+        assert_eq!(dp.process(&mut ipv6_udp(u128::MAX)).outputs, vec![1]);
+        assert_eq!(dp.megaflow_count(), 1);
+        dp.flow_mod(&FlowMod::add(
+            0,
+            FlowMatch::any().with_exact(Field::Ipv6Src, u128::MAX),
+            20,
+            terminal_actions(vec![Action::Output(3)]),
+        ))
+        .unwrap();
+        assert_eq!(dp.megaflow_count(), 0, "overlapping megaflow kept");
+        assert_eq!(dp.process(&mut ipv6_udp(u128::MAX)).outputs, vec![3]);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! 1. **microflow cache** — a per-transport-connection exact-match store,
 //! 2. **megaflow cache** — a wildcard-match store searched with tuple space
-//!    search, holding traffic aggregates computed by the slow path,
+//!    search, holding traffic aggregates computed by the slow path; each
+//!    subtable is OVS's `dpcls`, probed with the masked miniflow words,
 //! 3. **`vswitchd`** — the full OpenFlow pipeline, consulted on megaflow
 //!    misses; besides deciding the packet's fate it *un-wildcards* every
 //!    field (and, with prefix tracking, every bit) it consulted, and installs
@@ -47,8 +48,8 @@ pub mod program;
 pub mod slowpath;
 
 pub use datapath::{CacheStats, OvsConfig, OvsDatapath};
-pub use mask::{FieldMask, MaskedKey};
-pub use megaflow::{MegaflowCache, MegaflowEntry};
+pub use mask::FieldMask;
+pub use megaflow::MegaflowCache;
 pub use microflow::MicroflowCache;
 pub use minikey::MiniKey;
 pub use program::Program;

@@ -1,16 +1,27 @@
 //! Megaflow masks: which fields (and which bits of them) a cached megaflow
-//! matches on.
+//! matches on, and the subtable key a mask compiles to.
 //!
-//! The representation is deliberately flat: a bitset of present fields plus a
-//! dense `[FieldValue; Field::COUNT]` array indexed by [`Field::index`].
-//! Projection — the per-subtable operation of tuple space search — is then a
-//! branch-light loop over the set bits writing into a caller-provided stack
-//! buffer, with no tree walk and no heap allocation (the previous
-//! `BTreeMap`/`Vec` representation allocated one `Vec` per subtable probed).
+//! [`FieldMask`] is what the slow path accumulates: a bitset of present
+//! fields plus a dense `[FieldValue; Field::COUNT]` array indexed by
+//! [`Field::index`]. A megaflow subtable compiles its mask once, at
+//! creation, into a [`CompiledMask`]: the list of [`MiniKey`] words the mask
+//! pins, each with the `u64` bits it keeps. A subtable key is then the
+//! packet's presence bitmap ANDed with the pinned fields' presence bits,
+//! followed by each pinned word ANDed with its mask — OVS's `dpcls` key, a
+//! few `u64` words read straight out of the miniflow the packet already
+//! carries. The presence word keeps "field absent" apart from every value
+//! the field can take, all-ones included; a field the key never carries
+//! (MPLS, PBB, …) is absent on every packet, so it adds no word.
 
-use std::borrow::Borrow;
+use netdev::fx_mix;
+use openflow::flow_match::FlowMatch;
+use openflow::{Field, FieldValue};
 
-use openflow::{Field, FieldValue, FlowKey};
+use crate::minikey::{packing_bit, MiniKey, WordRef, MINI_WORDS};
+
+/// Most words a subtable key can have: the presence word plus every word a
+/// [`MiniKey`] can pack.
+pub(crate) const MAX_KEY_WORDS: usize = 1 + MINI_WORDS;
 
 /// A per-field wildcard mask, accumulated by the slow path while it decides a
 /// packet's fate.
@@ -36,10 +47,6 @@ impl Default for FieldMask {
 }
 
 impl FieldMask {
-    /// Upper bound on the number of fields a projection can produce — the
-    /// size callers give their stack buffers.
-    pub const MAX_FIELDS: usize = Field::COUNT;
-
     /// The fully wildcarded mask (matches everything).
     pub fn wildcard_all() -> Self {
         FieldMask::default()
@@ -100,83 +107,10 @@ impl FieldMask {
     pub fn unwildcarded_bits(&self) -> u32 {
         self.fields().map(|(_, m)| m.count_ones()).sum()
     }
-
-    /// Projects a flow key onto this mask into a caller-provided buffer,
-    /// returning how many values were written. This is the zero-allocation
-    /// subtable probe: the written prefix of `out` is the lookup key.
-    ///
-    /// Fields the packet does not carry are projected as a fixed sentinel so
-    /// that "field absent" and "field == 0" cannot collide.
-    #[inline]
-    pub fn project_into(&self, key: &FlowKey, out: &mut [FieldValue; Self::MAX_FIELDS]) -> usize {
-        let mut n = 0;
-        let mut bits = self.present;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            out[n] = match key.get(Field::from_index(i)) {
-                Some(v) => v & self.masks[i],
-                None => ABSENT_SENTINEL,
-            };
-            n += 1;
-        }
-        n
-    }
-
-    /// Projects a flow key onto this mask, producing the owned hashable
-    /// masked key stored in the megaflow cache. Allocates; install paths
-    /// only — lookups use [`FieldMask::project_into`].
-    pub fn project(&self, key: &FlowKey) -> MaskedKey {
-        let mut buf = [0; Self::MAX_FIELDS];
-        let n = self.project_into(key, &mut buf);
-        MaskedKey {
-            values: buf[..n].to_vec().into_boxed_slice(),
-        }
-    }
-
-    /// Proves, if possible, that no packet covered by a megaflow with this
-    /// mask and the projected `values` can satisfy `m` — the delta-aware
-    /// invalidation predicate. Returns true only when disjointness is
-    /// *provable*; an entry this returns false for must be flushed when a
-    /// rule matching `m` is added, modified or removed.
-    ///
-    /// A megaflow covers exactly the packets whose key, projected through the
-    /// mask, equals `values`. For each field the rule matches:
-    ///
-    /// * if the mask pins the field and the stored value is the absent
-    ///   sentinel, every covered packet lacks the field — and a match on an
-    ///   absent field always fails, so the entry is disjoint from the rule;
-    /// * if the mask pins bits the rule also matches and the pinned value
-    ///   disagrees with the rule's value on any common bit, no covered packet
-    ///   can match the rule;
-    /// * otherwise this field proves nothing (covered packets vary on the
-    ///   rule's bits) and the next field is consulted.
-    pub fn disjoint_from(
-        &self,
-        values: &[FieldValue],
-        m: &openflow::flow_match::FlowMatch,
-    ) -> bool {
-        for mf in m.fields() {
-            let i = mf.field.index();
-            if self.present & (1u64 << i) == 0 {
-                continue; // field fully wildcarded here: proves nothing
-            }
-            let rank = (self.present & ((1u64 << i) - 1)).count_ones() as usize;
-            let value = values[rank];
-            if value == ABSENT_SENTINEL {
-                return true; // covered packets lack the field: cannot match
-            }
-            let common = self.masks[i] & mf.mask;
-            if common != 0 && (value & common) != (mf.value & common) {
-                return true; // pinned bits contradict the rule's value
-            }
-        }
-        false
-    }
 }
 
 /// Iterator over the set bit indices of a `u64`.
-struct BitIter(u64);
+pub(crate) struct BitIter(pub(crate) u64);
 
 impl Iterator for BitIter {
     type Item = usize;
@@ -192,39 +126,230 @@ impl Iterator for BitIter {
     }
 }
 
-/// Sentinel distinguishing "field not present in packet" from a zero value.
-/// `u128::MAX` cannot result from masking a real value with a field-width
-/// mask because no modelled field is 128 bits of all-ones in practice.
-const ABSENT_SENTINEL: FieldValue = FieldValue::MAX;
-
-/// A flow key projected through a [`FieldMask`] — the megaflow hash key.
-///
-/// Equality/hash only make sense between keys projected through the *same*
-/// mask; the megaflow cache guarantees that by keying each subtable by its
-/// mask. Hashing delegates to the value slice, and `Borrow<[FieldValue]>`
-/// lets subtables be probed with a borrowed stack buffer (from
-/// [`FieldMask::project_into`]) without materialising a `MaskedKey`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct MaskedKey {
-    values: Box<[FieldValue]>,
+/// Where a [`CompiledMask`]'s key words sit among the packed words of keys
+/// with one presence bitmap.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyPlan {
+    /// The presence bitmap this plan is for.
+    present: u32,
+    /// Key word 0.
+    presence: u64,
+    /// Bit `j` set ⇔ such keys carry the field of key word `1 + j`.
+    carried: u32,
+    /// The packed-word rank of key word `1 + j`, where carried.
+    ranks: [u8; MINI_WORDS],
 }
 
-impl MaskedKey {
-    /// The projected values, in the mask's dense field order.
-    pub fn values(&self) -> &[FieldValue] {
-        &self.values
+impl KeyPlan {
+    /// A plan for no key: the first [`CompiledMask::key_into`] replaces it.
+    /// No key has every bit of `u32` present.
+    pub(crate) const NONE: KeyPlan = KeyPlan {
+        present: u32::MAX,
+        presence: 0,
+        carried: 0,
+        ranks: [0; MINI_WORDS],
+    };
+}
+
+/// A [`FieldMask`] compiled to the words of a megaflow subtable's key.
+///
+/// Key word 0 is the packet's presence bitmap ANDed with [`Self::present`];
+/// key word `1 + j` is `words[j]`'s [`MiniKey`] word ANDed with its mask (0
+/// when the packet lacks the field). Fields sharing a packed word (`InPort`
+/// and `InPhyPort`) share one key word under the union of their masks; an
+/// IPv6 address contributes one word per half its mask touches.
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledMask {
+    mask: FieldMask,
+    /// Presence bits of the carried fields the mask pins.
+    present: u32,
+    /// Number of key words after the presence word.
+    len: u8,
+    words: [(WordRef, u64); MINI_WORDS],
+}
+
+impl CompiledMask {
+    /// Compiles `mask`: its pinned words in packing order.
+    pub(crate) fn new(mask: FieldMask) -> Self {
+        let mut per_bit = [0 as FieldValue; MINI_WORDS];
+        let mut present = 0u32;
+        for (field, bits) in mask.fields() {
+            if let Some(bit) = packing_bit(field) {
+                present |= 1 << bit;
+                per_bit[bit as usize] |= bits;
+            }
+        }
+        let mut words = [(WordRef::default(), 0); MINI_WORDS];
+        let mut len = 0;
+        for bit in BitIter(u64::from(present)) {
+            // Only an IPv6 address has a nonzero high half.
+            let halves = [(0, per_bit[bit] as u64), (1, (per_bit[bit] >> 64) as u64)];
+            for (half, bits) in halves {
+                if bits != 0 {
+                    words[len] = (WordRef::new(bit as u32, half), bits);
+                    len += 1;
+                }
+            }
+        }
+        CompiledMask {
+            mask,
+            present,
+            len: len as u8,
+            words,
+        }
+    }
+
+    /// The mask this was compiled from.
+    pub(crate) fn mask(&self) -> &FieldMask {
+        &self.mask
+    }
+
+    /// Words per key: the presence word plus one per pinned word.
+    #[inline]
+    pub(crate) fn stride(&self) -> usize {
+        1 + usize::from(self.len)
+    }
+
+    /// Writes `key`'s subtable key into `out[..self.stride()]` and returns
+    /// its hash: one `fx_mix` chain over the words, as [`Self::hash`].
+    /// `plan` is where the words sit in keys with `key`'s presence bitmap;
+    /// it is rebuilt only when that bitmap differs from the last key's, so
+    /// a burst of like packets pays the word ranks once per subtable.
+    #[inline]
+    pub(crate) fn key_into(
+        &self,
+        key: &MiniKey,
+        plan: &mut KeyPlan,
+        out: &mut [u64; MAX_KEY_WORDS],
+    ) -> u64 {
+        if plan.present != key.present() {
+            *plan = self.plan(key.present());
+        }
+        out[0] = plan.presence;
+        let mut hash = fx_mix(0, plan.presence);
+        let words = self.words[..usize::from(self.len)].iter().zip(plan.ranks);
+        for (j, (slot, (&(_, bits), rank))) in out[1..].iter_mut().zip(words).enumerate() {
+            *slot = if plan.carried & 1 << j != 0 {
+                key.packed(usize::from(rank)) & bits
+            } else {
+                0
+            };
+            hash = fx_mix(hash, *slot);
+        }
+        hash
+    }
+
+    /// Where this mask's key words sit in keys whose presence bitmap is
+    /// `present`.
+    fn plan(&self, present: u32) -> KeyPlan {
+        let mut plan = KeyPlan {
+            present,
+            presence: u64::from(present & self.present),
+            ..KeyPlan::NONE
+        };
+        for (j, &(word, _)) in self.words[..usize::from(self.len)].iter().enumerate() {
+            if let Some(rank) = word.rank(present) {
+                plan.carried |= 1 << j;
+                plan.ranks[j] = rank as u8;
+            }
+        }
+        plan
+    }
+
+    /// The hash of a stored key, as [`Self::key_into`] computed it.
+    pub(crate) fn hash(key: &[u64]) -> u64 {
+        key.iter().fold(0, |hash, &word| fx_mix(hash, word))
+    }
+
+    /// Prepares the delta-aware invalidation predicate for a rule matching
+    /// `m`, over this subtable's stored keys: [`DisjointTest::proves`]
+    /// tells, per key, whether it can *prove* that no packet the megaflow
+    /// covers satisfies `m`. An entry it cannot prove disjoint must be
+    /// flushed when such a rule is added, modified or removed.
+    ///
+    /// A megaflow covers exactly the packets whose subtable key equals its
+    /// key. For each field the rule matches:
+    ///
+    /// * if the mask pins the field and covered packets lack it (its
+    ///   presence bit is clear in key word 0, or the key never carries the
+    ///   field), a match on it always fails, so the entry is disjoint from
+    ///   the rule;
+    /// * if the mask pins bits the rule also matches and the pinned value
+    ///   disagrees with the rule's value on any common bit, no covered packet
+    ///   can match the rule;
+    /// * otherwise this field proves nothing (covered packets vary on the
+    ///   rule's bits) and the next field is consulted.
+    ///
+    /// The field → key word map is resolved here, once per subtable and
+    /// rule, so the test per stored key is a presence mask and a few masked
+    /// word compares.
+    pub(crate) fn disjoint_test(&self, m: &FlowMatch) -> DisjointTest {
+        let mut test = DisjointTest {
+            never_carried: false,
+            required: 0,
+            len: 0,
+            checks: [(0, 0, 0); MAX_KEY_WORDS],
+        };
+        for mf in m.fields() {
+            let pinned = self.mask.mask_of(mf.field);
+            if pinned == 0 {
+                continue; // field fully wildcarded here: proves nothing
+            }
+            let Some(bit) = packing_bit(mf.field) else {
+                test.never_carried = true;
+                return test;
+            };
+            test.required |= 1 << bit;
+            let common = pinned & mf.mask;
+            for (j, &(word, _)) in self.words[..usize::from(self.len)].iter().enumerate() {
+                if word.present_bit() == 1 << bit {
+                    let shift = if word.is_high_half() { 64 } else { 0 };
+                    let bits = (common >> shift) as u64;
+                    if bits != 0 {
+                        let want = (mf.value >> shift) as u64 & bits;
+                        test.checks[usize::from(test.len)] = (1 + j, bits, want);
+                        test.len += 1;
+                    }
+                }
+            }
+        }
+        test
     }
 }
 
-impl Borrow<[FieldValue]> for MaskedKey {
-    fn borrow(&self) -> &[FieldValue] {
-        &self.values
+/// [`CompiledMask::disjoint_test`] for one subtable and one rule match.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DisjointTest {
+    /// The mask pins a field the rule matches and no key carries.
+    never_carried: bool,
+    /// Presence bits of the carried fields the mask pins and the rule
+    /// matches: a key lacking any of them proves disjointness.
+    required: u64,
+    len: u8,
+    /// `(key word, bits, value)`: a key whose word, masked by `bits`, is
+    /// not `value` contradicts the rule. At most one per key word, plus one
+    /// when the rule matches both `InPort` and `InPhyPort`, which share a
+    /// word.
+    checks: [(usize, u64, u64); MAX_KEY_WORDS],
+}
+
+impl DisjointTest {
+    /// True when no packet covered by the megaflow with `key` can satisfy
+    /// the rule.
+    #[inline]
+    pub(crate) fn proves(&self, key: &[u64]) -> bool {
+        self.never_carried
+            || key[0] & self.required != self.required
+            || self.checks[..usize::from(self.len)]
+                .iter()
+                .any(|&(word, bits, value)| key[word] & bits != value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openflow::FlowKey;
     use pkt::builder::PacketBuilder;
 
     fn key(port: u16) -> FlowKey {
@@ -267,43 +392,80 @@ mod tests {
         assert_eq!(fields, vec![Field::InPort, Field::Ipv4Dst, Field::TcpDst]);
     }
 
+    /// The subtable key `m` compiles `key` to.
+    fn project(m: &FieldMask, key: &FlowKey) -> Vec<u64> {
+        let compiled = CompiledMask::new(m.clone());
+        let mut out = [0; MAX_KEY_WORDS];
+        compiled.key_into(&MiniKey::from_flow(key), &mut { KeyPlan::NONE }, &mut out);
+        out[..compiled.stride()].to_vec()
+    }
+
     #[test]
     fn projection_respects_mask_bits() {
         let mut m = FieldMask::wildcard_all();
         m.unwildcard(Field::TcpDst, 0xfff0); // ignore the low 4 bits
-        let a = m.project(&key(80)); // 0x50
-        let b = m.project(&key(85)); // 0x55 -> same under the mask
-        let c = m.project(&key(96)); // 0x60 -> different
+        let a = project(&m, &key(80)); // 0x50
+        let b = project(&m, &key(85)); // 0x55 -> same under the mask
+        let c = project(&m, &key(96)); // 0x60 -> different
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
 
     #[test]
-    fn project_into_matches_owned_projection() {
+    fn key_into_hash_matches_stored_key_hash() {
         let mut m = FieldMask::wildcard_all();
         m.unwildcard_exact(Field::TcpDst);
         m.unwildcard(Field::Ipv4Dst, 0xffff_ff00);
-        let k = key(443);
-        let owned = m.project(&k);
-        let mut buf = [0; FieldMask::MAX_FIELDS];
-        let n = m.project_into(&k, &mut buf);
-        assert_eq!(owned.values(), &buf[..n]);
+        m.unwildcard(Field::Ipv6Src, u128::MAX << 64);
+        let compiled = CompiledMask::new(m);
+        // Presence, Ipv4Dst, the high half of Ipv6Src, TcpDst.
+        assert_eq!(compiled.stride(), 4);
+        let mut out = [0; MAX_KEY_WORDS];
+        let key = MiniKey::from_flow(&key(443));
+        let hash = compiled.key_into(&key, &mut { KeyPlan::NONE }, &mut out);
+        assert_eq!(hash, CompiledMask::hash(&out[..compiled.stride()]));
     }
 
     #[test]
     fn absent_field_distinct_from_zero() {
         let mut m = FieldMask::wildcard_all();
         m.unwildcard_exact(Field::UdpDst);
-        let tcp_key = m.project(&key(0)); // TCP packet: udp_dst absent
+        let tcp_key = project(&m, &key(0)); // TCP packet: udp_dst absent
         let udp_pkt = PacketBuilder::udp().udp_dst(0).build();
-        let udp_key = m.project(&FlowKey::extract(&udp_pkt)); // present, == 0
+        let udp_key = project(&m, &FlowKey::extract(&udp_pkt)); // present, == 0
         assert_ne!(tcp_key, udp_key);
+    }
+
+    #[test]
+    fn absent_field_distinct_from_all_ones() {
+        // An absent IPv6 address and a present ff…ff under a full mask: the
+        // presence word parts them.
+        let mut m = FieldMask::wildcard_all();
+        m.unwildcard_exact(Field::Ipv6Src);
+        let v4 = key(80);
+        let v6 = FlowKey {
+            ipv6_src: Some(u128::MAX),
+            ..v4
+        };
+        assert_ne!(project(&m, &v4), project(&m, &v6));
+    }
+
+    #[test]
+    fn in_phy_port_reads_in_port_and_unmodelled_fields_add_no_word() {
+        let mut m = FieldMask::wildcard_all();
+        m.unwildcard(Field::InPort, 0xf0);
+        m.unwildcard(Field::InPhyPort, 0x0f);
+        m.unwildcard_exact(Field::MplsLabel);
+        assert_eq!(CompiledMask::new(m.clone()).stride(), 2);
+        let mut k = key(80);
+        k.in_port = 0x1ab;
+        assert_eq!(project(&m, &k), vec![1, 0xab]);
     }
 
     #[test]
     fn wildcard_all_projects_to_empty_key() {
         let m = FieldMask::wildcard_all();
-        assert_eq!(m.project(&key(80)), m.project(&key(12345)));
-        assert!(m.project(&key(80)).values().is_empty());
+        assert_eq!(project(&m, &key(80)), project(&m, &key(12345)));
+        assert_eq!(project(&m, &key(80)), vec![0], "only the presence word");
     }
 }

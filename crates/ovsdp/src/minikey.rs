@@ -3,10 +3,11 @@
 //! OVS does not hash `struct flow` (large, mostly-empty) on the fast path; it
 //! builds a `miniflow` — a presence bitmap plus the packed `u64` words of only
 //! the fields the packet actually carries — and computes the key's hash once,
-//! during extraction. [`MiniKey`] is that structure for this reproduction:
-//! the microflow cache keys on it, so an EMC probe is one precomputed-hash
-//! index plus one compact compare, instead of SipHashing a 27-field
-//! [`FlowKey`] per lookup.
+//! during extraction. [`MiniKey`] is that structure for this reproduction,
+//! built once per packet and read by both caches: the microflow cache keys on
+//! it, so an EMC probe is one precomputed-hash index plus one compact
+//! compare, and each megaflow subtable ANDs the few words its mask pins
+//! ([`WordRef`], [`MiniKey::packed`]) — OVS's `dpcls` probe.
 //!
 //! Every present field packs as one `u64` word (an IPv6 address as two), so
 //! a key is 240 bytes whatever it carries and an EMC slot with its program
@@ -14,7 +15,7 @@
 //! zero one, and equality compares the bitmap and every packed word.
 
 use netdev::fx_mix;
-use openflow::FlowKey;
+use openflow::{Field, FlowKey};
 
 /// Number of [`FlowKey`] fields a [`MiniKey`] can mark present: the six
 /// always-present pipeline/L2 fields plus the twenty optional ones, in a
@@ -24,7 +25,99 @@ const MINI_FIELDS: u32 = 26;
 
 /// Number of `u64` words a [`MiniKey`] can pack: one per field, plus the
 /// second word of each of the two IPv6 addresses.
-const MINI_WORDS: usize = MINI_FIELDS as usize + 2;
+pub(crate) const MINI_WORDS: usize = MINI_FIELDS as usize + 2;
+
+/// Packing bits of the two IPv6 addresses, the only two-word fields.
+const WIDE_BITS: u32 = 1 << 13 | 1 << 14;
+
+/// The packing bit of `field` in a [`MiniKey`] (its position in
+/// [`MiniKey::from_flow`]'s fixed order), or `None` for the fields the key
+/// never carries (MPLS, PBB, IPv6 ND/exthdr, SCTP, ICMPv6), which
+/// `FlowKey::get` reports absent on every packet. `InPhyPort` reads
+/// `InPort`'s word, as `FlowKey::get` does.
+pub(crate) const fn packing_bit(field: Field) -> Option<u32> {
+    Some(match field {
+        Field::InPort | Field::InPhyPort => 0,
+        Field::Metadata => 1,
+        Field::TunnelId => 2,
+        Field::EthDst => 3,
+        Field::EthSrc => 4,
+        Field::EthType => 5,
+        Field::VlanVid => 6,
+        Field::VlanPcp => 7,
+        Field::IpDscp => 8,
+        Field::IpEcn => 9,
+        Field::IpProto => 10,
+        Field::Ipv4Src => 11,
+        Field::Ipv4Dst => 12,
+        Field::Ipv6Src => 13,
+        Field::Ipv6Dst => 14,
+        Field::TcpSrc => 15,
+        Field::TcpDst => 16,
+        Field::UdpSrc => 17,
+        Field::UdpDst => 18,
+        Field::Icmpv4Type => 19,
+        Field::Icmpv4Code => 20,
+        Field::ArpOp => 21,
+        Field::ArpSpa => 22,
+        Field::ArpTpa => 23,
+        Field::ArpSha => 24,
+        Field::ArpTha => 25,
+        _ => return None,
+    })
+}
+
+/// One packed word of a [`MiniKey`], named by field rather than by position:
+/// the word's position depends on which fields the packet carries, so a
+/// reference keeps what [`WordRef::rank`] needs to find it with one
+/// popcount. Built once per megaflow subtable.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct WordRef {
+    /// The field's presence bit (`1 << packing bit`).
+    present: u32,
+    /// Which word of the field: 0, or 1 for an IPv6 address's high half.
+    half: u8,
+    /// The presence bits below the field (low half) and the two-word
+    /// fields among them (high half): a key's word rank is the popcount of
+    /// its doubled presence bitmap under this mask.
+    below: u64,
+}
+
+impl WordRef {
+    /// Word `half` of the field at packing bit `bit`.
+    pub(crate) const fn new(bit: u32, half: u8) -> Self {
+        let below = (1u32 << bit) - 1;
+        WordRef {
+            present: 1 << bit,
+            half,
+            below: below as u64 | ((below & WIDE_BITS) as u64) << 32,
+        }
+    }
+
+    /// The position of this word among the packed words of any key whose
+    /// presence bitmap is `present`, or `None` when such keys lack the
+    /// field: one per present field below it, plus one per IPv6 address
+    /// among those, plus the half.
+    #[inline]
+    pub(crate) fn rank(self, present: u32) -> Option<usize> {
+        if present & self.present == 0 {
+            return None;
+        }
+        let present = u64::from(present);
+        let doubled = present | present << 32;
+        Some((doubled & self.below).count_ones() as usize + usize::from(self.half))
+    }
+
+    /// The field's presence bit (`1 << packing bit`).
+    pub(crate) const fn present_bit(self) -> u32 {
+        self.present
+    }
+
+    /// True for an IPv6 address's high half.
+    pub(crate) const fn is_high_half(self) -> bool {
+        self.half == 1
+    }
+}
 
 /// A compact exact-match key: presence bitmap + packed present words +
 /// precomputed FxHash.
@@ -130,69 +223,23 @@ impl MiniKey {
         mini
     }
 
-    /// A cheap grouping hash over the main flow discriminators (ports,
-    /// addresses, MACs, protocol, VLAN). Used by the batch path to group a
-    /// burst by flow when the microflow cache (and therefore the full
-    /// `MiniKey`) is not needed. Fields left out of the hash and hash
-    /// collisions only cost a full [`FlowKey`] comparison — grouping always
-    /// confirms equality — never a wrong answer.
-    #[inline]
-    pub fn group_hash(key: &FlowKey) -> u64 {
-        #[inline]
-        fn opt8(v: Option<u8>) -> u64 {
-            match v {
-                Some(x) => 0x100 | u64::from(x),
-                None => 0,
-            }
-        }
-        #[inline]
-        fn opt16(v: Option<u16>) -> u64 {
-            match v {
-                Some(x) => 0x1_0000 | u64::from(x),
-                None => 0,
-            }
-        }
-        #[inline]
-        fn opt32(v: Option<u32>) -> u64 {
-            match v {
-                Some(x) => 0x1_0000_0000 | u64::from(x),
-                None => 0,
-            }
-        }
-        let mut lane0 = fx_mix(0, u64::from(key.in_port) | (u64::from(key.eth_type) << 32));
-        let mut lane1 = fx_mix(0x9e37_79b9_7f4a_7c15, key.eth_dst);
-        lane0 = fx_mix(lane0, key.eth_src);
-        lane1 = fx_mix(lane1, opt32(key.ipv4_src) | (opt16(key.vlan_vid) << 40));
-        lane0 = fx_mix(lane0, opt32(key.ipv4_dst) | (opt8(key.ip_proto) << 40));
-        lane1 = fx_mix(
-            lane1,
-            opt16(key.tcp_src) | (opt16(key.tcp_dst) << 20) | (opt8(key.icmpv4_type) << 44),
-        );
-        lane0 = fx_mix(
-            lane0,
-            opt16(key.udp_src) | (opt16(key.udp_dst) << 20) | (opt8(key.ip_dscp) << 44),
-        );
-        // Rarely-present discriminators join only when present.
-        if key.metadata != 0 || key.tunnel_id != 0 {
-            lane1 = fx_mix(lane1, key.metadata ^ key.tunnel_id.rotate_left(23));
-        }
-        if let Some(v6) = key.ipv6_src {
-            lane0 = fx_mix(lane0, v6 as u64 ^ (v6 >> 64) as u64);
-        }
-        if let Some(v6) = key.ipv6_dst {
-            lane1 = fx_mix(lane1, v6 as u64 ^ (v6 >> 64) as u64);
-        }
-        if key.arp_op.is_some() {
-            lane0 = fx_mix(lane0, opt16(key.arp_op) | (opt32(key.arp_spa) << 17));
-            lane1 = fx_mix(lane1, opt32(key.arp_tpa) ^ key.arp_sha.unwrap_or(0));
-        }
-        fx_mix(lane0, lane1)
-    }
-
     /// The precomputed key hash.
     #[inline]
     pub fn hash(&self) -> u64 {
         self.hash
+    }
+
+    /// The presence bitmap: bit `packing_bit(f)` set ⇔ the packet carries
+    /// field `f`.
+    #[inline]
+    pub(crate) fn present(&self) -> u32 {
+        self.present
+    }
+
+    /// The packed word at position `rank` ([`WordRef::rank`]).
+    #[inline]
+    pub(crate) fn packed(&self, rank: usize) -> u64 {
+        self.words[rank]
     }
 }
 
@@ -264,16 +311,55 @@ mod tests {
     }
 
     #[test]
-    fn group_hash_separates_nearby_flows() {
+    fn hash_separates_nearby_flows() {
         // Same flow → same hash (determinism); close-by flows → different
         // hashes in practice (no cross-flow grouping in typical bursts).
         let a = FlowKey::extract(&PacketBuilder::tcp().tcp_dst(80).tcp_src(9).build());
         let a2 = FlowKey::extract(&PacketBuilder::tcp().tcp_dst(80).tcp_src(9).build());
         let b = FlowKey::extract(&PacketBuilder::tcp().tcp_dst(80).tcp_src(10).build());
         let c = FlowKey::extract(&PacketBuilder::udp().udp_dst(80).udp_src(9).build());
-        assert_eq!(MiniKey::group_hash(&a), MiniKey::group_hash(&a2));
-        assert_ne!(MiniKey::group_hash(&a), MiniKey::group_hash(&b));
-        assert_ne!(MiniKey::group_hash(&a), MiniKey::group_hash(&c));
+        assert_eq!(mini(&a).hash(), mini(&a2).hash());
+        assert_ne!(mini(&a).hash(), mini(&b).hash());
+        assert_ne!(mini(&a).hash(), mini(&c).hash());
+    }
+
+    #[test]
+    fn words_are_found_by_field_whatever_the_packet_carries() {
+        // Every field of `FlowKey::get`, read back through its packing bit,
+        // on keys carrying different subsets (so ranks shift), including
+        // both IPv6 addresses ahead of the L4 ports.
+        let tcp = FlowKey::extract(&PacketBuilder::tcp().tcp_dst(80).tcp_src(9).build());
+        let mut v6 = tcp;
+        v6.ipv6_src = Some(0x1111_2222_3333_4444_5555_6666_7777_8888);
+        v6.ipv6_dst = Some(u128::MAX);
+        v6.vlan_vid = Some(7);
+        let mut full = tcp;
+        for field in openflow::Field::ALL {
+            full.set(field, 0x5a5a);
+        }
+        for key in [tcp, v6, full] {
+            let m = mini(&key);
+            for field in openflow::Field::ALL {
+                let want = key.get(field);
+                let Some(bit) = packing_bit(field) else {
+                    assert_eq!(want, None, "{field:?} is carried but has no bit");
+                    continue;
+                };
+                assert_eq!(m.present() & 1 << bit != 0, want.is_some(), "{field:?}");
+                let word = |half| {
+                    let rank = WordRef::new(bit, half).rank(m.present());
+                    rank.map_or(0, |rank| m.packed(rank))
+                };
+                let low = word(0);
+                let high = if WIDE_BITS & 1 << bit != 0 {
+                    word(1)
+                } else {
+                    0
+                };
+                let got = u128::from(low) | u128::from(high) << 64;
+                assert_eq!(got, want.unwrap_or(0), "{field:?}");
+            }
+        }
     }
 
     #[test]

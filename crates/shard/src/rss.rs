@@ -595,7 +595,7 @@ mod tests {
     #[test]
     fn hash_is_per_flow_and_fills_every_bucket_evenly() {
         // Stamped or not, rebuilt or cloned: one flow, one hash. Close-by
-        // flows differ (the cases of `group_hash_separates_nearby_flows`).
+        // flows differ (the cases of `ovsdp`'s `hash_separates_nearby_flows`).
         let mut stamped = tcp(9);
         stamped.ensure_parsed();
         assert_eq!(rss_hash(&stamped.clone()), rss_hash(&tcp(9)));

@@ -6,7 +6,7 @@
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::terminal_actions;
 use openflow::{Action, Datapath, Field, FlowEntry, FlowMod, Pipeline};
-use ovsdp::{MegaflowCache, OvsDatapath};
+use ovsdp::{MegaflowCache, MiniKey, OvsDatapath};
 use pkt::builder::PacketBuilder;
 use pkt::Packet;
 
@@ -209,8 +209,8 @@ fn megaflow_store_disjointness_and_eviction() {
     mask.unwildcard_exact(Field::TcpDst);
     for port in 0..20u16 {
         cache.insert(
-            &key(port),
-            mask.clone(),
+            &MiniKey::from_flow(&key(port)),
+            &mask,
             std::sync::Arc::new(ovsdp::Program::new(
                 vec![Action::Output(1)],
                 Default::default(),
@@ -218,7 +218,13 @@ fn megaflow_store_disjointness_and_eviction() {
         );
     }
     assert!(cache.len() <= 8, "capacity must bound the cache");
-    assert!(cache.lookup(&key(19)).is_some(), "recent entries survive");
-    assert!(cache.lookup(&key(0)).is_none(), "oldest entries evicted");
+    assert!(
+        cache.lookup(&MiniKey::from_flow(&key(19))).is_some(),
+        "recent entries survive"
+    );
+    assert!(
+        cache.lookup(&MiniKey::from_flow(&key(0))).is_none(),
+        "oldest entries evicted"
+    );
     assert_eq!(cache.subtable_count(), 1, "one mask, one subtable");
 }
