@@ -9,73 +9,78 @@
 use std::time::Instant;
 
 use bench_harness::{print_header, quick_mode, render_series_table, Series};
-use eswitch::analysis::CompilerConfig;
 use eswitch::compile::compile;
+use eswitch::templates::table::{
+    CompiledEntry, CompiledTable, CompoundHashTable, DirectCodeTable, LinkedListTable,
+};
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::terminal_actions;
 use openflow::{Action, Field, FlowEntry, NoCt, Pipeline};
 use pkt::builder::PacketBuilder;
 
-/// The paper's synthetic table: entry N matches
+/// The paper's synthetic table, spread one entry per table so that each
+/// compiles to direct code: entry N, in table N - 1, matches
 /// `vlan_vid=3, ip_src=10.0.0.3, ip_proto=17, udp_dst=N`.
-fn synthetic_pipeline(entries: usize) -> Pipeline {
-    let mut p = Pipeline::with_tables(1);
-    let t = p.table_mut(0).unwrap();
-    for n in 1..=entries as u16 {
-        t.insert(FlowEntry::new(
-            FlowMatch::any()
-                .with_exact(Field::VlanVid, 3)
-                .with_exact(
-                    Field::Ipv4Src,
-                    u128::from(u32::from_be_bytes([10, 0, 0, 3])),
-                )
-                .with_exact(Field::IpProto, 17)
-                .with_exact(Field::UdpDst, u128::from(n)),
-            100,
-            terminal_actions(vec![Action::Output(u32::from(n) % 4)]),
-        ));
+fn synthetic_pipeline(entries: u16) -> Pipeline {
+    let mut p = Pipeline::with_tables(u32::from(entries));
+    for n in 1..=entries {
+        p.table_mut(u32::from(n) - 1)
+            .unwrap()
+            .insert(FlowEntry::new(
+                FlowMatch::any()
+                    .with_exact(Field::VlanVid, 3)
+                    .with_exact(
+                        Field::Ipv4Src,
+                        u128::from(u32::from_be_bytes([10, 0, 0, 3])),
+                    )
+                    .with_exact(Field::IpProto, 17)
+                    .with_exact(Field::UdpDst, u128::from(n)),
+                100,
+                terminal_actions(vec![Action::Output(u32::from(n) % 4)]),
+            ));
     }
     p
 }
 
-/// Compiles the synthetic table while forcing a specific template via the
-/// direct-code limit knob (`usize::MAX` forces direct code; 0 disables it).
-fn forced_config(template: &str) -> CompilerConfig {
-    match template {
-        "direct" => CompilerConfig {
-            direct_code_limit: usize::MAX,
-            ..CompilerConfig::default()
-        },
-        _ => CompilerConfig {
-            direct_code_limit: 0,
-            ..CompilerConfig::default()
-        },
-    }
+/// The template a series forces into the compiled slot.
+#[derive(Clone, Copy)]
+enum Template {
+    Direct,
+    Hash,
+    Linked,
 }
 
-fn measure_lookup_cycles(pipeline: &Pipeline, config: &CompilerConfig, force_linked: bool) -> f64 {
-    let datapath = compile(pipeline, config).expect("compiles");
-    if force_linked {
-        // Rebuild the single table as a linked list by re-compiling its spec
-        // with the hash/LPM prerequisites artificially bypassed: simply wrap
-        // the direct entries into the linked-list template.
-        use eswitch::templates::table::{CompiledTable, LinkedListTable};
-        let slot = datapath.slot(0).expect("table 0");
-        let entries = {
-            let table = slot.table.read();
-            match &*table {
-                CompiledTable::DirectCode(t) => t.entries().to_vec(),
-                CompiledTable::LinkedList(t) => t.entries().to_vec(),
-                _ => Vec::new(),
-            }
-        };
-        if !entries.is_empty() {
-            *slot.table.write() = CompiledTable::LinkedList(LinkedListTable::new(entries));
+/// Compiles the synthetic table's entries and writes them, as `template`,
+/// over the one slot of the one-entry table: direct code, one compound hash
+/// over their uniform exact-match shape, or a linked list.
+fn measure_lookup_cycles(n: u16, template: Template) -> f64 {
+    let spread = compile(&synthetic_pipeline(n)).expect("compiles");
+    let entries: Vec<CompiledEntry> = spread
+        .slots()
+        .iter()
+        .flat_map(|slot| match &*slot.table.read() {
+            CompiledTable::DirectCode(direct) => direct.entries().to_vec(),
+            _ => unreachable!("a one-entry table compiles to direct code"),
+        })
+        .collect();
+    let forced = match template {
+        Template::Direct => CompiledTable::DirectCode(DirectCodeTable::new(entries)),
+        Template::Hash => {
+            let fields = entries[0].matchers.iter();
+            let keys = entries.iter().map(|e| {
+                let values = e.matchers.iter().map(|m| m.key).collect();
+                (values, e.instrs.clone())
+            });
+            let fields = fields.map(|m| (m.field, m.mask)).collect();
+            let hash = CompoundHashTable::new(fields, keys.collect(), None);
+            CompiledTable::CompoundHash(hash.expect("uniform exact shape"))
         }
-    }
+        Template::Linked => CompiledTable::LinkedList(LinkedListTable::new(entries)),
+    };
+    let datapath = compile(&synthetic_pipeline(1)).expect("compiles");
+    *datapath.slot(0).expect("table 0").table.write() = forced;
     // Measure lookups of the last (worst-case) entry, as the paper does with
     // its increasing-N tables.
-    let n = pipeline.table(0).expect("table 0").len() as u16;
     let mut packet = PacketBuilder::udp()
         .vlan(3)
         .ipv4_src([10, 0, 0, 3])
@@ -107,20 +112,11 @@ fn main() {
     let mut direct = Series::new("direct code");
     let mut hash = Series::new("hash");
     let mut linked = Series::new("linked list");
-    for entries in 1..=9usize {
-        let pipeline = synthetic_pipeline(entries);
-        direct.push(
-            entries as f64,
-            measure_lookup_cycles(&pipeline, &forced_config("direct"), false),
-        );
-        hash.push(
-            entries as f64,
-            measure_lookup_cycles(&pipeline, &forced_config("hash"), false),
-        );
-        linked.push(
-            entries as f64,
-            measure_lookup_cycles(&pipeline, &forced_config("direct"), true),
-        );
+    for entries in 1..=9u16 {
+        let x = f64::from(entries);
+        direct.push(x, measure_lookup_cycles(entries, Template::Direct));
+        hash.push(x, measure_lookup_cycles(entries, Template::Hash));
+        linked.push(x, measure_lookup_cycles(entries, Template::Linked));
     }
     println!("running time [CPU cycles at the 2 GHz reference clock]\n");
     println!(

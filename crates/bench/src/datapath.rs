@@ -1,6 +1,5 @@
 //! The switch architectures under test, built behind [`openflow::Datapath`].
 
-use eswitch::analysis::CompilerConfig;
 use eswitch::runtime::EswitchRuntime;
 use openflow::{Datapath, DirectDatapath, Pipeline};
 use ovsdp::OvsDatapath;
@@ -10,8 +9,6 @@ use ovsdp::OvsDatapath;
 pub enum SwitchKind {
     /// ESWITCH: the compiled, specialized datapath (this paper).
     Eswitch,
-    /// ESWITCH with the table-decomposition pass enabled.
-    EswitchDecomposed,
     /// The OVS-architecture flow-caching datapath.
     Ovs,
     /// The direct (uncached, uncompiled) reference datapath.
@@ -23,7 +20,6 @@ impl SwitchKind {
     pub fn label(&self) -> &'static str {
         match self {
             SwitchKind::Eswitch => "ES",
-            SwitchKind::EswitchDecomposed => "ES(decomposed)",
             SwitchKind::Ovs => "OVS",
             SwitchKind::Direct => "direct",
         }
@@ -35,16 +31,6 @@ impl SwitchKind {
             SwitchKind::Eswitch => {
                 Box::new(EswitchRuntime::compile(pipeline).expect("pipeline compiles"))
             }
-            SwitchKind::EswitchDecomposed => Box::new(
-                EswitchRuntime::with_config(
-                    pipeline,
-                    CompilerConfig {
-                        enable_decomposition: true,
-                        ..CompilerConfig::default()
-                    },
-                )
-                .expect("pipeline compiles"),
-            ),
             SwitchKind::Ovs => Box::new(OvsDatapath::new(pipeline)),
             SwitchKind::Direct => Box::new(DirectDatapath::new(pipeline)),
         }
@@ -64,21 +50,17 @@ mod tests {
             seed: 4,
         };
         let traffic = l2::build_traffic(&config, 64);
-        let switches: Vec<Box<dyn Datapath>> = [
-            SwitchKind::Eswitch,
-            SwitchKind::EswitchDecomposed,
-            SwitchKind::Ovs,
-            SwitchKind::Direct,
-        ]
-        .iter()
-        .map(|k| k.build(l2::build_pipeline(&config)))
-        .collect();
+        let switches: Vec<Box<dyn Datapath>> =
+            [SwitchKind::Eswitch, SwitchKind::Ovs, SwitchKind::Direct]
+                .iter()
+                .map(|k| k.build(l2::build_pipeline(&config)))
+                .collect();
         for i in 0..128 {
             let reference = {
                 let mut p = traffic.packet(i);
-                switches[3].process(&mut p).decision()
+                switches[2].process(&mut p).decision()
             };
-            for sw in &switches[..3] {
+            for sw in &switches[..2] {
                 let mut p = traffic.packet(i);
                 assert_eq!(sw.process(&mut p).decision(), reference, "packet {i}");
             }

@@ -5,6 +5,12 @@
 //! gradually falls back to the next most efficient representation" (§3.2,
 //! Fig. 4). The fallback chain is
 //! direct code → compound hash → LPM → linked list.
+//!
+//! Nothing here is configurable: the direct-code limit is the paper's
+//! calibrated constant ([`DIRECT_CODE_LIMIT`]), and a table that falls to
+//! the linked list is where [`compile`](mod@crate::compile) takes over,
+//! decomposing it into a chain of faster templates when the performance
+//! model charges the chain less (§3.2).
 
 use std::collections::HashMap;
 
@@ -37,28 +43,9 @@ impl TemplateKind {
     }
 }
 
-/// Compiler configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct CompilerConfig {
-    /// Maximum number of entries a table may have to be compiled with the
-    /// direct-code template. The paper calibrates this constant to 4 via the
-    /// Fig. 9 measurement.
-    pub direct_code_limit: usize,
-    /// Run the table-decomposition pass before compilation, promoting
-    /// linked-list tables to multi-stage hash pipelines (§3.2). Off by
-    /// default, as for "well-behaved" control programs decomposition returns
-    /// its input intact.
-    pub enable_decomposition: bool,
-}
-
-impl Default for CompilerConfig {
-    fn default() -> Self {
-        CompilerConfig {
-            direct_code_limit: 4,
-            enable_decomposition: false,
-        }
-    }
-}
+/// Most entries a table may hold to compile to the direct-code template:
+/// the constant the paper calibrates with the Fig. 9 measurement.
+pub const DIRECT_CODE_LIMIT: usize = 4;
 
 /// Splits a table into its body entries and an optional final catch-all
 /// (an entry with an empty match at the lowest priority). Both the compound
@@ -182,8 +169,8 @@ impl TemplateShape {
 
 /// Selects the most efficient template whose prerequisite the table
 /// satisfies, walking the fallback chain of Fig. 4.
-pub fn select_shape(table: &FlowTable, config: &CompilerConfig) -> TemplateShape {
-    if table.len() <= config.direct_code_limit {
+pub fn select_shape(table: &FlowTable) -> TemplateShape {
+    if table.len() <= DIRECT_CODE_LIMIT {
         TemplateShape::DirectCode
     } else if let Some(shape) = compound_hash_shape(table) {
         TemplateShape::CompoundHash(shape)
@@ -192,11 +179,6 @@ pub fn select_shape(table: &FlowTable, config: &CompilerConfig) -> TemplateShape
     } else {
         TemplateShape::LinkedList
     }
-}
-
-/// The kind of the template [`select_shape`] picks.
-pub fn select_template(table: &FlowTable, config: &CompilerConfig) -> TemplateKind {
-    select_shape(table, config).kind()
 }
 
 #[cfg(test)]
@@ -232,12 +214,11 @@ mod tests {
 
     #[test]
     fn small_tables_compile_direct() {
-        let config = CompilerConfig::default();
         let t = table_with((0..4).map(|i| mac_entry(i, 10)).collect());
-        assert_eq!(select_template(&t, &config), TemplateKind::DirectCode);
+        assert_eq!(select_shape(&t).kind(), TemplateKind::DirectCode);
         // One more entry pushes it over the calibrated limit.
         let t = table_with((0..5).map(|i| mac_entry(i, 10)).collect());
-        assert_eq!(select_template(&t, &config), TemplateKind::CompoundHash);
+        assert_eq!(select_shape(&t).kind(), TemplateKind::CompoundHash);
     }
 
     #[test]
@@ -245,10 +226,7 @@ mod tests {
         let t = table_with((0..100).map(|i| mac_entry(i, 10)).collect());
         let shape = compound_hash_shape(&t).unwrap();
         assert_eq!(shape, vec![(Field::EthDst, Field::EthDst.full_mask())]);
-        assert_eq!(
-            select_template(&t, &CompilerConfig::default()),
-            TemplateKind::CompoundHash
-        );
+        assert_eq!(select_shape(&t).kind(), TemplateKind::CompoundHash);
     }
 
     #[test]
@@ -352,10 +330,7 @@ mod tests {
             FlowEntry::new(FlowMatch::any().with_exact(Field::TcpSrc, 3), 130, vec![]),
             FlowEntry::new(FlowMatch::any(), 1, vec![]),
         ]);
-        assert_eq!(
-            select_template(&t, &CompilerConfig::default()),
-            TemplateKind::LinkedList
-        );
+        assert_eq!(select_shape(&t).kind(), TemplateKind::LinkedList);
     }
 
     #[test]
@@ -388,9 +363,6 @@ mod tests {
                 .collect(),
         );
         assert!(compound_hash_shape(&t).is_none());
-        assert_eq!(
-            select_template(&t, &CompilerConfig::default()),
-            TemplateKind::LinkedList
-        );
+        assert_eq!(select_shape(&t).kind(), TemplateKind::LinkedList);
     }
 }

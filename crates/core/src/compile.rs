@@ -7,6 +7,14 @@
 //! `goto_table` references through per-table *trampolines* — here a
 //! `parking_lot::RwLock` slot per table — so that a single table can later be
 //! rebuilt side-by-side and swapped in atomically while packets keep flowing.
+//!
+//! The compiler chooses every template, with nothing to configure: a table
+//! that would fall to the linked list is decomposed (§3.2) when the model
+//! charges the chain less ([`ChainCharge`]: lookups at the cache level the
+//! entries fit in, table visits, and every slot's per-burst upkeep). The
+//! chain lives only in the compiled datapath — its stages take the table's
+//! slot, id and the slots behind it, linked by slot index — and the
+//! controller's [`Pipeline`] is never rewritten.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -20,7 +28,8 @@ use openflow::pipeline::TableId;
 use openflow::table::TableMissBehavior;
 use openflow::{Action, Field, FieldValue, FlowEntry, FlowTable, Pipeline, PipelineError};
 
-use crate::analysis::{select_shape, CompilerConfig, TemplateKind, TemplateShape};
+use crate::analysis::{select_shape, TemplateKind, TemplateShape};
+use crate::perfmodel::PerformanceModel;
 use crate::templates::action::ActionStore;
 use crate::templates::matcher::CompiledMatcher;
 use crate::templates::parser::ParserTemplate;
@@ -62,7 +71,8 @@ pub(crate) type SlotIndex = HashMap<TableId, usize>;
 
 /// One compiled table behind its trampoline slot.
 pub struct TableSlot {
-    /// OpenFlow table id.
+    /// OpenFlow table id. Every stage of a decomposed table carries the
+    /// table's id.
     pub id: TableId,
     /// Miss behaviour of the table.
     pub miss: TableMissBehavior,
@@ -98,7 +108,9 @@ pub struct CompiledDatapath {
     index_of: SlotIndex,
     /// Slot of table 0, where every packet starts (`None`: no table 0).
     pub(crate) entry: Option<usize>,
-    config: CompilerConfig,
+    /// Decomposed tables: id → the model's charges, with the chain's
+    /// costliest goto path in slots.
+    chains: HashMap<TableId, ChainCharge>,
     /// Runtime statistics.
     pub stats: DatapathStats,
 }
@@ -119,17 +131,28 @@ impl CompiledDatapath {
         &self.index_of
     }
 
-    /// The compiler configuration used.
-    pub fn config(&self) -> &CompilerConfig {
-        &self.config
-    }
-
-    /// Looks up the slot backing an OpenFlow table id.
+    /// Looks up the slot backing an OpenFlow table id (a decomposed
+    /// table's first stage).
     pub fn slot(&self, id: TableId) -> Option<&TableSlot> {
         self.index_of.get(&id).map(|i| &self.slots[*i])
     }
 
-    /// Template kinds per table, for statistics dumps and tests.
+    /// The charges that made the compiler decompose table `id`, its path
+    /// given in slots; `None` when the table compiled to one template.
+    pub fn chain(&self, id: TableId) -> Option<&ChainCharge> {
+        self.chains.get(&id)
+    }
+
+    /// The slots a lookup in table `id` costs at most: its chain's costliest
+    /// goto path, or its one slot.
+    pub(crate) fn lookup_path(&self, id: TableId) -> Option<&[usize]> {
+        self.chain(id)
+            .map(|chain| chain.path.as_slice())
+            .or_else(|| self.index_of.get(&id).map(std::slice::from_ref))
+    }
+
+    /// Template kinds per slot (a decomposed table lists one per stage),
+    /// for statistics dumps and tests.
     pub fn template_kinds(&self) -> Vec<(TableId, TemplateKind)> {
         self.slots
             .iter()
@@ -208,12 +231,12 @@ fn compile_entry(entry: &FlowEntry, store: &mut ActionStore, links: &SlotIndex) 
     CompiledEntry::new(matchers, compile_instructions(entry, store, links))
 }
 
-/// Compiles a single flow table into the best applicable template, linking
-/// its gotos through `links` — the slot layout of the datapath the table is
-/// destined for.
+/// Compiles a flow table to the template of `shape` (the one
+/// [`select_shape`] picked), linking its gotos through `links` — the slot
+/// layout of the datapath the table is destined for.
 pub(crate) fn compile_table(
     table: &FlowTable,
-    config: &CompilerConfig,
+    shape: TemplateShape,
     store: &mut ActionStore,
     links: &SlotIndex,
 ) -> CompiledTable {
@@ -224,7 +247,7 @@ pub(crate) fn compile_table(
             .map(|e| compile_entry(e, store, links))
             .collect()
     };
-    match select_shape(table, config) {
+    match shape {
         TemplateShape::DirectCode => {
             CompiledTable::DirectCode(DirectCodeTable::new(entries(store)))
         }
@@ -240,6 +263,113 @@ pub(crate) fn compile_table(
             CompiledTable::LinkedList(LinkedListTable::new(entries(store)))
         }
     }
+}
+
+/// What [`compile`] builds for one controller table.
+pub(crate) enum Layout {
+    /// One template of the selected shape.
+    Table(TemplateShape),
+    /// The table's decomposition (§3.2): its stages with their shapes, first
+    /// stage first, and the charges that chose it.
+    Chain(Vec<(FlowTable, TemplateShape)>, ChainCharge),
+}
+
+/// The performance model's per-packet charges for the two ways a table
+/// whose best template is the linked list can compile (§3.2): as that list,
+/// or as the chain of stages it decomposes into.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChainCharge {
+    /// The linked list: a lookup over every entry, at the cache level the
+    /// table fits in, one table visit and its one slot's upkeep.
+    pub list: f64,
+    /// The chain: the lookups and visits on its costliest goto path, at the
+    /// cache level all its stages fit in, and the upkeep of every stage's
+    /// slot.
+    pub chain: f64,
+    /// The stages on that path, first stage first: indices into the stage
+    /// list (into the slots, in [`CompiledDatapath::chain`]).
+    pub path: Vec<usize>,
+}
+
+impl ChainCharge {
+    /// Charges `table` as a linked list and as `stages`, its decomposition,
+    /// each stage in the template `select_shape` gives it.
+    pub fn new(table: &FlowTable, stages: &[FlowTable]) -> Self {
+        let stages: Vec<_> = stages.iter().map(|t| (t, select_shape(t).kind())).collect();
+        Self::of(&PerformanceModel::new(), table, &stages)
+    }
+
+    fn of(
+        model: &PerformanceModel,
+        table: &FlowTable,
+        stages: &[(&FlowTable, TemplateKind)],
+    ) -> Self {
+        let entries = stages.iter().map(|(t, _)| t.len()).sum();
+        let latency = model.footprint_latency(entries);
+        let index: HashMap<TableId, usize> = stages
+            .iter()
+            .enumerate()
+            .map(|(i, (t, _))| (t.id, i))
+            .collect();
+        // Per stage, backwards (gotos within a chain run forward through the
+        // stage list): the cycles of the costliest path from it to the
+        // chain's end, and the stage that path continues at.
+        let mut best: Vec<(f64, Option<usize>)> = vec![(0.0, None); stages.len()];
+        for (i, (stage, kind)) in stages.iter().enumerate().rev() {
+            let next = stage
+                .entries()
+                .iter()
+                .filter_map(|e| index.get(&e.goto_target()?).copied())
+                .max_by(|a, b| best[*a].0.total_cmp(&best[*b].0));
+            let (fixed, accesses) = model.lookup_charge(*kind, stage.len());
+            let own = fixed + accesses * latency + model.atoms.table_visit;
+            best[i] = (own + next.map_or(0.0, |n| best[n].0), next);
+        }
+        let first = (!stages.is_empty()).then_some(0);
+        ChainCharge {
+            list: list_cycles(model, table),
+            chain: first.map_or(0.0, |i| best[i].0) + model.upkeep_cycles(stages.len()),
+            path: std::iter::successors(first, |i| best[*i].1).collect(),
+        }
+    }
+}
+
+/// The model's charge for `table` as one linked list (see [`ChainCharge`]).
+fn list_cycles(model: &PerformanceModel, table: &FlowTable) -> f64 {
+    let (fixed, accesses) = model.lookup_charge(TemplateKind::LinkedList, table.len());
+    let lookup = fixed + accesses * model.footprint_latency(table.len());
+    lookup + model.atoms.table_visit + model.upkeep_cycles(1)
+}
+
+/// Chooses how `table` of `pipeline` compiles. A table whose best template
+/// is the linked list is decomposed, and the chain is taken when the
+/// performance model charges it less than the linked list ([`ChainCharge`]);
+/// otherwise — and for every other table — it is one template.
+pub(crate) fn layout(pipeline: &Pipeline, table: &FlowTable) -> Layout {
+    let shape = select_shape(table);
+    if shape != TemplateShape::LinkedList {
+        return Layout::Table(shape);
+    }
+    // A chain whose slots' upkeep alone costs what the list does cannot be
+    // the cheaper one, so decomposition stops at that many stages.
+    let model = PerformanceModel::new();
+    let budget = (list_cycles(&model, table) / model.upkeep_cycles(1)) as usize;
+    let Some(stages) = crate::decompose::decompose_in_place(pipeline, table, budget) else {
+        return Layout::Table(shape);
+    };
+    let stages: Vec<(FlowTable, TemplateShape)> = stages
+        .into_iter()
+        .map(|stage| {
+            let shape = select_shape(&stage);
+            (stage, shape)
+        })
+        .collect();
+    let kinds: Vec<_> = stages.iter().map(|(t, shape)| (t, shape.kind())).collect();
+    let charge = ChainCharge::of(&model, table, &kinds);
+    if charge.chain >= charge.list {
+        return Layout::Table(shape);
+    }
+    Layout::Chain(stages, charge)
 }
 
 fn build_hash(
@@ -341,11 +471,8 @@ pub(crate) fn instruction_fields(entry: &FlowEntry) -> impl Iterator<Item = Fiel
         .filter_map(action_touched_field)
 }
 
-/// Compiles a whole pipeline.
-pub fn compile(
-    pipeline: &Pipeline,
-    config: &CompilerConfig,
-) -> Result<CompiledDatapath, CompileError> {
+/// Compiles a whole pipeline, choosing every table's template.
+pub fn compile(pipeline: &Pipeline) -> Result<CompiledDatapath, CompileError> {
     pipeline.validate()?;
     let mut store = ActionStore::new();
 
@@ -362,21 +489,54 @@ pub fn compile(
             },
         ));
 
-    let index_of: SlotIndex = pipeline
+    // A decomposed table's stages take consecutive slots from its own, so a
+    // `Continue` miss of the table before it still lands on its first stage.
+    let layouts: Vec<Layout> = pipeline
         .tables()
         .iter()
-        .enumerate()
-        .map(|(index, table)| (table.id, index))
+        .map(|table| layout(pipeline, table))
         .collect();
-    let mut slots = Vec::with_capacity(pipeline.table_count());
-    for table in pipeline.tables() {
-        let compiled = compile_table(table, config, &mut store, &index_of);
-        slots.push(TableSlot {
-            id: table.id,
-            miss: table.miss,
-            table: RwLock::new(compiled),
-            lookups: Counters::new(),
-        });
+    let mut index_of = SlotIndex::with_capacity(layouts.len());
+    let mut slot_count = 0;
+    for (table, layout) in pipeline.tables().iter().zip(&layouts) {
+        index_of.insert(table.id, slot_count);
+        slot_count += match layout {
+            Layout::Table(_) => 1,
+            Layout::Chain(stages, _) => stages.len(),
+        };
+    }
+    let mut slots = Vec::with_capacity(slot_count);
+    let mut chains = HashMap::new();
+    for (table, layout) in pipeline.tables().iter().zip(layouts) {
+        let mut push = |stage: &FlowTable, shape, links: &SlotIndex| {
+            let compiled = compile_table(stage, shape, &mut store, links);
+            slots.push(TableSlot {
+                id: table.id,
+                miss: stage.miss,
+                table: RwLock::new(compiled),
+                lookups: Counters::new(),
+            });
+        };
+        match layout {
+            Layout::Table(shape) => push(table, shape, &index_of),
+            Layout::Chain(stages, mut charge) => {
+                // The stages' internal ids link within the chain only; they
+                // never enter the datapath's id map.
+                let first = index_of[&table.id];
+                let mut links = index_of.clone();
+                links.extend(
+                    stages
+                        .iter()
+                        .enumerate()
+                        .map(|(i, (t, _))| (t.id, first + i)),
+                );
+                charge.path.iter_mut().for_each(|i| *i += first);
+                chains.insert(table.id, charge);
+                for (stage, shape) in stages {
+                    push(&stage, shape, &links);
+                }
+            }
+        }
     }
 
     Ok(CompiledDatapath {
@@ -384,14 +544,9 @@ pub fn compile(
         slots,
         entry: index_of.get(&0).copied(),
         index_of,
-        config: *config,
+        chains,
         stats: DatapathStats::default(),
     })
-}
-
-/// Convenience wrapper: compile with the default configuration.
-pub fn compile_default(pipeline: &Pipeline) -> Result<CompiledDatapath, CompileError> {
-    compile(pipeline, &CompilerConfig::default())
 }
 
 #[cfg(test)]
@@ -407,7 +562,7 @@ mod tests {
     /// Compares the compiled datapath against the reference interpreter on a
     /// set of packets — the master semantic-equivalence check.
     fn assert_equivalent(pipeline: &Pipeline, packets: &[Packet]) {
-        let dp = compile_default(pipeline).unwrap();
+        let dp = compile(pipeline).unwrap();
         for (i, packet) in packets.iter().enumerate() {
             let mut a = packet.clone();
             let mut b = packet.clone();
@@ -439,7 +594,7 @@ mod tests {
     #[test]
     fn l2_table_compiles_to_hash_and_matches_reference() {
         let pipeline = l2_pipeline(64);
-        let dp = compile_default(&pipeline).unwrap();
+        let dp = compile(&pipeline).unwrap();
         assert_eq!(dp.template_kinds(), vec![(0, TemplateKind::CompoundHash)]);
         assert_eq!(dp.parser().depth(), ParseDepth::L2);
 
@@ -458,7 +613,7 @@ mod tests {
     #[test]
     fn small_table_compiles_direct_and_matches_reference() {
         let pipeline = l2_pipeline(3);
-        let dp = compile_default(&pipeline).unwrap();
+        let dp = compile(&pipeline).unwrap();
         assert_eq!(dp.template_kinds(), vec![(0, TemplateKind::DirectCode)]);
         let packets: Vec<Packet> = (0..8)
             .map(|i| {
@@ -499,7 +654,7 @@ mod tests {
     #[test]
     fn l3_table_compiles_to_lpm_and_matches_reference() {
         let pipeline = l3_pipeline();
-        let dp = compile_default(&pipeline).unwrap();
+        let dp = compile(&pipeline).unwrap();
         assert_eq!(dp.template_kinds(), vec![(0, TemplateKind::Lpm)]);
         assert_eq!(dp.parser().depth(), ParseDepth::L3);
 
@@ -550,7 +705,7 @@ mod tests {
     #[test]
     fn multi_stage_firewall_equivalence_and_goto_linking() {
         let pipeline = firewall_pipeline();
-        let dp = compile_default(&pipeline).unwrap();
+        let dp = compile(&pipeline).unwrap();
         assert_eq!(dp.template_kinds().len(), 2);
 
         let packets: Vec<Packet> = vec![
@@ -647,7 +802,7 @@ mod tests {
             terminal_actions(vec![Action::Output(2)]),
         ));
 
-        let dp = compile_default(&p).unwrap();
+        let dp = compile(&p).unwrap();
         assert!(dp.parser().depth() >= ParseDepth::L3);
 
         let packets = vec![
@@ -681,7 +836,7 @@ mod tests {
             .unwrap()
             .insert(FlowEntry::new(FlowMatch::any(), 1, vec![]));
 
-        let dp = compile_default(&p).unwrap();
+        let dp = compile(&p).unwrap();
         let mut http = PacketBuilder::tcp().tcp_dst(80).build();
         assert_eq!(crate::process_one(&dp, &mut http).outputs, vec![5]);
         let mut other = PacketBuilder::tcp().tcp_dst(22).build();
@@ -714,7 +869,7 @@ mod tests {
         ));
         t1.insert(FlowEntry::new(FlowMatch::any(), 1, vec![]));
 
-        let dp = compile_default(&p).unwrap();
+        let dp = compile(&p).unwrap();
         let mut pkt = PacketBuilder::udp().build();
         let verdict = crate::process_one(&dp, &mut pkt);
         assert_eq!(verdict.outputs, vec![9]);
@@ -725,14 +880,14 @@ mod tests {
         let mut p = Pipeline::with_tables(2);
         p.table_mut(0).unwrap().miss = TableMissBehavior::Continue;
         p.table_mut(1).unwrap().miss = TableMissBehavior::ToController;
-        let dp = compile_default(&p).unwrap();
+        let dp = compile(&p).unwrap();
         let mut pkt = PacketBuilder::udp().build();
         let verdict = crate::process_one(&dp, &mut pkt);
         assert!(verdict.to_controller);
         assert_eq!(dp.stats.punted.packets(), 1);
 
         let empty = Pipeline::new();
-        let dp = compile_default(&empty).unwrap();
+        let dp = compile(&empty).unwrap();
         let mut pkt = PacketBuilder::udp().build();
         assert!(crate::process_one(&dp, &mut pkt).is_drop());
     }
@@ -746,7 +901,7 @@ mod tests {
         let table = pipeline.table(0).unwrap();
         let _ = compile_table(
             table,
-            &CompilerConfig::default(),
+            select_shape(table),
             &mut store,
             &SlotIndex::default(),
         );
@@ -761,15 +916,12 @@ mod tests {
             1,
             vec![Instruction::GotoTable(9)],
         ));
-        assert!(matches!(
-            compile_default(&p),
-            Err(CompileError::InvalidPipeline(_))
-        ));
+        assert!(matches!(compile(&p), Err(CompileError::InvalidPipeline(_))));
     }
 
     #[test]
     fn disassembly_covers_all_tables() {
-        let dp = compile_default(&firewall_pipeline()).unwrap();
+        let dp = compile(&firewall_pipeline()).unwrap();
         let listing = dp.disassemble();
         assert!(listing.contains("table 0"));
         assert!(listing.contains("table 1"));

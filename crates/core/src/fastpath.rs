@@ -360,9 +360,14 @@ impl CompiledDatapath {
         let mut written = 0;
 
         let mut next = self.entry;
+        // The stages of a decomposed table share its id: one table visited.
+        let mut table = None;
         while let Some(index) = next {
             let slot = &self.slots[index];
-            verdict.tables_visited += 1;
+            if table != Some(slot.id) {
+                table = Some(slot.id);
+                verdict.tables_visited += 1;
+            }
             match held[index]
                 .table(slot)
                 .lookup(packet.data(), &headers, &regs)
@@ -459,7 +464,7 @@ mod tests {
                 instructions,
             ));
         }
-        let datapath = crate::compile::compile_default(&pipeline).unwrap();
+        let datapath = crate::compile::compile(&pipeline).unwrap();
 
         let mut burst: Vec<Packet> = (0..5)
             .map(|i| PacketBuilder::tcp().tcp_dst(80 + i).build())

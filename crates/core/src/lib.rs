@@ -11,10 +11,10 @@
 //!    table, the most efficient *table template* whose prerequisite it
 //!    satisfies, falling back along the chain of Fig. 4:
 //!    direct code → compound hash → LPM → linked list.
-//! 2. **Table decomposition** ([`decompose`]) — optionally rewrite tables
-//!    that would only fit the slow linked-list template into an equivalent
-//!    multi-stage pipeline of template-friendly tables (Figs. 5–6 and the
-//!    Appendix hardness result).
+//! 2. **Table decomposition** ([`decompose`]) — split a table that would
+//!    only fit the slow linked-list template into an equivalent chain of
+//!    template-friendly stages (Figs. 5–6 and the Appendix hardness result),
+//!    compiled in the table's place when the model charges it less.
 //! 3. **Template specialization & linking** ([`compile`]) — patch flow keys
 //!    into the matcher/table templates, deduplicate action sets, and link
 //!    `goto_table` jumps through per-table trampolines so individual tables
@@ -56,16 +56,16 @@ pub mod runtime;
 pub mod templates;
 pub mod update;
 
-pub use analysis::{select_template, CompilerConfig, TemplateKind};
+pub use analysis::TemplateKind;
 pub use compile::{compile, CompileError, CompiledDatapath};
-pub use decompose::{decompose_pipeline, decompose_table, DecomposeStats};
+pub use decompose::decompose_table;
 pub use perfmodel::{CacheLevelCosts, PerformanceEstimate, PerformanceModel};
 pub use reactive::{
     punt_signature, DecisionCounts, DecisionSink, DecisionStats, IngressSnapshot, PuntGate,
     Reactive,
 };
 pub use runtime::EswitchRuntime;
-pub use update::{UpdateClass, UpdateCounter, UpdatePlan, UpdatePlanner};
+pub use update::{Absorbed, UpdateClass, UpdateCounter, UpdatePlanner};
 
 /// Test helper: one packet through a compiled datapath, the burst of one.
 #[cfg(test)]

@@ -15,8 +15,18 @@
 
 use serde::{Deserialize, Serialize};
 
+use netdev::BURST_SIZE;
+
 use crate::analysis::TemplateKind;
 use crate::compile::CompiledDatapath;
+
+/// Bytes a flow entry adds to a table's footprint: one cache line, the
+/// model's unit of memory access.
+const ENTRY_BYTES: usize = 64;
+
+/// Table 1's L1d and L2 capacities.
+const L1_BYTES: usize = 32 << 10;
+const L2_BYTES: usize = 256 << 10;
 
 /// Cycle latencies of the three cache levels (Table 1's Sandy Bridge values
 /// by default).
@@ -85,6 +95,17 @@ pub struct CostAtoms {
     pub linked_per_entry: f64,
     /// Action-set execution.
     pub actions: f64,
+    /// Per-burst upkeep of one table slot, visited or not: the fast path
+    /// sets up its guard and write-set cells and flushes its lookup counter
+    /// once per burst (`CompiledDatapath::process_burst_ct`). Measured:
+    /// about 2.6 ns per slot per 32-packet burst (one-slot vs 65 536-slot
+    /// datapaths on a 2-vCPU x86 host), 5 cycles at the model's clock.
+    pub slot_per_burst: f64,
+    /// Per table a walk visits, beside its template's lookup: the
+    /// trampoline guard, the lookup counter and the instruction dispatch.
+    /// Measured: about 14 ns per table added to a walk of 1–16 one-entry
+    /// tables (same host), 28 cycles less the entry's direct-code charge.
+    pub table_visit: f64,
 }
 
 impl Default for CostAtoms {
@@ -99,6 +120,8 @@ impl Default for CostAtoms {
             direct_per_entry: 2.5,
             linked_per_entry: 4.0,
             actions: 25.0,
+            slot_per_burst: 5.0,
+            table_visit: 25.0,
         }
     }
 }
@@ -186,10 +209,41 @@ impl PerformanceModel {
         Self::default()
     }
 
+    /// The model's charge for one lookup in a `kind` template holding
+    /// `entries` flow entries: fixed cycles and memory accesses. This is the
+    /// one per-template charge: [`estimate_walk`](Self::estimate_walk) sums
+    /// it along a walk, and the compiler weighs a table's linked list
+    /// against its decomposed chain with it (§3.2).
+    pub fn lookup_charge(&self, kind: TemplateKind, entries: usize) -> (f64, f64) {
+        let entries = entries.max(1) as f64;
+        match kind {
+            TemplateKind::DirectCode => (self.atoms.direct_per_entry * entries, 0.0),
+            TemplateKind::CompoundHash => (self.atoms.hash_fixed, 1.0),
+            TemplateKind::Lpm => (self.atoms.lpm_fixed, self.atoms.lpm_accesses),
+            TemplateKind::LinkedList => (self.atoms.linked_per_entry * entries, entries),
+        }
+    }
+
+    /// The latency of the cache level `entries` flow entries fit in, one
+    /// line each: L1, L2, or else L3.
+    pub fn footprint_latency(&self, entries: usize) -> f64 {
+        match entries.saturating_mul(ENTRY_BYTES) {
+            bytes if bytes <= L1_BYTES => self.cache.l1,
+            bytes if bytes <= L2_BYTES => self.cache.l2,
+            _ => self.cache.l3,
+        }
+    }
+
+    /// Each packet's share of the per-burst upkeep of `slots` table slots.
+    pub fn upkeep_cycles(&self, slots: usize) -> f64 {
+        self.atoms.slot_per_burst * slots as f64 / BURST_SIZE as f64
+    }
+
     /// Estimates the per-packet cost of a compiled datapath along the given
     /// table walk (sequence of table ids a typical packet traverses). Tables
     /// outside the walk contribute nothing — exactly how the paper models the
-    /// gateway's user-to-network direction.
+    /// gateway's user-to-network direction. A decomposed table is charged
+    /// along its chain's longest goto path, one line per stage.
     pub fn estimate_walk(&self, datapath: &CompiledDatapath, walk: &[u32]) -> PerformanceEstimate {
         let mut stages = vec![
             StageCost {
@@ -204,37 +258,25 @@ impl PerformanceModel {
             },
         ];
         for id in walk {
-            let Some(slot) = datapath.slot(*id) else {
+            let Some(path) = datapath.lookup_path(*id) else {
                 continue;
             };
-            let table = slot.table.read();
-            let (fixed, accesses, label) = match table.kind() {
-                TemplateKind::DirectCode => (
-                    self.atoms.direct_per_entry * table.len().max(1) as f64,
-                    0.0,
-                    format!("direct code ({} entries)", table.len()),
-                ),
-                TemplateKind::CompoundHash => (
-                    self.atoms.hash_fixed,
-                    1.0,
-                    format!("hash template ({} entries)", table.len()),
-                ),
-                TemplateKind::Lpm => (
-                    self.atoms.lpm_fixed,
-                    self.atoms.lpm_accesses,
-                    format!("LPM template ({} prefixes)", table.len()),
-                ),
-                TemplateKind::LinkedList => (
-                    self.atoms.linked_per_entry * table.len().max(1) as f64,
-                    table.len().max(1) as f64,
-                    format!("linked list ({} entries)", table.len()),
-                ),
-            };
-            stages.push(StageCost {
-                stage: format!("table {id}: {label}"),
-                fixed_cycles: fixed,
-                memory_accesses: accesses,
-            });
+            for index in path {
+                let table = datapath.slots()[*index].table.read();
+                let (kind, len) = (table.kind(), table.len());
+                let (fixed_cycles, memory_accesses) = self.lookup_charge(kind, len);
+                let label = match kind {
+                    TemplateKind::DirectCode => format!("direct code ({len} entries)"),
+                    TemplateKind::CompoundHash => format!("hash template ({len} entries)"),
+                    TemplateKind::Lpm => format!("LPM template ({len} prefixes)"),
+                    TemplateKind::LinkedList => format!("linked list ({len} entries)"),
+                };
+                stages.push(StageCost {
+                    stage: format!("table {id}: {label}"),
+                    fixed_cycles,
+                    memory_accesses,
+                });
+            }
         }
         stages.push(StageCost {
             stage: "action templates".to_string(),
@@ -257,9 +299,11 @@ impl PerformanceModel {
     }
 
     /// Estimates the cost over all tables in pipeline order — adequate for
-    /// run-to-completion pipelines where every packet visits every stage.
+    /// run-to-completion pipelines where every packet visits every table.
     pub fn estimate(&self, datapath: &CompiledDatapath) -> PerformanceEstimate {
-        let walk: Vec<u32> = datapath.slots().iter().map(|s| s.id).collect();
+        // A chain's stages sit side by side under the table's id.
+        let mut walk: Vec<u32> = datapath.slots().iter().map(|s| s.id).collect();
+        walk.dedup();
         self.estimate_walk(datapath, &walk)
     }
 }
@@ -267,7 +311,7 @@ impl PerformanceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_default;
+    use crate::compile::compile;
     use openflow::flow_match::FlowMatch;
     use openflow::instruction::terminal_actions;
     use openflow::{Action, Field, FlowEntry, Pipeline};
@@ -314,7 +358,7 @@ mod tests {
                 terminal_actions(vec![Action::Output(1)]),
             ));
         }
-        let dp = compile_default(&p).unwrap();
+        let dp = compile(&p).unwrap();
         let model = PerformanceModel::new();
         let estimate = model.estimate(&dp);
         assert!(
@@ -344,9 +388,9 @@ mod tests {
     #[test]
     fn direct_code_cost_scales_with_entries_and_hash_does_not() {
         let model = PerformanceModel::new();
-        let small = compile_default(&l2_pipeline(2)).unwrap();
-        let larger = compile_default(&l2_pipeline(4)).unwrap();
-        let hash = compile_default(&l2_pipeline(100)).unwrap();
+        let small = compile(&l2_pipeline(2)).unwrap();
+        let larger = compile(&l2_pipeline(4)).unwrap();
+        let hash = compile(&l2_pipeline(100)).unwrap();
 
         let c_small = model
             .estimate(&small)
@@ -358,7 +402,7 @@ mod tests {
             .estimate(&hash)
             .cycles_per_packet(&model.cache, CacheAssumption::AllL1);
         let c_hash_1000 = model
-            .estimate(&compile_default(&l2_pipeline(1000)).unwrap())
+            .estimate(&compile(&l2_pipeline(1000)).unwrap())
             .cycles_per_packet(&model.cache, CacheAssumption::AllL1);
 
         assert!(
@@ -379,7 +423,7 @@ mod tests {
         let mut p = l2_pipeline(100);
         // A second table that the measured direction never visits.
         p.add_table(openflow::FlowTable::new(7));
-        let dp = compile_default(&p).unwrap();
+        let dp = compile(&p).unwrap();
         let model = PerformanceModel::new();
         let full = model.estimate(&dp);
         let restricted = model.estimate_walk(&dp, &[0]);

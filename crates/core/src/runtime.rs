@@ -10,7 +10,7 @@
 //!    serving packets (also covers template fallback when a prerequisite
 //!    breaks);
 //! 3. **Full recompile** — only when the pipeline's *structure* changes
-//!    (a table appears or disappears).
+//!    (a table appears or disappears) or a decomposed table changes.
 //!
 //! Either way the update is transactional: the flow-mod is applied to the
 //! declarative pipeline first, and the compiled state is derived from it, so
@@ -25,7 +25,6 @@ use openflow::flow_mod::{apply_flow_mod_undoable, FlowModEffect, FlowModError};
 use openflow::{Datapath, FlowMod, Pipeline, Verdict};
 use pkt::Packet;
 
-use crate::analysis::CompilerConfig;
 use crate::compile::{compile, CompileError, CompiledDatapath};
 use crate::update::{Absorbed, UpdateClass, UpdateCounter, UpdatePlanner};
 
@@ -57,37 +56,19 @@ impl UpdateStats {
 pub struct EswitchRuntime {
     pipeline: RwLock<Pipeline>,
     datapath: RwLock<Arc<CompiledDatapath>>,
-    config: CompilerConfig,
     /// Update accounting.
     pub updates: UpdateStats,
 }
 
 impl EswitchRuntime {
-    /// Compiles `pipeline` with the default configuration.
+    /// Compiles `pipeline`; the compiler chooses every table's template.
     pub fn compile(pipeline: Pipeline) -> Result<Self, CompileError> {
-        Self::with_config(pipeline, CompilerConfig::default())
-    }
-
-    /// Compiles `pipeline` with an explicit configuration.
-    pub fn with_config(
-        mut pipeline: Pipeline,
-        config: CompilerConfig,
-    ) -> Result<Self, CompileError> {
-        if config.enable_decomposition {
-            pipeline = crate::decompose::decompose_pipeline(&pipeline).pipeline;
-        }
-        let datapath = compile(&pipeline, &config)?;
+        let datapath = compile(&pipeline)?;
         Ok(EswitchRuntime {
             pipeline: RwLock::new(pipeline),
             datapath: RwLock::new(Arc::new(datapath)),
-            config,
             updates: UpdateStats::default(),
         })
-    }
-
-    /// The compiler configuration in effect.
-    pub fn config(&self) -> &CompilerConfig {
-        &self.config
     }
 
     /// A snapshot handle to the current compiled datapath (cheap Arc clone).
@@ -155,8 +136,7 @@ impl EswitchRuntime {
         //    the live datapath inside `absorb`, per-table rebuilds swap
         //    through the trampolines here.
         let datapath = self.datapath();
-        let class = match UpdatePlanner::new(&self.config).absorb(&pipeline, &datapath, fm, &effect)
-        {
+        let class = match UpdatePlanner.absorb(&pipeline, &datapath, fm, &effect) {
             Absorbed::Incremental => UpdateClass::Incremental,
             Absorbed::PerTable(rebuilt) => {
                 for (id, table) in rebuilt {
@@ -167,7 +147,7 @@ impl EswitchRuntime {
             }
             // 3. Structural change: full recompilation, swapped in
             //    atomically.
-            Absorbed::Full => match compile(&pipeline, &self.config) {
+            Absorbed::Full => match compile(&pipeline) {
                 Ok(dp) => {
                     *self.datapath.write() = Arc::new(dp);
                     UpdateClass::Full
@@ -286,10 +266,10 @@ mod tests {
     #[test]
     fn prerequisite_violation_falls_back_to_another_template() {
         // Adding a port-matching entry to a MAC hash table breaks the global
-        // mask prerequisite: the table is rebuilt with a fallback template
-        // but keeps answering correctly. Because the new entry also deepens
-        // the required parser (L2 -> L4), this particular change escalates to
-        // a full recompile rather than a per-table swap.
+        // mask prerequisite: the table would fall to the linked list, so the
+        // compiler decomposes it into a chain of fast templates, which keeps
+        // answering correctly. Because the new entry also deepens the
+        // required parser (L2 -> L4), this change is a full recompile.
         let switch = EswitchRuntime::compile(l2_pipeline(32)).unwrap();
         let fm = FlowMod::add(
             0,
@@ -299,21 +279,31 @@ mod tests {
         );
         switch.flow_mod(&fm).unwrap();
         assert_eq!(switch.updates.full_recompiles.updates(), 1);
-        let kinds = switch.datapath().template_kinds();
-        assert_eq!(kinds[0].1, TemplateKind::LinkedList);
+        let datapath = switch.datapath();
+        assert!(datapath.chain(0).is_some(), "table 0 not decomposed");
+        let kinds = datapath.template_kinds();
+        assert!(kinds.len() > 1);
+        assert!(kinds
+            .iter()
+            .all(|(_, kind)| *kind != TemplateKind::LinkedList));
+        // The controller's pipeline still has its one table.
+        switch.with_pipeline(|p| assert_eq!(p.table_count(), 1));
 
         let mut http = PacketBuilder::tcp().tcp_dst(80).build();
         assert_eq!(switch.process(&mut http).outputs, vec![9]);
         assert_eq!(switch.process(&mut mac_packet(2)).outputs, vec![2]);
 
-        // A same-shape MAC delete afterwards is still handled per-table.
+        // A flow-mod on the decomposed table lands in a full recompile.
         let del = FlowMod::delete(
             0,
             FlowMatch::any().with_exact(Field::EthDst, u128::from(0x0200_0000_0003u64)),
         );
         switch.flow_mod(&del).unwrap();
-        assert_eq!(switch.updates.table_rebuilds.updates(), 1);
+        assert_eq!(switch.updates.full_recompiles.updates(), 2);
+        assert_eq!(switch.updates.table_rebuilds.updates(), 0);
+        assert_eq!(switch.updates.incremental.updates(), 0);
         assert!(switch.process(&mut mac_packet(3)).is_drop());
+        assert_eq!(switch.process(&mut mac_packet(2)).outputs, vec![2]);
     }
 
     #[test]
@@ -388,6 +378,96 @@ mod tests {
         });
         // The switch keeps forwarding with the old datapath.
         assert_eq!(switch.process(&mut mac_packet(2)).outputs, vec![2]);
+    }
+
+    /// A Fig. 5a-style table missing into the next table: the compiler
+    /// decomposes it, and its chain's stages take the internal ids 1, 2, …
+    /// — ids a controller may use for its own tables later.
+    fn fig5_continue_pipeline() -> Pipeline {
+        let mut p = Pipeline::new();
+        p.add_table(crate::decompose::tests::fig5_continue_table());
+        p
+    }
+
+    fn assert_agrees_with_interpreter(switch: &EswitchRuntime) {
+        for (i, packet) in crate::decompose::tests::fig5_packets().iter().enumerate() {
+            let compiled = switch.process(&mut packet.clone()).decision();
+            let reference =
+                switch.with_pipeline(|p| p.process_ct(&mut packet.clone(), &mut NoCt).decision());
+            assert_eq!(compiled, reference, "probe {i}");
+        }
+    }
+
+    #[test]
+    fn controller_table_at_a_stage_id_is_never_planned_into_the_stage() {
+        let switch = EswitchRuntime::compile(fig5_continue_pipeline()).unwrap();
+        let stages = switch.datapath().slots().len();
+        assert!(switch.datapath().chain(0).is_some() && stages > 1);
+        assert!(switch.datapath().slot(1).is_none(), "a stage id leaked");
+
+        // Table 1 is a new controller table: a structural change, recompiled
+        // whole, with table 0's chain still in front of it.
+        let add = |port: u16, out: u32| {
+            FlowMod::add(
+                1,
+                FlowMatch::any().with_exact(Field::TcpDst, u128::from(port)),
+                10,
+                terminal_actions(vec![Action::Output(out)]),
+            )
+        };
+        switch.flow_mod(&add(443, 9)).unwrap();
+        assert_eq!(switch.updates.full_recompiles.updates(), 1);
+        let datapath = switch.datapath();
+        assert!(datapath.chain(0).is_some());
+        assert_eq!(datapath.slots().len(), stages + 1);
+        assert_eq!(datapath.slot(1).unwrap().id, 1);
+        assert_eq!(datapath.slot(1).unwrap().table.read().len(), 1);
+        assert_agrees_with_interpreter(&switch);
+        let mut https = PacketBuilder::tcp()
+            .ipv4_dst([10, 0, 0, 4])
+            .tcp_dst(443)
+            .build();
+        assert_eq!(switch.process(&mut https).outputs, vec![9]);
+
+        // The next flow-mod on table 1 lands in table 1's own slot.
+        switch.flow_mod(&add(8080, 7)).unwrap();
+        assert_eq!(switch.updates.full_recompiles.updates(), 1);
+        assert_eq!(switch.updates.table_rebuilds.updates(), 1);
+        assert_eq!(datapath.slot(1).unwrap().table.read().len(), 2);
+        let chain_entries: Vec<usize> = datapath.slots()[..stages]
+            .iter()
+            .map(|s| s.table.read().len())
+            .collect();
+        let fresh = EswitchRuntime::compile(switch.with_pipeline(Pipeline::clone)).unwrap();
+        let fresh_entries: Vec<usize> = fresh.datapath().slots()[..stages]
+            .iter()
+            .map(|s| s.table.read().len())
+            .collect();
+        assert_eq!(chain_entries, fresh_entries, "a stage took the flow-mod");
+        assert_agrees_with_interpreter(&switch);
+    }
+
+    #[test]
+    fn failed_recompilation_after_a_decomposed_table_flow_mod_rolls_back() {
+        // A flow-mod on the decomposed table always takes the full tier; a
+        // dangling goto fails it, and the pipeline is restored.
+        let switch = EswitchRuntime::compile(fig5_continue_pipeline()).unwrap();
+        let before = switch.datapath();
+        let entries = switch.with_pipeline(Pipeline::entry_count);
+        let fm = FlowMod::add(
+            0,
+            FlowMatch::any().with_exact(Field::TcpDst, 443),
+            99,
+            vec![openflow::Instruction::GotoTable(99)],
+        );
+        assert!(switch.flow_mod(&fm).is_err());
+        assert_eq!(switch.updates.full_recompiles.updates(), 0);
+        switch.with_pipeline(|p| {
+            assert_eq!(p.entry_count(), entries);
+            assert!(p.validate().is_ok());
+        });
+        assert!(Arc::ptr_eq(&before, &switch.datapath()));
+        assert_agrees_with_interpreter(&switch);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! shape, a side-by-side per-table rebuild swapped through the table's
 //! trampoline when only existing tables changed, and a full recompilation
 //! only when the pipeline's structure changed. The [`UpdatePlanner`] decides
-//! the tier and produces an [`UpdatePlan`];
+//! the tier, lands an incremental edit itself and hands back what a higher
+//! tier needs ([`Absorbed`]);
 //! [`EswitchRuntime`](crate::runtime::EswitchRuntime) is its one executor —
 //! the sharded control plane applies ESWITCH flow-mods through a runtime
 //! too. Every tier below the full recompile lands *in place* (trampoline
@@ -13,9 +14,14 @@
 //! table), so a published datapath stays the same allocation until a
 //! structural change replaces it.
 //!
-//! Planning is conservative: a plan is only produced when the edit is known
-//! to apply (shape checked, existence checked for deletes, parser depth
-//! checked for adds), so consumers can account the update class up front.
+//! Planning is conservative: an edit is only planned when it is known to
+//! apply (shape checked, existence checked for deletes, parser depth checked
+//! for adds).
+//! A table the compiler decomposed into a chain (§3.2) takes neither tier
+//! below the full one, and neither does a rebuild whose best layout would be
+//! a chain: a full recompilation lays out chains exactly as compiling the
+//! pipeline from scratch would, so the compiled datapath never depends on
+//! the update history.
 
 use std::sync::Arc;
 
@@ -25,9 +31,9 @@ use openflow::flow_mod::{FlowModCommand, FlowModEffect};
 use openflow::pipeline::TableId;
 use openflow::{Field, FieldValue, FlowMod, Pipeline};
 
-use crate::analysis::CompilerConfig;
 use crate::compile::{
-    compile_instructions, compile_table, instruction_fields, CompiledDatapath, SlotIndex,
+    compile_instructions, compile_table, instruction_fields, layout, CompiledDatapath, Layout,
+    SlotIndex,
 };
 use crate::templates::action::ActionStore;
 use crate::templates::parser::ParserTemplate;
@@ -87,9 +93,8 @@ impl UpdateCounter {
 /// One in-place template edit, precompiled and shape-validated by the
 /// planner.
 #[derive(Debug)]
-pub struct TableEdit {
-    /// The table the edit targets.
-    pub table: TableId,
+struct TableEdit {
+    table: TableId,
     op: EditOp,
 }
 
@@ -117,7 +122,7 @@ impl TableEdit {
     /// Applies the edit in place through the table's trampoline lock.
     /// Returns false when the live template no longer accepts it (e.g. LPM
     /// tbl8 exhaustion); the caller escalates to a per-table rebuild.
-    pub fn apply(&self, datapath: &CompiledDatapath) -> bool {
+    fn apply(&self, datapath: &CompiledDatapath) -> bool {
         let Some(slot) = datapath.slot(self.table) else {
             return false;
         };
@@ -146,29 +151,6 @@ impl TableEdit {
     }
 }
 
-/// How a flow-mod should be absorbed into a compiled datapath.
-#[derive(Debug)]
-pub enum UpdatePlan {
-    /// In-place incremental edit of one table's template.
-    Incremental(TableEdit),
-    /// Rebuilt templates for the touched tables, ready to swap into their
-    /// trampoline slots.
-    PerTable(Vec<(TableId, CompiledTable)>),
-    /// Structural change: the whole datapath must be recompiled.
-    Full,
-}
-
-impl UpdatePlan {
-    /// The ladder tier this plan corresponds to.
-    pub fn class(&self) -> UpdateClass {
-        match self {
-            UpdatePlan::Incremental(_) => UpdateClass::Incremental,
-            UpdatePlan::PerTable(_) => UpdateClass::PerTable,
-            UpdatePlan::Full => UpdateClass::Full,
-        }
-    }
-}
-
 /// Outcome of [`UpdatePlanner::absorb`]: how far below the full tier the
 /// update landed.
 #[derive(Debug)]
@@ -184,41 +166,18 @@ pub enum Absorbed {
 
 /// The §3.4 update planner: decides, for an applied flow-mod, the cheapest
 /// tier that preserves correctness, and precompiles whatever that tier needs.
-#[derive(Debug, Clone, Copy)]
-pub struct UpdatePlanner<'a> {
-    config: &'a CompilerConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct UpdatePlanner;
 
-impl<'a> UpdatePlanner<'a> {
-    /// A planner for datapaths compiled with `config`.
-    pub fn new(config: &'a CompilerConfig) -> Self {
-        UpdatePlanner { config }
-    }
-
+impl UpdatePlanner {
     /// Plans the update for `fm` (already applied to `pipeline`, yielding
-    /// `effect`) against the running `datapath`.
-    pub fn plan(
-        &self,
-        pipeline: &Pipeline,
-        datapath: &CompiledDatapath,
-        fm: &FlowMod,
-        effect: &FlowModEffect,
-    ) -> UpdatePlan {
-        if let Some(edit) = self.plan_incremental(pipeline, datapath, fm, effect) {
-            return UpdatePlan::Incremental(edit);
-        }
-        match self.plan_per_table(pipeline, datapath, effect) {
-            Some(tables) => UpdatePlan::PerTable(tables),
-            None => UpdatePlan::Full,
-        }
-    }
-
-    /// Plans and executes everything below the full tier in one step: an
-    /// incremental edit is applied to `datapath` in place (escalating to a
-    /// per-table rebuild if the live template rejects it); a per-table plan
-    /// returns the rebuilt tables for the caller to realise. `Full` means
-    /// the caller must recompile — the one step whose execution (and failure
-    /// handling) differs per consumer.
+    /// `effect`) against the running `datapath`, and executes everything
+    /// below the full tier: an incremental edit is applied to `datapath` in
+    /// place (escalating to a per-table rebuild if the live template rejects
+    /// it, e.g. on LPM tbl8 exhaustion); a per-table plan returns the rebuilt
+    /// tables for the caller to realise. `Full` means the caller must
+    /// recompile — the one step whose execution (and failure handling)
+    /// differs per consumer.
     pub fn absorb(
         &self,
         pipeline: &Pipeline,
@@ -226,20 +185,22 @@ impl<'a> UpdatePlanner<'a> {
         fm: &FlowMod,
         effect: &FlowModEffect,
     ) -> Absorbed {
-        match self.plan(pipeline, datapath, fm, effect) {
-            UpdatePlan::Incremental(edit) => {
-                if edit.apply(datapath) {
-                    return Absorbed::Incremental;
-                }
-                // The live template rejected the edit (e.g. LPM tbl8
-                // exhaustion): escalate to a per-table rebuild.
-                match self.plan_per_table(pipeline, datapath, effect) {
-                    Some(tables) => Absorbed::PerTable(tables),
-                    None => Absorbed::Full,
-                }
-            }
-            UpdatePlan::PerTable(tables) => Absorbed::PerTable(tables),
-            UpdatePlan::Full => Absorbed::Full,
+        // A decomposed table's chain has no slot a rebuild or an edit can
+        // take: its flow-mods recompile the datapath.
+        if effect
+            .tables_touched
+            .iter()
+            .any(|id| datapath.chain(*id).is_some())
+        {
+            return Absorbed::Full;
+        }
+        let edit = self.plan_incremental(pipeline, datapath, fm, effect);
+        if edit.is_some_and(|edit| edit.apply(datapath)) {
+            return Absorbed::Incremental;
+        }
+        match self.plan_per_table(pipeline, datapath, effect) {
+            Some(tables) => Absorbed::PerTable(tables),
+            None => Absorbed::Full,
         }
     }
 
@@ -354,11 +315,12 @@ impl<'a> UpdatePlanner<'a> {
     }
 
     /// Attempts tier 2: every touched table already exists in the datapath
-    /// and the change does not require a deeper packet parser than the one
-    /// the datapath was compiled with (matching a new, deeper field after a
-    /// shallow-parse compile needs the full recompile path). Produces the
-    /// rebuilt templates; also used to escalate a failed in-place edit.
-    pub fn plan_per_table(
+    /// and still compiles to one template, and the change does not
+    /// require a deeper packet parser than the one the datapath was compiled
+    /// with (matching a new, deeper field after a shallow-parse compile needs
+    /// the full recompile path). Produces the rebuilt templates; also used to
+    /// escalate a failed in-place edit.
+    fn plan_per_table(
         &self,
         pipeline: &Pipeline,
         datapath: &CompiledDatapath,
@@ -394,12 +356,16 @@ impl<'a> UpdatePlanner<'a> {
         let mut rebuilt = Vec::with_capacity(effect.tables_touched.len());
         for id in &effect.tables_touched {
             let table = pipeline.table(*id).expect("touched table exists");
+            // A chain takes slots the datapath does not have.
+            let Layout::Table(shape) = layout(pipeline, table) else {
+                return None;
+            };
             // The paper keeps a shared template library; re-interning per
             // rebuild only affects sharing across tables, not correctness.
             let mut store = ActionStore::new();
             rebuilt.push((
                 *id,
-                compile_table(table, self.config, &mut store, datapath.slot_index()),
+                compile_table(table, shape, &mut store, datapath.slot_index()),
             ));
         }
         Some(rebuilt)
@@ -533,11 +499,14 @@ mod tests {
         p
     }
 
-    fn plan_for(pipeline: &mut Pipeline, fm: &FlowMod) -> UpdatePlan {
-        let config = CompilerConfig::default();
-        let datapath = crate::compile::compile(pipeline, &config).unwrap();
+    fn plan_for(pipeline: &mut Pipeline, fm: &FlowMod) -> UpdateClass {
+        let datapath = crate::compile::compile(pipeline).unwrap();
         let effect = apply_flow_mod(pipeline, fm).unwrap();
-        UpdatePlanner::new(&config).plan(pipeline, &datapath, fm, &effect)
+        match UpdatePlanner.absorb(pipeline, &datapath, fm, &effect) {
+            Absorbed::Incremental => UpdateClass::Incremental,
+            Absorbed::PerTable(_) => UpdateClass::PerTable,
+            Absorbed::Full => UpdateClass::Full,
+        }
     }
 
     #[test]
@@ -549,14 +518,14 @@ mod tests {
             10,
             terminal_actions(vec![Action::Output(1)]),
         );
-        assert_eq!(plan_for(&mut p, &add).class(), UpdateClass::Incremental);
+        assert_eq!(plan_for(&mut p, &add), UpdateClass::Incremental);
 
         let del = FlowMod::delete_strict(
             0,
             FlowMatch::any().with_exact(Field::EthDst, 0x0200_0000_0001u128),
             10,
         );
-        assert_eq!(plan_for(&mut p, &del).class(), UpdateClass::Incremental);
+        assert_eq!(plan_for(&mut p, &del), UpdateClass::Incremental);
     }
 
     #[test]
@@ -567,7 +536,7 @@ mod tests {
             0,
             FlowMatch::any().with_exact(Field::EthDst, 0x0200_0000_0001u128),
         );
-        assert_eq!(plan_for(&mut p, &del).class(), UpdateClass::PerTable);
+        assert_eq!(plan_for(&mut p, &del), UpdateClass::PerTable);
 
         // Installing into a table the datapath does not have -> full.
         let mut p = l2_pipeline(8);
@@ -577,7 +546,7 @@ mod tests {
             1,
             terminal_actions(vec![Action::Output(1)]),
         );
-        assert_eq!(plan_for(&mut p, &structural).class(), UpdateClass::Full);
+        assert_eq!(plan_for(&mut p, &structural), UpdateClass::Full);
     }
 
     #[test]
@@ -591,14 +560,13 @@ mod tests {
             50,
             terminal_actions(vec![Action::Output(9)]),
         );
-        assert_eq!(plan_for(&mut p, &fm).class(), UpdateClass::Full);
+        assert_eq!(plan_for(&mut p, &fm), UpdateClass::Full);
     }
 
     #[test]
     fn planned_edit_applies_in_place() {
         let mut p = l2_pipeline(32);
-        let config = CompilerConfig::default();
-        let datapath = crate::compile::compile(&p, &config).unwrap();
+        let datapath = crate::compile::compile(&p).unwrap();
         let fm = FlowMod::add(
             0,
             FlowMatch::any().with_exact(Field::EthDst, 0x0200_0000_0900u128),
@@ -606,12 +574,8 @@ mod tests {
             terminal_actions(vec![Action::Output(3)]),
         );
         let effect = apply_flow_mod(&mut p, &fm).unwrap();
-        let UpdatePlan::Incremental(edit) =
-            UpdatePlanner::new(&config).plan(&p, &datapath, &fm, &effect)
-        else {
-            panic!("expected incremental plan");
-        };
-        assert!(edit.apply(&datapath));
+        let absorbed = UpdatePlanner.absorb(&p, &datapath, &fm, &effect);
+        assert!(matches!(absorbed, Absorbed::Incremental), "{absorbed:?}");
         let mut pkt = pkt::builder::PacketBuilder::udp()
             .eth_dst(pkt::MacAddr::from_u64(0x0200_0000_0900).octets())
             .build();
@@ -669,7 +633,7 @@ mod tests {
             5, // below the existing priority-10 entry: the old entry wins
             terminal_actions(vec![Action::Output(9)]),
         );
-        assert_eq!(plan_for(&mut p, &fm).class(), UpdateClass::PerTable);
+        assert_eq!(plan_for(&mut p, &fm), UpdateClass::PerTable);
 
         runtime.flow_mod(&fm).unwrap();
         assert_eq!(runtime.updates.incremental.updates(), 0);
@@ -711,7 +675,7 @@ mod tests {
             1, // ties the catch-all: the earlier catch-all wins in order
             terminal_actions(vec![Action::Output(7)]),
         );
-        assert_ne!(plan_for(&mut p, &fm).class(), UpdateClass::Incremental);
+        assert_ne!(plan_for(&mut p, &fm), UpdateClass::Incremental);
     }
 
     #[test]
@@ -745,10 +709,7 @@ mod tests {
             20,
             terminal_actions(vec![Action::Output(7)]),
         );
-        assert_ne!(
-            plan_for(&mut p.clone(), &bad).class(),
-            UpdateClass::Incremental
-        );
+        assert_ne!(plan_for(&mut p.clone(), &bad), UpdateClass::Incremental);
 
         // The same prefix with a consistent priority is absorbed in place.
         let good = FlowMod::add(
@@ -761,7 +722,51 @@ mod tests {
             40,
             terminal_actions(vec![Action::Output(7)]),
         );
-        assert_eq!(plan_for(&mut p, &good).class(), UpdateClass::Incremental);
+        assert_eq!(plan_for(&mut p, &good), UpdateClass::Incremental);
+    }
+
+    #[test]
+    fn flow_mod_on_a_decomposed_table_plans_full() {
+        // Table 0 compiles to a chain: no edit or rebuild may land in its
+        // stages, so even a hash-shaped add escalates to a full recompile.
+        let mut p = Pipeline::new();
+        p.add_table(crate::decompose::tests::fig5_table());
+        assert!(crate::compile::compile(&p).unwrap().chain(0).is_some());
+        for fm in [
+            FlowMod::add(
+                0,
+                FlowMatch::any().with_exact(Field::TcpDst, 443),
+                99,
+                terminal_actions(vec![Action::Output(9)]),
+            ),
+            FlowMod::delete(0, FlowMatch::any().with_exact(Field::TcpDst, 22)),
+        ] {
+            assert_eq!(plan_for(&mut p.clone(), &fm), UpdateClass::Full);
+        }
+    }
+
+    #[test]
+    fn rebuild_whose_best_layout_is_a_chain_plans_full() {
+        // Five hash-shaped rules plus one on another field: the table falls
+        // from the hash template to the linked list, whose decomposition the
+        // model charges less, so the chain needs a full recompile.
+        let mut p = Pipeline::with_tables(1);
+        for i in 0..5u64 {
+            p.table_mut(0).unwrap().insert(FlowEntry::new(
+                FlowMatch::any().with_exact(Field::TcpDst, u128::from(80 + i)),
+                10,
+                terminal_actions(vec![Action::Output(1)]),
+            ));
+        }
+        let fm = FlowMod::add(
+            0,
+            FlowMatch::any().with_exact(Field::TcpSrc, 7),
+            20,
+            terminal_actions(vec![Action::Output(2)]),
+        );
+        assert_eq!(plan_for(&mut p.clone(), &fm), UpdateClass::Full);
+        apply_flow_mod(&mut p, &fm).unwrap();
+        assert!(crate::compile::compile(&p).unwrap().chain(0).is_some());
     }
 
     #[test]

@@ -32,7 +32,6 @@ use std::sync::Arc;
 
 use netdev::sync::Mutex;
 
-use eswitch::analysis::CompilerConfig;
 use eswitch::compile::{CompileError, CompiledDatapath};
 use eswitch::runtime::{EswitchRuntime, UpdateStats};
 use eswitch::update::UpdateClass;
@@ -44,19 +43,20 @@ use ovsdp::datapath::delta_is_selective;
 use ovsdp::{OvsConfig, OvsDatapath};
 use pkt::Packet;
 
-/// Which datapath architecture the shards replicate, plus its configuration.
+/// Which datapath architecture the shards replicate (plus, for OVS, its
+/// cache configuration; the ESWITCH compiler has nothing to configure).
 #[derive(Debug, Clone, Copy)]
 pub enum BackendSpec {
     /// Compiled ESWITCH datapath, shared read-only across shards.
-    Eswitch(CompilerConfig),
+    Eswitch,
     /// OVS cache hierarchy with per-shard microflow/megaflow caches.
     Ovs(OvsConfig),
 }
 
 impl BackendSpec {
-    /// An ESWITCH backend with the default compiler configuration.
+    /// An ESWITCH backend.
     pub fn eswitch() -> Self {
-        BackendSpec::Eswitch(CompilerConfig::default())
+        BackendSpec::Eswitch
     }
 
     /// An OVS backend with the default cache configuration.
@@ -67,7 +67,7 @@ impl BackendSpec {
     /// Short label for reports ("ES" / "OVS").
     pub fn label(&self) -> &'static str {
         match self {
-            BackendSpec::Eswitch(_) => "ES",
+            BackendSpec::Eswitch => "ES",
             BackendSpec::Ovs(_) => "OVS",
         }
     }
@@ -75,7 +75,7 @@ impl BackendSpec {
     /// Builds one shard's replica of a published state.
     pub(crate) fn replica(&self, state: &CompiledState) -> Box<dyn ShardBackend> {
         match (self, state) {
-            (BackendSpec::Eswitch(_), CompiledState::Eswitch(datapath)) => Box::new(EswitchShard {
+            (BackendSpec::Eswitch, CompiledState::Eswitch(datapath)) => Box::new(EswitchShard {
                 datapath: Arc::clone(datapath),
             }),
             (BackendSpec::Ovs(config), CompiledState::Ovs(pipeline)) => Box::new(OvsShard {
@@ -118,9 +118,7 @@ impl Canonical {
     /// Compiles (ESWITCH) or adopts (OVS) the launch pipeline.
     pub(crate) fn new(spec: BackendSpec, pipeline: Pipeline) -> Result<Self, CompileError> {
         Ok(match spec {
-            BackendSpec::Eswitch(config) => {
-                Canonical::Eswitch(EswitchRuntime::with_config(pipeline, config)?)
-            }
+            BackendSpec::Eswitch => Canonical::Eswitch(EswitchRuntime::compile(pipeline)?),
             BackendSpec::Ovs(_) => Canonical::Ovs {
                 pipeline: Mutex::new(pipeline),
                 updates: UpdateStats::default(),

@@ -1,11 +1,14 @@
-//! Flow-table decomposition walk-through: the Fig. 5 example, a firewall ACL,
-//! and the Appendix's 3SAT reduction showing why minimal decomposition is
-//! intractable (and why ESWITCH uses a greedy heuristic).
+//! Flow-table decomposition walk-through: the Fig. 5 example and a firewall
+//! ACL, each decomposed into a chain of stages, with the model's charges the
+//! compiler weighs the chain against the linked list by, and the Appendix's 3SAT reduction showing why minimal decomposition
+//! is intractable (and why ESWITCH uses a greedy heuristic).
 //!
 //! Run with: `cargo run --example decomposition`
 
-use eswitch::analysis::{select_template, CompilerConfig};
-use eswitch::decompose::{decompose_pipeline_with, sat};
+use eswitch::analysis::select_shape;
+use eswitch::compile::{compile, ChainCharge};
+use eswitch::decompose::sat;
+use eswitch::decompose_table;
 use openflow::flow_match::FlowMatch;
 use openflow::instruction::terminal_actions;
 use openflow::{Action, Field, FlowEntry, FlowTable, Pipeline};
@@ -39,42 +42,49 @@ fn fig5_style_table() -> FlowTable {
     t
 }
 
-fn show(pipeline: &Pipeline, config: &CompilerConfig, label: &str) {
-    let result = decompose_pipeline_with(pipeline, config);
+/// Decomposes table 0 of a one-table pipeline and prints the chain's
+/// costliest goto path, the model's charge for the chain and for the linked
+/// list, and which of the two the compiler built.
+fn show(pipeline: &Pipeline, label: &str) {
+    let table = pipeline.table(0).expect("table 0");
+    let stages = decompose_table(table, &mut 1);
+    let charge = ChainCharge::new(table, &stages);
+    let datapath = compile(pipeline).expect("compiles");
+    let built = if datapath.chain(0).is_some() {
+        "the chain"
+    } else {
+        "the linked list"
+    };
     println!(
-        "{label}: {} table(s) / {} entries  ->  {} table(s) / {} entries",
-        result.stats.input_tables,
-        result.stats.input_entries,
-        result.stats.output_tables,
-        result.stats.output_entries
+        "{label}: {} entries -> {} stages, {} on the costliest path; \
+         model: linked list {:.0} cycles, chain {:.0} cycles; compiled: {built}",
+        table.len(),
+        stages.len(),
+        charge.path.len(),
+        charge.list,
+        charge.chain,
     );
-    for table in result.pipeline.tables() {
+    for index in &charge.path {
+        let stage = &stages[*index];
+        let kind = select_shape(stage).kind();
         println!(
-            "    table {:>3} ({:<22}) {:>4} entries, template {:?}",
-            table.id,
-            table.name,
-            table.len(),
-            select_template(table, config)
+            "    path stage {index:>5}: {:>4} entries, template {kind:?}",
+            stage.len()
         );
     }
 }
 
 fn main() {
-    let config = CompilerConfig {
-        direct_code_limit: 0, // force decomposition even for small examples
-        enable_decomposition: true,
-    };
-
     // 1. The Fig. 5 example: decomposing along the low-diversity column gives
-    //    4 tables, all single-field.
+    //    4 stages, all single-field.
     let mut fig5 = Pipeline::new();
     fig5.add_table(fig5_style_table());
-    show(&fig5, &config, "Fig. 5 example  ");
+    show(&fig5, "Fig. 5 example");
 
     // 2. A snort-like five-tuple ACL (the §3.2 stress test).
     let mut acl = Pipeline::new();
     acl.add_table(generate_acl_table(&AclConfig::default()));
-    show(&acl, &config, "72-rule ACL     ");
+    show(&acl, "72-rule ACL");
 
     // 3. The Appendix: deciding whether a table decomposes into a *single*
     //    regular table encodes 3SAT, hence the greedy heuristic.

@@ -1,14 +1,13 @@
 //! The load-balancer use case end to end: build the single-table pipeline a
-//! controller would emit (Fig. 7a), let the ESWITCH decomposition pass
-//! promote it to a multi-stage pipeline (Fig. 7b), and compare the compiled
-//! datapath against the OVS-style caching datapath on the same traffic.
+//! controller would emit (Fig. 7a), watch the ESWITCH compiler decompose it
+//! into a multi-stage chain (Fig. 7b) because the performance model charges
+//! the chain less than the linked list, and compare the compiled datapath
+//! against the OVS-style caching datapath on the same traffic.
 //!
 //! Run with: `cargo run --release --example load_balancer`
 
 use std::time::Instant;
 
-use eswitch::analysis::CompilerConfig;
-use eswitch::decompose::decompose_pipeline_with;
 use eswitch::runtime::EswitchRuntime;
 use openflow::Datapath;
 use ovsdp::OvsDatapath;
@@ -26,23 +25,21 @@ fn main() {
         pipeline.entry_count()
     );
 
-    // What the decomposition pass does to it.
-    let compiler = CompilerConfig {
-        enable_decomposition: true,
-        ..CompilerConfig::default()
-    };
-    let decomposed = decompose_pipeline_with(&pipeline, &compiler);
+    // What the compiler makes of it, and the model's two charges behind
+    // the choice.
+    let eswitch =
+        EswitchRuntime::compile(load_balancer::build_pipeline(&config)).expect("compiles");
+    let datapath = eswitch.datapath();
+    let chain = datapath
+        .chain(0)
+        .expect("the compiler decomposes the table");
     println!(
-        "after decomposition: {} tables, {} entries",
-        decomposed.stats.output_tables, decomposed.stats.output_entries
-    );
-
-    // Compile and compare against the flow-caching baseline.
-    let eswitch = EswitchRuntime::with_config(load_balancer::build_pipeline(&config), compiler)
-        .expect("compiles");
-    println!(
-        "compiled templates: {:?}",
-        eswitch.datapath().template_kinds()
+        "compiled as a chain of {} stages, {} on the costliest path; model: linked list {:.0} \
+         cycles, chain {:.0} cycles",
+        datapath.slots().len(),
+        chain.path.len(),
+        chain.list,
+        chain.chain,
     );
     let ovs = OvsDatapath::new(load_balancer::build_pipeline(&config));
 

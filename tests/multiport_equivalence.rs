@@ -197,7 +197,7 @@ fn run_multiport(
 /// unstamped packet at a time (no port, no dispatcher, no ring).
 fn run_unstamped(spec: BackendSpec) -> HashMap<u16, FlowLog> {
     let datapath: Box<dyn Datapath> = match spec {
-        BackendSpec::Eswitch(_) => {
+        BackendSpec::Eswitch => {
             Box::new(EswitchRuntime::compile(pipeline()).expect("pipeline compiles"))
         }
         BackendSpec::Ovs(_) => Box::new(OvsDatapath::new(pipeline())),

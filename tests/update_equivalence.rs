@@ -15,11 +15,14 @@
 //! each change lands on caches the previous round warmed: a cached flow the
 //! invalidation wrongly spares answers the next round with its old verdict.
 //! The ladder and the selective flushes are optimisations, never a semantic
-//! change.
+//! change — and neither is decomposition: one base is the Fig. 5a table,
+//! which the compiler decomposes into a chain the controller never wrote,
+//! and its flow-mods address the controller's table all the same.
 
 mod common;
 
 use common::{assert_agree, executions, Execution};
+use eswitch::analysis::TemplateKind;
 use eswitch::runtime::EswitchRuntime;
 use openflow::flow_match::FlowMatch;
 use openflow::flow_mod::{apply_flow_mod, FlowModCommand, FlowModError};
@@ -35,35 +38,97 @@ use workloads::usecases::{PORT_NET, PORT_USER};
 
 const MAC_BASE: u64 = 0x0200_0000_0000;
 
-/// A hash-templated L2 pipeline (table 0) and an LPM-templated routing
-/// pipeline share the flow-mod universe below.
-fn base_pipeline(lpm: bool) -> Pipeline {
+/// The three shapes of table 0 that share the flow-mod universe below.
+#[derive(Debug, Clone, Copy)]
+enum Base {
+    /// An L2 table: the hash template.
+    Mac,
+    /// A routing table: the LPM template.
+    Routes,
+    /// The Fig. 5a table: five-tuple-style rules that fit no single
+    /// template, so the compiler decomposes the table into a chain.
+    Fig5,
+}
+
+/// The Fig. 5a rows: (ip_dst last octet, tcp_dst, output port), `None`
+/// wildcarding the field, at priorities 100 down to 95.
+const FIG5_ROWS: [(Option<u8>, Option<u16>, u32); 6] = [
+    (Some(1), Some(80), 1),
+    (Some(2), Some(80), 2),
+    (Some(3), None, 3),
+    (Some(1), Some(22), 4),
+    (Some(2), Some(22), 5),
+    (None, None, 6),
+];
+
+/// The match of a Fig. 5a-style rule on `10.0.0.<ip>` and `tcp_dst`.
+fn fig5_match(ip: Option<u8>, port: Option<u16>) -> FlowMatch {
+    let mut m = FlowMatch::any();
+    if let Some(ip) = ip {
+        m = m.with_exact(
+            Field::Ipv4Dst,
+            u128::from(u32::from_be_bytes([10, 0, 0, ip])),
+        );
+    }
+    if let Some(port) = port {
+        m = m.with_exact(Field::TcpDst, u128::from(port));
+    }
+    m
+}
+
+fn base_pipeline(base: Base) -> Pipeline {
     let mut p = Pipeline::with_tables(1);
     let t = p.table_mut(0).unwrap();
-    if lpm {
-        for i in 0..12u32 {
-            let len = if i % 2 == 0 { 16 } else { 24 };
-            t.insert(FlowEntry::new(
-                FlowMatch::any().with_prefix(
-                    Field::Ipv4Dst,
-                    u128::from(u32::from_be_bytes([10, i as u8, 1, 0])),
-                    len,
-                ),
-                (len + 10) as u16,
-                terminal_actions(vec![Action::Output(i % 3)]),
-            ));
+    match base {
+        Base::Routes => {
+            for i in 0..12u32 {
+                let len = if i % 2 == 0 { 16 } else { 24 };
+                t.insert(FlowEntry::new(
+                    FlowMatch::any().with_prefix(
+                        Field::Ipv4Dst,
+                        u128::from(u32::from_be_bytes([10, i as u8, 1, 0])),
+                        len,
+                    ),
+                    (len + 10) as u16,
+                    terminal_actions(vec![Action::Output(i % 3)]),
+                ));
+            }
         }
-    } else {
-        for i in 0..48u64 {
-            t.insert(FlowEntry::new(
-                FlowMatch::any().with_exact(Field::EthDst, u128::from(MAC_BASE + i)),
-                10,
-                terminal_actions(vec![Action::Output((i % 4) as u32)]),
-            ));
+        Base::Mac => {
+            for i in 0..48u64 {
+                t.insert(FlowEntry::new(
+                    FlowMatch::any().with_exact(Field::EthDst, u128::from(MAC_BASE + i)),
+                    10,
+                    terminal_actions(vec![Action::Output((i % 4) as u32)]),
+                ));
+            }
+        }
+        Base::Fig5 => {
+            for (i, (ip, port, out)) in FIG5_ROWS.into_iter().enumerate() {
+                t.insert(FlowEntry::new(
+                    fig5_match(ip, port),
+                    100 - i as u16,
+                    terminal_actions(vec![Action::Output(out)]),
+                ));
+            }
+            return p;
         }
     }
     t.insert(FlowEntry::new(FlowMatch::any(), 1, vec![]));
     p
+}
+
+fn arb_base() -> impl Strategy<Value = Base> {
+    prop_oneof![Just(Base::Mac), Just(Base::Routes), Just(Base::Fig5)]
+}
+
+/// A Fig. 5a-style match: exact on both fields, on one, or on neither.
+fn arb_fig5_match() -> impl Strategy<Value = FlowMatch> {
+    (
+        prop::option::of(1u8..5),
+        prop::option::of(prop_oneof![Just(80u16), Just(22), Just(443)]),
+    )
+        .prop_map(|(ip, port)| fig5_match(ip, port))
 }
 
 /// One randomly generated flow-mod over the shared universe: hash-shaped MAC
@@ -134,6 +199,22 @@ fn arb_flow_mod() -> impl Strategy<Value = FlowMod> {
             instructions: terminal_actions(vec![Action::Output(90 + out)]),
             cookie: None,
         }),
+        // Fig. 5a-style add, exact or wildcarded, at priorities above,
+        // among and below the table's rules.
+        (
+            arb_fig5_match(),
+            prop_oneof![Just(50u16), Just(96), Just(98), Just(99), Just(120)],
+            0u32..10,
+        )
+            .prop_map(|(flow_match, priority, out)| FlowMod::add(
+                0,
+                flow_match,
+                priority,
+                terminal_actions(vec![Action::Output(out)]),
+            )),
+        // Strict delete of a Fig. 5a rule, at its own or another priority.
+        (arb_fig5_match(), 94u16..101)
+            .prop_map(|(flow_match, priority)| FlowMod::delete_strict(0, flow_match, priority)),
         // Structural: install into a table the datapath does not have yet.
         (1u32..3, 0u32..4).prop_map(|(t, out)| FlowMod::add(
             t,
@@ -160,6 +241,16 @@ fn probes() -> Vec<Packet> {
     }
     for port in [8001u16, 8002, 443] {
         probes.push(PacketBuilder::tcp().tcp_dst(port).build());
+    }
+    for ip in 1u8..=4 {
+        for port in [80u16, 22, 443] {
+            probes.push(
+                PacketBuilder::tcp()
+                    .ipv4_dst([10, 0, 0, ip])
+                    .tcp_dst(port)
+                    .build(),
+            );
+        }
     }
     probes
 }
@@ -395,10 +486,10 @@ proptest! {
 
     #[test]
     fn planner_full_recompile_and_sharded_paths_agree(
-        lpm in any::<bool>(),
+        base in arb_base(),
         mods in prop::collection::vec(arb_flow_mod(), 1..14),
     ) {
-        all_paths_agree(&base_pipeline(lpm), &mods, &probes(), &format!("lpm={lpm}"));
+        all_paths_agree(&base_pipeline(base), &mods, &probes(), &format!("{base:?}"));
     }
 
     #[test]
@@ -408,6 +499,51 @@ proptest! {
         let base = gateway::build_pipeline(&gateway_config());
         all_paths_agree(&base, &mods, &gateway_probes(), "gateway");
     }
+}
+
+/// The Fig. 5a base is what the generated sequences above decompose: the
+/// compiler builds table 0 as a chain with no linked-list stage, and keeps
+/// the controller's one table as written.
+#[test]
+fn fig5_base_compiles_to_a_chain_without_linked_lists() {
+    let base = base_pipeline(Base::Fig5);
+    let eswitch = EswitchRuntime::compile(base.clone()).unwrap();
+    let datapath = eswitch.datapath();
+    assert!(datapath.chain(0).is_some(), "table 0 not decomposed");
+    let kinds = datapath.template_kinds();
+    assert!(kinds.len() > 1);
+    for (id, kind) in kinds {
+        assert_eq!(id, 0);
+        assert_ne!(kind, TemplateKind::LinkedList);
+    }
+    eswitch.with_pipeline(|p| {
+        assert_eq!(p.table_count(), 1);
+        assert_eq!(p.entry_count(), base.entry_count());
+    });
+}
+
+/// The sequence that diverged when decomposition rewrote the controller's
+/// pipeline: a strict delete of one of the controller's rules, then an add
+/// into table 0 below them, each followed by a probe round on every path.
+#[test]
+fn flow_mods_on_a_decomposed_table_agree() {
+    let mods = [
+        FlowMod::delete_strict(0, fig5_match(Some(1), Some(80)), 100),
+        FlowMod::add(
+            0,
+            fig5_match(None, Some(443)),
+            50,
+            terminal_actions(vec![Action::Output(9)]),
+        ),
+    ];
+    let eswitch = EswitchRuntime::compile(base_pipeline(Base::Fig5)).unwrap();
+    for fm in &mods {
+        eswitch
+            .flow_mod(fm)
+            .expect("the controller's table takes it");
+    }
+    assert_eq!(eswitch.updates.full_recompiles.updates(), 2);
+    all_paths_agree(&base_pipeline(Base::Fig5), &mods, &probes(), "Fig5");
 }
 
 /// A goto to the same table, an earlier one, or one that does not exist is

@@ -8,7 +8,7 @@
 mod common;
 
 use common::{assert_agree, checksums_verify, executions, executions_with};
-use eswitch::analysis::{CompilerConfig, TemplateKind};
+use eswitch::analysis::TemplateKind;
 use eswitch::runtime::EswitchRuntime;
 use openflow::Datapath;
 use ovsdp::OvsDatapath;
@@ -17,6 +17,7 @@ use workloads::gateway::{self, GatewayConfig};
 use workloads::l2::{self, L2Config};
 use workloads::l3::{self, L3Config};
 use workloads::load_balancer::{self, LoadBalancerConfig};
+use workloads::snat_edge::{self, SnatEdgeConfig};
 use workloads::FlowSet;
 
 /// Checks that every architecture agrees with the direct interpreter — on the
@@ -76,38 +77,83 @@ fn load_balancer_decomposition_promotes_templates_and_agrees() {
         services: 20,
         seed: 23,
     };
-    // Without decomposition the single heterogeneous table is a linked list.
-    let naive = EswitchRuntime::compile(load_balancer::build_pipeline(&config)).unwrap();
-    assert_eq!(
-        naive.datapath().template_kinds(),
-        vec![(0, TemplateKind::LinkedList)]
-    );
-
-    // With decomposition every compiled table is a fast template.
-    let decomposed = EswitchRuntime::with_config(
-        load_balancer::build_pipeline(&config),
-        CompilerConfig {
-            enable_decomposition: true,
-            ..CompilerConfig::default()
-        },
-    )
-    .unwrap();
-    assert!(decomposed.datapath().template_kinds().len() > 1);
-    for (id, kind) in decomposed.datapath().template_kinds() {
+    // The single heterogeneous table would be a linked list; the compiler
+    // decomposes it, and every stage of the chain is a fast template.
+    let pipeline = load_balancer::build_pipeline(&config);
+    let eswitch = EswitchRuntime::compile(pipeline.clone()).unwrap();
+    let datapath = eswitch.datapath();
+    assert!(datapath.chain(0).is_some(), "load balancer not decomposed");
+    let kinds = datapath.template_kinds();
+    assert!(kinds.len() > 1);
+    for (id, kind) in kinds {
+        assert_eq!(id, 0, "a stage left table 0's id");
         assert_ne!(
             kind,
             TemplateKind::LinkedList,
-            "table {id} still linked list"
+            "a stage is still a linked list"
         );
     }
+    // The controller's pipeline is kept as written.
+    eswitch.with_pipeline(|kept| {
+        assert_eq!(kept.table_count(), pipeline.table_count());
+        assert_eq!(kept.entry_count(), pipeline.entry_count());
+    });
 
-    // And the decomposed compiled datapath still agrees with the reference
-    // (and so do the other executions).
-    let mut executions = executions(&load_balancer::build_pipeline(&config));
-    executions.push(("eswitch-decomposed", Box::new(decomposed)));
+    // The decomposed compiled datapath agrees with the reference, and so do
+    // the other executions.
+    let executions = executions(&pipeline);
     let traffic = load_balancer::build_traffic(&config, 400);
     for (i, packet) in traffic.one_cycle().enumerate() {
         assert_agree(&executions, &packet, &format!("packet {i}"));
+    }
+}
+
+/// The pipelines the benchmark's workloads compile — `l2` with 1 k MACs,
+/// the gateway at 2 000 and at 256 prefixes, and `snat_edge` — hold no
+/// linked-list table, so none is decomposed: their compiled datapaths are
+/// one template per table.
+#[test]
+fn benchmark_workload_pipelines_compile_without_linked_lists_or_chains() {
+    for seed in [1u64, 2, 3, 42] {
+        let mut pipelines = vec![
+            (
+                "l2",
+                l2::build_pipeline(&L2Config {
+                    table_size: 1_000,
+                    ports: 4,
+                    seed,
+                }),
+            ),
+            (
+                "snat_edge",
+                snat_edge::build_pipeline(&SnatEdgeConfig { seed }),
+            ),
+        ];
+        for prefixes in [2_000, 256] {
+            let gateway = gateway::build_pipeline(&GatewayConfig {
+                routing_prefixes: prefixes,
+                seed,
+                ..GatewayConfig::default()
+            });
+            pipelines.push(("gateway", gateway));
+        }
+        for (name, pipeline) in pipelines {
+            let tables = pipeline.table_count();
+            let datapath = EswitchRuntime::compile(pipeline).unwrap().datapath();
+            let kinds = datapath.template_kinds();
+            assert_eq!(kinds.len(), tables, "{name} (seed {seed}) grew stages");
+            for (id, kind) in kinds {
+                assert_ne!(
+                    kind,
+                    TemplateKind::LinkedList,
+                    "{name} table {id} (seed {seed})"
+                );
+                assert!(
+                    datapath.chain(id).is_none(),
+                    "{name} table {id} (seed {seed})"
+                );
+            }
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Source-analysis lint gate: repo-specific rules that `rustc`/`clippy`
 //! cannot express, run in CI as `cargo xtask lint`.
 //!
-//! Seven rules, all pure text analysis over the workspace's `.rs` files:
+//! Eight rules, all pure text analysis over the workspace's `.rs` files:
 //!
 //! 1. **SAFETY comments** — every `unsafe {` block and `unsafe impl` must
 //!    carry a `SAFETY:` comment, either on the same line or in the
@@ -51,6 +51,13 @@
 //!    `ControllerDecision::… =>` match arm only in [`ONE_DECISION_APPLIER`]
 //!    (`eswitch::reactive::DecisionStats::answer`), so a second control
 //!    plane cannot grow back beside them.
+//! 8. **One compiler** — table decomposition (§3.2) is a choice the
+//!    compiler makes per table, inside the compiled datapath. Anywhere in
+//!    the workspace, tests included, `decompose_table` may be called only in
+//!    [`ONE_COMPILER_ALLOWED`]: its own module, the property suite that
+//!    checks a decomposition on its own, and the two reports that print one
+//!    beside the compiler's choice. No launch path can then rewrite a
+//!    controller's pipeline into one the controller never wrote.
 
 use std::fmt;
 use std::path::Path;
@@ -174,6 +181,14 @@ const ONE_LADDER_EXECUTOR: &str = "crates/core/src/runtime.rs";
 
 /// The one file that may match on `ControllerDecision` variants (rule 7).
 const ONE_DECISION_APPLIER: &str = "crates/core/src/reactive.rs";
+
+/// The files that may call `decompose_table` (rule 8).
+const ONE_COMPILER_ALLOWED: &[&str] = &[
+    "crates/core/src/decompose.rs",
+    "crates/bench/src/bin/tab_decompose_acl.rs",
+    "examples/decomposition.rs",
+    "tests/properties.rs",
+];
 
 #[derive(Debug, PartialEq)]
 struct Violation {
@@ -640,6 +655,40 @@ fn check_one_control_plane(file: &str, src: &str) -> Vec<Violation> {
     out
 }
 
+/// True when `line` calls `decompose_table` (a definition is not a call).
+fn calls_decompose_table(line: &str) -> bool {
+    line.match_indices("decompose_table(").any(|(at, _)| {
+        let before = &line[..at];
+        !before.trim_end().ends_with("fn")
+            && !before
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_')
+    })
+}
+
+/// Rule 8: `decompose_table` is called only by the compiler and the
+/// allowlisted files, test code included.
+fn check_one_compiler(file: &str, src: &str) -> Vec<Violation> {
+    if ONE_COMPILER_ALLOWED.contains(&file) {
+        return Vec::new();
+    }
+    censor(src)
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| calls_decompose_table(line))
+        .map(|(idx, _)| Violation {
+            file: file.to_string(),
+            line: idx + 1,
+            rule: "one-compiler",
+            message: "`decompose_table` outside the compiler — compile the pipeline and let \
+                      the compiler decide on the chain; the controller's pipeline is never \
+                      rewritten"
+                .to_string(),
+        })
+        .collect()
+}
+
 fn check_file(rel_path: &str, src: &str) -> Vec<Violation> {
     let mut v = check_safety_comments(rel_path, src);
     v.extend(check_facade_bypass(rel_path, src));
@@ -648,18 +697,20 @@ fn check_file(rel_path: &str, src: &str) -> Vec<Violation> {
     v.extend(check_one_entry(rel_path, src));
     v.extend(check_one_controller(rel_path, src));
     v.extend(check_one_control_plane(rel_path, src));
+    v.extend(check_one_compiler(rel_path, src));
     v
 }
 
 /// Collects every workspace-owned `.rs` file (crates/, xtask/, vendor/,
-/// tests/), skipping build output.
+/// tests/, examples/, src/), skipping build output.
 fn collect_sources(root: &Path) -> Vec<(String, String)> {
     let mut files = Vec::new();
-    let mut stack: Vec<std::path::PathBuf> = ["crates", "xtask", "vendor", "tests"]
-        .iter()
-        .map(|d| root.join(d))
-        .filter(|d| d.is_dir())
-        .collect();
+    let mut stack: Vec<std::path::PathBuf> =
+        ["crates", "xtask", "vendor", "tests", "examples", "src"]
+            .iter()
+            .map(|d| root.join(d))
+            .filter(|d| d.is_dir())
+            .collect();
     while let Some(dir) = stack.pop() {
         let Ok(entries) = std::fs::read_dir(&dir) else {
             continue;
@@ -709,7 +760,7 @@ pub fn run() -> ExitCode {
 
     if violations.is_empty() {
         println!(
-            "xtask lint: {} files clean (safety-comment, facade-bypass, fastpath-alloc, full-resum, one-entry, one-controller, one-control-plane)",
+            "xtask lint: {} files clean (safety-comment, facade-bypass, fastpath-alloc, full-resum, one-entry, one-controller, one-control-plane, one-compiler)",
             sources.len()
         );
         ExitCode::SUCCESS
@@ -1084,6 +1135,42 @@ mod tests {
         assert!(
             check_one_control_plane("crates/workloads/src/usecases/gateway.rs", src).is_empty()
         );
+    }
+
+    // ---- rule 8: one compiler ----------------------------------------
+
+    #[test]
+    fn decomposition_outside_the_compiler_is_flagged() {
+        let src = "fn launch(p: Pipeline) {\n    let t = eswitch::decompose::decompose_table(&table, &mut id);\n}\n";
+        let v = check_one_compiler("crates/shard/src/backend.rs", src);
+        assert_eq!(rules(&v), ["one-compiler"]);
+        assert_eq!(v[0].line, 2);
+        // Test code and the crates' non-`src` trees are policed too.
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() { decompose_table(&t, &mut n); }\n}\n";
+        assert_eq!(
+            rules(&check_file("crates/core/src/runtime.rs", src)),
+            ["one-compiler"]
+        );
+        let src = "fn main() { for t in decompose_table(&t, &mut n) {} }\n";
+        assert_eq!(
+            rules(&check_one_compiler("examples/load_balancer.rs", src)),
+            ["one-compiler"]
+        );
+        assert_eq!(
+            rules(&check_one_compiler("crates/bench/src/bin/fig12_lb.rs", src)),
+            ["one-compiler"]
+        );
+    }
+
+    #[test]
+    fn one_compiler_allows_its_homes_definitions_and_other_names() {
+        let src = "fn f() { let chain = decompose_table(&table, &mut next_id); }\n";
+        for file in ONE_COMPILER_ALLOWED {
+            assert!(check_one_compiler(file, src).is_empty(), "{file}");
+        }
+        // The definition, a longer name, comments and strings do not count.
+        let src = "pub fn decompose_table(t: &FlowTable) {}\nfn g() { my_decompose_table(1); }\n// decompose_table(&t)\nfn h() -> &'static str { \"decompose_table(\" }\n";
+        assert!(check_one_compiler("crates/shard/src/backend.rs", src).is_empty());
     }
 
     // ---- plumbing ----------------------------------------------------
