@@ -105,7 +105,8 @@ impl std::error::Error for TemplateError {}
 
 /// Direct code template: the classification rules as straight-line code.
 ///
-/// Prerequisite: the table has at most `direct_code_limit` entries (the
+/// Prerequisite: the table has at most
+/// [`DIRECT_CODE_LIMIT`](crate::analysis::DIRECT_CODE_LIMIT) entries (the
 /// constant calibrated by the Fig. 9 measurement). Matching is a linear walk
 /// over fully specialised entries — for a handful of entries this beats any
 /// data structure because keys live in the instruction stream.

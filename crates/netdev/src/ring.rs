@@ -371,7 +371,11 @@ impl<T> MpmcRing<T> {
         let mut head = self.prod_head.load(Ordering::Relaxed);
         loop {
             let cons = self.cons_tail.load(Ordering::Acquire);
-            let free = self.buf.len() - (head - cons);
+            // Modular, as `rte_ring` computes it: other producers and a
+            // consumer can both move past a stale `head` before `cons` is
+            // loaded, so `head - cons` may be "negative". Wrapping then
+            // over-states `free`, and the CAS below fails and retries.
+            let free = self.buf.len().wrapping_add(cons).wrapping_sub(head);
             let n = free.min(want);
             if n == 0 {
                 return None;

@@ -35,6 +35,7 @@ pub mod messages;
 pub mod pipeline;
 pub mod portlist;
 pub mod table;
+pub mod tuple_index;
 
 pub use action::{Action, ActionSet};
 pub use controller::{Controller, ControllerDecision, NullController};

@@ -2,13 +2,14 @@
 
 use netdev::Counters;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::entry::FlowEntry;
 use crate::flow_match::FlowMatch;
 use crate::instruction::{written_match_fields, Instruction};
 use crate::key::FlowKey;
 use crate::pipeline::TableId;
+use crate::tuple_index::{TupleIndex, Unwildcard};
 
 /// What to do with a packet that matches no entry in the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,9 +27,14 @@ pub enum TableMissBehavior {
 ///
 /// Entries are kept sorted by descending priority (ties broken by insertion
 /// order, matching the paper's convention that "flow entries are listed in
-/// decreasing order of priority"). Lookup is a linear scan in that order —
-/// this *is* the direct-datapath strategy; faster structures are exactly what
-/// the OVS caches and the ESWITCH templates provide on top.
+/// decreasing order of priority"). [`FlowTable::lookup`] is a linear scan in
+/// that order — this *is* the direct-datapath strategy, and the reference
+/// interpreter's; faster structures are exactly what the OVS caches and the
+/// ESWITCH templates provide on top. The OVS slow path classifies through
+/// [`FlowTable::lookup_unwildcarding`] instead: a tuple-space index
+/// ([`crate::tuple_index`]) built the first time it is asked for and kept in
+/// step by every mutator from then on, which picks the entry the scan picks
+/// in time proportional to the table's distinct match shapes.
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable {
     /// Table identifier within the pipeline.
@@ -41,6 +47,10 @@ pub struct FlowTable {
     /// What the entries do to packets that leave them for another table;
     /// kept in step with `entries` by every mutator below.
     summary: TableSummary,
+    /// The slow path's tuple-space index over `entries`; absent until the
+    /// slow path first looks the table up, so tables only the interpreter
+    /// or a compiler reads never build or maintain one.
+    index: OnceLock<TupleIndex>,
     /// Packets looked up in this table (hit or miss).
     pub lookups: Arc<Counters>,
     /// Packets that matched some entry.
@@ -111,6 +121,7 @@ impl FlowTable {
             miss: TableMissBehavior::default(),
             entries: Vec::new(),
             summary: TableSummary::default(),
+            index: OnceLock::new(),
             lookups: Arc::new(Counters::new()),
             matches: Arc::new(Counters::new()),
         }
@@ -149,6 +160,9 @@ impl FlowTable {
         // Insert after the run, preserving insertion order among equal
         // priorities.
         self.entries.insert(run.end, entry);
+        if let Some(index) = self.index.get_mut() {
+            index.inserted(&self.entries, run.end);
+        }
         None
     }
 
@@ -169,17 +183,26 @@ impl FlowTable {
         cookie: Option<u64>,
     ) -> Vec<FlowEntry> {
         let mut removed = Vec::new();
+        let mut positions = Vec::new();
+        let mut pos = 0;
         self.entries.retain(|e| {
             let cookie_ok = cookie.map(|c| e.cookie == c).unwrap_or(true);
-            if cookie_ok && e.flow_match.is_more_specific_than(pattern) {
+            let doomed = cookie_ok && e.flow_match.is_more_specific_than(pattern);
+            if doomed {
                 removed.push(e.clone());
-                false
-            } else {
-                true
+                positions.push(pos);
             }
+            pos += 1;
+            !doomed
         });
         for entry in &removed {
             self.summary.count(entry, false);
+        }
+        if let Some(index) = self.index.get_mut() {
+            // Back to front, so each position is still the entry's own.
+            for (&pos, entry) in positions.iter().zip(&removed).rev() {
+                index.removed(pos, entry);
+            }
         }
         removed
     }
@@ -194,6 +217,9 @@ impl FlowTable {
                 .position(|e| e.flow_match == *pattern)?;
         let removed = self.entries.remove(pos);
         self.summary.count(&removed, false);
+        if let Some(index) = self.index.get_mut() {
+            index.removed(pos, &removed);
+        }
         Some(removed)
     }
 
@@ -217,6 +243,9 @@ impl FlowTable {
     pub fn set_entries(&mut self, mut entries: Vec<FlowEntry>) {
         entries.sort_by_key(|e| std::cmp::Reverse(e.priority));
         self.summary = TableSummary::of(&entries);
+        if let Some(index) = self.index.get_mut() {
+            *index = TupleIndex::build(&entries);
+        }
         self.entries = entries;
     }
 
@@ -242,6 +271,31 @@ impl FlowTable {
             self.matches.record(0);
         }
         hit
+    }
+
+    /// Picks the entry [`FlowTable::lookup_counted`] picks and reports the
+    /// same count, through the table's tuple-space index, and un-wildcards
+    /// into `mask` what the scan's comparisons consulted
+    /// ([`crate::tuple_index::unwildcard_entry`] for every entry it examined)
+    /// — the OVS slow path's per-table step. Builds the index on first use.
+    /// Records no statistics; the caller does.
+    pub fn lookup_unwildcarding(
+        &self,
+        key: &FlowKey,
+        mask: &mut impl Unwildcard,
+    ) -> (Option<&FlowEntry>, usize) {
+        self.index
+            .get_or_init(|| TupleIndex::build(&self.entries))
+            .lookup(&self.entries, key, mask)
+    }
+
+    /// Checks the tuple-space index, if one was built, against a fresh build
+    /// from the entries ([`FlowTable::lookup_unwildcarding`]'s derived state
+    /// audit).
+    pub fn audit_index(&self) -> Result<(), String> {
+        self.index
+            .get()
+            .map_or(Ok(()), |index| index.audit(&self.entries))
     }
 
     /// Like [`FlowTable::lookup`] but also reports how many entries were

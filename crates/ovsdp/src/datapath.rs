@@ -30,7 +30,7 @@ use crate::megaflow::MegaflowCache;
 use crate::microflow::MicroflowCache;
 use crate::minikey::MiniKey;
 use crate::program::Program;
-use crate::slowpath::{SlowPath, SlowPathConfig, SlowPathResult};
+use crate::slowpath::{SlowPath, SlowPathResult};
 
 /// Which level of the hierarchy answered a burst's leader packet. Mirrors
 /// Fig. 14's series, which [`CacheStats`] counts.
@@ -100,8 +100,6 @@ pub struct OvsConfig {
     pub microflow_entries: usize,
     /// Megaflow cache capacity in entries.
     pub megaflow_entries: usize,
-    /// Slow-path classifier configuration.
-    pub slowpath: SlowPathConfig,
 }
 
 impl Default for OvsConfig {
@@ -109,7 +107,6 @@ impl Default for OvsConfig {
         OvsConfig {
             microflow_entries: MicroflowCache::DEFAULT_ENTRIES,
             megaflow_entries: MegaflowCache::DEFAULT_MAX_ENTRIES,
-            slowpath: SlowPathConfig::default(),
         }
     }
 }
@@ -153,7 +150,6 @@ pub struct OvsDatapath {
     pipeline: Arc<RwLock<Pipeline>>,
     microflow: Mutex<MicroflowCache>,
     megaflow: Mutex<MegaflowCache>,
-    slowpath: SlowPath,
     config: OvsConfig,
     /// Burst working state; `try_lock` + local fallback, so concurrent
     /// batchers degrade to allocating instead of serialising on each other.
@@ -200,7 +196,6 @@ impl OvsDatapath {
             pipeline: Arc::new(RwLock::new(pipeline)),
             microflow: Mutex::new(MicroflowCache::with_capacity(config.microflow_entries)),
             megaflow: Mutex::new(MegaflowCache::with_capacity(config.megaflow_entries)),
-            slowpath: SlowPath::with_config(config.slowpath),
             config,
             scratch: Mutex::new(BurstScratch::default()),
             stats: CacheStats::default(),
@@ -445,12 +440,8 @@ impl OvsDatapath {
                     if s.group[i] == i && s.actions[i].is_none() {
                         count(CacheLevel::SlowPath, &packets[i]);
                         let mut working_key = s.keys[i];
-                        let result = self.slowpath.classify_ct(
-                            &pipeline,
-                            &mut packets[i],
-                            &mut working_key,
-                            ct,
-                        );
+                        let result =
+                            SlowPath.classify_ct(&pipeline, &mut packets[i], &mut working_key, ct);
                         s.slow.push((i, result));
                     }
                 }

@@ -15,6 +15,7 @@
 
 use netdev::fx_mix;
 use openflow::flow_match::FlowMatch;
+use openflow::tuple_index::Unwildcard;
 use openflow::{Field, FieldValue};
 
 use crate::minikey::{packing_bit, MiniKey, WordRef, MINI_WORDS};
@@ -106,6 +107,19 @@ impl FieldMask {
     /// same traffic).
     pub fn unwildcarded_bits(&self) -> u32 {
         self.fields().map(|(_, m)| m.count_ones()).sum()
+    }
+}
+
+/// The slow path's flow tables un-wildcard straight into the mask.
+impl Unwildcard for FieldMask {
+    #[inline]
+    fn mask_of(&self, field: Field) -> FieldValue {
+        FieldMask::mask_of(self, field)
+    }
+
+    #[inline]
+    fn unwildcard(&mut self, field: Field, bits: FieldValue) {
+        FieldMask::unwildcard(self, field, bits);
     }
 }
 

@@ -2,52 +2,35 @@
 //! construction ("un-wildcarding").
 //!
 //! This is the `vswitchd` level of the OVS hierarchy. For a packet that missed
-//! both caches it (1) walks the pipeline exactly like the reference
-//! interpreter, (2) records the *action program* — the ordered list of actions
-//! the packet experienced — so the caches can replay it on later packets, and
-//! (3) computes the megaflow mask: every field (or, with prefix tracking
-//! enabled, every bit) that influenced the decision is un-wildcarded.
+//! both caches it (1) walks the pipeline with the reference interpreter's
+//! instruction semantics, (2) records the *action program* — the ordered list
+//! of actions the packet experienced — so the caches can replay it on later
+//! packets, and (3) computes the megaflow mask: every field that influenced
+//! the decision is un-wildcarded, and on the prefix-tracked address and port
+//! fields only the bits down to the first difference a failed comparison
+//! needed.
 //!
-//! The mask construction is what makes megaflow contents depend on packet
-//! arrival order (Fig. 3 of the paper) and what lets a single fine-grained
-//! rule "punch a hole" in every aggregate: matching a packet against a rule
-//! un-wildcards the fields of that rule *and* of every higher-priority rule
-//! examined along the way.
+//! The interpreter scans each table entry by entry; the slow path classifies
+//! each table through its tuple-space index
+//! ([`FlowTable::lookup_unwildcarding`]): one hash probe per distinct match
+//! shape, best shape first, with early exit. The index answers exactly what
+//! the scan would — the entry, the count of entries examined, and the bits
+//! the comparisons consulted — so megaflow contents are the scan's. They
+//! depend on packet arrival order (Fig. 3 of the paper), and a single
+//! fine-grained rule "punches a hole" in every aggregate: matching a packet
+//! against a rule un-wildcards the fields of that rule *and* of every rule
+//! ranked above it.
 
 use std::sync::Arc;
 
 use openflow::action::{apply_action_list, apply_action_list_into_ct, ActionSet};
 use openflow::ct::{ConnCtx, NoCt};
 use openflow::table::TableMissBehavior;
-use openflow::{Action, Field, FieldValue, FlowEntry, FlowKey, Instruction, Pipeline, Verdict};
+use openflow::{Action, Field, FlowEntry, FlowKey, FlowTable, Instruction, Pipeline, Verdict};
 use pkt::Packet;
 
 use crate::mask::FieldMask;
 use crate::program::Program;
-
-/// Configuration knobs of the slow-path classifier.
-#[derive(Debug, Clone, Copy)]
-pub struct SlowPathConfig {
-    /// Enable bit-level prefix tracking on port and IPv4 address fields.
-    ///
-    /// With tracking enabled a *failed* comparison un-wildcards only the bits
-    /// down to the first difference — the effect of OVS's address/ports tries
-    /// — which keeps megaflows broader when a packet merely has to be proven
-    /// different from a higher-priority rule. A *successful* comparison
-    /// always un-wildcards the rule's full mask on the field; anything less
-    /// would let the megaflow cover packets that should have matched a
-    /// different rule. With tracking disabled every consulted field is
-    /// un-wildcarded across the rule's full mask, matched or not.
-    pub prefix_tracking: bool,
-}
-
-impl Default for SlowPathConfig {
-    fn default() -> Self {
-        SlowPathConfig {
-            prefix_tracking: true,
-        }
-    }
-}
 
 /// Result of one slow-path classification.
 #[derive(Debug, Clone)]
@@ -65,35 +48,16 @@ pub struct SlowPathResult {
     pub cacheable: bool,
 }
 
-/// The slow-path classifier. Stateless apart from configuration; the pipeline
-/// is borrowed per call so the datapath can keep it behind its own lock.
-#[derive(Debug, Clone, Default)]
-pub struct SlowPath {
-    config: SlowPathConfig,
-}
-
-/// Fields that get bit-level prefix tracking when enabled.
-fn is_tracked_field(field: Field) -> bool {
-    matches!(
-        field,
-        Field::Ipv4Src
-            | Field::Ipv4Dst
-            | Field::TcpSrc
-            | Field::TcpDst
-            | Field::UdpSrc
-            | Field::UdpDst
-    )
-}
+/// The slow-path classifier. Stateless: the pipeline is borrowed per call so
+/// the datapath can keep it behind its own lock, and each table's index is
+/// derived state of the table itself.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SlowPath;
 
 impl SlowPath {
-    /// Creates a slow path with default configuration (prefix tracking on).
+    /// Creates a slow path.
     pub fn new() -> Self {
-        SlowPath::default()
-    }
-
-    /// Creates a slow path with explicit configuration.
-    pub fn with_config(config: SlowPathConfig) -> Self {
-        SlowPath { config }
+        SlowPath
     }
 
     /// Classifies one packet against `pipeline`, applying actions to the
@@ -123,154 +87,121 @@ impl SlowPath {
         key: &mut FlowKey,
         ct: &mut dyn ConnCtx,
     ) -> SlowPathResult {
-        let mut mask = FieldMask::wildcard_all();
-        let mut program: Vec<Action> = Vec::new();
-        let mut verdict = Verdict::default();
-        let mut action_set = ActionSet::new();
-        let mut table_id = 0u32;
+        walk(pipeline, packet, key, ct, |table, key, mask| {
+            table.lookup_unwildcarding(key, mask)
+        })
+    }
+}
 
-        while let Some(table) = pipeline.table(table_id) {
-            verdict.tables_visited += 1;
-            table.lookups.record(0);
+/// The pipeline walk, classifying each table with `lookup`: the entry it
+/// picks, the entries a scan would have examined to pick it, and the bits
+/// those comparisons consulted, un-wildcarded into the mask.
+fn walk(
+    pipeline: &Pipeline,
+    packet: &mut Packet,
+    key: &mut FlowKey,
+    ct: &mut dyn ConnCtx,
+    lookup: impl for<'t> Fn(&'t FlowTable, &FlowKey, &mut FieldMask) -> (Option<&'t FlowEntry>, usize),
+) -> SlowPathResult {
+    let mut mask = FieldMask::wildcard_all();
+    let mut program: Vec<Action> = Vec::new();
+    let mut verdict = Verdict::default();
+    let mut action_set = ActionSet::new();
+    let mut table_id = 0u32;
 
-            let mut matched: Option<&FlowEntry> = None;
-            for entry in table.entries() {
-                verdict.entries_examined += 1;
-                let hit = entry.flow_match.matches(key);
-                self.unwildcard_entry(&mut mask, entry, key, hit);
-                if hit {
-                    matched = Some(entry);
-                    break;
-                }
-            }
+    while let Some(table) = pipeline.table(table_id) {
+        verdict.tables_visited += 1;
+        table.lookups.record(0);
 
-            match matched {
-                Some(entry) => {
-                    table.matches.record(0);
-                    entry.record(packet.len());
-                    let mut next = None;
-                    for instruction in &entry.instructions {
-                        match instruction {
-                            Instruction::ApplyActions(actions) => {
-                                program.extend(actions.iter().cloned());
-                                if actions.iter().any(|a| matches!(a, Action::Ct(_))) {
-                                    unwildcard_ct_tuple(&mut mask);
-                                }
-                                if apply_action_list_into_ct(actions, packet, key, &mut verdict, ct)
-                                {
-                                    // Stateful deny: drop, discarding every
-                                    // forwarding decision merged so far and
-                                    // the accumulated write-action set; keep
-                                    // the accounting. The truncated program
-                                    // is marked non-cacheable.
-                                    return SlowPathResult {
-                                        actions: Arc::new(Program::new(
-                                            program,
-                                            verdict.punt_reason,
-                                        )),
-                                        mask,
-                                        verdict: Verdict {
-                                            tables_visited: verdict.tables_visited,
-                                            entries_examined: verdict.entries_examined,
-                                            ..Verdict::default()
-                                        },
-                                        cacheable: false,
-                                    };
-                                }
+        let (matched, examined) = lookup(table, key, &mut mask);
+        verdict.entries_examined += examined as u32;
+
+        match matched {
+            Some(entry) => {
+                table.matches.record(0);
+                entry.record(packet.len());
+                let mut next = None;
+                for instruction in &entry.instructions {
+                    match instruction {
+                        Instruction::ApplyActions(actions) => {
+                            program.extend(actions.iter().cloned());
+                            if actions.iter().any(|a| matches!(a, Action::Ct(_))) {
+                                unwildcard_ct_tuple(&mut mask);
                             }
-                            Instruction::WriteActions(actions) => {
-                                for a in actions {
-                                    action_set.write(a.clone());
-                                }
-                            }
-                            Instruction::ClearActions => action_set.clear(),
-                            Instruction::WriteMetadata { value, mask: m } => {
-                                key.metadata = (key.metadata & !m) | (value & m);
-                            }
-                            Instruction::GotoTable(t) => next = Some(*t),
-                            Instruction::Meter(_) => {}
-                        }
-                    }
-                    match next {
-                        Some(t) => table_id = t,
-                        None => break,
-                    }
-                }
-                None => {
-                    match table.miss {
-                        TableMissBehavior::Drop => {}
-                        TableMissBehavior::ToController => {
-                            verdict.to_controller = true;
-                            program.push(Action::ToController);
-                        }
-                        TableMissBehavior::Continue => {
-                            if let Some(next) = pipeline
-                                .tables()
-                                .iter()
-                                .map(|t| t.id)
-                                .find(|id| *id > table_id)
-                            {
-                                table_id = next;
-                                continue;
+                            if apply_action_list_into_ct(actions, packet, key, &mut verdict, ct) {
+                                // Stateful deny: drop, discarding every
+                                // forwarding decision merged so far and
+                                // the accumulated write-action set; keep
+                                // the accounting. The truncated program
+                                // is marked non-cacheable.
+                                return SlowPathResult {
+                                    actions: Arc::new(Program::new(program, verdict.punt_reason)),
+                                    mask,
+                                    verdict: Verdict {
+                                        tables_visited: verdict.tables_visited,
+                                        entries_examined: verdict.entries_examined,
+                                        ..Verdict::default()
+                                    },
+                                    cacheable: false,
+                                };
                             }
                         }
+                        Instruction::WriteActions(actions) => {
+                            for a in actions {
+                                action_set.write(a.clone());
+                            }
+                        }
+                        Instruction::ClearActions => action_set.clear(),
+                        Instruction::WriteMetadata { value, mask: m } => {
+                            key.metadata = (key.metadata & !m) | (value & m);
+                        }
+                        Instruction::GotoTable(t) => next = Some(*t),
+                        Instruction::Meter(_) => {}
                     }
-                    break;
+                }
+                match next {
+                    Some(t) => table_id = t,
+                    None => break,
                 }
             }
-        }
-
-        // Flush the accumulated action set into the program and the packet.
-        if !action_set.is_empty() {
-            let list = action_set.to_action_list();
-            program.extend(list.iter().cloned());
-            for out in apply_action_list(&list, packet, key) {
-                verdict.add(out);
+            None => {
+                match table.miss {
+                    TableMissBehavior::Drop => {}
+                    TableMissBehavior::ToController => {
+                        verdict.to_controller = true;
+                        program.push(Action::ToController);
+                    }
+                    TableMissBehavior::Continue => {
+                        if let Some(next) = pipeline
+                            .tables()
+                            .iter()
+                            .map(|t| t.id)
+                            .find(|id| *id > table_id)
+                        {
+                            table_id = next;
+                            continue;
+                        }
+                    }
+                }
+                break;
             }
-        }
-
-        SlowPathResult {
-            actions: Arc::new(Program::new(program, verdict.punt_reason)),
-            mask,
-            verdict,
-            cacheable: true,
         }
     }
 
-    /// Un-wildcards everything the comparison of `key` against `entry`
-    /// consulted.
-    fn unwildcard_entry(&self, mask: &mut FieldMask, entry: &FlowEntry, key: &FlowKey, hit: bool) {
-        for mf in entry.flow_match.fields() {
-            let field = mf.field;
-            if hit || !self.config.prefix_tracking || !is_tracked_field(field) {
-                // A match must pin every bit the rule matched on; untracked
-                // fields are pinned across the rule's mask either way.
-                mask.unwildcard(field, mf.mask);
-                continue;
-            }
-            match key.get(field) {
-                None => {
-                    // Field absent: the protocol-presence decision hinges on
-                    // ip_proto / eth_type, which the caller's rules also
-                    // match; conservatively pin the whole field mask.
-                    mask.unwildcard(field, mf.mask);
-                }
-                Some(value) => {
-                    let width = field.width_bits();
-                    if (value & mf.mask) != mf.value {
-                        // Mismatch on this field: only the bits down to the
-                        // first difference were needed to prove it.
-                        mask.unwildcard(
-                            field,
-                            prefix_to_first_difference(value, mf.value, mf.mask, width),
-                        );
-                    }
-                    // If the field itself compared equal but the entry failed
-                    // on a later field, staged lookup never revisits it, so
-                    // nothing more is pinned here.
-                }
-            }
+    // Flush the accumulated action set into the program and the packet.
+    if !action_set.is_empty() {
+        let list = action_set.to_action_list();
+        program.extend(list.iter().cloned());
+        for out in apply_action_list(&list, packet, key) {
+            verdict.add(out);
         }
+    }
+
+    SlowPathResult {
+        actions: Arc::new(Program::new(program, verdict.punt_reason)),
+        mask,
+        verdict,
+        cacheable: true,
     }
 }
 
@@ -291,38 +222,8 @@ fn unwildcard_ct_tuple(mask: &mut FieldMask) {
     }
 }
 
-/// Mask of the top `bits` bits of a `width`-bit field.
-fn top_bits_mask(bits: u32, width: u32) -> FieldValue {
-    if bits == 0 {
-        0
-    } else if bits >= width {
-        if width >= 128 {
-            u128::MAX
-        } else {
-            (1u128 << width) - 1
-        }
-    } else {
-        (((1u128 << bits) - 1) << (width - bits)) & ((1u128 << width) - 1)
-    }
-}
-
-/// Bits (from the MSB down to and including the first differing bit) needed
-/// to prove that `value` does not equal `rule_value` under `rule_mask`.
-fn prefix_to_first_difference(
-    value: FieldValue,
-    rule_value: FieldValue,
-    rule_mask: FieldValue,
-    width: u32,
-) -> FieldValue {
-    let diff = (value ^ rule_value) & rule_mask;
-    if diff == 0 {
-        return rule_mask;
-    }
-    // Position of the highest differing bit, counted from the field MSB.
-    let highest = 127 - diff.leading_zeros(); // bit index within u128
-    let from_msb = width - 1 - highest.min(width - 1);
-    top_bits_mask(from_msb + 1, width)
-}
+#[cfg(test)]
+mod reference_tests;
 
 #[cfg(test)]
 mod tests {
@@ -330,6 +231,7 @@ mod tests {
     use openflow::action::OutputKind;
     use openflow::flow_match::FlowMatch;
     use openflow::instruction::terminal_actions;
+    use openflow::tuple_index::{prefix_to_first_difference, top_bits_mask};
     use pkt::builder::PacketBuilder;
 
     fn port_entry(priority: u16, port: u16, out: u32) -> FlowEntry {
@@ -423,29 +325,27 @@ mod tests {
         // 443 = 0b0000_0001_1011_1011, 80 = 0b0000_0000_0101_0000: the first
         // difference seen from the MSB is at bit position 7 (value 0x100), so
         // only the top 8 bits need pinning, not the full 16.
-        let pipeline = pipeline_with_entries(vec![
-            port_entry(100, 80, 1),
+        let catch_all = || {
             FlowEntry::new(
                 FlowMatch::any(),
                 1,
                 terminal_actions(vec![Action::Output(9)]),
-            ),
-        ]);
+            )
+        };
+        let pipeline = pipeline_with_entries(vec![port_entry(100, 80, 1), catch_all()]);
         let mut pkt = PacketBuilder::tcp().tcp_dst(443).build();
         let tracked = classify(&pipeline, &mut pkt);
-        let tracked_bits = tracked.mask.mask_of(Field::TcpDst).count_ones();
+        assert_eq!(tracked.mask.mask_of(Field::TcpDst), 0xff00);
 
-        let mut pkt = PacketBuilder::tcp().tcp_dst(443).build();
-        let mut key = FlowKey::extract(&pkt);
-        let untracked = SlowPath::with_config(SlowPathConfig {
-            prefix_tracking: false,
-        })
-        .classify(&pipeline, &mut pkt, &mut key);
-        let untracked_bits = untracked.mask.mask_of(Field::TcpDst).count_ones();
-
-        assert!(tracked_bits < untracked_bits);
-        assert_eq!(untracked_bits, 16);
-        assert_eq!(tracked_bits, 8);
+        // An untracked field proven different pins the rule's whole mask.
+        let mac = FlowMatch::any().with_exact(Field::EthSrc, 0x0200_0000_0001);
+        let pipeline = pipeline_with_entries(vec![
+            FlowEntry::new(mac, 100, terminal_actions(vec![Action::Output(1)])),
+            catch_all(),
+        ]);
+        let mut pkt = PacketBuilder::tcp().eth_src([2, 0, 0, 0, 0, 0x80]).build();
+        let untracked = classify(&pipeline, &mut pkt);
+        assert_eq!(untracked.mask.mask_of(Field::EthSrc), 0xffff_ffff_ffff);
     }
 
     #[test]

@@ -425,6 +425,47 @@ fn compiled_gateway_burst_path_is_allocation_free() {
     }
 }
 
+/// Allocations over 256 fresh upstream gateway flows, 254 of which miss
+/// both caches, after 256 others warmed the caches and the tables' indexes,
+/// as the linear slow path made them: 603, or 2.4 per miss. A miss
+/// allocates its products — the program's action list and its shared
+/// allocation, and the megaflow and EMC entries it installs, with their
+/// tables' amortised growth.
+const GATEWAY_MISS_ALLOCATIONS_AT_SCAN: u64 = 603;
+
+/// One slow-path miss on the gateway pipeline — demux, per-CE NAT, routing
+/// — through the OVS datapath: the tuple-space lookups themselves allocate
+/// nothing, so a miss costs at most what the scan it replaced cost.
+#[test]
+fn gateway_slow_path_miss_allocates_no_more_than_the_scan() {
+    let config = gateway::GatewayConfig {
+        ces: 4,
+        users_per_ce: 8,
+        routing_prefixes: 2_000,
+        seed: 7,
+        preinstall_users: true,
+    };
+    let dp = OvsDatapath::new(gateway::build_pipeline(&config));
+    let mut work: Vec<Packet> = gateway::build_traffic(&config, 512).one_cycle().collect();
+    let (warm, measured) = work.split_at_mut(256);
+    for packet in warm.iter_mut() {
+        dp.process(packet);
+    }
+    let slow_before = dp.stats.slowpath_hits.packets();
+    let before = allocations();
+    for packet in measured.iter_mut() {
+        std::hint::black_box(dp.process(packet));
+    }
+    let allocated = allocations() - before;
+    let misses = dp.stats.slowpath_hits.packets() - slow_before;
+    eprintln!("{allocated} allocations over {misses} slow-path misses");
+    assert_eq!(misses, 254, "the scan's megaflows leave 254 flows to miss");
+    assert!(
+        allocated <= GATEWAY_MISS_ALLOCATIONS_AT_SCAN,
+        "{allocated} allocations over {misses} slow-path misses"
+    );
+}
+
 #[test]
 fn conntrack_established_path_is_allocation_free() {
     let dp = OvsDatapath::new(acl::build_pipeline(&acl::StatefulAclConfig::default()));

@@ -143,7 +143,6 @@ fn ovs_configs() -> [(&'static str, OvsConfig); 3] {
             OvsConfig {
                 microflow_entries: 16,
                 megaflow_entries: 8,
-                ..OvsConfig::default()
             },
         ),
         (

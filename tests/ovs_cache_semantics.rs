@@ -77,7 +77,7 @@ fn fig3_arrival_orders_and_mask_specificity() {
 
 /// "Only a single fine-grained rule is enough to punch a hole in all
 /// aggregates": adding a rule on a high-entropy field makes every megaflow
-/// pin that field, so aggregates stop covering whole port ranges.
+/// pin that field, so aggregates stop covering whole ranges of it.
 #[test]
 fn fine_grained_rule_fragments_megaflows() {
     // Coarse pipeline: one rule on the destination /24 only.
@@ -92,30 +92,25 @@ fn fine_grained_rule_fragments_megaflows() {
         .unwrap()
         .insert(FlowEntry::new(FlowMatch::any(), 1, vec![]));
 
-    // Same pipeline plus one fine-grained rule on an exact TCP source port.
+    // Same pipeline plus one fine-grained rule on an exact source MAC.
     let mut fine = coarse.clone();
     fine.table_mut(0).unwrap().insert(FlowEntry::new(
-        FlowMatch::any().with_exact(Field::TcpSrc, 31337),
+        FlowMatch::any().with_exact(Field::EthSrc, 0x0200_0000_7a69),
         200,
         terminal_actions(vec![Action::Output(9)]),
     ));
 
-    // Both runs disable the address/ports tries (prefix tracking) so the
-    // comparison isolates the aggregate-fragmentation effect itself — this is
-    // the behaviour OVS exhibits for fields its tries do not cover.
+    // The fine rule matches a field the address/ports tries do not cover,
+    // so proving a packet different from it pins the whole field: the
+    // comparison isolates the aggregate-fragmentation effect itself.
     let run = |pipeline: Pipeline| {
-        let config = ovsdp::OvsConfig {
-            slowpath: ovsdp::slowpath::SlowPathConfig {
-                prefix_tracking: false,
-            },
-            ..ovsdp::OvsConfig::default()
-        };
-        let dp = OvsDatapath::with_config(pipeline, config);
+        let dp = OvsDatapath::new(pipeline);
         for src in 0..200u16 {
+            let [hi, lo] = (1000 + src).to_be_bytes();
             dp.process(
                 &mut PacketBuilder::tcp()
+                    .eth_src([2, 0, 0, 0, hi, lo])
                     .ipv4_dst([192, 0, 2, 50])
-                    .tcp_src(1000 + src)
                     .tcp_dst(80)
                     .build(),
             );

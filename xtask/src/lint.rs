@@ -71,6 +71,7 @@ const FAST_PATH_MODULES: &[&str] = &[
     "crates/netdev/src/classify.rs",
     "crates/netdev/src/stats.rs",
     "crates/netdev/src/flat_hash.rs",
+    "crates/openflow/src/tuple_index.rs",
     "crates/ovsdp/src/minikey.rs",
     "crates/ovsdp/src/microflow.rs",
     "crates/ovsdp/src/megaflow.rs",
