@@ -151,7 +151,7 @@ pub fn table_output(table: &FlowTable, instance: &ThreeSat, assignment: &[bool],
     key.ipv4_src = key.ipv4_src.or(Some(0));
     key.ipv4_dst = key.ipv4_dst.or(Some(0));
     key.ip_dscp = key.ip_dscp.or(Some(0));
-    match table.lookup(&key) {
+    match table.scan(&key, &mut ()).0 {
         Some(entry) => entry
             .instructions
             .iter()

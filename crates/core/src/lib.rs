@@ -65,7 +65,7 @@ pub use reactive::{
     Reactive,
 };
 pub use runtime::EswitchRuntime;
-pub use update::{Absorbed, UpdateClass, UpdateCounter, UpdatePlanner};
+pub use update::{UpdateClass, UpdateCounter};
 
 /// Test helper: one packet through a compiled datapath, the burst of one.
 #[cfg(test)]

@@ -49,9 +49,10 @@ use netdev::sync::atomic::{AtomicU64, Ordering};
 use netdev::sync::Mutex;
 use netdev::FxBuildHasher;
 use openflow::action::apply_action_list;
-use openflow::ct::ConnCtx;
+use openflow::ct::{ConnCtx, NoCt};
 use openflow::flow_mod::{FlowModEffect, FlowModError};
 use openflow::{Controller, ControllerDecision, Datapath, FlowKey, FlowMod, PacketIn, Verdict};
+use pkt::parser::{parse, ParseDepth};
 use pkt::Packet;
 
 /// The 64-bit flow signature punt deduplication keys on: an FxHash of the
@@ -488,7 +489,15 @@ impl DecisionStats {
                 ControllerDecision::PacketOut(mut po) => {
                     self.direct_outs.fetch_add(1, Ordering::Relaxed);
                     let mut key = FlowKey::extract(&po.packet);
-                    apply_action_list(&po.actions, &mut po.packet, &mut key);
+                    let headers = parse(po.packet.data(), ParseDepth::L4);
+                    apply_action_list(
+                        &po.actions,
+                        &mut po.packet,
+                        &mut key,
+                        headers,
+                        |_| {},
+                        &mut NoCt,
+                    );
                 }
                 ControllerDecision::Drop => {
                     self.dropped.fetch_add(1, Ordering::Relaxed);

@@ -154,7 +154,7 @@ impl TableEdit {
 /// Outcome of [`UpdatePlanner::absorb`]: how far below the full tier the
 /// update landed.
 #[derive(Debug)]
-pub enum Absorbed {
+pub(crate) enum Absorbed {
     /// The live datapath took an incremental edit in place.
     Incremental,
     /// The touched tables were rebuilt; the caller writes them into their
@@ -167,7 +167,7 @@ pub enum Absorbed {
 /// The §3.4 update planner: decides, for an applied flow-mod, the cheapest
 /// tier that preserves correctness, and precompiles whatever that tier needs.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct UpdatePlanner;
+pub(crate) struct UpdatePlanner;
 
 impl UpdatePlanner {
     /// Plans the update for `fm` (already applied to `pipeline`, yielding
@@ -178,7 +178,7 @@ impl UpdatePlanner {
     /// tables for the caller to realise. `Full` means the caller must
     /// recompile — the one step whose execution (and failure handling)
     /// differs per consumer.
-    pub fn absorb(
+    pub(crate) fn absorb(
         &self,
         pipeline: &Pipeline,
         datapath: &CompiledDatapath,

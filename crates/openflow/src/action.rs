@@ -6,7 +6,7 @@ use pkt::parser::{parse, ParseDepth, ParsedHeaders};
 use pkt::vlan::VLAN_TAG_LEN;
 use pkt::Packet;
 
-use crate::ct::{ConnCtx, CtVerb, NoCt};
+use crate::ct::{ConnCtx, CtVerb};
 use crate::field::{Field, FieldValue};
 use crate::key::FlowKey;
 
@@ -288,56 +288,21 @@ impl ActionSet {
     }
 }
 
-/// Applies an ordered action list to a packet, re-parsing after layout
-/// changes, and hands each forwarding decision produced by output-like
-/// actions to `sink`. This is the allocation-free core the cache replay
-/// paths call; [`apply_action_list`] wraps it when a collected `Vec` is
-/// more convenient than a callback.
-#[inline]
-pub fn apply_action_list_with(
-    actions: &[Action],
-    packet: &mut Packet,
-    key: &mut FlowKey,
-    sink: impl FnMut(OutputKind),
-) {
-    apply_action_list_with_ct(actions, packet, key, sink, &mut NoCt);
-}
-
-/// [`apply_action_list_with`] with an explicit connection tracker. Returns
-/// `true` when a ct action denied the packet: the remaining actions were
-/// skipped and the caller must stop processing (no further tables, no
+/// Applies an ordered action list to a packet whose current layout
+/// `headers` describes, re-parsing after each layout change, and hands every
+/// forwarding decision an output-like action produces to `sink`. Ct actions
+/// run against `ct`; pass [`NoCt`](crate::ct::NoCt) for stateless pipelines.
+///
+/// Returns `true` when a ct action denied the packet: the remaining actions
+/// were skipped, and the caller must stop processing (no further tables, no
 /// action-set flush) and treat the packet as dropped.
+///
+/// This is the one action executor: the interpreter's walk, the OVS slow path
+/// and OVS's cache replay all run it. Callers that have not parsed the frame
+/// call [`parse`] first; callers that want the decisions in a `Vec` push them
+/// from `sink`.
 #[inline]
-pub fn apply_action_list_with_ct(
-    actions: &[Action],
-    packet: &mut Packet,
-    key: &mut FlowKey,
-    sink: impl FnMut(OutputKind),
-    ct: &mut dyn ConnCtx,
-) -> bool {
-    let headers = parse(packet.data(), ParseDepth::L4);
-    apply_action_list_parsed_ct(actions, packet, key, headers, sink, ct)
-}
-
-/// Like [`apply_action_list_with`] but resuming from an already-parsed
-/// header layout, so callers that extracted the flow key from the same frame
-/// (the cache replay paths) do not parse it a second time. `headers` must
-/// describe the *current* frame; layout-changing actions re-derive it.
-#[inline]
-pub fn apply_action_list_parsed(
-    actions: &[Action],
-    packet: &mut Packet,
-    key: &mut FlowKey,
-    headers: ParsedHeaders,
-    sink: impl FnMut(OutputKind),
-) {
-    apply_action_list_parsed_ct(actions, packet, key, headers, sink, &mut NoCt);
-}
-
-/// [`apply_action_list_parsed`] with an explicit connection tracker; see
-/// [`apply_action_list_with_ct`] for the halt contract.
-#[inline]
-pub fn apply_action_list_parsed_ct(
+pub fn apply_action_list(
     actions: &[Action],
     packet: &mut Packet,
     key: &mut FlowKey,
@@ -370,45 +335,6 @@ pub fn apply_action_list_parsed_ct(
         }
     }
     false
-}
-
-/// Applies an action list and merges the forwarding decisions straight into
-/// `verdict` — the hot-path variant (no intermediate `Vec<OutputKind>`).
-#[inline]
-pub fn apply_action_list_into(
-    actions: &[Action],
-    packet: &mut Packet,
-    key: &mut FlowKey,
-    verdict: &mut crate::pipeline::Verdict,
-) {
-    apply_action_list_with(actions, packet, key, |out| verdict.add(out));
-}
-
-/// [`apply_action_list_into`] with an explicit connection tracker; returns
-/// `true` when a ct action denied the packet (see
-/// [`apply_action_list_with_ct`]).
-#[inline]
-pub fn apply_action_list_into_ct(
-    actions: &[Action],
-    packet: &mut Packet,
-    key: &mut FlowKey,
-    verdict: &mut crate::pipeline::Verdict,
-    ct: &mut dyn ConnCtx,
-) -> bool {
-    apply_action_list_with_ct(actions, packet, key, |out| verdict.add(out), ct)
-}
-
-/// Applies an ordered action list to a packet and returns the forwarding
-/// decisions produced by output-like actions (there may be several for an
-/// apply-actions list). Allocates the result; controller/test paths only.
-pub fn apply_action_list(
-    actions: &[Action],
-    packet: &mut Packet,
-    key: &mut FlowKey,
-) -> Vec<OutputKind> {
-    let mut outputs = Vec::new();
-    apply_action_list_with(actions, packet, key, |out| outputs.push(out));
-    outputs
 }
 
 #[cfg(test)]
@@ -532,7 +458,9 @@ mod tests {
     #[test]
     fn apply_action_list_collects_outputs() {
         let (mut p, mut k) = packet_and_key();
-        let outs = apply_action_list(
+        let headers = parse(p.data(), ParseDepth::L4);
+        let mut outs = Vec::new();
+        let denied = apply_action_list(
             &[
                 Action::SetField(Field::Ipv4Dst, 0x0a0a0a0a),
                 Action::Output(4),
@@ -540,7 +468,11 @@ mod tests {
             ],
             &mut p,
             &mut k,
+            headers,
+            |out| outs.push(out),
+            &mut crate::ct::NoCt,
         );
+        assert!(!denied);
         assert_eq!(outs, vec![OutputKind::Port(4), OutputKind::Port(5)]);
         assert_eq!(FlowKey::extract(&p).ipv4_dst, Some(0x0a0a0a0a));
     }

@@ -158,8 +158,14 @@ enum UndoOp {
         flow_match: FlowMatch,
         priority: u16,
     },
-    /// Re-insert a displaced/removed/pre-modification entry.
+    /// Re-insert a displaced or pre-modification entry, which replaces the
+    /// entry of identical match and priority in place.
     Insert { table: TableId, entry: FlowEntry },
+    /// Put deleted entries back at the positions they held.
+    Restore {
+        table: TableId,
+        removed: Vec<(usize, FlowEntry)>,
+    },
     /// Remove a table the flow-mod implicitly created.
     RemoveTable(TableId),
 }
@@ -190,6 +196,9 @@ impl FlowModUndo {
                 }
                 UndoOp::Insert { table, entry } => {
                     pipeline.table_mut_or_create(table).insert(entry);
+                }
+                UndoOp::Restore { table, removed } => {
+                    pipeline.table_mut_or_create(table).restore(removed);
                 }
                 UndoOp::RemoveTable(id) => {
                     pipeline.remove_table(id);
@@ -332,10 +341,11 @@ pub fn apply_flow_mod_undoable(
                     if !gone.is_empty() {
                         touched.push(id);
                         removed += gone.len();
-                        for entry in gone {
-                            touched_matches.push(entry.flow_match.clone());
-                            undo.ops.push(UndoOp::Insert { table: id, entry });
-                        }
+                        touched_matches.extend(gone.iter().map(|(_, e)| e.flow_match.clone()));
+                        undo.ops.push(UndoOp::Restore {
+                            table: id,
+                            removed: gone,
+                        });
                     }
                 }
             }
@@ -355,11 +365,11 @@ pub fn apply_flow_mod_undoable(
                 .table_mut(table_id)
                 .ok_or(FlowModError::NoSuchTable(table_id))?;
             match table.remove_strict(&fm.flow_match, fm.priority) {
-                Some(entry) => {
+                Some((pos, entry)) => {
                     let touched_matches = vec![entry.flow_match.clone()];
-                    undo.ops.push(UndoOp::Insert {
+                    undo.ops.push(UndoOp::Restore {
                         table: table_id,
-                        entry,
+                        removed: vec![(pos, entry)],
                     });
                     Ok((
                         FlowModEffect {
@@ -522,6 +532,34 @@ mod tests {
             p.table(0).unwrap().entries(),
             reference.table(0).unwrap().entries()
         );
+    }
+
+    #[test]
+    fn undone_delete_restores_the_order_of_equal_priorities() {
+        // At one priority, the port-80 rule wins port-80 packets only while
+        // it stays ahead of the catch-all.
+        let port80 = FlowMatch::any().with_exact(Field::TcpDst, 80);
+        for fm in [
+            FlowMod::delete(0, port80.clone()),
+            FlowMod::delete_strict(0, port80.clone(), 10),
+        ] {
+            let mut p = Pipeline::new();
+            apply_flow_mod(&mut p, &add(80, 10, 1)).unwrap();
+            let catch_all = terminal_actions(vec![Action::Output(9)]);
+            apply_flow_mod(&mut p, &FlowMod::add(0, FlowMatch::any(), 10, catch_all)).unwrap();
+            let before = p.table(0).unwrap().entries().to_vec();
+            let (_, undo) = apply_flow_mod_undoable(&mut p, &fm).unwrap();
+            undo.undo(&mut p);
+            assert_eq!(
+                p.table(0).unwrap().entries(),
+                &before[..],
+                "{:?}",
+                fm.command
+            );
+            let mut packet = pkt::builder::PacketBuilder::tcp().tcp_dst(80).build();
+            let verdict = p.process_ct(&mut packet, &mut crate::ct::NoCt);
+            assert_eq!(verdict.outputs, vec![1], "{:?}", fm.command);
+        }
     }
 
     #[test]

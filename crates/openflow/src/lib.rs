@@ -49,6 +49,6 @@ pub use flow_mod::{FlowMod, FlowModCommand, FlowModError};
 pub use instruction::Instruction;
 pub use key::FlowKey;
 pub use messages::{PacketIn, PacketInReason, PacketOut};
-pub use pipeline::{Pipeline, PipelineError, TableId, Verdict};
+pub use pipeline::{Pipeline, PipelineError, TableId, Verdict, WalkObserver};
 pub use portlist::PortList;
 pub use table::{FlowTable, TableMissBehavior};

@@ -3,9 +3,10 @@
 
 use std::fmt;
 
+use pkt::parser::{parse, ParseDepth};
 use pkt::Packet;
 
-use crate::action::{apply_action_list_into, apply_action_list_into_ct, ActionSet, OutputKind};
+use crate::action::{apply_action_list, Action, ActionSet, OutputKind};
 use crate::ct::ConnCtx;
 use crate::entry::FlowEntry;
 use crate::instruction::Instruction;
@@ -262,64 +263,91 @@ impl Pipeline {
 
     /// Reference pipeline processing ("direct datapath" semantics, §2.1),
     /// with `ct` threaded through ct actions ([`NoCt`](crate::ct::NoCt) for
-    /// stateless pipelines).
-    ///
-    /// The packet is matched starting at table 0; instructions of the matched
-    /// entry are executed; processing continues at the goto target, if any,
-    /// otherwise the accumulated action set runs and the verdict is returned.
-    /// The packet is modified in place by apply-actions and by the final
-    /// action set. [`DirectDatapath`](crate::DirectDatapath) runs every packet
-    /// through this walk; the frozen `benchmark/src/sut.rs` oracle calls it
-    /// directly.
+    /// stateless pipelines): [`Pipeline::walk`] with the linear
+    /// [`FlowTable::scan`] and no observer. [`DirectDatapath`](crate::DirectDatapath)
+    /// runs every packet through it; the frozen `benchmark/src/sut.rs`
+    /// oracle calls it directly.
     pub fn process_ct(&self, packet: &mut Packet, ct: &mut dyn ConnCtx) -> Verdict {
         let mut key = FlowKey::extract(packet);
-        self.process_with_key_ct(packet, &mut key, ct)
+        self.walk(packet, &mut key, ct, &mut (), FlowTable::scan)
     }
 
-    /// [`Pipeline::process_ct`] reusing an already-extracted key: the OVS
-    /// slow path extracts the key once and needs it afterwards to build the
-    /// megaflow. A ct deny halts processing entirely: no further
-    /// instructions, no later tables, no action-set flush — the verdict is a
-    /// drop.
-    pub fn process_with_key_ct(
+    /// The pipeline walk: the one implementation of OpenFlow's instruction
+    /// semantics, run by the interpreter and by the OVS slow path.
+    ///
+    /// The packet is looked up from table 0, each table classified by
+    /// `matcher`: the entry it picks and the number of entries a linear scan
+    /// examines to pick it. The matched entry's instructions run in order:
+    /// apply-actions rewrite `packet` and `key` in place, write- and
+    /// clear-actions edit the action set, metadata is written, and a goto
+    /// moves on. An entry without a goto ends the walk, and the accumulated
+    /// action set runs. A table miss drops, punts, or continues at the next
+    /// table, per the table's miss behaviour; a miss that ends the walk
+    /// leaves the action set unexecuted, as does a goto to a missing table.
+    /// A ct deny halts the walk: no further instructions or tables, no
+    /// flush, and every decision merged so far is discarded — the verdict is
+    /// a drop.
+    ///
+    /// `observer` is told each apply-actions list (and whether it was
+    /// denied), a punting table miss, and the action-set flush; `matcher`
+    /// receives it too, so a recorder can collect what the lookups
+    /// consulted. Records each table's lookup and match counters and each
+    /// matched entry's.
+    pub fn walk<O: WalkObserver>(
         &self,
         packet: &mut Packet,
         key: &mut FlowKey,
         ct: &mut dyn ConnCtx,
+        observer: &mut O,
+        mut matcher: impl for<'t> FnMut(
+            &'t FlowTable,
+            &FlowKey,
+            &mut O,
+        ) -> (Option<&'t FlowEntry>, usize),
     ) -> Verdict {
         let mut verdict = Verdict::default();
         let mut action_set = ActionSet::new();
         let mut table_id: TableId = 0;
-        loop {
-            let Some(table) = self.table(table_id) else {
-                // Missing table: treat as drop.
+        while let Some(table) = self.table(table_id) {
+            verdict.tables_visited += 1;
+            table.lookups.record(0);
+            let (hit, examined) = matcher(table, key, observer);
+            verdict.entries_examined += examined as u32;
+            let Some(entry) = hit else {
+                match table.miss {
+                    TableMissBehavior::Drop => {}
+                    TableMissBehavior::ToController => {
+                        verdict.to_controller = true;
+                        observer.punted();
+                    }
+                    TableMissBehavior::Continue => {
+                        if let Some(next) =
+                            self.tables.iter().map(|t| t.id).find(|id| *id > table_id)
+                        {
+                            table_id = next;
+                            continue;
+                        }
+                    }
+                }
                 return verdict;
             };
-            verdict.tables_visited += 1;
-            let (hit, examined) = table.lookup_counted(key);
-            verdict.entries_examined += examined as u32;
-            match hit {
-                Some(entry) => {
-                    entry.record(packet.len());
-                    match execute_instructions(
-                        entry,
-                        packet,
-                        key,
-                        &mut action_set,
-                        &mut verdict,
-                        ct,
-                    ) {
-                        ExecOutcome::Goto(next) => {
-                            table_id = next;
-                        }
-                        ExecOutcome::Terminate => {
-                            finish(&action_set, packet, key, &mut verdict);
-                            return verdict;
-                        }
-                        ExecOutcome::CtHalt => {
-                            // A ct action denied the packet: drop, discarding
-                            // any decisions merged before the deny and
-                            // skipping the action-set flush.
+            table.matches.record(0);
+            entry.record(packet.len());
+            let mut next = None;
+            for instruction in &entry.instructions {
+                match instruction {
+                    Instruction::ApplyActions(actions) => {
+                        let headers = parse(packet.data(), ParseDepth::L4);
+                        let denied = apply_action_list(
+                            actions,
+                            packet,
+                            key,
+                            headers,
+                            |out| verdict.add(out),
+                            ct,
+                        );
+                        observer.applied(actions, denied);
+                        if denied {
                             return Verdict {
                                 tables_visited: verdict.tables_visited,
                                 entries_examined: verdict.entries_examined,
@@ -327,85 +355,57 @@ impl Pipeline {
                             };
                         }
                     }
-                }
-                None => match table.miss {
-                    TableMissBehavior::Drop => return verdict,
-                    TableMissBehavior::ToController => {
-                        verdict.to_controller = true;
-                        return verdict;
-                    }
-                    TableMissBehavior::Continue => {
-                        // Continue at the next-numbered table, if any.
-                        match self.tables.iter().map(|t| t.id).find(|id| *id > table_id) {
-                            Some(next) => table_id = next,
-                            None => return verdict,
+                    Instruction::WriteActions(actions) => {
+                        for a in actions {
+                            action_set.write(a.clone());
                         }
                     }
-                },
-            }
-        }
-    }
-}
-
-/// How a matched entry's instructions left the pipeline walk.
-enum ExecOutcome {
-    /// Continue at this table.
-    Goto(TableId),
-    /// Pipeline terminates normally (flush the action set).
-    Terminate,
-    /// A ct action denied the packet (drop, no action-set flush).
-    CtHalt,
-}
-
-/// Executes a matched entry's instructions.
-fn execute_instructions(
-    entry: &FlowEntry,
-    packet: &mut Packet,
-    key: &mut FlowKey,
-    action_set: &mut ActionSet,
-    verdict: &mut Verdict,
-    ct: &mut dyn ConnCtx,
-) -> ExecOutcome {
-    let mut next = None;
-    for instruction in &entry.instructions {
-        match instruction {
-            Instruction::ApplyActions(actions) => {
-                if apply_action_list_into_ct(actions, packet, key, verdict, ct) {
-                    return ExecOutcome::CtHalt;
+                    Instruction::ClearActions => action_set.clear(),
+                    Instruction::WriteMetadata { value, mask } => {
+                        key.metadata = (key.metadata & !mask) | (value & mask);
+                    }
+                    Instruction::GotoTable(t) => next = Some(*t),
+                    Instruction::Meter(_) => {}
                 }
             }
-            Instruction::WriteActions(actions) => {
-                for a in actions {
-                    action_set.write(a.clone());
+            match next {
+                Some(t) => table_id = t,
+                None => {
+                    if !action_set.is_empty() {
+                        // An action set holds no ct action, so it cannot be
+                        // denied.
+                        let list = action_set.to_action_list();
+                        let headers = parse(packet.data(), ParseDepth::L4);
+                        apply_action_list(&list, packet, key, headers, |out| verdict.add(out), ct);
+                        observer.flushed(&list);
+                    }
+                    return verdict;
                 }
             }
-            Instruction::ClearActions => action_set.clear(),
-            Instruction::WriteMetadata { value, mask } => {
-                key.metadata = (key.metadata & !mask) | (value & mask);
-            }
-            Instruction::GotoTable(t) => next = Some(*t),
-            Instruction::Meter(_) => {}
         }
-    }
-    match next {
-        Some(t) => ExecOutcome::Goto(t),
-        None => ExecOutcome::Terminate,
+        verdict
     }
 }
 
-/// Runs the accumulated action set at pipeline exit.
-fn finish(action_set: &ActionSet, packet: &mut Packet, key: &mut FlowKey, verdict: &mut Verdict) {
-    if action_set.is_empty() {
-        return;
-    }
-    let list = action_set.to_action_list();
-    apply_action_list_into(&list, packet, key, verdict);
+/// What [`Pipeline::walk`] reports beside the verdict, for a caller that
+/// records the walk (the OVS slow path builds its cached program and
+/// megaflow mask from it). Every method does nothing by default; `()` is
+/// the interpreter's observer.
+pub trait WalkObserver {
+    /// An apply-actions list ran; `denied` when a ct action in it halted the
+    /// walk (the actions after it did not run).
+    fn applied(&mut self, _actions: &[Action], _denied: bool) {}
+    /// A table miss punted the packet to the controller.
+    fn punted(&mut self) {}
+    /// The action set ran at the end of the walk, as `actions`.
+    fn flushed(&mut self, _actions: &[Action]) {}
 }
+
+impl WalkObserver for () {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::Action;
     use crate::ct::NoCt;
     use crate::field::Field;
     use crate::flow_match::FlowMatch;
@@ -736,6 +736,7 @@ mod tests {
         let http_entry = &table.entries()[1];
         assert_eq!(http_entry.counters.packets(), 1);
         assert_eq!(table.lookups.packets(), 1);
+        assert_eq!(table.matches.packets(), 1);
     }
 
     #[test]

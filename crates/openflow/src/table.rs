@@ -9,7 +9,7 @@ use crate::flow_match::FlowMatch;
 use crate::instruction::{written_match_fields, Instruction};
 use crate::key::FlowKey;
 use crate::pipeline::TableId;
-use crate::tuple_index::{TupleIndex, Unwildcard};
+use crate::tuple_index::{unwildcard_entry, TupleIndex, Unwildcard};
 
 /// What to do with a packet that matches no entry in the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -27,7 +27,7 @@ pub enum TableMissBehavior {
 ///
 /// Entries are kept sorted by descending priority (ties broken by insertion
 /// order, matching the paper's convention that "flow entries are listed in
-/// decreasing order of priority"). [`FlowTable::lookup`] is a linear scan in
+/// decreasing order of priority"). [`FlowTable::scan`] is a linear scan in
 /// that order — this *is* the direct-datapath strategy, and the reference
 /// interpreter's; faster structures are exactly what the OVS caches and the
 /// ESWITCH templates provide on top. The OVS slow path classifies through
@@ -176,40 +176,42 @@ impl FlowTable {
     /// Removes entries matching the (non-strict) OpenFlow delete semantics:
     /// every entry whose match is equal to or more specific than `pattern`,
     /// and whose cookie matches if a cookie filter is given. Returns the
-    /// removed entries (in their former match order).
+    /// removed entries with the positions they held, ascending.
     pub fn remove_overlapping(
         &mut self,
         pattern: &FlowMatch,
         cookie: Option<u64>,
-    ) -> Vec<FlowEntry> {
+    ) -> Vec<(usize, FlowEntry)> {
         let mut removed = Vec::new();
-        let mut positions = Vec::new();
         let mut pos = 0;
         self.entries.retain(|e| {
             let cookie_ok = cookie.map(|c| e.cookie == c).unwrap_or(true);
             let doomed = cookie_ok && e.flow_match.is_more_specific_than(pattern);
             if doomed {
-                removed.push(e.clone());
-                positions.push(pos);
+                removed.push((pos, e.clone()));
             }
             pos += 1;
             !doomed
         });
-        for entry in &removed {
+        for (_, entry) in &removed {
             self.summary.count(entry, false);
         }
         if let Some(index) = self.index.get_mut() {
             // Back to front, so each position is still the entry's own.
-            for (&pos, entry) in positions.iter().zip(&removed).rev() {
-                index.removed(pos, entry);
+            for (pos, entry) in removed.iter().rev() {
+                index.removed(*pos, entry);
             }
         }
         removed
     }
 
     /// Removes the entry with exactly this match and priority (strict delete),
-    /// returning it if present.
-    pub fn remove_strict(&mut self, pattern: &FlowMatch, priority: u16) -> Option<FlowEntry> {
+    /// returning it and the position it held, if present.
+    pub fn remove_strict(
+        &mut self,
+        pattern: &FlowMatch,
+        priority: u16,
+    ) -> Option<(usize, FlowEntry)> {
         let run = self.priority_run(priority);
         let pos = run.start
             + self.entries[run]
@@ -220,7 +222,22 @@ impl FlowTable {
         if let Some(index) = self.index.get_mut() {
             index.removed(pos, &removed);
         }
-        Some(removed)
+        Some((pos, removed))
+    }
+
+    /// Puts removed entries back at the positions they held, given
+    /// ascending: a rolled-back delete leaves the order among equal
+    /// priorities as it was, which re-inserting (at the end of the priority
+    /// run) would not. Only rollback calls this, and it rebuilds the index,
+    /// whose ranks follow insertion order.
+    pub(crate) fn restore(&mut self, removed: Vec<(usize, FlowEntry)>) {
+        for (pos, entry) in removed {
+            self.summary.count(&entry, true);
+            self.entries.insert(pos, entry);
+        }
+        if let Some(index) = self.index.get_mut() {
+            *index = TupleIndex::build(&self.entries);
+        }
     }
 
     /// The entries, in match order (descending priority).
@@ -262,23 +279,27 @@ impl FlowTable {
         self.summary.gotos.keys().copied()
     }
 
-    /// Looks up the highest-priority matching entry for `key`, recording
-    /// table statistics.
-    pub fn lookup(&self, key: &FlowKey) -> Option<&FlowEntry> {
-        self.lookups.record(0);
-        let hit = self.entries.iter().find(|e| e.flow_match.matches(key));
-        if hit.is_some() {
-            self.matches.record(0);
+    /// The linear scan: the first entry in match order that `key` matches,
+    /// and how many entries were examined to find it — the work metric the
+    /// direct datapath pays and the caching and compiled datapaths avoid.
+    /// Each examined entry un-wildcards into `mask` what its comparison
+    /// consulted ([`unwildcard_entry`]); the interpreter passes `&mut ()`,
+    /// which records nothing. Records no statistics; the walk does.
+    pub fn scan(&self, key: &FlowKey, mask: &mut impl Unwildcard) -> (Option<&FlowEntry>, usize) {
+        for (i, entry) in self.entries.iter().enumerate() {
+            let hit = entry.flow_match.matches(key);
+            unwildcard_entry(mask, entry, key, hit);
+            if hit {
+                return (Some(entry), i + 1);
+            }
         }
-        hit
+        (None, self.entries.len())
     }
 
-    /// Picks the entry [`FlowTable::lookup_counted`] picks and reports the
-    /// same count, through the table's tuple-space index, and un-wildcards
-    /// into `mask` what the scan's comparisons consulted
-    /// ([`crate::tuple_index::unwildcard_entry`] for every entry it examined)
-    /// — the OVS slow path's per-table step. Builds the index on first use.
-    /// Records no statistics; the caller does.
+    /// Answers exactly what [`FlowTable::scan`] answers — the entry, the
+    /// count, and the bits un-wildcarded into `mask` — through the table's
+    /// tuple-space index: the OVS slow path's per-table step. Builds the
+    /// index on first use. Records no statistics; the walk does.
     pub fn lookup_unwildcarding(
         &self,
         key: &FlowKey,
@@ -296,22 +317,6 @@ impl FlowTable {
         self.index
             .get()
             .map_or(Ok(()), |index| index.audit(&self.entries))
-    }
-
-    /// Like [`FlowTable::lookup`] but also reports how many entries were
-    /// examined before the decision — the work metric the direct datapath
-    /// pays and the caching/compiled datapaths avoid.
-    pub fn lookup_counted(&self, key: &FlowKey) -> (Option<&FlowEntry>, usize) {
-        self.lookups.record(0);
-        let mut examined = 0;
-        for e in &self.entries {
-            examined += 1;
-            if e.flow_match.matches(key) {
-                self.matches.record(0);
-                return (Some(e), examined);
-            }
-        }
-        (None, examined)
     }
 }
 
@@ -345,11 +350,9 @@ mod tests {
         // Entries sorted by descending priority.
         let prios: Vec<u16> = t.entries().iter().map(|e| e.priority).collect();
         assert_eq!(prios, vec![100, 50, 10]);
-        let hit = t.lookup(&key_for_port(80)).unwrap();
+        let hit = t.scan(&key_for_port(80), &mut ()).0.unwrap();
         assert_eq!(hit.priority, 100);
-        assert!(t.lookup(&key_for_port(22)).is_none());
-        assert_eq!(t.lookups.packets(), 2);
-        assert_eq!(t.matches.packets(), 1);
+        assert!(t.scan(&key_for_port(22), &mut ()).0.is_none());
     }
 
     #[test]
@@ -363,11 +366,11 @@ mod tests {
         ));
         // The port-80 entry was inserted first, so it still wins for port 80.
         assert_eq!(
-            t.lookup(&key_for_port(80)).unwrap().instructions,
+            t.scan(&key_for_port(80), &mut ()).0.unwrap().instructions,
             terminal_actions(vec![Action::Output(1)])
         );
         // The catch-all handles everything else.
-        assert!(t.lookup(&key_for_port(22)).is_some());
+        assert!(t.scan(&key_for_port(22), &mut ()).0.is_some());
     }
 
     #[test]
@@ -377,7 +380,7 @@ mod tests {
         t.insert(entry(10, 80, 7));
         assert_eq!(t.len(), 1);
         assert_eq!(
-            t.lookup(&key_for_port(80)).unwrap().instructions,
+            t.scan(&key_for_port(80), &mut ()).0.unwrap().instructions,
             terminal_actions(vec![Action::Output(7)])
         );
     }
@@ -392,7 +395,7 @@ mod tests {
         assert!(t
             .remove_strict(&FlowMatch::any().with_exact(Field::TcpDst, 80), 99)
             .is_none());
-        let removed = t
+        let (_, removed) = t
             .remove_strict(&FlowMatch::any().with_exact(Field::TcpDst, 80), 10)
             .unwrap();
         assert_eq!(removed.priority, 10);
@@ -422,7 +425,7 @@ mod tests {
                     .map(|pos| scanned.remove(pos));
                 let got = t.remove_strict(&pattern, priority);
                 assert_eq!(
-                    got.map(|e| (e.priority, e.instructions)),
+                    got.map(|(_, e)| (e.priority, e.instructions)),
                     want.map(|e| (e.priority, e.instructions)),
                     "priority {priority} port {port:?}"
                 );
@@ -496,15 +499,15 @@ mod tests {
     }
 
     #[test]
-    fn lookup_counted_reports_examined_entries() {
+    fn scan_reports_examined_entries() {
         let mut t = FlowTable::new(0);
         for (i, port) in [1000u16, 1001, 1002, 80].iter().enumerate() {
             t.insert(entry(100 - i as u16, *port, 1));
         }
-        let (hit, examined) = t.lookup_counted(&key_for_port(80));
+        let (hit, examined) = t.scan(&key_for_port(80), &mut ());
         assert!(hit.is_some());
         assert_eq!(examined, 4);
-        let (miss, examined) = t.lookup_counted(&key_for_port(9999));
+        let (miss, examined) = t.scan(&key_for_port(9999), &mut ());
         assert!(miss.is_none());
         assert_eq!(examined, 4);
     }

@@ -56,6 +56,18 @@ pub trait Unwildcard {
     fn unwildcard(&mut self, field: Field, bits: FieldValue);
 }
 
+/// The sink that records nothing: the interpreter's scan, which needs no
+/// megaflow.
+impl Unwildcard for () {
+    #[inline]
+    fn mask_of(&self, _field: Field) -> FieldValue {
+        0
+    }
+
+    #[inline]
+    fn unwildcard(&mut self, _field: Field, _bits: FieldValue) {}
+}
+
 /// An entry's place in the table's scan order: descending priority in the
 /// top 16 bits (inverted, so a smaller rank scans earlier), then an
 /// insertion sequence number, so equal priorities keep insertion order.

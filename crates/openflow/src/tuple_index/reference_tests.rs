@@ -1,15 +1,17 @@
-//! Differential tests of the tuple-space index against the scan it replaces:
-//! every entry in match order until the first hit, each un-wildcarded with
-//! [`unwildcard_entry`]. Random flow-mod sequences — replacing adds, strict
-//! and non-strict deletes, modifies, rolled-back and refused flow-mods —
-//! over prefix, non-prefix and empty masks, tied priorities, values with
-//! bits outside their mask, and fields the keys lack; after every step the
-//! maintained index must equal a fresh build and agree with the scan on
-//! every key, starting from a mask earlier tables may already have filled.
+//! Differential tests of the tuple-space index against the interpreter's
+//! scan ([`FlowTable::scan`]): every entry in match order until the first
+//! hit, each un-wildcarded with [`super::unwildcard_entry`]. Random flow-mod
+//! sequences — replacing adds, strict and non-strict deletes, modifies,
+//! rolled-back and refused flow-mods — over prefix, non-prefix and empty
+//! masks, tied priorities, values with bits outside their mask, and fields
+//! the keys lack; after every step the maintained index must equal a fresh
+//! build and agree with the scan on every key, starting from a mask earlier
+//! tables may already have filled, and a rollback must leave the entries in
+//! the order it found them.
 
 use proptest::prelude::*;
 
-use super::{unwildcard_entry, TupleIndex, Unwildcard};
+use super::{TupleIndex, Unwildcard};
 use crate::flow_match::{FlowMatch, MatchField};
 use crate::flow_mod::{apply_flow_mod, apply_flow_mod_undoable, FlowMod, FlowModCommand};
 use crate::instruction::{terminal_actions, Instruction};
@@ -29,30 +31,12 @@ impl Unwildcard for Mask {
     }
 }
 
-/// The scan the index replaces.
-fn scan<'e>(
-    entries: &'e [FlowEntry],
-    key: &FlowKey,
-    mask: &mut Mask,
-) -> (Option<&'e FlowEntry>, usize) {
-    let mut examined = 0;
-    for entry in entries {
-        examined += 1;
-        let hit = entry.flow_match.matches(key);
-        unwildcard_entry(mask, entry, key, hit);
-        if hit {
-            return (Some(entry), examined);
-        }
-    }
-    (None, examined)
-}
-
 /// Asserts that `table`'s index is in step and agrees with the scan on
 /// `key`, starting from `seed`.
 fn assert_agrees(table: &FlowTable, key: &FlowKey, seed: &Mask, context: &str) {
     let (mut by_index, mut by_scan) = (seed.clone(), seed.clone());
     let (entry, examined) = table.lookup_unwildcarding(key, &mut by_index);
-    let (want, want_examined) = scan(table.entries(), key, &mut by_scan);
+    let (want, want_examined) = table.scan(key, &mut by_scan);
     assert!(
         match (entry, want) {
             (Some(a), Some(b)) => std::ptr::eq(a, b),
@@ -229,6 +213,7 @@ proptest! {
                         10 => FlowMod::delete(0, rules[draw.below(rules.len())].clone()),
                         _ => FlowMod::delete_strict(0, rule, priority),
                     };
+                    let before = pipeline.table(0).expect("table 0").entries().to_vec();
                     if let Ok((_, undo)) = apply_flow_mod_undoable(&mut pipeline, &fm) {
                         for key in &keys {
                             let table = pipeline.table(0).expect("table 0");
@@ -236,6 +221,8 @@ proptest! {
                         }
                         undo.undo(&mut pipeline);
                     }
+                    let after = pipeline.table(0).expect("table 0").entries();
+                    assert_eq!(after, &before[..], "step {step}: rollback reorders the table");
                     for (i, key) in keys.iter().enumerate() {
                         let table = pipeline.table(0).expect("table 0");
                         assert_agrees(table, key, &seeds[i % 3], &format!("step {step} undone"));
@@ -316,7 +303,7 @@ fn equal_priorities_keep_insertion_order_through_removal_and_reinsertion() {
     let key = dst_key(0x0a00_0001);
     assert_agrees(&table, &key, &Mask([0; Field::COUNT]), "built");
     // The port rule goes to the back of its priority run: the /16 now wins.
-    let port = table
+    let (_, port) = table
         .remove_strict(&FlowMatch::any().with_exact(Field::TcpDst, 80), 7)
         .expect("present");
     table.insert(port);

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use netdev::{Counters, BURST_SIZE};
-use openflow::action::apply_action_list_parsed_ct;
+use openflow::action::apply_action_list;
 use openflow::ct::ConnCtx;
 use openflow::flow_match::FlowMatch;
 use openflow::flow_mod::{apply_flow_mod, FlowModEffect, FlowModError};
@@ -544,7 +544,7 @@ fn replay(
     ct: &mut dyn ConnCtx,
 ) -> Verdict {
     let mut verdict = Verdict::default();
-    if apply_action_list_parsed_ct(program, packet, key, headers, |out| verdict.add(out), ct) {
+    if apply_action_list(program, packet, key, headers, |out| verdict.add(out), ct) {
         return Verdict::default();
     }
     if verdict.to_controller {

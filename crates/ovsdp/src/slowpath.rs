@@ -2,13 +2,14 @@
 //! construction ("un-wildcarding").
 //!
 //! This is the `vswitchd` level of the OVS hierarchy. For a packet that missed
-//! both caches it (1) walks the pipeline with the reference interpreter's
-//! instruction semantics, (2) records the *action program* — the ordered list
-//! of actions the packet experienced — so the caches can replay it on later
-//! packets, and (3) computes the megaflow mask: every field that influenced
-//! the decision is un-wildcarded, and on the prefix-tracked address and port
-//! fields only the bits down to the first difference a failed comparison
-//! needed.
+//! both caches it runs the interpreter's own walk ([`Pipeline::walk`]), so
+//! OVS's instruction semantics are the oracle's by construction, with a
+//! recorder watching it: (1) the *action program* — every apply-actions
+//! list the packet experienced, a punting miss, and the action-set flush, in
+//! order — so the caches can replay it on later packets, and (2) the megaflow
+//! mask: every field that influenced the decision is un-wildcarded, and on
+//! the prefix-tracked address and port fields only the bits down to the
+//! first difference a failed comparison needed.
 //!
 //! The interpreter scans each table entry by entry; the slow path classifies
 //! each table through its tuple-space index
@@ -23,10 +24,8 @@
 
 use std::sync::Arc;
 
-use openflow::action::{apply_action_list, apply_action_list_into_ct, ActionSet};
 use openflow::ct::{ConnCtx, NoCt};
-use openflow::table::TableMissBehavior;
-use openflow::{Action, Field, FlowEntry, FlowKey, FlowTable, Instruction, Pipeline, Verdict};
+use openflow::{Action, Field, FlowEntry, FlowKey, FlowTable, Pipeline, Verdict, WalkObserver};
 use pkt::Packet;
 
 use crate::mask::FieldMask;
@@ -87,138 +86,71 @@ impl SlowPath {
         key: &mut FlowKey,
         ct: &mut dyn ConnCtx,
     ) -> SlowPathResult {
-        walk(pipeline, packet, key, ct, |table, key, mask| {
-            table.lookup_unwildcarding(key, mask)
-        })
+        record(pipeline, packet, key, ct, FlowTable::lookup_unwildcarding)
     }
 }
 
-/// The pipeline walk, classifying each table with `lookup`: the entry it
-/// picks, the entries a scan would have examined to pick it, and the bits
-/// those comparisons consulted, un-wildcarded into the mask.
-fn walk(
+/// Runs the walk with `lookup` as its per-table matcher, un-wildcarding into
+/// the recorder's mask, and packages what the recorder saw.
+fn record(
     pipeline: &Pipeline,
     packet: &mut Packet,
     key: &mut FlowKey,
     ct: &mut dyn ConnCtx,
     lookup: impl for<'t> Fn(&'t FlowTable, &FlowKey, &mut FieldMask) -> (Option<&'t FlowEntry>, usize),
 ) -> SlowPathResult {
-    let mut mask = FieldMask::wildcard_all();
-    let mut program: Vec<Action> = Vec::new();
-    let mut verdict = Verdict::default();
-    let mut action_set = ActionSet::new();
-    let mut table_id = 0u32;
-
-    while let Some(table) = pipeline.table(table_id) {
-        verdict.tables_visited += 1;
-        table.lookups.record(0);
-
-        let (matched, examined) = lookup(table, key, &mut mask);
-        verdict.entries_examined += examined as u32;
-
-        match matched {
-            Some(entry) => {
-                table.matches.record(0);
-                entry.record(packet.len());
-                let mut next = None;
-                for instruction in &entry.instructions {
-                    match instruction {
-                        Instruction::ApplyActions(actions) => {
-                            program.extend(actions.iter().cloned());
-                            if actions.iter().any(|a| matches!(a, Action::Ct(_))) {
-                                unwildcard_ct_tuple(&mut mask);
-                            }
-                            if apply_action_list_into_ct(actions, packet, key, &mut verdict, ct) {
-                                // Stateful deny: drop, discarding every
-                                // forwarding decision merged so far and
-                                // the accumulated write-action set; keep
-                                // the accounting. The truncated program
-                                // is marked non-cacheable.
-                                return SlowPathResult {
-                                    actions: Arc::new(Program::new(program, verdict.punt_reason)),
-                                    mask,
-                                    verdict: Verdict {
-                                        tables_visited: verdict.tables_visited,
-                                        entries_examined: verdict.entries_examined,
-                                        ..Verdict::default()
-                                    },
-                                    cacheable: false,
-                                };
-                            }
-                        }
-                        Instruction::WriteActions(actions) => {
-                            for a in actions {
-                                action_set.write(a.clone());
-                            }
-                        }
-                        Instruction::ClearActions => action_set.clear(),
-                        Instruction::WriteMetadata { value, mask: m } => {
-                            key.metadata = (key.metadata & !m) | (value & m);
-                        }
-                        Instruction::GotoTable(t) => next = Some(*t),
-                        Instruction::Meter(_) => {}
-                    }
-                }
-                match next {
-                    Some(t) => table_id = t,
-                    None => break,
-                }
-            }
-            None => {
-                match table.miss {
-                    TableMissBehavior::Drop => {}
-                    TableMissBehavior::ToController => {
-                        verdict.to_controller = true;
-                        program.push(Action::ToController);
-                    }
-                    TableMissBehavior::Continue => {
-                        if let Some(next) = pipeline
-                            .tables()
-                            .iter()
-                            .map(|t| t.id)
-                            .find(|id| *id > table_id)
-                        {
-                            table_id = next;
-                            continue;
-                        }
-                    }
-                }
-                break;
-            }
-        }
-    }
-
-    // Flush the accumulated action set into the program and the packet.
-    if !action_set.is_empty() {
-        let list = action_set.to_action_list();
-        program.extend(list.iter().cloned());
-        for out in apply_action_list(&list, packet, key) {
-            verdict.add(out);
-        }
-    }
-
-    SlowPathResult {
-        actions: Arc::new(Program::new(program, verdict.punt_reason)),
-        mask,
-        verdict,
+    let mut recorder = Recorder {
+        program: Vec::new(),
+        mask: FieldMask::wildcard_all(),
         cacheable: true,
+    };
+    let verdict = pipeline.walk(packet, key, ct, &mut recorder, |table, key, recorder| {
+        lookup(table, key, &mut recorder.mask)
+    });
+    SlowPathResult {
+        actions: Arc::new(Program::new(recorder.program, verdict.punt_reason)),
+        mask: recorder.mask,
+        verdict,
+        cacheable: recorder.cacheable,
     }
 }
 
-/// Un-wildcards the full connection 5-tuple. Executing a ct action makes the
-/// decision depend on per-connection state, so the megaflow must be exact on
-/// everything that identifies the connection.
-fn unwildcard_ct_tuple(mask: &mut FieldMask) {
-    for field in [
-        Field::IpProto,
-        Field::Ipv4Src,
-        Field::Ipv4Dst,
-        Field::TcpSrc,
-        Field::TcpDst,
-        Field::UdpSrc,
-        Field::UdpDst,
-    ] {
-        mask.unwildcard(field, field.full_mask());
+/// What the slow path keeps of a walk: the program, the megaflow mask, and
+/// whether a ct deny truncated the program.
+struct Recorder {
+    program: Vec<Action>,
+    mask: FieldMask,
+    cacheable: bool,
+}
+
+impl WalkObserver for Recorder {
+    fn applied(&mut self, actions: &[Action], denied: bool) {
+        self.program.extend_from_slice(actions);
+        if actions.iter().any(|a| matches!(a, Action::Ct(_))) {
+            // The decision now depends on per-connection state: the
+            // megaflow is exact on everything that identifies the
+            // connection.
+            for field in [
+                Field::IpProto,
+                Field::Ipv4Src,
+                Field::Ipv4Dst,
+                Field::TcpSrc,
+                Field::TcpDst,
+                Field::UdpSrc,
+                Field::UdpDst,
+            ] {
+                self.mask.unwildcard(field, field.full_mask());
+            }
+        }
+        self.cacheable &= !denied;
+    }
+
+    fn punted(&mut self) {
+        self.program.push(Action::ToController);
+    }
+
+    fn flushed(&mut self, actions: &[Action]) {
+        self.program.extend_from_slice(actions);
     }
 }
 
@@ -228,11 +160,13 @@ mod reference_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openflow::action::OutputKind;
+    use openflow::action::{apply_action_list, OutputKind};
     use openflow::flow_match::FlowMatch;
     use openflow::instruction::terminal_actions;
     use openflow::tuple_index::{prefix_to_first_difference, top_bits_mask};
+    use openflow::{Instruction, TableMissBehavior};
     use pkt::builder::PacketBuilder;
+    use pkt::parser::{parse, ParseDepth};
 
     fn port_entry(priority: u16, port: u16, out: u32) -> FlowEntry {
         FlowEntry::new(
@@ -297,7 +231,17 @@ mod tests {
             .ipv4_dst([192, 0, 2, 1])
             .build();
         let mut key = FlowKey::extract(&second);
-        let outs = apply_action_list(&result.actions, &mut second, &mut key);
+        let headers = parse(second.data(), ParseDepth::L4);
+        let mut outs = Vec::new();
+        let sink = |out| outs.push(out);
+        apply_action_list(
+            &result.actions,
+            &mut second,
+            &mut key,
+            headers,
+            sink,
+            &mut NoCt,
+        );
         assert_eq!(outs, vec![OutputKind::Port(4)]);
         assert_eq!(FlowKey::extract(&second).ipv4_dst, Some(0x0a00_0001));
     }
@@ -387,6 +331,41 @@ mod tests {
         let result = classify(&p, &mut pkt);
         assert!(result.verdict.to_controller);
         assert_eq!(&result.actions[..], &[Action::ToController]);
+    }
+
+    #[test]
+    fn a_miss_that_ends_the_walk_leaves_the_action_set_unexecuted() {
+        // Table 0 writes `Output(3)` into the action set and jumps to table
+        // 1, the last table, which is empty: every packet misses there, and
+        // whichever way the miss ends the walk, the set never runs.
+        for (miss, punts, program) in [
+            (TableMissBehavior::Drop, false, vec![]),
+            (
+                TableMissBehavior::ToController,
+                true,
+                vec![Action::ToController],
+            ),
+            (TableMissBehavior::Continue, false, vec![]),
+        ] {
+            let mut p = Pipeline::with_tables(2);
+            p.table_mut(0).unwrap().insert(FlowEntry::new(
+                FlowMatch::any(),
+                10,
+                vec![
+                    Instruction::WriteActions(vec![Action::Output(3)]),
+                    Instruction::GotoTable(1),
+                ],
+            ));
+            p.table_mut(1).unwrap().miss = miss;
+            let mut a = PacketBuilder::tcp().tcp_dst(80).build();
+            let mut b = a.clone();
+            let interpreted = p.process_ct(&mut a, &mut NoCt);
+            assert_eq!(interpreted.decision(), (vec![], false, punts), "{miss:?}");
+            let slow = classify(&p, &mut b);
+            assert_eq!(slow.verdict.decision(), interpreted.decision(), "{miss:?}");
+            assert_eq!(&slow.actions[..], &program[..], "{miss:?}");
+            assert!(slow.cacheable);
+        }
     }
 
     #[test]

@@ -1,38 +1,18 @@
-//! The slow path against the scan it replaced: the same pipeline walk with
-//! each table classified entry by entry ([`scan`]), every examined entry
-//! un-wildcarded. The two must return the same [`SlowPathResult`] bit for
-//! bit — program, punt reason, mask, verdict with its work counts, and
-//! `cacheable` — leave the packet the same, and bump the same table and
-//! entry counters, on the gateway at 256, 2 000 and 10 000 prefixes (every
-//! upstream and downstream flow), on the ACL at 72 and 369 rules, and on
-//! the stateful ACL with live connection state.
+//! The slow path against the interpreter's matcher: the same walk and
+//! recorder with each table classified by [`FlowTable::scan`], entry by
+//! entry, every examined entry un-wildcarded. The two must return the same
+//! [`SlowPathResult`] bit for bit — program, punt reason, mask, verdict with
+//! its work counts, and `cacheable` — leave the packet the same, and bump the
+//! same table and entry counters, on the gateway at 256, 2 000 and 10 000
+//! prefixes (every upstream and downstream flow), on the ACL at 72 and 369
+//! rules, and on the stateful ACL with live connection state.
 
-use openflow::tuple_index::unwildcard_entry;
-use openflow::{ConnCtx, FlowEntry, FlowKey, FlowTable, NoCt, Pipeline};
+use openflow::{ConnCtx, FlowKey, FlowTable, NoCt, Pipeline};
 use pkt::builder::PacketBuilder;
 use pkt::Packet;
 use workloads::{gateway, stateful_acl_gateway as sacl, AclConfig, GatewayConfig};
 
-use super::{walk, SlowPath, SlowPathResult};
-use crate::mask::FieldMask;
-
-/// The per-table step the slow path ran before its tables had an index.
-fn scan<'t>(
-    table: &'t FlowTable,
-    key: &FlowKey,
-    mask: &mut FieldMask,
-) -> (Option<&'t FlowEntry>, usize) {
-    let mut examined = 0;
-    for entry in table.entries() {
-        examined += 1;
-        let hit = entry.flow_match.matches(key);
-        unwildcard_entry(mask, entry, key, hit);
-        if hit {
-            return (Some(entry), examined);
-        }
-    }
-    (None, examined)
-}
+use super::{record, SlowPath, SlowPathResult};
 
 fn classify_by_scan(
     pipeline: &Pipeline,
@@ -40,7 +20,7 @@ fn classify_by_scan(
     key: &mut FlowKey,
     ct: &mut dyn ConnCtx,
 ) -> SlowPathResult {
-    walk(pipeline, packet, key, ct, scan)
+    record(pipeline, packet, key, ct, FlowTable::scan)
 }
 
 fn assert_same(got: &SlowPathResult, want: &SlowPathResult, context: &str) {

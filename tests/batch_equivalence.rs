@@ -13,7 +13,9 @@
 //! stress what a burst resolves once: VLAN push/pop (single tags, QinQ,
 //! untagged frames hitting a pop) ahead of L3/L4 matches, write-action sets
 //! accumulated over four chained tables, every table revisited by many
-//! packets of one burst, and the batched stats flush.
+//! packets of one burst, and the batched stats flush. Every OVS
+//! configuration runs the same pipelines and packets, twice (slow path, then
+//! cache replay), against the interpreter.
 //!
 //! In both properties the burst side receives its packets through a `Port`
 //! (so they carry the RX parse stamp) and the per-packet side takes them as
@@ -359,6 +361,7 @@ proptest! {
         burst_switch.process_burst(&mut burst_pkts, &mut verdicts, &mut NoCt);
         prop_assert_eq!(verdicts.len(), packets.len());
 
+        let mut references = Vec::with_capacity(packets.len());
         for (i, ingress) in packets.iter().enumerate() {
             let mut seq_pkt = ingress.clone();
             let seq = seq_switch.process(&mut seq_pkt);
@@ -369,6 +372,7 @@ proptest! {
             prop_assert_eq!(verdicts[i].tables_visited, reference.tables_visited, "walk {}", i);
             prop_assert_eq!(burst_pkts[i].data(), ref_pkt.data(), "burst bytes {}", i);
             prop_assert_eq!(seq_pkt.data(), ref_pkt.data(), "per-packet bytes {}", i);
+            references.push((reference.decision(), ref_pkt));
         }
 
         let (burst_dp, seq_dp) = (burst_switch.datapath(), seq_switch.datapath());
@@ -388,6 +392,22 @@ proptest! {
             );
         }
         prop_assert_eq!(burst_dp.slots()[0].lookups.packets(), packets.len() as u64);
+
+        // OVS in every configuration, cold and then warm: the slow path and
+        // the cached replays of what it recorded agree with the interpreter
+        // too, write-action sets ended by a miss included.
+        for (name, config) in ovs_configs() {
+            let dp = ovs(&pipeline, config);
+            for lap in ["cold", "warm"] {
+                let mut ovs_pkts = received(&packets);
+                let mut ovs_verdicts = Vec::new();
+                dp.process_burst(&mut ovs_pkts, &mut ovs_verdicts, &mut NoCt);
+                for (i, (decision, ref_pkt)) in references.iter().enumerate() {
+                    prop_assert_eq!(&ovs_verdicts[i].decision(), decision, "{} verdict {} ({})", name, i, lap);
+                    prop_assert_eq!(ovs_pkts[i].data(), ref_pkt.data(), "{} bytes {} ({})", name, i, lap);
+                }
+            }
+        }
     }
 
     /// On every execution, one burst (stamped) and packet-by-packet

@@ -215,7 +215,9 @@ proptest! {
 
         let mut interpreted = packet.clone();
         let mut key = FlowKey::extract(&interpreted);
-        openflow::action::apply_action_list(std::slice::from_ref(&action), &mut interpreted, &mut key);
+        let headers = parse(interpreted.data(), ParseDepth::L4);
+        let actions = std::slice::from_ref(&action);
+        openflow::action::apply_action_list(actions, &mut interpreted, &mut key, headers, |_| {}, &mut NoCt);
         let mut compiled = packet.clone();
         let mut headers = parse(compiled.data(), ParseDepth::L4);
         CompiledActionSet::from_actions(&[action]).execute(

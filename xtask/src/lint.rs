@@ -44,13 +44,13 @@
 //!    [`ONE_CONTROLLER_ALLOWED`]: the trait and the synchronous loop
 //!    (`eswitch::reactive::Reactive`). The sharded runtime's asynchronous
 //!    channel lives in `shard` and is not policed.
-//! 7. **One control plane** — the §3.4 update ladder has one executor and a
-//!    controller's answers one applier. Outside `#[cfg(test)]` regions of
-//!    the crates' `src/` trees, an `UpdatePlanner::absorb` call may appear
-//!    only in [`ONE_LADDER_EXECUTOR`] (`EswitchRuntime::flow_mod`) and a
-//!    `ControllerDecision::… =>` match arm only in [`ONE_DECISION_APPLIER`]
-//!    (`eswitch::reactive::DecisionStats::answer`), so a second control
-//!    plane cannot grow back beside them.
+//! 7. **One control plane** — a controller's answers have one applier.
+//!    Outside `#[cfg(test)]` regions of the crates' `src/` trees, a
+//!    `ControllerDecision::… =>` match arm may appear only in
+//!    [`ONE_DECISION_APPLIER`] (`eswitch::reactive::DecisionStats::answer`),
+//!    so a second control plane cannot grow back beside it. (The §3.4 update
+//!    ladder's one executor needs no rule: `UpdatePlanner` is `pub(crate)`
+//!    in `eswitch`, so nothing outside that crate can call it.)
 //! 8. **One compiler** — table decomposition (§3.2) is a choice the
 //!    compiler makes per table, inside the compiled datapath. Anywhere in
 //!    the workspace, tests included, `decompose_table` may be called only in
@@ -139,13 +139,9 @@ const ONE_ENTRY_ALLOWED: &[(&str, &str, &str)] = &[
     ),
     (
         "crates/openflow/src/pipeline.rs",
-        "process_with_key_ct",
-        "the interpreter walk over a key the OVS slow path extracted once",
-    ),
-    (
-        "crates/openflow/src/pipeline.rs",
         "process_ct",
-        "the interpreter walk; frozen binding of `benchmark/src/sut.rs`'s oracle",
+        "the interpreter (`Pipeline::walk` with the linear scan); frozen binding of \
+         `benchmark/src/sut.rs`'s oracle",
     ),
     (
         "crates/openflow/src/direct.rs",
@@ -176,9 +172,6 @@ const ONE_CONTROLLER_ALLOWED: &[&str] = &[
     "crates/openflow/src/controller.rs",
     "crates/core/src/reactive.rs",
 ];
-
-/// The one file that may call `UpdatePlanner::absorb` (rule 7).
-const ONE_LADDER_EXECUTOR: &str = "crates/core/src/runtime.rs";
 
 /// The one file that may match on `ControllerDecision` variants (rule 7).
 const ONE_DECISION_APPLIER: &str = "crates/core/src/reactive.rs";
@@ -610,12 +603,6 @@ fn check_one_controller(file: &str, src: &str) -> Vec<Violation> {
         .collect()
 }
 
-/// True when `line` calls `absorb` as a method or through a path
-/// (`planner.absorb(`, `UpdatePlanner::absorb(`); a definition is not a call.
-fn calls_absorb(line: &str) -> bool {
-    line.contains(".absorb(") || line.contains("::absorb(")
-}
-
 /// True when `line` holds a match arm on a `ControllerDecision` variant: the
 /// variant path followed, later on the line, by `=>`.
 fn matches_controller_decision(line: &str) -> bool {
@@ -623,9 +610,8 @@ fn matches_controller_decision(line: &str) -> bool {
         .any(|(at, _)| line[at..].contains("=>"))
 }
 
-/// Rule 7: in the crates' non-test code, `absorb` is called only by the one
-/// ladder executor and `ControllerDecision` is matched only by the one
-/// decision applier.
+/// Rule 7: in the crates' non-test code, `ControllerDecision` is matched
+/// only by the one decision applier.
 fn check_one_control_plane(file: &str, src: &str) -> Vec<Violation> {
     if !(file.starts_with("crates/") && file.contains("/src/")) {
         return Vec::new();
@@ -637,21 +623,16 @@ fn check_one_control_plane(file: &str, src: &str) -> Vec<Violation> {
         if mask.get(idx).copied().unwrap_or(false) {
             continue;
         }
-        let message = if file != ONE_LADDER_EXECUTOR && calls_absorb(line) {
-            "`UpdatePlanner::absorb` outside `EswitchRuntime::flow_mod` — apply the \
-             flow-mod through an `EswitchRuntime`, the ladder's one executor"
-        } else if file != ONE_DECISION_APPLIER && matches_controller_decision(line) {
-            "`ControllerDecision` matched outside `eswitch::reactive` — answer through \
-             `DecisionStats::answer` with a `DecisionSink`"
-        } else {
-            continue;
-        };
-        out.push(Violation {
-            file: file.to_string(),
-            line: idx + 1,
-            rule: "one-control-plane",
-            message: message.to_string(),
-        });
+        if file != ONE_DECISION_APPLIER && matches_controller_decision(line) {
+            out.push(Violation {
+                file: file.to_string(),
+                line: idx + 1,
+                rule: "one-control-plane",
+                message: "`ControllerDecision` matched outside `eswitch::reactive` — answer \
+                          through `DecisionStats::answer` with a `DecisionSink`"
+                    .to_string(),
+            });
+        }
     }
     out
 }
@@ -1103,16 +1084,7 @@ mod tests {
     // ---- rule 7: one control plane -----------------------------------
 
     #[test]
-    fn second_ladder_executor_or_decision_match_is_flagged() {
-        let src = "fn publish(&self) {\n    match UpdatePlanner::new(config).absorb(&p, dp, fm, &e) {\n        _ => {}\n    }\n}\n";
-        let v = check_one_control_plane("crates/shard/src/runtime.rs", src);
-        assert_eq!(rules(&v), ["one-control-plane"]);
-        assert_eq!(v[0].line, 2);
-        let src = "fn f(p: &UpdatePlanner) { UpdatePlanner::absorb(p, a, b, c, d); }\n";
-        assert_eq!(
-            rules(&check_file("crates/bench/src/lib.rs", src)),
-            ["one-control-plane"]
-        );
+    fn second_decision_match_is_flagged() {
         let src = "fn handle(d: ControllerDecision) {\n    match d {\n        ControllerDecision::FlowMod(fm) => {}\n        ControllerDecision::PacketOut(po) if po.resubmit => {}\n        _ => {}\n    }\n}\n";
         let v = check_one_control_plane("crates/shard/src/controller.rs", src);
         assert_eq!(rules(&v), ["one-control-plane", "one-control-plane"]);
@@ -1121,18 +1093,16 @@ mod tests {
 
     #[test]
     fn one_control_plane_allows_its_homes_tests_and_non_arms() {
-        let src = "fn f() { planner.absorb(&p, &d, fm, &e); }\n";
-        assert!(check_one_control_plane(ONE_LADDER_EXECUTOR, src).is_empty());
         let src = "fn f(d: ControllerDecision) {\n    match d {\n        ControllerDecision::Drop => {}\n    }\n}\n";
         assert!(check_one_control_plane(ONE_DECISION_APPLIER, src).is_empty());
         // Test regions, integration tests and other trees are not policed.
-        let src = "fn f() {}\n\n#[cfg(test)]\nmod tests {\n    fn t() { planner.absorb(&p, &d, fm, &e); }\n}\n";
-        assert!(check_one_control_plane("crates/core/src/update.rs", src).is_empty());
+        let src = "fn f() {}\n\n#[cfg(test)]\nmod tests {\n    fn t(d: ControllerDecision) { match d { ControllerDecision::Drop => {} } }\n}\n";
+        assert!(check_one_control_plane("crates/shard/src/controller.rs", src).is_empty());
         let src = "fn f(d: ControllerDecision) { match d { ControllerDecision::Drop => {} } }\n";
         assert!(check_one_control_plane("tests/reactive_equivalence.rs", src).is_empty());
         assert!(check_one_control_plane("crates/shard/tests/loom_fixpoint.rs", src).is_empty());
         // Definitions, constructions, comments and strings do not count.
-        let src = "pub fn absorb(&self) {}\nfn a() -> Vec<ControllerDecision> { vec![ControllerDecision::Drop] }\nfn b(x: u8) -> ControllerDecision {\n    match x {\n        0 => ControllerDecision::Drop,\n        _ => todo!(),\n    }\n}\n// ControllerDecision::Drop => {}\nfn c() -> &'static str { \".absorb(\" }\n";
+        let src = "fn a() -> Vec<ControllerDecision> { vec![ControllerDecision::Drop] }\nfn b(x: u8) -> ControllerDecision {\n    match x {\n        0 => ControllerDecision::Drop,\n        _ => todo!(),\n    }\n}\n// ControllerDecision::Drop => {}\n";
         assert!(
             check_one_control_plane("crates/workloads/src/usecases/gateway.rs", src).is_empty()
         );
